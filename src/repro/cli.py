@@ -489,9 +489,9 @@ def cmd_profile(args) -> int:
 def cmd_perfcheck(args) -> int:
     import json
 
-    from repro.harness.perf import (canonical_json, compare_substrate,
-                                    compare_to_baseline, load_baseline,
-                                    make_substrate_baseline,
+    from repro.harness.perf import (SUBSTRATE_SHAPES, canonical_json,
+                                    compare_substrate, compare_to_baseline,
+                                    load_baseline, make_substrate_baseline,
                                     run_perf_suite, run_substrate_micro)
 
     started = time.perf_counter()
@@ -540,10 +540,10 @@ def cmd_perfcheck(args) -> int:
         if floors is not None:
             rates = run_substrate_micro()
             failures.extend(compare_substrate(rates, floors))
-            print(f"substrate {rates['events_per_s']:,.0f} events/s "
-                  f"(floor {floors.get('events_per_s_floor', 0):,.0f}), "
-                  f"{rates['messages_per_s']:,.0f} msgs/s "
-                  f"(floor {floors.get('messages_per_s_floor', 0):,.0f})")
+            print("substrate " + ", ".join(
+                f"{rates[f'{shape}_per_s']:,.0f} {shape}/s (floor "
+                f"{floors.get(f'{shape}_per_s_floor', 0):,.0f})"
+                for shape in SUBSTRATE_SHAPES))
         else:
             print(f"no substrate floors at {args.substrate_baseline}; "
                   f"create them with --update-baseline", file=sys.stderr)

@@ -130,7 +130,7 @@ def blackout_victim(cluster, victim: str) -> None:
 
 
 def reconnect_victim(cluster, victim: str) -> None:
-    """End a blackout: rejoin the network and re-arm message dispatch."""
+    """End a blackout: rejoin the network and run the reconnect hooks."""
     _node_of(cluster, victim).reconnect()
 
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-
-def _freeze(store: dict) -> tuple:
-    return tuple(sorted(store.items()))
+from repro.reconfig.checkpoint import canonical_bytes
 
 
 def _live_members(cluster, partition: str, dead: frozenset) -> list[str]:
@@ -49,7 +47,7 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
     # Replica convergence within each live partition.
     for partition in cluster.partitions:
         live = _live_members(cluster, partition, dead)
-        stores = {_freeze(cluster.servers[name].store.snapshot())
+        stores = {canonical_bytes(cluster.servers[name].store.snapshot())
                   for name in live}
         if len(stores) > 1:
             violations.append(f"{partition} replicas diverge on state")
@@ -79,7 +77,8 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
                     violations.append(f"{key} present in both "
                                       f"{placement[key]} and {partition}")
                 placement[key] = partition
-        maps = {_freeze(oracle.location) for oracle in cluster.oracles}
+        maps = {canonical_bytes(oracle.location)
+                for oracle in cluster.oracles}
         if len(maps) > 1:
             violations.append("oracle replicas diverge on the location map")
         oracle_map = cluster.oracles[0].location

@@ -41,7 +41,7 @@ PERF_SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
 
 #: Wall-clock substrate baseline (separate file: these numbers are NOT
 #: byte-deterministic and must never enter the canonical perf payload).
-SUBSTRATE_FORMAT = "repro-substrate-baseline/1"
+SUBSTRATE_FORMAT = "repro-substrate-baseline/2"
 DEFAULT_SUBSTRATE_BASELINE_PATH = \
     "benchmarks/baselines/substrate_micro.json"
 #: Floors are committed at measured-rate / headroom, so the gate only
@@ -244,19 +244,26 @@ def compare_to_baseline(current: dict, baseline: dict,
 
 # -- wall-clock substrate gate ---------------------------------------------
 
+#: The microbenchmark shapes; each has a ``<shape>_per_s`` rate and floor.
+SUBSTRATE_SHAPES = ("events", "messages", "handled")
+
+
 def run_substrate_micro(events: int = 200_000,
                         messages: int = 50_000) -> dict:
     """Measure the simulation substrate's wall-clock rates.
 
-    Two microbenchmarks over the kernel's hottest shapes: event-heap
-    churn (a self-rescheduling ``schedule_callback`` chain — the shape
-    of every network delivery and parallel-execution completion) and
-    end-to-end message delivery through the network fast path. Rates
-    are events (messages) per wall-clock second — machine-dependent, so
-    they live in their own baseline file and never touch the canonical
-    perf payload.
+    Three microbenchmarks over the kernel's hottest shapes: event-heap
+    churn (``events``: a self-rescheduling ``schedule_callback`` chain —
+    the shape of every network delivery and parallel-execution
+    completion), delivery through the network into a bare endpoint's
+    inbox (``messages``), and the full path every protocol message takes
+    (``handled``: ``ProtocolNode.send`` → delivery event → the
+    destination node's kind handler). Rates are per wall-clock second —
+    machine-dependent, so they live in their own baseline file and never
+    touch the canonical perf payload.
     """
     from repro.net import FixedLatency, Network
+    from repro.ordering import ProtocolNode
     from repro.sim import Environment, SeedStream
 
     env = Environment()
@@ -283,26 +290,37 @@ def run_substrate_micro(events: int = 200_000,
     message_elapsed = time.perf_counter() - started
     assert net.messages_delivered == messages
 
+    env = Environment()
+    net = Network(env, SeedStream(1), FixedLatency(0.05))
+    sender = ProtocolNode(env, net, "a")
+    handled = []
+    ProtocolNode(env, net, "b").on("k", handled.append)
+    started = time.perf_counter()
+    for i in range(messages):
+        sender.send("b", "k", i)
+    env.run()
+    handled_elapsed = time.perf_counter() - started
+    assert len(handled) == messages
+
     return {
         "events": events,
         "events_per_s": _round(events / event_elapsed, 1),
         "messages": messages,
         "messages_per_s": _round(messages / message_elapsed, 1),
+        "handled": messages,
+        "handled_per_s": _round(messages / handled_elapsed, 1),
     }
 
 
 def make_substrate_baseline(current: dict,
                             headroom: float = SUBSTRATE_HEADROOM) -> dict:
     """Derive the committed floor file from one measurement."""
-    return {
-        "format": SUBSTRATE_FORMAT,
-        "headroom": headroom,
-        "events": current["events"],
-        "messages": current["messages"],
-        "events_per_s_floor": _round(current["events_per_s"] / headroom, 1),
-        "messages_per_s_floor": _round(
-            current["messages_per_s"] / headroom, 1),
-    }
+    floors = {"format": SUBSTRATE_FORMAT, "headroom": headroom}
+    for shape in SUBSTRATE_SHAPES:
+        floors[shape] = current[shape]
+        floors[f"{shape}_per_s_floor"] = _round(
+            current[f"{shape}_per_s"] / headroom, 1)
+    return floors
 
 
 def compare_substrate(current: dict, baseline: dict) -> list[str]:
@@ -311,7 +329,7 @@ def compare_substrate(current: dict, baseline: dict) -> list[str]:
         return [f"substrate baseline format {baseline.get('format')!r} "
                 f"!= {SUBSTRATE_FORMAT!r}"]
     failures = []
-    for name in ("events", "messages"):
+    for name in SUBSTRATE_SHAPES:
         rate = current[f"{name}_per_s"]
         floor = baseline[f"{name}_per_s_floor"]
         if rate < floor:

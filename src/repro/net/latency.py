@@ -76,21 +76,28 @@ class SwitchedClusterLatency(LatencyModel):
                  jitter: float = 0.1):
         if jitter < 0 or jitter >= 1:
             raise ValueError(f"jitter must be in [0, 1): {jitter}")
-        self.topology = topology
+        self.topology = topology or ClusterTopology()
         self.intra_ms = intra_ms
         self.inter_ms = inter_ms
         self.bytes_per_ms = bytes_per_ms
         self.jitter = jitter
-
-    def _switch_of(self, node: str) -> int:
-        if self.topology is None:
-            return 0
-        return self.topology.switch_of(node)
+        # (src, dst) -> same switch?  Valid for one topology version.
+        self._same_switch: dict[tuple[str, str], bool] = {}
+        self._version = -1
 
     def delay(self, src: str, dst: str, size: int,
               rng: random.Random) -> float:
-        same_switch = self._switch_of(src) == self._switch_of(dst)
+        topology = self.topology
+        if topology.version != self._version:
+            self._same_switch.clear()
+            self._version = topology.version
+        same_switch = self._same_switch.get((src, dst))
+        if same_switch is None:
+            same_switch = self._same_switch[src, dst] = (
+                topology.switch_of(src) == topology.switch_of(dst))
         base = self.intra_ms if same_switch else self.inter_ms
-        transmission = size / self.bytes_per_ms
-        factor = 1.0 + rng.uniform(-self.jitter, self.jitter)
-        return (base + transmission) * factor
+        # rng.uniform(-jitter, jitter) with the same float operations, so
+        # every delay stays bit-identical, minus the call.
+        jitter = self.jitter
+        factor = 1.0 + (-jitter + (jitter - -jitter) * rng.random())
+        return (base + size / self.bytes_per_ms) * factor

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-_msg_counter = itertools.count()
+# One id sequence: ``Network.send`` draws from it and passes the id along.
+next_msg_id = itertools.count().__next__
 
 # Default wire size used when a layer does not specify one: roughly a small
 # RPC with headers.
@@ -38,7 +39,7 @@ class Message:
     kind: str
     payload: Any = None
     size: int = DEFAULT_MESSAGE_SIZE
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    msg_id: int = field(default_factory=next_msg_id)
     sent_at: float = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

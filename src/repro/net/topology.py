@@ -20,10 +20,14 @@ class ClusterTopology:
 
     def __init__(self, assignment: Mapping[str, int] | None = None):
         self._switch: dict[str, int] = dict(assignment or {})
+        #: Bumped by every :meth:`attach`, so a latency model can cache
+        #: per-pair lookups and still see nodes that join or move later.
+        self.version = 0
 
     def attach(self, node: str, switch: int) -> None:
         """Attach ``node`` to ``switch`` (re-attaching is allowed)."""
         self._switch[node] = switch
+        self.version += 1
 
     def attach_all(self, nodes: Iterable[str], switch: int) -> None:
         for node in nodes:

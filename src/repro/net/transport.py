@@ -1,10 +1,12 @@
 """Message transport: endpoints, delivery scheduling and fault rules.
 
-The :class:`Network` owns one :class:`Endpoint` (an inbox channel) per node.
-``send`` stamps the message, consults the latency model and schedules
-delivery. Quasi-reliable links: messages between correct nodes are delivered
-exactly once, possibly reordered (latency is per-message); failure injection
-can drop, delay, duplicate or reorder messages, and disconnect nodes.
+The :class:`Network` owns one :class:`Endpoint` per node. ``send`` stamps
+the message, consults the latency model and schedules delivery: one kernel
+event that calls the endpoint's handler (or queues the message in its inbox
+while none is attached). Quasi-reliable links: messages between correct
+nodes are delivered exactly once, possibly reordered (latency is
+per-message); failure injection can drop, delay, duplicate or reorder
+messages, and disconnect nodes.
 
 Fault rules are first-class and composable (all seed-deterministic):
 
@@ -26,7 +28,7 @@ import random
 from typing import Any, Callable, Iterable, Optional
 
 from repro.net.latency import FixedLatency, LatencyModel
-from repro.net.message import DEFAULT_MESSAGE_SIZE, Message
+from repro.net.message import DEFAULT_MESSAGE_SIZE, Message, next_msg_id
 from repro.obs.flight import FlightRecorder
 from repro.obs.profile import NULL_PROFILER
 from repro.sim import Channel, Environment, SeedStream
@@ -69,11 +71,17 @@ class _ReorderWindow:
 
 
 class Endpoint:
-    """A node's attachment point to the network: a named inbox."""
+    """A node's attachment point to the network.
+
+    Deliveries call ``handler`` (a ``ProtocolNode`` attaches its dispatch
+    function); while it is None — a destination registered on the fly by
+    ``send``, a process reading ``receive()`` — they queue in ``inbox``.
+    """
 
     def __init__(self, env: Environment, name: str):
         self.name = name
         self.inbox = Channel(env, name=f"{name}/inbox")
+        self.handler: Optional[Callable[[Message], None]] = None
 
     def receive(self):
         """Event yielding the next inbound :class:`Message`."""
@@ -133,10 +141,9 @@ class Network:
         self._tracer = tracer
 
     def _trace(self, event: str, message: Message) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self.env.now, event, message.src,
-                                message.dst, message.kind, message.size,
-                                message.msg_id)
+        """Record into the attached tracer; call sites check there is one."""
+        self._tracer.record(self.env.now, event, message.src, message.dst,
+                            message.kind, message.size, message.msg_id)
 
     # -- membership -------------------------------------------------------
 
@@ -158,17 +165,9 @@ class Network:
     # -- failure injection --------------------------------------------------
 
     def crash(self, name: str) -> None:
-        """Mark ``name`` as crashed: it neither sends nor receives.
-
-        Pending inbox getters are discarded: the crashed node's dispatch
-        loop is about to die, and a dead getter would otherwise swallow the
-        first message addressed to a recovered successor of this name.
-        """
+        """Mark ``name`` as crashed: it neither sends nor receives."""
         self._crashed.add(name)
         self.flight.record(name, "crash")
-        endpoint = self._endpoints.get(name)
-        if endpoint is not None:
-            endpoint.inbox._getters.clear()
 
     def recover(self, name: str) -> None:
         if name in self._crashed:
@@ -227,27 +226,28 @@ class Network:
         """Send a message; returns it, or None if it was dropped at the source.
 
         Unknown destinations are registered on the fly: their inbox buffers
-        the message until the destination node attaches and starts reading.
+        the message until the destination node attaches.
         """
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
             endpoint = self.register(dst)
-        message = Message(src=src, dst=dst, kind=kind, payload=payload,
-                          size=size, sent_at=self.env.now)
+        message = Message(src, dst, kind, payload, size, next_msg_id(),
+                          self.env.now)
         self.messages_sent += 1
         self.bytes_sent += size
         self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + 1
         self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-        if src in self._crashed:
-            self._trace("dropped", message)
-            return None
+        traced = self._tracer is not None
         # Fault rules are the exception, not the rule: guard each class
         # so a fault-free send never pays for generator/loop setup.
-        if self._drop_rules and any(rule(message)
-                                    for rule in self._drop_rules):
-            self._trace("dropped", message)
+        if src in self._crashed or (
+                self._drop_rules and any(rule(message)
+                                         for rule in self._drop_rules)):
+            if traced:
+                self._trace("dropped", message)
             return None
-        self._trace("sent", message)
+        if traced:
+            self._trace("sent", message)
         extra = 0.0
         if self._delay_rules:
             for rule in self._delay_rules:
@@ -262,12 +262,15 @@ class Network:
                 copies += int(rule(message) or 0)
             self.messages_duplicated += copies - 1
         for copy_index in range(copies):
-            if copy_index:
+            if copy_index and traced:
                 self._trace("duplicated", message)
             delay = self.latency.delay(src, dst, size, self._rng) + extra
             if self.profiler.enabled:
                 self.profiler.net(kind, delay, size)
-            self._dispatch(endpoint, message, delay)
+            if not (self._reorder_windows
+                    and self._reordered(endpoint, message, delay)):
+                self.env.schedule_callback(delay, self._deliver,
+                                           endpoint, message)
         return message
 
     def send_all(self, src: str, dsts: Iterable[str], kind: str,
@@ -277,25 +280,26 @@ class Network:
         for dst in sorted(set(dsts)):
             self.send(src, dst, kind, payload, size)
 
-    def _dispatch(self, endpoint: Endpoint, message: Message,
-                  delay: float) -> None:
-        """Route one delivery: through a reorder window or straight on."""
-        if self._reorder_windows:
-            for window in self._reorder_windows:
-                if window.capture(endpoint, message, delay):
-                    self.messages_reordered += 1
-                    return
-        self.env.schedule_callback(delay, self._deliver, endpoint, message)
+    def _reordered(self, endpoint: Endpoint, message: Message,
+                   delay: float) -> bool:
+        """Offer one delivery to the reorder windows; True if one holds it."""
+        for window in self._reorder_windows:
+            if window.capture(endpoint, message, delay):
+                self.messages_reordered += 1
+                return True
+        return False
 
     def _deliver(self, endpoint: Endpoint, message: Message) -> None:
         # Crash may have happened while the message was in flight.
-        if endpoint.name in self._crashed:
-            self._trace("dropped", message)
-            self.flight.record(endpoint.name, "drop",
-                               f"{message.kind} from {message.src}")
+        crashed = endpoint.name in self._crashed
+        if self._tracer is not None:
+            self._trace("dropped" if crashed else "delivered", message)
+        self.flight.record(endpoint.name, "drop" if crashed else "deliver",
+                           message)
+        if crashed:
             return
-        self._trace("delivered", message)
-        self.flight.record(endpoint.name, "deliver",
-                           f"{message.kind} from {message.src}")
         self.messages_delivered += 1
-        endpoint.inbox.put(message)
+        if endpoint.handler is None:
+            endpoint.inbox.put(message)
+        else:
+            endpoint.handler(message)

@@ -39,7 +39,7 @@ class FlightRecorder:
         self._rings: dict[str, deque] = {}
         self.evicted: dict[str, int] = {}
 
-    def record(self, node: str, kind: str, detail: str = "") -> None:
+    def record(self, node: str, kind: str, detail="") -> None:
         """Append one event to ``node``'s ring (evicting the oldest)."""
         ring = self._rings.get(node)
         if ring is None:
@@ -54,8 +54,12 @@ class FlightRecorder:
         return sorted(self._rings)
 
     def events(self, node: str) -> list[tuple]:
-        """The retained ``(time, kind, detail)`` events of ``node``."""
-        return list(self._rings.get(node, ()))
+        """The retained ``(time, kind, detail)`` events of ``node``. The
+        network records each delivery's message as its detail (most are
+        evicted unread); it reads as ``"<kind> from <src>"``."""
+        return [(at, kind, detail if isinstance(detail, str)
+                 else f"{detail.kind} from {detail.src}")
+                for at, kind, detail in self._rings.get(node, ())]
 
     def __len__(self) -> int:
         return sum(len(ring) for ring in self._rings.values())

@@ -1,11 +1,11 @@
-"""Protocol node: a simulated process with a message dispatch loop.
+"""Protocol node: a named network attachment with kind-based dispatch.
 
 Every server, oracle replica and client in the system is a
 :class:`ProtocolNode`. Protocol layers (multicast, logs, proxies) register
-handlers for message kinds; the node's single dispatch process pulls messages
-from its network inbox and routes them. Handlers run instantaneously in
-virtual time — layers that model CPU cost (e.g. command execution) do so in
-their own processes.
+handlers for message kinds; the network calls the node's dispatch function
+from the delivery event itself, so a message costs one kernel event.
+Handlers run instantaneously in virtual time — layers that model CPU cost
+(e.g. command execution) do so in their own processes.
 """
 
 from __future__ import annotations
@@ -14,13 +14,20 @@ from typing import Any, Callable, Optional
 
 from repro.net import Message, Network
 from repro.net.message import DEFAULT_MESSAGE_SIZE
-from repro.sim import Environment, Interrupted
+from repro.sim import Environment
 
 Handler = Callable[[Message], None]
 
 
 class ProtocolNode:
-    """A named process attached to the network with kind-based dispatch."""
+    """A named node attached to the network with kind-based dispatch.
+
+    Handlers run in the delivery event itself: two messages reaching a node
+    at the same instant are handled in send order, each ahead of zero-delay
+    events the other's handler scheduled. Messages buffered under ``name``
+    before the node existed are handled first, in send order, at the instant
+    it is created; deliveries meanwhile queue behind them.
+    """
 
     def __init__(self, env: Environment, network: Network, name: str):
         self.env = env
@@ -36,7 +43,11 @@ class ProtocolNode:
         self._default_handler: Optional[Handler] = None
         self._reconnect_hooks: list[Callable[[], None]] = []
         self._crashed = False
-        self._loop = env.process(self._dispatch_loop(), name=f"{name}/loop")
+        if len(self.endpoint.inbox):
+            self.endpoint.handler = None  # keep buffering until drained
+            env.schedule_callback(0.0, self._drain_inbox)
+        else:
+            self.endpoint.handler = self._dispatch
 
     # -- wiring -----------------------------------------------------------
 
@@ -95,46 +106,37 @@ class ProtocolNode:
             return
         self._crashed = True
         self.network.crash(self.name)
-        self._loop.interrupt("crash")
+        # Unless a successor took over: later arrivals wait for one.
+        if self.endpoint.handler == self._dispatch:
+            self.endpoint.handler = None
 
     def reconnect(self) -> None:
-        """Re-arm dispatch after a *network-level* blackout.
+        """Rejoin the network after a *network-level* blackout.
 
-        ``Network.crash(name)`` discards the inbox getter the dispatch
-        loop was blocked on (so a successor cannot lose its first
-        message), which means a node that merely blacked out — state
-        intact, only disconnected — would never dispatch again after
-        ``Network.recover``. Reconnecting recovers the endpoint and
-        replaces the dispatch process; the old one is interrupted, so a
-        stale getter can never swallow a post-recovery message. No-op on
-        an object-level crashed node: that node is gone for good and
-        comes back only through the recovery modules.
+        ``Network.crash(name)`` drops the node's traffic but leaves it
+        attached, state intact; this recovers the name and runs the
+        :meth:`on_reconnect` hooks. No-op on an object-level crashed node:
+        that one comes back only through the recovery modules.
         """
         if self._crashed:
             return
         self.network.recover(self.name)
-        self._loop.interrupt("reconnect")
-        # Drop any getter the old loop left behind (reconnect without a
-        # preceding blackout): a stale getter would consume and lose the
-        # first message meant for the new loop.
-        self.endpoint.inbox._getters.clear()
-        self._loop = self.env.process(self._dispatch_loop(),
-                                      name=f"{self.name}/loop")
         for hook in list(self._reconnect_hooks):
             hook()
 
-    def _dispatch_loop(self):
-        try:
-            while True:
-                message = yield self.endpoint.receive()
-                handler = self._handlers.get(message.kind,
-                                             self._default_handler)
-                if handler is None:
-                    raise RuntimeError(
-                        f"{self.name}: no handler for {message.kind!r}")
-                handler(message)
-        except Interrupted:
-            return
+    def _dispatch(self, message: Message) -> None:
+        handler = self._handlers.get(message.kind, self._default_handler)
+        if handler is None:
+            raise RuntimeError(
+                f"{self.name}: no handler for {message.kind!r}")
+        handler(message)
+
+    def _drain_inbox(self) -> None:
+        inbox = self.endpoint.inbox
+        while len(inbox) and not self._crashed:
+            self._dispatch(inbox.try_get()[1])
+        if not self._crashed:
+            self.endpoint.handler = self._dispatch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

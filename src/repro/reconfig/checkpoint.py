@@ -138,7 +138,7 @@ class PartitionCheckpointer:
             replica=server.node.name,
             epoch=server.epoch,
             taken_at=server.env.now,
-            store=copy.deepcopy(server.store.snapshot()),
+            store=server.store.snapshot(),
             executed=executed,
             replies=copy.deepcopy(server.replies._replies),
             applied_count=server.log.applied_count,
@@ -159,7 +159,7 @@ class PartitionCheckpointer:
             },
             queued=copy.deepcopy(queued),
             location_slice={key: server.partition
-                            for key in server.store.snapshot()},
+                            for key in server.store.keys()},
             applied_reconfigs=sorted(
                 getattr(server, "applied_reconfigs", ())),
         )

@@ -20,7 +20,7 @@ same timestamp fire in scheduling order.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -224,34 +224,6 @@ class AllOf(_Condition):
             self.succeed(self._results())
 
 
-class _Callback(Event):
-    """A bare scheduled function call (:meth:`Environment.schedule_callback`).
-
-    Cheaper than the ``Timeout`` + observer-lambda pair it replaces: the
-    event is born triggered, carries the function and its arguments in
-    slots, and its single callback is a bound method — no closure. This
-    is the hottest scheduling shape in the simulator (every network
-    delivery and every parallel-execution completion is one).
-    """
-
-    __slots__ = ("_fn", "_args")
-
-    def __init__(self, env: "Environment", delay: float,
-                 fn: Callable[..., None], args: tuple):
-        if delay < 0:
-            raise SimulationError(f"negative callback delay: {delay}")
-        self.env = env
-        self.callbacks = [self._run]
-        self._value = None
-        self._ok = True
-        self._fn = fn
-        self._args = args
-        env._schedule_event(self, delay)
-
-    def _run(self, _event: Event) -> None:
-        self._fn(*self._args)
-
-
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -352,7 +324,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, Event]] = []
+        # Heap of (when, seq, fn, arg): fn is None for an Event (arg is the
+        # event), else a bare callback called as fn(*arg).
+        self._queue: list[tuple[float, int, Any, Any]] = []
         self._next_seq = 0
 
     @property
@@ -387,14 +361,19 @@ class Environment:
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, seq, event))
+        heappush(self._queue, (self._now + delay, seq, None, event))
 
     def schedule_callback(self, delay: float,
                           callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` time units (no process
-        needed). Passing the arguments here instead of closing over them
-        keeps the hot send path free of closure allocations."""
-        _Callback(self, delay, callback, args)
+        needed). The call goes on the heap as it is — no :class:`Event`,
+        no closure: this is the hottest scheduling shape in the simulator
+        (every network delivery and parallel-execution completion)."""
+        if delay < 0:
+            raise SimulationError(f"negative callback delay: {delay}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heappush(self._queue, (self._now + delay, seq, callback, args))
 
     # -- execution --------------------------------------------------------
 
@@ -402,8 +381,10 @@ class Environment:
         """Process the next queued event, advancing the clock."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
-        self._now = when
+        self._now, _seq, fn, event = heappop(self._queue)
+        if fn is not None:
+            fn(*event)  # a schedule_callback entry: ``event`` is its args
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -418,12 +399,12 @@ class Environment:
         if until is not None and until < self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})")
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
+        queue, step = self._queue, self.step
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 return
-            self.step()
+            step()
         if until is not None:
             self._now = until
 

@@ -75,6 +75,26 @@ class TestSwitchedClusterLatency:
         with pytest.raises(ValueError):
             SwitchedClusterLatency(jitter=1.0)
 
+    def test_node_attached_after_its_first_message_is_seen(self):
+        topology = self._topology()
+        model = SwitchedClusterLatency(topology, intra_ms=0.1,
+                                       inter_ms=0.9, jitter=0.0)
+        rng = random.Random(0)
+        assert model.delay("late", "a", 0, rng) == pytest.approx(0.1)
+        topology.attach("late", 1)
+        assert model.delay("late", "a", 0, rng) == pytest.approx(0.9)
+        topology.attach("late", 0)  # re-attaching is allowed
+        assert model.delay("late", "a", 0, rng) == pytest.approx(0.1)
+
+    def test_jitter_is_bit_identical_to_rng_uniform(self):
+        model = SwitchedClusterLatency(self._topology(), intra_ms=0.05,
+                                       inter_ms=0.15, jitter=0.1)
+        rng, twin = random.Random(7), random.Random(7)
+        for size in range(0, 4000, 37):
+            expected = (0.15 + size / model.bytes_per_ms) * (
+                1.0 + twin.uniform(-0.1, 0.1))
+            assert model.delay("a", "c", size, rng) == expected
+
 
 class TestTopology:
     def test_paper_topology_spreads_servers(self):

@@ -97,6 +97,23 @@ class TestClusterIntegration:
             assert len(flight.events(node)) <= flight.capacity
 
 
+    def test_network_deliveries_read_as_kind_from_src(self):
+        from repro.net import FixedLatency, Network
+        from repro.sim import Environment, SeedStream
+
+        env = Environment()
+        network = Network(env, SeedStream(1), FixedLatency(0.5))
+        network.send("a", "b", "ping")
+        network.crash("c")
+        network.recover("c")
+        network.send("a", "c", "pong")
+        network.crash("c")
+        env.run()
+        assert network.flight.events("b") == [(0.5, "deliver", "ping from a")]
+        assert network.flight.dump(["c"])["nodes"]["c"][-1] == {
+            "at": 0.5, "kind": "drop", "detail": "pong from a"}
+
+
 class TestViolationArtifacts:
     @pytest.fixture(scope="class")
     def violating_run(self):

@@ -254,6 +254,19 @@ class TestEnvironment:
         env.run()
         assert seen == [4.0]
 
+    def test_callbacks_and_events_share_one_fifo_order(self, env):
+        seen = []
+        env.schedule_callback(2.0, seen.append, "callback-1")
+        env.timeout(2.0).add_callback(lambda _e: seen.append("timeout"))
+        env.schedule_callback(2.0, seen.append, "callback-2")
+        env.schedule_callback(1.0, lambda a, b: seen.append(a + b), 1, 2)
+        env.run()
+        assert seen == [3, "callback-1", "timeout", "callback-2"]
+
+    def test_negative_callback_delay_rejected(self, env):
+        with pytest.raises(SimulationError):
+            env.schedule_callback(-1.0, lambda: None)
+
     def test_determinism_same_program_same_trace(self):
         def trace():
             env = Environment()
