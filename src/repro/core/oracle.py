@@ -29,13 +29,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net import Network
-from repro.obs.tracing import NULL_TRACER, trace_id_of
-from repro.ordering import (AmcastDelivery, AtomicMulticast, GroupDirectory,
-                            ProtocolNode, ReliableMulticast, SequencerLog)
-from repro.resilience import ReplyCache
-from repro.sim import BusyTracker, Channel, Counter, Environment, Interrupted
-from repro.smr.command import Command, CommandType, Reply, ReplyStatus, new_command_id
-from repro.smr.replica import REPLY_KIND, delivery_command
+from repro.obs.tracing import trace_id_of
+from repro.ordering import (AmcastDelivery, GroupDirectory, ReliableMulticast,
+                            SequencerLog)
+from repro.sim import BusyTracker, Counter, Environment
+from repro.smr.command import Command, CommandType, ReplyStatus
+from repro.smr.executor import OrderedExecutor, delivery_attempt
 from repro.core.policy import MajorityTargetPolicy, OraclePolicy
 from repro.core.prophecy import Prophecy, ProphecyStatus
 from repro.ssmr.exchange import ExchangeBuffer
@@ -47,7 +46,7 @@ PROPHECY_KIND = "prophecy"
 RECONFIG_ACK_KIND = "reconfig/ack"
 
 
-class OracleReplica:
+class OracleReplica(OrderedExecutor):
     """One replica of the DS-SMR partitioning oracle."""
 
     #: Simulated CPU cost of oracle request handling, in ms.
@@ -64,14 +63,10 @@ class OracleReplica:
                  speaker_only: bool = True,
                  dedup: bool = True,
                  tracer=None):
-        self.env = env
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        super().__init__(env, network, directory, ORACLE_GROUP, name,
+                         log_factory=log_factory, speaker_only=speaker_only,
+                         dedup=dedup, tracer=tracer)
         self.partitions = tuple(partitions)
-        self.directory = directory
-        self.node = ProtocolNode(env, network, name)
-        self.log = log_factory(self.node, directory, ORACLE_GROUP)
-        self.amcast = AtomicMulticast(self.node, directory, self.log,
-                                      speaker_only=speaker_only)
         self.rmcast = ReliableMulticast(self.node, directory)
         self.exchange = ExchangeBuffer(env, self.rmcast, ORACLE_GROUP)
         self.policy = policy or MajorityTargetPolicy()
@@ -87,11 +82,6 @@ class OracleReplica:
         self._next_partitioning_id = 0
         self._pending_ideals: dict[int, dict] = {}
         self._repartition_inflight = False
-
-        # Re-delivered creates/deletes (client resends) must not re-run
-        # Task 2 — the verdict would flip ("exists"/"missing") and race the
-        # partition's cached reply — so the oracle caches its replies too.
-        self.replies = ReplyCache(enabled=dedup)
 
         # The dynamic mapping: variable key -> partition name, plus the
         # incrementally maintained variable count per partition.
@@ -128,29 +118,13 @@ class OracleReplica:
         self.reconfigs = Counter(f"{name}/reconfigs")
         self.evacuations = Counter(f"{name}/evacuations")
 
-        self.queue_peak = 0
-        # Overload control (repro.qos), attached by the harness; None
-        # keeps the intake/executor hot paths in their pre-QoS shape.
-        self.qos = None
-        # Write-ahead log (repro.store), attached by the harness; None
-        # keeps the executor free of durability barriers.
-        self.wal = None
         # Delivery uids marked as replayed history by a durable cold
         # start (see repro.store.coldstart): their state effects are
         # re-applied, but no message leaves the node and no cost is
         # charged — the original execution already paid both.
         self._replay_uids: set[str] = set()
-        self._enqueue_times: dict[str, float] = {}
-        self._deliveries = Channel(env, name=f"{name}/deliveries")
-        self.amcast.on_deliver(self._enqueue)
-        self._executor = env.process(self._execute_loop(),
-                                     name=f"{name}/executor")
 
     # -- lifecycle ------------------------------------------------------------
-
-    def crash(self) -> None:
-        self.node.crash()
-        self._executor.interrupt("crash")
 
     def preload_locations(self, location: dict) -> None:
         """Install an initial mapping (used when state is bulk-loaded)."""
@@ -177,119 +151,40 @@ class OracleReplica:
             self.map_version += 1
             self.partition_sizes[old] = self.partition_sizes.get(old, 1) - 1
 
-    # -- delivery intake --------------------------------------------------------
-
-    def _enqueue(self, delivery: AmcastDelivery) -> None:
-        """Queue an ordered delivery for the executor (tracing tap).
-
-        Mirrors the replica servers' intake: emits the *order* server span
-        for commands with a marked send time, stamps the enqueue time for
-        the *queue* span, and tracks the peak oracle-queue depth (the
-        oracle hot-spot signal). Hint/activation payloads carry no command
-        and get queue accounting only.
-        """
-        if self.tracer.enabled:
-            command = delivery_command(delivery.payload)
-            if command is not None:
-                sent = self.tracer.sent_at(command.cid)
-                if sent is not None:
-                    self.tracer.span(trace_id_of(command.cid), "order",
-                                     self.node.name, sent, self.env.now,
-                                     uid=delivery.uid)
-                    if self.node.profiler.enabled:
-                        self.node.profiler.account(
-                            self.node.name, "order", self.env.now - sent)
-        if (self.tracer.enabled or self.node.profiler.enabled
-                or self.qos is not None):
-            self._enqueue_times[delivery.uid] = self.env.now
-        self._deliveries.put(delivery)
-        depth = len(self._deliveries) or 1
-        if depth > self.queue_peak:
-            self.queue_peak = depth
-
     # -- overload control (repro.qos) ----------------------------------------
 
-    def queue_depth(self) -> int:
-        """Current oracle-queue depth (the adaptive batching signal)."""
-        return len(self._deliveries)
-
-    def attach_qos(self, admission, batcher=None, classify=None) -> None:
-        """Attach overload control to this oracle replica.
-
-        The oracle group gets the same sequencer-side admission as the
-        partitions — consult floods are the oracle's overload mode. Shed
-        consults are answered with an ``OVERLOAD`` prophecy (the consult
-        reply channel), everything else with an ``OVERLOAD`` reply.
-        """
-        self.qos = admission
-        if hasattr(self.log, "attach_qos"):
-            self.log.attach_qos(admission=admission, batcher=batcher,
-                                on_shed=self._shed_reply, classify=classify)
-
-    def _shed_reply(self, entry: dict, reason: str) -> None:
-        payload = entry.get("payload")
-        command = delivery_command(payload)
-        if command is None or not command.client:
-            return
-        if command.ctype is CommandType.CONSULT:
-            prophecy = Prophecy(status=ProphecyStatus.OVERLOAD,
-                                reason=reason, epoch=self.epoch)
-            self.node.send(command.client, PROPHECY_KIND,
-                           {"cid": command.cid, "prophecy": prophecy},
-                           size=96)
-        else:
-            attempt = (payload.get("attempt", 1)
-                       if isinstance(payload, dict) else 1)
-            self.node.send(command.client, REPLY_KIND, Reply(
-                cid=command.cid, status=ReplyStatus.OVERLOAD, value=reason,
-                sender=self.node.name, partition=ORACLE_GROUP,
-                attempt=attempt), size=96)
-        self.node.flight("qos", f"shed {command.cid} ({reason})")
+    def _overload_message(self, command: Command, attempt: int,
+                          reason: str) -> tuple:
+        """Consult floods are the oracle's overload mode: a shed consult
+        is answered on the consult reply channel, with an ``OVERLOAD``
+        prophecy; everything else gets the ``OVERLOAD`` reply."""
+        if command.ctype is not CommandType.CONSULT:
+            return super()._overload_message(command, attempt, reason)
+        prophecy = Prophecy(status=ProphecyStatus.OVERLOAD, reason=reason,
+                            epoch=self.epoch)
+        return PROPHECY_KIND, {"cid": command.cid, "prophecy": prophecy}
 
     # -- executor ---------------------------------------------------------------
 
-    def _execute_loop(self):
-        try:
-            while True:
-                delivery: AmcastDelivery = yield self._deliveries.get()
-                if (self.wal is not None
-                        and delivery.uid not in self._replay_uids):
-                    # Durability barrier (repro.store): the ordered map
-                    # change must be on disk before any verdict or
-                    # prophecy derived from it leaves this replica.
-                    yield self.wal.sync_barrier()
-                if (self.tracer.enabled or self.node.profiler.enabled
-                        or self.qos is not None):
-                    enqueued = self._enqueue_times.pop(delivery.uid, None)
-                    if self.qos is not None and enqueued is not None:
-                        self.qos.note_sojourn(self.env.now,
-                                              self.env.now - enqueued)
-                    command = delivery_command(delivery.payload)
-                    if (command is not None and enqueued is not None
-                            and self.env.now > enqueued):
-                        if self.tracer.enabled:
-                            self.tracer.span(trace_id_of(command.cid),
-                                             "queue", self.node.name,
-                                             enqueued, self.env.now)
-                        if self.node.profiler.enabled:
-                            self.node.profiler.account(
-                                self.node.name, "queue",
-                                self.env.now - enqueued)
-                started = self.env.now
-                yield from self._handle_delivery(delivery)
-                if self.env.now > started:
-                    self.busy.add_busy(started, self.env.now - started)
-                    # Mirrors the BusyTracker: the whole handler (consult,
-                    # create/delete signal exchange, reconfig planning,
-                    # hint ingestion) is the oracle's "execute" stage.
-                    if self.node.profiler.enabled:
-                        self.node.profiler.account(
-                            self.node.name, "execute",
-                            self.env.now - started)
-        except Interrupted:
-            return
+    def _needs_barrier(self, delivery: AmcastDelivery) -> bool:
+        # The ordered map change must be on disk before any verdict or
+        # prophecy derived from it leaves this replica; replayed history
+        # already is.
+        return delivery.uid not in self._replay_uids
 
     def _handle_delivery(self, delivery: AmcastDelivery):
+        started = self.env.now
+        yield from self._run_task(delivery)
+        if self.env.now > started:
+            self.busy.add_busy(started, self.env.now - started)
+            # Mirrors the BusyTracker: the whole handler (consult,
+            # create/delete signal exchange, reconfig planning, hint
+            # ingestion) is the oracle's "execute" stage.
+            if self.node.profiler.enabled:
+                self.node.profiler.account(self.node.name, "execute",
+                                           self.env.now - started)
+
+    def _run_task(self, delivery: AmcastDelivery):
         if delivery.uid in self._replay_uids:
             self._replay_uids.discard(delivery.uid)
             self._replay_delivery(delivery)
@@ -305,7 +200,7 @@ class OracleReplica:
             yield from self._task_reconfig(envelope["reconfig"])
             return
         command: Command = envelope["command"]
-        attempt = envelope.get("attempt", 1)
+        attempt = delivery_attempt(envelope)
         cost = self.CONSULT_COST + self.PER_VARIABLE_COST * len(
             command.variables)
         exec_start = self.env.now
@@ -399,6 +294,9 @@ class OracleReplica:
     # -- Task 2: create / delete ----------------------------------------------
 
     def _task_create(self, command: Command, attempt: int = 1):
+        # A re-delivered create/delete (client resend) must not re-run
+        # Task 2 — the verdict would flip ("exists"/"missing") and race
+        # the partition's cached reply — so the oracle caches replies too.
         if self._resend_cached(command, attempt):
             return
         key = command.variables[0]
@@ -436,14 +334,6 @@ class OracleReplica:
             self._reply(command, ReplyStatus.OK, "deleted", attempt)
         else:
             self._reply(command, ReplyStatus.NOK, "missing", attempt)
-
-    def _resend_cached(self, command: Command, attempt: int) -> bool:
-        cached = self.replies.lookup(command.cid, attempt)
-        if cached is None:
-            return False
-        if command.client:
-            self.node.send(command.client, REPLY_KIND, cached, size=128)
-        return True
 
     # -- Task 3: move -----------------------------------------------------------
 
@@ -795,10 +685,8 @@ class OracleReplica:
 
     def _cache_reply(self, command: Command, status: ReplyStatus,
                      value, attempt: int) -> None:
-        self.replies.store(command.cid, Reply(
-            cid=command.cid, status=status, value=value,
-            sender=self.node.name, partition=ORACLE_GROUP,
-            attempt=attempt))
+        self.replies.store(command.cid, self._make_reply(
+            command, status, value, attempt))
 
     # -- replies -------------------------------------------------------------
 
@@ -811,9 +699,6 @@ class OracleReplica:
 
     def _reply(self, command: Command, status: ReplyStatus,
                value, attempt: int = 1) -> None:
-        reply = Reply(cid=command.cid, status=status, value=value,
-                      sender=self.node.name, partition=ORACLE_GROUP,
-                      attempt=attempt)
+        reply = self._make_reply(command, status, value, attempt)
         self.replies.store(command.cid, reply)
-        if command.client:
-            self.node.send(command.client, REPLY_KIND, reply, size=128)
+        self._send_reply(command, reply)

@@ -18,11 +18,10 @@ Extends the S-SMR server with the dynamic-partitioning behaviours:
 
 from __future__ import annotations
 
-from repro.obs.tracing import trace_id_of
 from repro.ordering import AmcastDelivery
 from repro.sim import Counter
-from repro.smr.command import Command, CommandType, Reply, ReplyStatus
-from repro.smr.replica import REPLY_KIND
+from repro.smr.command import Command, CommandType, ReplyStatus
+from repro.smr.executor import REPLY_KIND, delivery_attempt
 from repro.ssmr.server import SsmrServer
 from repro.core.oracle import ORACLE_GROUP
 
@@ -38,102 +37,62 @@ class DssmrServer(SsmrServer):
 
     def _handle_delivery(self, delivery: AmcastDelivery):
         envelope = delivery.payload
-        if "reconfig" in envelope:
-            self._apply_reconfig(envelope["reconfig"])
-            return
-        command: Command = envelope["command"]
-        if command.ctype.value == "move":
-            yield from self._exec_move(command)
-            return
-        if (command.ctype.value == "access"
-                and envelope.get("mode") != "fallback"):
-            yield from self._exec_single_partition_access(
-                command, envelope.get("attempt", 1))
-            return
-        # create/delete and fallback accesses reuse the S-SMR machinery,
-        # with the oracle joining the signal exchange for create/delete.
-        yield from super()._handle_delivery(delivery)
+        command = envelope.get("command")
+        ctype = getattr(command, "ctype", None)  # a reconfig fence has none
+        if ctype is CommandType.MOVE:
+            return (yield from self._exec_move(command))
+        if ctype is CommandType.ACCESS and envelope.get("mode") != "fallback":
+            return (yield from self._exec_single_partition_access(
+                command, delivery_attempt(envelope)))
+        # Reconfig fences, create/delete and fallback accesses reuse the
+        # S-SMR machinery, with the oracle joining the signal exchange for
+        # create/delete.
+        return (yield from super()._handle_delivery(delivery))
 
     # -- parallel execution (repro.smr.parallel) ------------------------------
 
-    def _parallel_access(self, envelope):
-        """Pool-eligible: non-fallback accesses (always single-partition).
+    def _pool_eligible(self, envelope, command: Command) -> bool:
+        """Non-fallback accesses (always single-partition).
 
         Fallback-mode accesses take the S-SMR multi-partition machinery
         and serialize; moves, creates/deletes and reconfig fences mutate
         the store key-set (or the epoch) and serialize too.
         """
-        if "reconfig" in envelope:
-            return None
-        command = envelope.get("command")
-        if not isinstance(command, Command):
-            return None
-        if command.ctype is not CommandType.ACCESS:
-            return None
-        if envelope.get("mode") == "fallback":
-            return None
-        return command
+        return (command.ctype is CommandType.ACCESS
+                and envelope.get("mode") != "fallback")
 
-    def _dispatch_parallel(self, command: Command, envelope, delivery):
-        attempt = envelope.get("attempt", 1)
+    def _dispatch_parallel(self, command: Command, attempt: int,
+                           delivery: AmcastDelivery) -> None:
+        # Sound at dispatch time: moves (and creates/deletes) barrier on a
+        # drained pool, so the store key-set cannot change while work is
+        # in flight.
         if (self.parallel.inflight_slot(command.cid) is None
-                and command.cid not in self.replies):
-            missing = [key for key in command.variables
-                       if key not in self.store]
-            if missing:
-                # Variables moved away since the client consulted: retry.
-                # Sound at dispatch time: moves (and creates/deletes)
-                # barrier on a drained pool, so the store key-set cannot
-                # change while work is in flight.
-                self.retries_sent.increment(self.env.now)
-                self._send_reply(command, Reply(
-                    cid=command.cid, status=ReplyStatus.RETRY,
-                    value={"missing": missing}, sender=self.node.name,
-                    partition=self.partition, attempt=attempt))
-                return
-        super()._dispatch_parallel(command, envelope, delivery)
+                and command.cid not in self.replies
+                and self._retry_if_moved(command, attempt)):
+            return
+        super()._dispatch_parallel(command, attempt, delivery)
 
     # -- access (single-partition fast path) ---------------------------------
 
-    def _exec_single_partition_access(self, command: Command,
-                                      attempt: int = 1):
-        cached = self.replies.lookup(command.cid, attempt)
-        if cached is not None:
-            self._send_reply(command, cached)
-            return
+    def _retry_if_moved(self, command: Command, attempt: int) -> bool:
+        """Reply ``retry`` if variables moved away since the client
+        consulted; True when it did."""
         missing = [key for key in command.variables
                    if key not in self.store]
         if missing:
-            # Variables moved away since the client consulted: retry.
             self.retries_sent.increment(self.env.now)
-            self._send_reply(command, Reply(
-                cid=command.cid, status=ReplyStatus.RETRY,
-                value={"missing": missing}, sender=self.node.name,
-                partition=self.partition, attempt=attempt))
-            return
-        exec_start = self.env.now
+            self._send_reply(command, self._make_reply(
+                command, ReplyStatus.RETRY, {"missing": missing}, attempt))
+        return bool(missing)
+
+    def _exec_single_partition_access(self, command: Command, attempt: int):
+        if (self._resend_cached(command, attempt)
+                or self._retry_if_moved(command, attempt)):
+            return None
+        start = self.env.now
         yield self.env.timeout(self.execution.cost(command))
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "execute",
-                             self.node.name, exec_start, self.env.now)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "execute",
-                                       self.env.now - exec_start)
-        from repro.smr.state_machine import ExecutionView
-        view = ExecutionView(self.store)
-        try:
-            value = self.state_machine.apply(command, view)
-            status = ReplyStatus.OK
-        except KeyError as error:
-            # Undeclared variable access (see SsmrServer._exec_access).
-            value = f"undeclared variable access: {error}"
-            status = ReplyStatus.NOK
-        reply = Reply(cid=command.cid, status=status, value=value,
-                      sender=self.node.name, partition=self.partition,
-                      attempt=attempt)
-        self.replies.store(command.cid, reply)
-        self.executed.append(command.cid)
-        self._send_reply(command, reply)
+        self._account(command, "execute", start)
+        return self._apply_local(command)
 
     # -- move --------------------------------------------------------------------
 
@@ -150,106 +109,50 @@ class DssmrServer(SsmrServer):
                     shipped[key] = self.store.pop(key)
             self.moves_out.increment(self.env.now, len(shipped))
             self.exchange.send([dest], command.cid, shipped)
-            ship_start = self.env.now
+            start = self.env.now
             yield self.env.timeout(self.execution.base_ms)
-            if self.tracer.enabled:
-                self.tracer.span(trace_id_of(command.cid), "move",
-                                 self.node.name, ship_start, self.env.now,
-                                 role="source", shipped=len(shipped))
-            if self.node.profiler.enabled:
-                self.node.profiler.account(self.node.name, "move",
-                                           self.env.now - ship_start)
+            self._account(command, "move", start, role="source",
+                          shipped=len(shipped))
             self.node.flight("move",
                              f"shipped {len(shipped)} var(s) to {dest}")
-            return
-        if self.partition == dest:
+        elif self.partition == dest:
             cached = self.replies.lookup(command.cid)
-            if cached is not None:
-                if notify:
-                    self.node.send(notify, REPLY_KIND, cached, size=128)
-                return
-            gather_start = self.env.now
-            yield from self.exchange.wait(command.cid, sources)
-            received = self.exchange.collect(command.cid)
-            for key, value in received.items():
-                self.store.write(key, value)
-            self.moves_in.increment(self.env.now, len(received))
-            yield self.env.timeout(self.execution.base_ms)
-            if self.tracer.enabled:
-                self.tracer.span(trace_id_of(command.cid), "move",
-                                 self.node.name, gather_start, self.env.now,
-                                 role="dest", received=len(received))
-            if self.node.profiler.enabled:
-                self.node.profiler.account(self.node.name, "move",
-                                           self.env.now - gather_start)
-            self.node.flight("move",
-                             f"installed {len(received)} var(s)")
-            reply = Reply(cid=command.cid, status=ReplyStatus.OK,
-                          value={"moved": len(received)},
-                          sender=self.node.name, partition=self.partition)
-            self.replies.store(command.cid, reply)
+            if cached is None:
+                start = self.env.now
+                yield from self.exchange.wait(command.cid, sources)
+                received = self.exchange.collect(command.cid)
+                for key, value in received.items():
+                    self.store.write(key, value)
+                self.moves_in.increment(self.env.now, len(received))
+                yield self.env.timeout(self.execution.base_ms)
+                self._account(command, "move", start, role="dest",
+                              received=len(received))
+                self.node.flight("move",
+                                 f"installed {len(received)} var(s)")
+                cached = self._make_reply(command, ReplyStatus.OK,
+                                          {"moved": len(received)})
+                self.replies.store(command.cid, cached)
             if notify:
-                self.node.send(notify, REPLY_KIND, reply, size=128)
+                self.node.send(notify, REPLY_KIND, cached, size=128)
 
     # -- create / delete (coordinated with the oracle) -----------------------
 
-    def _exec_create(self, command: Command, dests: tuple):
-        key = command.variables[0]
-        # Signal exchange with the oracle (both sides send, then wait); the
-        # oracle's signal carries the verdict of the create/create race.
+    def _oracle_verdict(self, command: Command):
+        """Signal exchange with the oracle (both sides send, then wait);
+        the oracle's signal carries the verdict of the create/create or
+        create/delete race."""
         self.exchange.send([ORACLE_GROUP], command.cid, {})
-        exchange_start = self.env.now
+        start = self.env.now
         yield from self.exchange.wait(command.cid, {ORACLE_GROUP})
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "exchange",
-                             self.node.name, exchange_start, self.env.now,
-                             peers=1)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "exchange",
-                                       self.env.now - exchange_start)
-        verdict = self.exchange.collect(command.cid).get("verdict")
-        if verdict != "ok" or key in self.store:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value="exists", sender=self.node.name,
-                         partition=self.partition)
-        self.store.create(
-            key, self.state_machine.initial_value(key, command.args))
-        exec_start = self.env.now
-        yield self.env.timeout(self.execution.cost(command))
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "execute",
-                             self.node.name, exec_start, self.env.now)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "execute",
-                                       self.env.now - exec_start)
-        return Reply(cid=command.cid, status=ReplyStatus.OK, value="created",
-                     sender=self.node.name, partition=self.partition)
+        self._account(command, "exchange", start, peers=1)
+        return self.exchange.collect(command.cid).get("verdict")
+
+    def _exec_create(self, command: Command, dests: tuple):
+        if (yield from self._oracle_verdict(command)) != "ok":
+            return self._make_reply(command, ReplyStatus.NOK, "exists")
+        return (yield from super()._exec_create(command, dests))
 
     def _exec_delete(self, command: Command, dests: tuple):
-        key = command.variables[0]
-        self.exchange.send([ORACLE_GROUP], command.cid, {})
-        exchange_start = self.env.now
-        yield from self.exchange.wait(command.cid, {ORACLE_GROUP})
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "exchange",
-                             self.node.name, exchange_start, self.env.now,
-                             peers=1)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "exchange",
-                                       self.env.now - exchange_start)
-        verdict = self.exchange.collect(command.cid).get("verdict")
-        if verdict != "ok" or key not in self.store:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value="missing", sender=self.node.name,
-                         partition=self.partition)
-        self.store.delete(key)
-        exec_start = self.env.now
-        yield self.env.timeout(self.execution.cost(command))
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "execute",
-                             self.node.name, exec_start, self.env.now)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "execute",
-                                       self.env.now - exec_start)
-        return Reply(cid=command.cid, status=ReplyStatus.OK, value="deleted",
-                     sender=self.node.name, partition=self.partition)
+        if (yield from self._oracle_verdict(command)) != "ok":
+            return self._make_reply(command, ReplyStatus.NOK, "missing")
+        return (yield from super()._exec_delete(command, dests))

@@ -113,24 +113,12 @@ class PartitionCheckpointer:
     def capture(self, reason: str = "manual") -> PartitionCheckpoint:
         """Take one consistent snapshot (synchronous in virtual time)."""
         server = self.server
-        queued = []
-        executed = list(server.executed)
-        pool = getattr(server, "parallel", None)
-        if pool is not None and pool.pending:
-            # Commands on the worker pool (repro.smr.parallel) have been
-            # dispatched — they already sit in `executed` — but their
-            # store effects land only at their finish times. A capture
-            # taken mid-flight must count them as queued work, exactly
-            # like `_current_delivery`: filter them back out of the
-            # execution history and re-queue their deliveries (they were
-            # dequeued before whatever the executor holds now, so they
-            # go first).
-            inflight = set(pool.inflight_cids())
-            executed = [cid for cid in executed if cid not in inflight]
-            queued.extend(pool.inflight_deliveries())
-        if server._current_delivery is not None:
-            queued.append(server._current_delivery)
-        queued.extend(server._deliveries._items)
+        # Commands on the worker pool (repro.smr.parallel) and the one the
+        # executor is inside count as queued work: their store effects
+        # have not landed, so they are left out of the execution history
+        # and their deliveries are re-queued ahead of the queue proper.
+        executed = server.settled_history()
+        queued = server.pending_deliveries()
         amcast = server.amcast
         exchange = server.exchange
         checkpoint = PartitionCheckpoint(

@@ -34,7 +34,7 @@ from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
 from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
 from repro.sim import Environment
 from repro.smr.command import Command, CommandType, Reply
-from repro.smr.replica import REPLY_KIND
+from repro.smr.executor import REPLY_KIND
 from repro.core.oracle import ORACLE_GROUP, RECONFIG_ACK_KIND
 
 _rid_counter = itertools.count()

@@ -76,8 +76,7 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     exchange._vars = dict(state["vars"])
     exchange._done = set(state["done"])
     exchange._sent = dict(state["sent"])
-    server._deliveries._items.clear()
-    server._deliveries._items.extend(checkpoint.queued)
+    server.replace_queue(checkpoint.queued)
 
 
 class PartitionRecovery:
@@ -175,23 +174,10 @@ def recover_partition_server(crashed, peer, fallback_peers=(),
         raise ValueError(f"{name} is the group speaker; the ordered log "
                          "cannot survive its crash (deploy PaxosLog for "
                          "speaker fault tolerance)")
-    network = crashed.node.network
-    network.recover(name)
-    replacement = type(crashed)(
-        crashed.env, network, crashed.directory, crashed.partition, name,
-        crashed.state_machine, execution=crashed.execution,
-        log_factory=type(crashed.log),
-        speaker_only=crashed.amcast.speaker_only,
-        dedup=getattr(crashed.replies, "enabled", True),
-        start_gate=crashed.env.event(), tracer=crashed.tracer)
+    replacement = crashed.respawn(crashed.env.event())
     replacement.log.suspend_backfill()
     PartitionCheckpointer(replacement)
     CheckpointHost(replacement)
-    pool = getattr(crashed, "parallel", None)
-    if pool is not None:
-        from repro.smr.parallel import ParallelExecutionModel
-        replacement.attach_parallel(
-            ParallelExecutionModel(crashed.env, pool.config))
     replacement.recovery = PartitionRecovery(
         replacement, peer.node.name, fallback_peers=fallback_peers,
         on_failure=on_failure)

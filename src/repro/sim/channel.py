@@ -64,6 +64,10 @@ class Channel:
             return True, self._items.popleft()
         return False, None
 
+    def items(self) -> list:
+        """The queued items, oldest first (a copy; nothing is consumed)."""
+        return list(self._items)
+
     def clear(self) -> None:
         """Drop all queued items (waiting getters stay blocked)."""
         self._items.clear()

@@ -15,6 +15,7 @@ from repro.smr.state_machine import (
 from repro.smr.execution import ExecutionModel
 from repro.smr.parallel import (ConflictScheduler, Dispatch, ExecutionConfig,
                                 ParallelExecutionModel)
+from repro.smr.executor import OrderedExecutor
 from repro.smr.replica import SmrReplica
 from repro.smr.recovery import (RecoveryHost, RecoveringReplica,
                                 recover_replica)
@@ -34,6 +35,7 @@ __all__ = [
     "KeyValueStateMachine",
     "ObjectDirectory",
     "ObjectStateMachine",
+    "OrderedExecutor",
     "PRObject",
     "RecoveringReplica",
     "RecoveryHost",

@@ -25,7 +25,7 @@ from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
 from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
 from repro.sim import Environment, Event, LatencyRecorder
 from repro.smr.command import Command, Reply, ReplyStatus
-from repro.smr.replica import REPLY_KIND
+from repro.smr.executor import REPLY_KIND
 
 
 class BaseClient:

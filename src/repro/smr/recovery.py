@@ -3,9 +3,11 @@
 The paper's protocols assume crash-stop, but operating a replicated system
 needs a way to re-add replicas. For classic SMR this is clean — a replica's
 state is a pure function of the delivered command sequence — so recovery
-is: fetch a peer's snapshot (store + executed position), install it, and
-resume applying from that position (the ordered log's catch-up machinery
-fills the gap).
+is: fetch a peer's snapshot (store, executed position, reply cache),
+install it, and resume applying from that position (the ordered log's
+catch-up machinery fills the gap). The reply cache rides along because it
+is the executor's only duplicate filter: a client resend of a command the
+snapshot covers is answered from it instead of being executed again.
 
 For the *partitioned* protocols recovery is substantially subtler (a
 recovering replica can miss in-flight signal/variable exchanges addressed
@@ -18,7 +20,8 @@ Usage::
     replica.crash()
     ...
     recovered = recover_replica(crashed=replica, peer=live_replica)
-    # `recovered` is a fresh SmrReplica under the same name, caught up.
+    # `recovered` is `replica.respawn(gate)`: a fresh SmrReplica under the
+    # same name with the same options (tracer, dedup, pool), caught up.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import itertools
 from typing import Optional, Sequence
 
 from repro.net import Message
+from repro.smr.executor import delivery_command
 from repro.smr.replica import SmrReplica
 
 SNAPSHOT_REQUEST = "recovery/request"
@@ -57,21 +61,17 @@ class RecoveryHost:
         # queued deliveries, and those commands' effects are not yet in the
         # snapshotted store. (In classic SMR over a sequencer log every log
         # position is one command, so the two units coincide.)
-        executed = list(replica.executed)
-        pool = getattr(replica, "parallel", None)
-        if pool is not None and pool.pending:
-            # Worker-pool commands in flight sit in `executed` (appended
-            # at dispatch) but their effects are not yet in the store.
-            # They are a contiguous tail of the history (the sequential
-            # path drains the pool first), so filtering them yields the
-            # consistent prefix; the peer re-fetches the rest via the
-            # log's backfill protocol.
-            inflight = set(pool.inflight_cids())
-            executed = [cid for cid in executed if cid not in inflight]
+        # Commands still on worker cores are not in the store yet either:
+        # `settled_history` leaves them out and the peer re-fetches them
+        # via the log's backfill protocol. The reply cache rides along so
+        # the replacement answers resends of covered commands from it
+        # instead of executing them a second time.
+        executed = replica.settled_history()
         snapshot = {
             "request_id": message.payload["request_id"],
             "store": copy.deepcopy(replica.store.snapshot()),
             "executed": executed,
+            "replies": copy.deepcopy(replica.replies._replies),
             "applied_count": len(executed),
         }
         # Size scales with the state: recovery is not free on the wire.
@@ -79,14 +79,6 @@ class RecoveryHost:
         replica.node.send(message.payload["reply_to"], SNAPSHOT_RESPONSE,
                           snapshot, size=size)
         self.snapshots_served += 1
-
-
-def _delivery_cid(delivery) -> str:
-    """Command id of a queued delivery (envelope or legacy raw Command)."""
-    payload = delivery.payload
-    if isinstance(payload, dict):
-        return payload["command"].cid
-    return payload.cid
 
 
 class RecoveringReplica:
@@ -162,12 +154,12 @@ class RecoveringReplica:
         for key, value in snapshot["store"].items():
             replica.store.write(key, value)
         replica.executed = list(snapshot["executed"])
-        replica._executed_set = set(replica.executed)
+        replica.replies._replies.update(snapshot["replies"])
         # Drop queued deliveries the snapshot already covers.
-        retained = [d for d in replica._deliveries._items
-                    if _delivery_cid(d) not in replica._executed_set]
-        replica._deliveries._items.clear()
-        replica._deliveries._items.extend(retained)
+        covered = set(replica.executed)
+        replica.replace_queue(
+            d for d in replica.pending_deliveries()
+            if delivery_command(d.payload).cid not in covered)
         # Positions below the snapshot are covered by the installed state;
         # anything between the snapshot and live traffic comes via the
         # log's backfill protocol.
@@ -188,19 +180,9 @@ def recover_replica(crashed: SmrReplica, peer: SmrReplica,
     peer (and any ``fallback_peers``, tried in rotation if the primary
     stops answering) must have a :class:`RecoveryHost` attached.
     """
-    network = crashed.node.network
-    name = crashed.node.name
-    network.recover(name)
-    replacement = SmrReplica(
-        crashed.env, network, crashed.amcast.directory, crashed.group,
-        name, state_machine or crashed.state_machine,
-        execution=crashed.execution, log_factory=type(crashed.log),
-        start_gate=crashed.env.event())
-    pool = getattr(crashed, "parallel", None)
-    if pool is not None:
-        from repro.smr.parallel import ParallelExecutionModel
-        replacement.attach_parallel(
-            ParallelExecutionModel(crashed.env, pool.config))
+    replacement = crashed.respawn(crashed.env.event())
+    if state_machine is not None:
+        replacement.state_machine = state_machine
     replacement.recovery = RecoveringReplica(
         replacement, peer.node.name, fallback_peers=fallback_peers)
     return replacement

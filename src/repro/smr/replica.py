@@ -1,10 +1,11 @@
 """Classic SMR replica: full state, totally ordered execution.
 
 Commands arrive through atomic broadcast (single-group atomic multicast) and
-are executed sequentially by an executor process that charges the execution
-cost model. Every replica sends the reply; clients deduplicate. This is the
-non-scalable baseline the paper starts from: adding replicas never increases
-throughput because each replica executes every command.
+are executed sequentially by the shared :class:`OrderedExecutor` loop, which
+charges the execution cost model. Every replica sends the reply; clients
+deduplicate. This is the non-scalable baseline the paper starts from: adding
+replicas never increases throughput because each replica executes every
+command.
 """
 
 from __future__ import annotations
@@ -12,36 +13,16 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net import Network
-from repro.obs.tracing import NULL_TRACER, trace_id_of
-from repro.ordering import (AmcastDelivery, AtomicMulticast, GroupDirectory,
-                            ProtocolNode, SequencerLog)
-from repro.ordering.log import GroupLog
-from repro.resilience import ReplyCache
-from repro.sim import Channel, Environment, Interrupted
+from repro.ordering import AmcastDelivery, GroupDirectory, SequencerLog
+from repro.sim import Environment
 from repro.smr.command import Command, CommandType, Reply, ReplyStatus
 from repro.smr.execution import ExecutionModel
-from repro.smr.state_machine import (ExecutionView, StateMachine,
-                                     VariableStore)
-
-REPLY_KIND = "reply"
-
-
-def delivery_command(payload) -> Optional[Command]:
-    """The command inside an amcast delivery payload, if any.
-
-    Payloads are resilient-client envelopes (dicts), legacy raw commands,
-    or oracle control messages (hints/activations) with no command.
-    """
-    if isinstance(payload, Command):
-        return payload
-    if isinstance(payload, dict):
-        command = payload.get("command")
-        if isinstance(command, Command):
-            return command
-    return None
+from repro.smr.executor import (OrderedExecutor, delivery_attempt,
+                                delivery_command)
+from repro.smr.state_machine import ExecutionView, StateMachine
 
 
-class SmrReplica:
+class SmrReplica(OrderedExecutor):
     """One replica of a classically replicated state machine."""
 
     def __init__(self, env: Environment, network: Network,
@@ -52,263 +33,42 @@ class SmrReplica:
                  start_gate=None,
                  dedup: bool = True,
                  tracer=None):
-        self.env = env
-        self.group = group
-        self.node = ProtocolNode(env, network, name)
-        self.log: GroupLog = log_factory(self.node, directory, group)
-        self.amcast = AtomicMulticast(self.node, directory, self.log)
-        self.state_machine = state_machine
-        self.execution = execution or ExecutionModel()
-        self.store = VariableStore()
-        self.executed: list[str] = []  # command ids, in execution order
-        self._executed_set: set[str] = set()
-        # dedup=False (test-only) lets the chaos sentinel prove the
-        # checkers catch duplicate execution when resends are not filtered.
-        self.replies = ReplyCache(enabled=dedup)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.queue_peak = 0
-        # Overload control (repro.qos), attached by the harness; None
-        # keeps the intake/executor hot paths in their pre-QoS shape.
-        self.qos = None
-        # Write-ahead log (repro.store), attached by the harness; None
-        # keeps the executor free of durability barriers.
-        self.wal = None
-        # Parallel worker pool (repro.smr.parallel), attached by the
-        # harness; None keeps the executor on the sequential fast path.
-        self.parallel = None
-        self._enqueue_times: dict[str, float] = {}
-        self._deliveries = Channel(env, name=f"{name}/deliveries")
-        self.amcast.on_deliver(self._enqueue)
-        # A recovering replica's executor must not touch the store until
-        # the state snapshot is installed; its gate event holds it back.
-        self._start_gate = start_gate
-        self._executor = env.process(self._execute_loop(),
-                                     name=f"{name}/executor")
+        super().__init__(env, network, directory, group, name, state_machine,
+                         execution=execution, log_factory=log_factory,
+                         dedup=dedup, start_gate=start_gate, tracer=tracer)
 
-    def crash(self) -> None:
-        self.node.crash()
-        self._executor.interrupt("crash")
+    def _pool_eligible(self, envelope, command: Command) -> bool:
+        # Creates/deletes change the store's key set: they serialize.
+        return command.ctype is CommandType.ACCESS
 
-    def load_state(self, contents: dict) -> None:
-        """Install initial service state (full copy on every replica)."""
-        for key, value in contents.items():
-            self.store.write(key, value)
+    def _handle_delivery(self, delivery: AmcastDelivery):
+        command = delivery_command(delivery.payload)
+        # Already executed: a client resend, or recovery-snapshot overlap
+        # with backfilled log entries. Re-executing would double-apply the
+        # command's writes; resend the cached reply instead (the resend's
+        # reply may have been the message that was lost).
+        if self._resend_cached(command, delivery_attempt(delivery.payload)):
+            return None
+        start = self.env.now
+        yield self.env.timeout(self.execution.cost(command))
+        reply = self._apply_local(command)
+        self._account(command, "execute", start)
+        return reply
 
-    # -- delivery intake -------------------------------------------------------
-
-    def _enqueue(self, delivery: AmcastDelivery) -> None:
-        """Queue an ordered delivery for the executor (tracing tap).
-
-        Emits the *order* server span (client submit -> total-order
-        delivery) and stamps the enqueue time so the executor can emit a
-        *queue* span for time spent behind earlier commands. Also tracks
-        the peak executor-queue depth for the metrics registry; a direct
-        handoff to a waiting executor counts as depth 1.
-        """
-        if self.tracer.enabled:
-            command = delivery_command(delivery.payload)
-            if command is not None:
-                sent = self.tracer.sent_at(command.cid)
-                if sent is not None:
-                    self.tracer.span(trace_id_of(command.cid), "order",
-                                     self.node.name, sent, self.env.now,
-                                     uid=delivery.uid)
-                    if self.node.profiler.enabled:
-                        self.node.profiler.account(
-                            self.node.name, "order", self.env.now - sent)
-        if (self.tracer.enabled or self.node.profiler.enabled
-                or self.qos is not None):
-            self._enqueue_times[delivery.uid] = self.env.now
-        self._deliveries.put(delivery)
-        depth = len(self._deliveries) or 1
-        if depth > self.queue_peak:
-            self.queue_peak = depth
-
-    # -- overload control (repro.qos) ----------------------------------------
-
-    def queue_depth(self) -> int:
-        """Current executor-queue depth (the adaptive batching signal)."""
-        return len(self._deliveries)
-
-    def attach_qos(self, admission, batcher=None, classify=None) -> None:
-        """Attach overload control (see :meth:`SsmrServer.attach_qos`)."""
-        self.qos = admission
-        if hasattr(self.log, "attach_qos"):
-            self.log.attach_qos(admission=admission, batcher=batcher,
-                                on_shed=self._shed_reply, classify=classify)
-
-    def _shed_reply(self, entry: dict, reason: str) -> None:
-        """Backpressure for a shed entry: explicit OVERLOAD, not silence."""
-        payload = entry.get("payload")
-        command = delivery_command(payload)
-        if command is None or not command.client:
-            return
-        attempt = (payload.get("attempt", 1)
-                   if isinstance(payload, dict) else 1)
-        self.node.send(command.client, REPLY_KIND, Reply(
-            cid=command.cid, status=ReplyStatus.OVERLOAD, value=reason,
-            sender=self.node.name, partition=self.group,
-            attempt=attempt), size=96)
-        self.node.flight("qos", f"shed {command.cid} ({reason})")
-
-    # -- parallel execution (repro.smr.parallel) ------------------------------
-
-    def attach_parallel(self, pool) -> None:
-        """Arm the conflict-aware worker pool (see repro.smr.parallel)."""
-        self.parallel = pool
-
-    def _dispatch_parallel(self, command: Command, attempt: int,
-                           enqueued) -> None:
-        """Dispatch one access command onto the worker pool.
-
-        The slot is fully determined at dispatch (costs are deterministic),
-        so the executor schedules the apply + reply as a callback at the
-        finish time and immediately dequeues the next entry — this is what
-        lets non-conflicting commands overlap. ``executed`` is appended
-        *now*, in log order, keeping the cross-replica execution-order
-        invariant independent of finish interleavings.
-        """
-        env = self.env
-        pool = self.parallel
-        if self.replies.enabled and command.cid in self._executed_set:
-            slot = pool.inflight_slot(command.cid)
-            if slot is None:
-                cached = self.replies.lookup(command.cid, attempt)
-                if cached is not None and command.client:
-                    self.node.send(command.client, REPLY_KIND, cached,
-                                   size=128)
-            else:
-                # The original is still on a core: its reply does not
-                # exist yet, so resend it when the original lands.
-                def resend():
-                    if self.node.crashed:
-                        return
-                    cached = self.replies.lookup(command.cid, attempt)
-                    if cached is not None and command.client:
-                        self.node.send(command.client, REPLY_KIND, cached,
-                                       size=128)
-                env.schedule_callback(slot.finish - env.now, resend)
-            return
-        slot = pool.dispatch(command, self.execution.cost(command))
-        self.executed.append(command.cid)
-        self._executed_set.add(command.cid)
-        if enqueued is not None and slot.start > enqueued:
-            if self.tracer.enabled:
-                self.tracer.span(trace_id_of(command.cid), "queue",
-                                 self.node.name, enqueued, slot.start)
-        if self.node.profiler.enabled and slot.stall > 0:
-            self.node.profiler.account(self.node.name, "exec.queue",
-                                       slot.stall)
-
-        def complete():
-            if self.node.crashed:
-                return
-            reply = self._apply(command)
-            reply.attempt = attempt
-            if self.tracer.enabled:
-                self.tracer.span(trace_id_of(command.cid), "execute",
-                                 self.node.name, slot.start, env.now,
-                                 core=slot.core)
-            if self.node.profiler.enabled:
-                self.node.profiler.account(self.node.name,
-                                           f"exec.run.c{slot.core}",
-                                           slot.cost)
-            self.replies.store(command.cid, reply)
-            if command.client:
-                self.node.send(command.client, REPLY_KIND, reply, size=128)
-            pool.complete(command.cid)
-
-        env.schedule_callback(slot.finish - env.now, complete)
-
-    def _execute_loop(self):
+    def _apply_local(self, command: Command) -> Reply:
         try:
-            if self._start_gate is not None:
-                yield self._start_gate
-            while True:
-                delivery: AmcastDelivery = yield self._deliveries.get()
-                if self.wal is not None:
-                    # Durability barrier: the ordered entry must be
-                    # fsynced before its effects (and reply) can be
-                    # observed by anyone (see repro.store).
-                    yield self.wal.sync_barrier()
-                payload = delivery.payload
-                if isinstance(payload, dict):    # resilient-client envelope
-                    command: Command = payload["command"]
-                    attempt = payload.get("attempt", 1)
-                else:                            # legacy raw Command
-                    command = payload
-                    attempt = 1
-                enqueued = None
-                if (self.tracer.enabled or self.node.profiler.enabled
-                        or self.qos is not None):
-                    enqueued = self._enqueue_times.pop(delivery.uid, None)
-                    if self.qos is not None and enqueued is not None:
-                        self.qos.note_sojourn(self.env.now,
-                                              self.env.now - enqueued)
-                if self.parallel is not None:
-                    if command.ctype is CommandType.ACCESS:
-                        self._dispatch_parallel(command, attempt, enqueued)
-                        continue
-                    # Creates/deletes serialize against everything: wait
-                    # for the pool to drain, then run the sequential path.
-                    yield from self.parallel.drain()
-                if enqueued is not None and self.env.now > enqueued:
-                    if self.tracer.enabled:
-                        self.tracer.span(trace_id_of(command.cid),
-                                         "queue", self.node.name,
-                                         enqueued, self.env.now)
-                    if self.node.profiler.enabled:
-                        self.node.profiler.account(
-                            self.node.name, "queue",
-                            self.env.now - enqueued)
-                if self.replies.enabled and command.cid in self._executed_set:
-                    # Already covered: a client resend, or recovery-snapshot
-                    # overlap with backfilled log entries. Re-executing
-                    # would double-apply the command's writes; resend the
-                    # cached reply instead (the resend's reply may have
-                    # been the message that was lost).
-                    cached = self.replies.lookup(command.cid, attempt)
-                    if cached is not None and command.client:
-                        self.node.send(command.client, REPLY_KIND, cached,
-                                       size=128)
-                    continue
-                exec_start = self.env.now
-                yield self.env.timeout(self.execution.cost(command))
-                reply = self._apply(command)
-                reply.attempt = attempt
-                if self.parallel is not None:
-                    self.parallel.scheduler.note_serial(
-                        self.env.now - exec_start)
-                if self.tracer.enabled:
-                    self.tracer.span(trace_id_of(command.cid), "execute",
-                                     self.node.name, exec_start, self.env.now)
-                if self.node.profiler.enabled:
-                    self.node.profiler.account(self.node.name, "execute",
-                                               self.env.now - exec_start)
-                self.executed.append(command.cid)
-                self._executed_set.add(command.cid)
-                self.replies.store(command.cid, reply)
-                if command.client:
-                    self.node.send(command.client, REPLY_KIND, reply,
-                                   size=128)
-        except Interrupted:
-            return
-
-    def _apply(self, command: Command) -> Reply:
-        try:
-            if command.ctype.value == "create":
+            if command.ctype is CommandType.CREATE:
                 key = command.variables[0]
                 self.store.create(
                     key, self.state_machine.initial_value(key, command.args))
                 value = "created"
-            elif command.ctype.value == "delete":
+            elif command.ctype is CommandType.DELETE:
                 self.store.delete(command.variables[0])
                 value = "deleted"
             else:
-                view = ExecutionView(self.store)
-                value = self.state_machine.apply(command, view)
+                value = self.state_machine.apply(
+                    command, ExecutionView(self.store))
             status = ReplyStatus.OK
         except KeyError as error:
             status, value = ReplyStatus.NOK, str(error)
-        return Reply(cid=command.cid, status=status, value=value,
-                     sender=self.node.name, partition=self.group)
+        return self._make_reply(command, status, value)

@@ -25,20 +25,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net import Network
-from repro.obs.tracing import NULL_TRACER, trace_id_of
-from repro.ordering import (AmcastDelivery, AtomicMulticast, GroupDirectory,
-                            ProtocolNode, ReliableMulticast, SequencerLog)
-from repro.resilience import ReplyCache
-from repro.sim import Channel, Environment, Interrupted
+from repro.ordering import (AmcastDelivery, GroupDirectory, ReliableMulticast,
+                            SequencerLog)
+from repro.sim import Environment
 from repro.smr.command import Command, CommandType, Reply, ReplyStatus
 from repro.smr.execution import ExecutionModel
-from repro.smr.replica import REPLY_KIND, delivery_command
-from repro.smr.state_machine import (ExecutionView, StateMachine,
-                                     VariableStore)
-from repro.ssmr.exchange import EXCHANGE, ExchangeBuffer
+from repro.smr.executor import OrderedExecutor, delivery_attempt
+from repro.smr.state_machine import ExecutionView, StateMachine
+from repro.ssmr.exchange import ExchangeBuffer
 
 
-class SsmrServer:
+class SsmrServer(OrderedExecutor):
     """One replica of one S-SMR partition."""
 
     def __init__(self, env: Environment, network: Network,
@@ -50,25 +47,14 @@ class SsmrServer:
                  dedup: bool = True,
                  start_gate=None,
                  tracer=None):
-        self.env = env
+        super().__init__(env, network, directory, partition, name,
+                         state_machine, execution=execution,
+                         log_factory=log_factory, speaker_only=speaker_only,
+                         dedup=dedup, start_gate=start_gate, tracer=tracer)
         self.partition = partition
-        self.directory = directory
-        self.node = ProtocolNode(env, network, name)
-        self.log = log_factory(self.node, directory, partition)
-        self.amcast = AtomicMulticast(self.node, directory, self.log,
-                                      speaker_only=speaker_only)
         self.rmcast = ReliableMulticast(self.node, directory)
-        self.state_machine = state_machine
-        self.execution = execution or ExecutionModel()
-        self.store = VariableStore()
-        self.executed: list[str] = []       # command ids in execution order
-        self.multi_partition_count = 0
-        # dedup=False (test-only) disables exactly-once retry filtering so
-        # the chaos sentinel can prove the checkers catch double execution.
-        self.replies = ReplyCache(enabled=dedup)
         self.exchange = ExchangeBuffer(env, self.rmcast, partition)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.queue_peak = 0
+        self.multi_partition_count = 0
         # Configuration epoch: bumped by every ordered reconfiguration
         # entry (partition join / leave-begin); see repro.reconfig.
         self.epoch = 0
@@ -80,270 +66,29 @@ class SsmrServer:
         self.applied_reconfigs: set[str] = set()
         # Attached by repro.reconfig.PartitionCheckpointer (None without).
         self.checkpointer = None
-        # Overload control (repro.qos), attached by the harness; None
-        # keeps the intake/executor hot paths in their pre-QoS shape.
-        self.qos = None
-        # Write-ahead log (repro.store), attached by the harness; None
-        # keeps the executor free of durability barriers.
-        self.wal = None
-        # Parallel worker pool (repro.smr.parallel), attached by the
-        # harness; None keeps the executor on the sequential fast path.
-        self.parallel = None
-        self._enqueue_times: dict[str, float] = {}
-        self._deliveries = Channel(env, name=f"{name}/deliveries")
-        # The delivery the executor is currently inside (checkpoint
-        # consistency: a capture must count it as not-yet-executed work).
-        self._current_delivery = None
-        self.amcast.on_deliver(self._enqueue)
-        # A recovering replica's executor must not touch the store until
-        # the peer checkpoint is installed; the gate event holds it back.
-        self._start_gate = start_gate
-        self._executor = env.process(self._execute_loop(),
-                                     name=f"{name}/executor")
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def crash(self) -> None:
-        self.node.crash()
-        self._executor.interrupt("crash")
-
-    def load_state(self, contents: dict) -> None:
-        """Install this partition's share of the initial service state."""
-        for key, value in contents.items():
-            self.store.write(key, value)
-
-    # -- delivery intake ------------------------------------------------------
-
-    def _enqueue(self, delivery: AmcastDelivery) -> None:
-        """Queue an ordered delivery for the executor (tracing tap).
-
-        Mirrors :meth:`repro.smr.replica.SmrReplica._enqueue`: emits the
-        *order* server span, stamps the enqueue time for the *queue* span,
-        and tracks peak executor-queue depth (a direct handoff to a
-        waiting executor counts as depth 1).
-        """
-        if self.tracer.enabled:
-            command = delivery_command(delivery.payload)
-            if command is not None:
-                sent = self.tracer.sent_at(command.cid)
-                if sent is not None:
-                    self.tracer.span(trace_id_of(command.cid), "order",
-                                     self.node.name, sent, self.env.now,
-                                     uid=delivery.uid)
-                    if self.node.profiler.enabled:
-                        self.node.profiler.account(
-                            self.node.name, "order", self.env.now - sent)
-        if (self.tracer.enabled or self.node.profiler.enabled
-                or self.qos is not None):
-            self._enqueue_times[delivery.uid] = self.env.now
-        self._deliveries.put(delivery)
-        depth = len(self._deliveries) or 1
-        if depth > self.queue_peak:
-            self.queue_peak = depth
-
-    # -- overload control (repro.qos) ----------------------------------------
-
-    def queue_depth(self) -> int:
-        """Current executor-queue depth (the adaptive batching signal)."""
-        return len(self._deliveries)
-
-    def attach_qos(self, admission, batcher=None, classify=None) -> None:
-        """Attach overload control to this replica.
-
-        Admission decisions happen inside the sequencer log (meaningful
-        on the group speaker only — the one process that sees client
-        entries before they are ordered, so the admitted sequence stays
-        identical on every member); the executor loop feeds each
-        dequeued delivery's queue sojourn to the CoDel controller.
-        """
-        self.qos = admission
-        if hasattr(self.log, "attach_qos"):
-            self.log.attach_qos(admission=admission, batcher=batcher,
-                                on_shed=self._shed_reply, classify=classify)
-
-    def _shed_reply(self, entry: dict, reason: str) -> None:
-        """Backpressure for a shed entry: explicit OVERLOAD, not silence."""
-        payload = entry.get("payload")
-        command = delivery_command(payload)
-        if command is None or not command.client:
-            return
-        attempt = (payload.get("attempt", 1)
-                   if isinstance(payload, dict) else 1)
-        self.node.send(command.client, REPLY_KIND, Reply(
-            cid=command.cid, status=ReplyStatus.OVERLOAD, value=reason,
-            sender=self.node.name, partition=self.partition,
-            attempt=attempt), size=96)
-        self.node.flight("qos", f"shed {command.cid} ({reason})")
-
-    # -- executor -------------------------------------------------------------
-
-    def _execute_loop(self):
-        try:
-            if self._start_gate is not None:
-                yield self._start_gate
-            while True:
-                delivery: AmcastDelivery = yield self._deliveries.get()
-                if (self.tracer.enabled or self.node.profiler.enabled
-                        or self.qos is not None):
-                    enqueued = self._enqueue_times.pop(delivery.uid, None)
-                    if self.qos is not None and enqueued is not None:
-                        self.qos.note_sojourn(self.env.now,
-                                              self.env.now - enqueued)
-                    command = delivery_command(delivery.payload)
-                    if (command is not None and enqueued is not None
-                            and self.env.now > enqueued):
-                        if self.tracer.enabled:
-                            self.tracer.span(trace_id_of(command.cid),
-                                             "queue", self.node.name,
-                                             enqueued, self.env.now)
-                        if self.node.profiler.enabled:
-                            self.node.profiler.account(
-                                self.node.name, "queue",
-                                self.env.now - enqueued)
-                self._current_delivery = delivery
-                if self.wal is not None:
-                    # Durability barrier: the ordered entry must be
-                    # fsynced before its effects (and reply) can be
-                    # observed by anyone. _current_delivery is already
-                    # set, so a checkpoint captured during the wait
-                    # still counts this delivery as queued work.
-                    yield self.wal.sync_barrier()
-                if self.parallel is not None:
-                    command = self._parallel_access(delivery.payload)
-                    if command is not None:
-                        # Once dispatched, the pool tracks the delivery
-                        # for checkpoint consistency; the executor moves
-                        # straight on to the next entry.
-                        self._dispatch_parallel(command, delivery.payload,
-                                                delivery)
-                        self._current_delivery = None
-                        continue
-                    # Everything else (creates/deletes, multi-partition
-                    # accesses, reconfig fences) serializes against the
-                    # whole pool: drain, then run the sequential path.
-                    yield from self.parallel.drain()
-                    serial = delivery_command(delivery.payload)
-                    if serial is not None:
-                        self.parallel.scheduler.note_serial(
-                            self.execution.cost(serial))
-                yield from self._handle_delivery(delivery)
-                self._current_delivery = None
-        except Interrupted:
-            return
+    def _respawn_options(self) -> dict:
+        return {"speaker_only": self.amcast.speaker_only}
 
     # -- parallel execution (repro.smr.parallel) ------------------------------
 
-    def attach_parallel(self, pool) -> None:
-        """Arm the conflict-aware worker pool (see repro.smr.parallel)."""
-        self.parallel = pool
+    def _pool_eligible(self, envelope, command: Command) -> bool:
+        """Single-partition accesses addressed to this partition alone:
+        no signal exchange, no store-shape change, no epoch fence."""
+        return (command.ctype is CommandType.ACCESS
+                and all(dest == self.partition
+                        for dest in envelope["dests"]))
 
-    def _parallel_access(self, envelope) -> Optional[Command]:
-        """The command, iff this delivery may bypass the serial path.
-
-        Eligible: single-partition access commands addressed to this
-        partition alone — no signal exchange, no store-shape change, no
-        epoch fence. Everything else returns None and serializes.
-        """
-        if "reconfig" in envelope:
-            return None
-        command = envelope.get("command")
-        if not isinstance(command, Command):
-            return None
-        if command.ctype is not CommandType.ACCESS:
-            return None
-        for dest in envelope["dests"]:
-            if dest != self.partition:
-                return None
-        return command
-
-    def _dispatch_parallel(self, command: Command, envelope,
-                           delivery: AmcastDelivery) -> None:
-        """Dispatch one single-partition access onto the worker pool.
-
-        The slot is fully determined at dispatch (costs are
-        deterministic), so apply + reply run as a callback at the finish
-        time and the executor immediately dequeues the next entry.
-        ``executed`` is appended now, in log order, keeping the
-        cross-replica execution-order invariant independent of finish
-        interleavings; a checkpoint captured before the finish filters
-        the cid back out (see PartitionCheckpointer.capture).
-        """
-        env = self.env
-        pool = self.parallel
-        attempt = envelope.get("attempt", 1)
-        if self.replies.enabled:
-            slot = pool.inflight_slot(command.cid)
-            if slot is not None:
-                # A client resend raced the original, which is still on a
-                # core: its reply does not exist yet, so re-send it when
-                # the original lands.
-                def resend():
-                    if self.node.crashed:
-                        return
-                    cached = self.replies.lookup(command.cid, attempt)
-                    if cached is not None:
-                        self._send_reply(command, cached)
-                env.schedule_callback(slot.finish - env.now, resend)
-                return
-        cached = self.replies.lookup(command.cid, attempt)
-        if cached is not None:
-            self._send_reply(command, cached)
-            return
-        slot = pool.dispatch(command, self.execution.cost(command),
-                             delivery=delivery)
-        self.executed.append(command.cid)
-        if self.node.profiler.enabled and slot.stall > 0:
-            self.node.profiler.account(self.node.name, "exec.queue",
-                                       slot.stall)
-
-        def complete():
-            if self.node.crashed:
-                return
-            reply = self._apply_parallel(command)
-            reply.attempt = attempt
-            if self.tracer.enabled:
-                self.tracer.span(trace_id_of(command.cid), "execute",
-                                 self.node.name, slot.start, env.now,
-                                 core=slot.core)
-            if self.node.profiler.enabled:
-                self.node.profiler.account(self.node.name,
-                                           f"exec.run.c{slot.core}",
-                                           slot.cost)
-            self.replies.store(command.cid, reply)
-            pool.complete(command.cid)
-            self._send_reply(command, reply)
-
-        env.schedule_callback(slot.finish - env.now, complete)
-
-    def _apply_parallel(self, command: Command) -> Reply:
-        """Apply a pool-dispatched access (mirror of `_exec_access`'s
-        single-partition tail, minus the cost timeout the scheduler
-        already charged)."""
-        missing = [key for key in command.variables
-                   if key not in self.store]
-        if missing:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value=f"missing variables: {missing[:3]}",
-                         sender=self.node.name, partition=self.partition)
-        view = ExecutionView(self.store)
-        try:
-            value = self.state_machine.apply(command, view)
-        except KeyError as error:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value=f"undeclared variable access: {error}",
-                         sender=self.node.name, partition=self.partition)
-        return Reply(cid=command.cid, status=ReplyStatus.OK, value=value,
-                     sender=self.node.name, partition=self.partition)
+    # -- executor -------------------------------------------------------------
 
     def _handle_delivery(self, delivery: AmcastDelivery):
         envelope = delivery.payload
         if "reconfig" in envelope:
             self._apply_reconfig(envelope["reconfig"])
-            return
+            return None
         command: Command = envelope["command"]
         dests = tuple(envelope["dests"])
-        attempt = envelope.get("attempt", 1)
-        cached = self.replies.lookup(command.cid, attempt)
+        cached = self.replies.lookup(command.cid, delivery_attempt(envelope))
         if cached is not None:
             # Already executed here (the client re-multicast after a lost
             # race). We must still take part in the signal exchange — with
@@ -351,25 +96,18 @@ class SsmrServer:
             # the command a second time — and then resend the cached reply,
             # re-tagged with the current attempt so the client accepts it.
             others = [d for d in dests if d != self.partition]
-            if command.ctype.value == "access" and others:
+            if command.ctype is CommandType.ACCESS and others:
                 self.exchange.send(others, command.cid, {}, done=True)
             self._send_reply(command, cached)
-            return
-        handler = {
-            "access": self._exec_access,
-            "create": self._exec_create,
-            "delete": self._exec_delete,
-        }.get(command.ctype.value)
-        if handler is None:
-            raise ValueError(
-                f"{self.node.name}: unexpected command type "
-                f"{command.ctype.value!r}")
-        reply = yield from handler(command, dests)
-        if reply is not None:
-            reply.attempt = attempt
-            self.replies.store(command.cid, reply)
-            self.executed.append(command.cid)
-            self._send_reply(command, reply)
+            return None
+        if command.ctype is CommandType.ACCESS:
+            return (yield from self._exec_access(command, dests))
+        if command.ctype is CommandType.CREATE:
+            return (yield from self._exec_create(command, dests))
+        if command.ctype is CommandType.DELETE:
+            return (yield from self._exec_delete(command, dests))
+        raise ValueError(f"{self.node.name}: unexpected command type "
+                         f"{command.ctype.value!r}")
 
     # -- reconfiguration (repro.reconfig) -----------------------------------
 
@@ -402,48 +140,40 @@ class SsmrServer:
 
     def _exec_access(self, command: Command, dests: tuple):
         others = [d for d in dests if d != self.partition]
-        remote_vars = {}
         if others:
             self.multi_partition_count += 1
             local_vars = {key: self.store.read(key)
                           for key in command.variables if key in self.store}
             self.exchange.send(others, command.cid, local_vars)
-        exec_start = self.env.now
+        start = self.env.now
         yield self.env.timeout(self.execution.cost(command))
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "execute",
-                             self.node.name, exec_start, self.env.now)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "execute",
-                                       self.env.now - exec_start)
-        if others:
-            exchange_start = self.env.now
-            yield from self.exchange.wait(command.cid, set(others))
-            if self.tracer.enabled:
-                self.tracer.span(trace_id_of(command.cid), "exchange",
-                                 self.node.name, exchange_start,
-                                 self.env.now, peers=len(others))
-            if self.node.profiler.enabled:
-                self.node.profiler.account(self.node.name, "exchange",
-                                           self.env.now - exchange_start)
-            # A done-marked exchange (peer cache hit on a client resend)
-            # carries the peer's merged original variables, so execution
-            # proceeds with the same inputs either way. Whether *we*
-            # execute is decided only by our own reply cache above —
-            # replicas of a partition see exchange messages at different
-            # times under faults, so a decision based on `any_done` here
-            # diverges between them (found by fuzzing: a one-way
-            # partition made one p0 replica defer a command to its
-            # resend slot while the other executed it at the original
-            # slot). Exactly-once is already local: the executor is
-            # sequential and the per-cid cache catches re-deliveries.
-            remote_vars = self.exchange.collect(command.cid)
+        self._account(command, "execute", start)
+        if not others:
+            return self._apply_local(command)
+        start = self.env.now
+        yield from self.exchange.wait(command.cid, set(others))
+        self._account(command, "exchange", start, peers=len(others))
+        # A done-marked exchange (peer cache hit on a client resend)
+        # carries the peer's merged original variables, so execution
+        # proceeds with the same inputs either way. Whether *we*
+        # execute is decided only by our own reply cache above —
+        # replicas of a partition see exchange messages at different
+        # times under faults, so a decision based on `any_done` here
+        # diverges between them (found by fuzzing: a one-way
+        # partition made one p0 replica defer a command to its
+        # resend slot while the other executed it at the original
+        # slot). Exactly-once is already local: the executor is
+        # sequential and the per-cid cache catches re-deliveries.
+        return self._apply_local(command, self.exchange.collect(command.cid))
+
+    def _apply_local(self, command: Command, remote_vars=()) -> Reply:
+        """Apply an access whose cost is already charged: the tail of
+        :meth:`_exec_access`, and what a worker core runs at its finish."""
         missing = [key for key in command.variables
                    if key not in self.store and key not in remote_vars]
         if missing:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value=f"missing variables: {missing[:3]}",
-                         sender=self.node.name, partition=self.partition)
+            return self._make_reply(command, ReplyStatus.NOK,
+                                    f"missing variables: {missing[:3]}")
         view = ExecutionView(self.store, remote_vars)
         try:
             value = self.state_machine.apply(command, view)
@@ -452,52 +182,28 @@ class SsmrServer:
             # what it actually read (the oracle-footnote contract). All
             # replicas fail identically (deterministic apply), so replying
             # NOK keeps replicas consistent.
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value=f"undeclared variable access: {error}",
-                         sender=self.node.name, partition=self.partition)
-        return Reply(cid=command.cid, status=ReplyStatus.OK, value=value,
-                     sender=self.node.name, partition=self.partition)
+            return self._make_reply(command, ReplyStatus.NOK,
+                                    f"undeclared variable access: {error}")
+        return self._make_reply(command, ReplyStatus.OK, value)
 
     def _exec_create(self, command: Command, dests: tuple):
         """Static S-SMR create: the owning partition installs the variable."""
         key = command.variables[0]
         if key in self.store:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value="exists", sender=self.node.name,
-                         partition=self.partition)
+            return self._make_reply(command, ReplyStatus.NOK, "exists")
         self.store.create(
             key, self.state_machine.initial_value(key, command.args))
-        exec_start = self.env.now
+        start = self.env.now
         yield self.env.timeout(self.execution.cost(command))
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "execute",
-                             self.node.name, exec_start, self.env.now)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "execute",
-                                       self.env.now - exec_start)
-        return Reply(cid=command.cid, status=ReplyStatus.OK, value="created",
-                     sender=self.node.name, partition=self.partition)
+        self._account(command, "execute", start)
+        return self._make_reply(command, ReplyStatus.OK, "created")
 
     def _exec_delete(self, command: Command, dests: tuple):
         key = command.variables[0]
         if key not in self.store:
-            return Reply(cid=command.cid, status=ReplyStatus.NOK,
-                         value="missing", sender=self.node.name,
-                         partition=self.partition)
+            return self._make_reply(command, ReplyStatus.NOK, "missing")
         self.store.delete(key)
-        exec_start = self.env.now
+        start = self.env.now
         yield self.env.timeout(self.execution.cost(command))
-        if self.tracer.enabled:
-            self.tracer.span(trace_id_of(command.cid), "execute",
-                             self.node.name, exec_start, self.env.now)
-        if self.node.profiler.enabled:
-            self.node.profiler.account(self.node.name, "execute",
-                                       self.env.now - exec_start)
-        return Reply(cid=command.cid, status=ReplyStatus.OK, value="deleted",
-                     sender=self.node.name, partition=self.partition)
-
-    # -- replies --------------------------------------------------------------
-
-    def _send_reply(self, command: Command, reply: Reply) -> None:
-        if command.client:
-            self.node.send(command.client, REPLY_KIND, reply, size=128)
+        self._account(command, "execute", start)
+        return self._make_reply(command, ReplyStatus.OK, "deleted")

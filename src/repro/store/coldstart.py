@@ -57,34 +57,12 @@ from repro.store.durability import attach_durability, detach_durability
 from repro.store.wal import replay_wal, wipe_wal
 
 
-def _rebuild_server(cluster, crashed):
+def _rebuild_server(crashed):
     """A fresh, gated server of the same class under the same name."""
-    from repro.smr import SmrReplica
-
-    name = crashed.node.name
-    network = crashed.node.network
-    network.recover(name)
-    if cluster.config.scheme == "smr":
-        replacement = SmrReplica(
-            crashed.env, network, crashed.amcast.directory, crashed.group,
-            name, crashed.state_machine, execution=crashed.execution,
-            log_factory=type(crashed.log),
-            dedup=getattr(crashed.replies, "enabled", True),
-            start_gate=crashed.env.event(), tracer=crashed.tracer)
-    else:
-        replacement = type(crashed)(
-            crashed.env, network, crashed.directory, crashed.partition,
-            name, crashed.state_machine, execution=crashed.execution,
-            log_factory=type(crashed.log),
-            speaker_only=crashed.amcast.speaker_only,
-            dedup=getattr(crashed.replies, "enabled", True),
-            start_gate=crashed.env.event(), tracer=crashed.tracer)
+    replacement = crashed.respawn(crashed.env.event())
+    if getattr(crashed, "checkpointer", None) is not None:
         PartitionCheckpointer(replacement)
         CheckpointHost(replacement)
-    if cluster.config.parallel is not None:
-        from repro.smr.parallel import ParallelExecutionModel
-        replacement.attach_parallel(
-            ParallelExecutionModel(crashed.env, cluster.config.parallel))
     replacement.log.suspend_backfill()
     return replacement
 
@@ -168,7 +146,7 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
         entries = dict(replay.entries)
         status = replay.status
 
-    replacement = _rebuild_server(cluster, crashed)
+    replacement = _rebuild_server(crashed)
     position = checkpoint.applied_count if checkpoint is not None else 0
     feed, lost = _contiguous_feed(entries, position)
     peers = _live_members(cluster, replacement.log.group, name)

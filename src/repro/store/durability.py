@@ -1,11 +1,13 @@
 """Wiring durable storage onto live servers and oracles.
 
-``attach_durability(owner, farm)`` gives ``owner`` (an ``SmrReplica``,
+``attach_durability(owner, farm)`` gives ``owner`` (any
+:class:`~repro.smr.executor.OrderedExecutor`: an ``SmrReplica``,
 ``SsmrServer``/``DssmrServer`` or ``OracleReplica``) a write-ahead log
 on its own disk in ``farm`` and hooks it into the ordered log: every
-applied position is appended before execution, and the executor yields
-a ``sync_barrier`` before executing (and therefore before replying), so
-acknowledged commands are always durable somewhere.
+applied position is appended before execution, and the shared executor
+loop yields ``owner.wal.sync_barrier()`` after measuring the delivery's
+queue sojourn and before scheduling or executing it (and therefore
+before replying), so acknowledged commands are always durable somewhere.
 
 Owners that carry a ``PartitionCheckpointer`` (the ssmr family) also
 get a :class:`~repro.store.checkpoints.DurableCheckpointStore`: every

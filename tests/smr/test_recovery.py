@@ -1,10 +1,12 @@
 """Tests for classic-SMR crash recovery (snapshot + log backfill)."""
 
+from repro.obs.tracing import CommandTracer
 from repro.ordering import GroupDirectory
 from repro.smr import (Command, ExecutionModel, KeyValueStateMachine,
-                       SmrClient)
+                       SmrClient, SmrReplica)
 from repro.smr.recovery import RecoveryHost, recover_replica
 
+from tests.conftest import make_network
 from tests.smr.test_replica import build_smr
 
 
@@ -53,6 +55,42 @@ class TestRecovery:
         assert replacement.store.read("x") == 12
         assert replacement.executed == replicas[0].executed
         assert replacement.store.snapshot() == replicas[0].store.snapshot()
+
+    def test_replacement_keeps_the_tracer_and_the_dedup_switch(self, env):
+        """The rebuild used to drop ``tracer=`` and ``dedup=``: a recovered
+        replica went dark in traces and re-enabled dedup under the
+        ``no_dedup`` sentinel."""
+        tracer = CommandTracer()
+        net = make_network(env, seed=1)
+        directory = GroupDirectory({"smr": ["r0", "r1", "r2"]})
+        replicas = [SmrReplica(env, net, directory, "smr", name,
+                               KeyValueStateMachine(),
+                               execution=ExecutionModel(base_ms=0.05),
+                               dedup=False, tracer=tracer)
+                    for name in directory.members("smr")]
+        for replica in replicas:
+            replica.load_state({"x": 0})
+            RecoveryHost(replica)
+        client = SmrClient(env, net, directory, "c0", "smr")
+        replies = []
+        run_commands(env, client, 12, replies)
+        holder = []
+
+        def chaos(env):
+            yield env.timeout(20)
+            replicas[2].crash()
+            yield env.timeout(25)
+            holder.append(recover_replica(replicas[2], replicas[0]))
+
+        env.process(chaos(env))
+        env.run(until=60_000)
+        replacement = holder[0]
+        assert replies == list(range(1, 13))
+        assert replacement.tracer is tracer
+        assert replacement.replies.enabled is False
+        assert [span for span in tracer.spans
+                if span.name == "execute" and span.node == "r2"
+                and span.start >= 45.0]      # after the rebuild at t=45
 
     def test_recovered_replica_serves_clients(self, env):
         net, directory, replicas, client, _hosts = self._setup(env, seed=3)

@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Compare the CI smoke artifacts of the working tree with another revision.
+
+CI only ``cmp``s each smoke run against a second run of *itself*; that
+proves determinism, not that a refactor left behaviour alone. This script
+extracts ``<git-rev>`` into a temporary directory, runs the smoke list CI
+runs there and in the working tree — same arguments, same relative
+``--out`` paths, both sides of one smoke side by side — and prints one
+``same`` / ``DIFFERS`` line per artifact (stdout, exit status, every file
+written). Wall-clock chatter goes to stderr in every command and is not
+compared.
+
+    python tools/smoke_diff.py HEAD~1            # the whole list, ~2 min
+    python tools/smoke_diff.py main --only trace --only profile
+
+Exit status 1 on any difference; the outputs are then kept for ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+# name -> arguments of ``python -m repro``; paths are relative to a
+# per-side scratch directory, so both sides echo the same path.
+SMOKES = {
+    "chaos": ["chaos", "--scenarios", "5", "--seed", "0"],
+    "fuzz": ["fuzz", "--smoke"],
+    "fuzz-parallel": ["fuzz", "--smoke", "--parallel"],
+    "heal": ["heal", "--smoke"],
+    "trace": ["trace", "--scheme", "dssmr", "--seed", "7",
+              "--out", "spans.jsonl"],
+    "profile": ["profile", "--smoke"],
+    "perfcheck": ["perfcheck", "--smoke"],
+    "qos": ["qos", "--smoke", "--json"],
+    "durability": ["durability", "--smoke"],
+    "parallelexec": ["parallelexec", "--smoke"],
+    "reconfig": ["reconfig", "--seed", "0", "--json",
+                 "--out", "metrics.json"],
+}
+
+
+def extract_revision(repo: Path, rev: str, dest: Path) -> None:
+    """Unpack ``rev``'s tree into ``dest`` (no worktree is registered)."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", rev],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def start(tree: Path, args: list, workdir: Path) -> subprocess.Popen:
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    with open(workdir / "stdout", "wb") as stdout:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *args], cwd=workdir, env=env,
+            stdout=stdout, stderr=subprocess.DEVNULL)
+
+
+def compare(name: str, base: Path, ours: Path) -> int:
+    """Print one line per artifact of smoke ``name``; return the number
+    that differ."""
+    differing = 0
+    for artifact in sorted({p.name for side in (base, ours)
+                            for p in side.iterdir()}):
+        left, right = base / artifact, ours / artifact
+        same = (left.exists() and right.exists()
+                and filecmp.cmp(left, right, shallow=False))
+        print(f"{'same   ' if same else 'DIFFERS'}  {name}/{artifact}")
+        differing += not same
+    return differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--only", action="append", choices=sorted(SMOKES),
+                        help="run only this smoke (repeatable)")
+    options = parser.parse_args(argv)
+
+    repo = Path(__file__).resolve().parent.parent
+    scratch = Path(tempfile.mkdtemp(prefix="smoke-diff-"))
+    extract_revision(repo, options.rev, scratch / "tree")
+    differing = 0
+    for name in options.only or SMOKES:
+        sides = {"base": scratch / "tree", "ours": repo}
+        runs = {side: start(tree, SMOKES[name], scratch / side / name)
+                for side, tree in sides.items()}
+        for side, process in runs.items():
+            (scratch / side / name / "exit").write_text(
+                f"{process.wait()}\n")
+        differing += compare(name, scratch / "base" / name,
+                             scratch / "ours" / name)
+    if differing:
+        print(f"{differing} artifact(s) differ from {options.rev}; "
+              f"outputs kept in {scratch}/base and {scratch}/ours")
+        return 1
+    shutil.rmtree(scratch)
+    print(f"every smoke artifact equals {options.rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
