@@ -105,7 +105,7 @@ def _wave(cluster: Cluster, num_clients: int, ops: int, tag: str):
 
 
 def _member_image(server) -> dict:
-    return {"store": server.store.snapshot(),
+    return {"store": dict(server.store.items()),
             "executed": list(server.executed)}
 
 

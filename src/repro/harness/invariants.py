@@ -47,7 +47,7 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
     # Replica convergence within each live partition.
     for partition in cluster.partitions:
         live = _live_members(cluster, partition, dead)
-        stores = {canonical_bytes(cluster.servers[name].store.snapshot())
+        stores = {canonical_bytes(dict(cluster.servers[name].store.items()))
                   for name in live}
         if len(stores) > 1:
             violations.append(f"{partition} replicas diverge on state")
@@ -59,11 +59,11 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
     # Retired partitions must be drained empty.
     for partition in getattr(cluster, "retired_partitions", ()):
         for name in _live_members(cluster, partition, dead):
-            leftover = cluster.servers[name].store.snapshot()
+            leftover = len(cluster.servers[name].store)
             if leftover:
                 violations.append(
                     f"retired partition {partition} still holds "
-                    f"{len(leftover)} variable(s) on {name}")
+                    f"{leftover} variable(s) on {name}")
 
     # Oracle checks: unique placement, replica agreement, map accuracy.
     if cluster.oracles:
@@ -72,7 +72,7 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
             live = _live_members(cluster, partition, dead)
             if not live:
                 continue
-            for key in cluster.servers[live[0]].store.snapshot():
+            for key in cluster.servers[live[0]].store.keys():
                 if key in placement:
                     violations.append(f"{key} present in both "
                                       f"{placement[key]} and {partition}")

@@ -124,7 +124,7 @@ def run_equivalence_case(scheme: str, seed: int,
 
     servers = sorted(cluster.servers.items())
     fingerprint = {
-        "stores": {name: server.store.snapshot()
+        "stores": {name: dict(server.store.items())
                    for name, server in servers},
         "executed": {name: list(server.executed)
                      for name, server in servers},

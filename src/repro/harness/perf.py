@@ -41,7 +41,7 @@ PERF_SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
 
 #: Wall-clock substrate baseline (separate file: these numbers are NOT
 #: byte-deterministic and must never enter the canonical perf payload).
-SUBSTRATE_FORMAT = "repro-substrate-baseline/2"
+SUBSTRATE_FORMAT = "repro-substrate-baseline/3"
 DEFAULT_SUBSTRATE_BASELINE_PATH = \
     "benchmarks/baselines/substrate_micro.json"
 #: Floors are committed at measured-rate / headroom, so the gate only
@@ -245,26 +245,33 @@ def compare_to_baseline(current: dict, baseline: dict,
 # -- wall-clock substrate gate ---------------------------------------------
 
 #: The microbenchmark shapes; each has a ``<shape>_per_s`` rate and floor.
-SUBSTRATE_SHAPES = ("events", "messages", "handled")
+SUBSTRATE_SHAPES = ("events", "messages", "handled", "captures")
 
 
 def run_substrate_micro(events: int = 200_000,
-                        messages: int = 50_000) -> dict:
+                        messages: int = 50_000,
+                        captures: int = 1_000) -> dict:
     """Measure the simulation substrate's wall-clock rates.
 
-    Three microbenchmarks over the kernel's hottest shapes: event-heap
-    churn (``events``: a self-rescheduling ``schedule_callback`` chain —
-    the shape of every network delivery and parallel-execution
-    completion), delivery through the network into a bare endpoint's
-    inbox (``messages``), and the full path every protocol message takes
+    Four microbenchmarks over the hottest shapes: event-heap churn
+    (``events``: a self-rescheduling ``schedule_callback`` chain — the
+    shape of every network delivery and parallel-execution completion),
+    delivery through the network into a bare endpoint's inbox
+    (``messages``), the full path every protocol message takes
     (``handled``: ``ProtocolNode.send`` → delivery event → the
-    destination node's kind handler). Rates are per wall-clock second —
-    machine-dependent, so they live in their own baseline file and never
-    touch the canonical perf payload.
+    destination node's kind handler), and the checkpoint a durable
+    deployment takes every ``checkpoint_every`` entries (``captures``:
+    ``PartitionCheckpointer.capture`` on one dssmr Chirper server holding
+    100 users, 200 cached replies and 200 outbound exchange payloads).
+    Rates are per wall-clock second — machine-dependent, so they live in
+    their own baseline file and never touch the canonical perf payload.
     """
+    from repro.apps.chirper import ChirperStateMachine, user_key
+    from repro.harness.cluster import Cluster, ClusterConfig
     from repro.net import FixedLatency, Network
     from repro.ordering import ProtocolNode
     from repro.sim import Environment, SeedStream
+    from repro.smr.command import Reply, ReplyStatus
 
     env = Environment()
     state = {"left": events}
@@ -302,6 +309,28 @@ def run_substrate_micro(events: int = 200_000,
     handled_elapsed = time.perf_counter() - started
     assert len(handled) == messages
 
+    # The environment is never run: the exchange sends below only fill
+    # the server's outbound cache.
+    cluster = Cluster(ClusterConfig(
+        scheme="dssmr", num_partitions=2, seed=1,
+        state_machine_factory=ChirperStateMachine))
+    here, peer = cluster.partitions
+    server = cluster.servers[cluster.directory.members(here)[0]]
+    for user in range(100):
+        server.store.write(user_key(user), {
+            "following": [(user + 1) % 100], "followers": [(user - 1) % 100],
+            "timeline": [(f"post{n}", user, "x" * 40) for n in range(10)]})
+    for index in range(200):
+        cid, key = f"c{index}", user_key(index % 100)
+        server.replies.store(cid, Reply(
+            cid, ReplyStatus.OK, {"delivered": 3}, server.node.name,
+            server.partition))
+        server.exchange.send([peer], cid, {key: server.store.read(key)})
+    started = time.perf_counter()
+    for _ in range(captures):
+        server.checkpointer.capture("micro")
+    capture_elapsed = time.perf_counter() - started
+
     return {
         "events": events,
         "events_per_s": _round(events / event_elapsed, 1),
@@ -309,6 +338,8 @@ def run_substrate_micro(events: int = 200_000,
         "messages_per_s": _round(messages / message_elapsed, 1),
         "handled": messages,
         "handled_per_s": _round(messages / handled_elapsed, 1),
+        "captures": captures,
+        "captures_per_s": _round(captures / capture_elapsed, 1),
     }
 
 

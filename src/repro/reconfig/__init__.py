@@ -16,7 +16,7 @@ The subsystem behind the scalable part of *dynamic scalable* SMR:
   suffix.
 """
 
-from repro.reconfig.checkpoint import (PartitionCheckpoint,
+from repro.reconfig.checkpoint import (FrozenCheckpoint, PartitionCheckpoint,
                                        PartitionCheckpointer,
                                        canonical_bytes, state_checksum)
 from repro.reconfig.manager import ReconfigError, ReconfigurationManager
@@ -27,6 +27,7 @@ from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
 
 __all__ = [
     "CheckpointHost",
+    "FrozenCheckpoint",
     "PartitionCheckpoint",
     "PartitionCheckpointer",
     "PartitionRecovery",

@@ -18,19 +18,42 @@ checkpoint therefore captures everything a replacement replica needs to be
 * this partition's slice of the oracle's location map (every key in the
   store lives here — ownership *is* store contents).
 
-Captures are synchronous in virtual time, hence consistent. The checksum
-is computed over a canonical serialisation (sorted dict keys, sorted
-sets), so equal states yield equal checksums across replicas, runs and
-``PYTHONHASHSEED`` values — the property behind the byte-deterministic
-elastic scenarios.
+Captures are synchronous in virtual time, hence consistent — and that
+is also what makes a capture cheap. ``capture`` assembles the checkpoint
+**by reference** from the live server (store, reply cache, multicast
+pendings, exchange buffers, queue) and serialises it in **one**
+:func:`~repro.store.checkpoints.freeze` pass. Nothing runs between the
+assembly and the serialisation (``capture`` has no yields), so the bytes
+are a point-in-time copy; no deep copy precedes them. The result is a
+small :class:`FrozenCheckpoint` — the header fields plus ``payload`` —
+and that payload *is* the snapshot: the durable store CRC-frames it
+verbatim, ``history`` retains it, and a consumer that needs fields calls
+``thaw()`` for a private :class:`PartitionCheckpoint` that shares no
+object with the donor or with any other thaw.
+
+Objects reachable twice (a store value that is also in the exchange's
+outbound cache) thaw to the sharing the live donor already has. That is
+harmless because of the contract every state machine keeps (see
+:meth:`repro.smr.state_machine.StateMachine.apply`): **a value in the
+store is replaced, never mutated in place** — the same contract
+``SsmrServer._exec_access`` relies on when it ships a read value by
+reference in an exchange message.
+
+The checksum is computed on demand, by ``thaw()``, over a canonical
+serialisation (sorted dict keys, sorted sets), so equal states yield
+equal checksums across replicas, runs and ``PYTHONHASHSEED`` values —
+the property behind the byte-deterministic elastic scenarios and the
+state-transfer integrity check. The periodic durable path never thaws
+and never pays for it: CRC32 frames a durable image.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.store.checkpoints import freeze, thaw
 
 
 def canonical_bytes(obj) -> bytes:
@@ -73,6 +96,7 @@ class PartitionCheckpoint:
     # Reconfiguration entry rids already applied (re-delivery dedup must
     # survive recovery, or a replacement replica double-bumps its epoch).
     applied_reconfigs: list = field(default_factory=list)
+    # Filled by ``FrozenCheckpoint.thaw``; empty inside a payload.
     checksum: str = ""
 
     @property
@@ -90,6 +114,25 @@ class PartitionCheckpoint:
         })
 
 
+@dataclass(frozen=True)
+class FrozenCheckpoint:
+    """A captured checkpoint: header fields plus the serialised state."""
+
+    partition: str
+    replica: str
+    epoch: int
+    taken_at: float                  # virtual ms
+    applied_count: int
+    num_keys: int
+    payload: bytes                   # frozen PartitionCheckpoint
+
+    def thaw(self) -> PartitionCheckpoint:
+        """A private, checksummed copy of the captured state."""
+        checkpoint = thaw(self.payload)
+        checkpoint.checksum = checkpoint.compute_checksum()
+        return checkpoint
+
+
 class PartitionCheckpointer:
     """Captures checkpoints of one partition server.
 
@@ -97,61 +140,64 @@ class PartitionCheckpointer:
     itself as ``server.checkpointer``); the server then auto-captures on
     every ordered reconfiguration entry (epoch boundary), and the
     state-transfer host captures on demand for recovering peers. The last
-    ``keep`` epoch-tagged checkpoints are retained for inspection.
+    ``keep`` frozen checkpoints are retained for inspection.
     """
 
     def __init__(self, server, keep: int = 4):
         self.server = server
         self.keep = keep
-        self.history: list[PartitionCheckpoint] = []
+        self.history: list[FrozenCheckpoint] = []
         self.captures = 0
         # Durable persistence (repro.store), attached by the harness when
         # durability is armed; None keeps checkpoints memory-only.
         self.store = None
         server.checkpointer = self
 
-    def capture(self, reason: str = "manual") -> PartitionCheckpoint:
-        """Take one consistent snapshot (synchronous in virtual time)."""
+    def capture(self, reason: str = "manual") -> FrozenCheckpoint:
+        """Freeze one consistent snapshot (synchronous in virtual time)."""
         server = self.server
+        amcast = server.amcast
+        exchange = server.exchange
+        store = server.store
+        # Assembled by reference: the one serialisation below is the copy.
         # Commands on the worker pool (repro.smr.parallel) and the one the
         # executor is inside count as queued work: their store effects
         # have not landed, so they are left out of the execution history
         # and their deliveries are re-queued ahead of the queue proper.
-        executed = server.settled_history()
-        queued = server.pending_deliveries()
-        amcast = server.amcast
-        exchange = server.exchange
-        checkpoint = PartitionCheckpoint(
+        state = PartitionCheckpoint(
             partition=server.partition,
             replica=server.node.name,
             epoch=server.epoch,
             taken_at=server.env.now,
-            store=server.store.snapshot(),
-            executed=executed,
-            replies=copy.deepcopy(server.replies._replies),
+            store=store._data,
+            executed=server.settled_history(),
+            replies=server.replies._replies,
             applied_count=server.log.applied_count,
             amcast={
                 "clock": amcast._clock,
                 "delivered_uids": sorted(amcast._delivered_uids),
-                "my_ts": dict(amcast._my_ts),
-                "pending": copy.deepcopy(amcast._pending),
+                "my_ts": amcast._my_ts,
+                "pending": amcast._pending,
                 "deliver_count": amcast._deliver_count,
-                "delivery_log": list(amcast.delivery_log),
+                "delivery_log": amcast.delivery_log,
             },
             exchange={
                 "signals": {cid: sorted(senders) for cid, senders
                             in exchange._signals.items()},
-                "vars": copy.deepcopy(exchange._vars),
+                "vars": exchange._vars,
                 "done": sorted(exchange._done),
-                "sent": copy.deepcopy(exchange._sent),
+                "sent": exchange._sent,
             },
-            queued=copy.deepcopy(queued),
-            location_slice={key: server.partition
-                            for key in server.store.keys()},
+            queued=server.pending_deliveries(),
+            location_slice={key: server.partition for key in store.keys()},
             applied_reconfigs=sorted(
                 getattr(server, "applied_reconfigs", ())),
         )
-        checkpoint.checksum = checkpoint.compute_checksum()
+        checkpoint = FrozenCheckpoint(
+            partition=state.partition, replica=state.replica,
+            epoch=state.epoch, taken_at=state.taken_at,
+            applied_count=state.applied_count, num_keys=len(store),
+            payload=freeze(state))
         self.captures += 1
         self.history.append(checkpoint)
         del self.history[:-self.keep]
@@ -165,5 +211,5 @@ class PartitionCheckpointer:
                 reason=reason)
         return checkpoint
 
-    def latest(self) -> Optional[PartitionCheckpoint]:
+    def latest(self) -> Optional[FrozenCheckpoint]:
         return self.history[-1] if self.history else None

@@ -46,6 +46,8 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     Atomic (no yields: one virtual instant). Shared by peer-transfer
     recovery and the durable cold-start ladder (:mod:`repro.store`);
     callers follow up with ``fast_forward``/backfill/gate themselves.
+    The checkpoint's values become the server's live state, so it must
+    be a private copy (a ``thaw()``, or a durable image just loaded).
     """
     for key, value in checkpoint.store.items():
         server.store.write(key, value)

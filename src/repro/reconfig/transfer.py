@@ -95,8 +95,11 @@ class CheckpointHost:
         if self.server.checkpointer is None:
             raise RuntimeError(f"{self.server.node.name} has no "
                                f"PartitionCheckpointer attached")
+        # Thawed: the chunks travel by reference through the simulated
+        # network and are installed as the receiver's live state, so they
+        # must share nothing with the donor or its retained checkpoint.
         checkpoint = self.server.checkpointer.capture(
-            reason=f"transfer:{transfer_id}")
+            reason=f"transfer:{transfer_id}").thaw()
         control = {
             "partition": checkpoint.partition,
             "replica": checkpoint.replica,

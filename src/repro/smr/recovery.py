@@ -26,13 +26,13 @@ Usage::
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Optional, Sequence
 
 from repro.net import Message
 from repro.smr.executor import delivery_command
 from repro.smr.replica import SmrReplica
+from repro.store.checkpoints import freeze, thaw
 
 SNAPSHOT_REQUEST = "recovery/request"
 SNAPSHOT_RESPONSE = "recovery/snapshot"
@@ -66,14 +66,16 @@ class RecoveryHost:
         # via the log's backfill protocol. The reply cache rides along so
         # the replacement answers resends of covered commands from it
         # instead of executing them a second time.
+        # One freeze/thaw round trip over the live structures is the copy
+        # (nothing runs in between; see repro.reconfig.checkpoint).
         executed = replica.settled_history()
-        snapshot = {
-            "request_id": message.payload["request_id"],
-            "store": copy.deepcopy(replica.store.snapshot()),
+        snapshot = thaw(freeze({
+            "store": replica.store._data,
             "executed": executed,
-            "replies": copy.deepcopy(replica.replies._replies),
+            "replies": replica.replies._replies,
             "applied_count": len(executed),
-        }
+        }))
+        snapshot["request_id"] = message.payload["request_id"]
         # Size scales with the state: recovery is not free on the wire.
         size = 256 + 64 * len(snapshot["store"])
         replica.node.send(message.payload["reply_to"], SNAPSHOT_RESPONSE,

@@ -38,6 +38,10 @@ class VariableStore:
     def keys(self) -> Iterable[Key]:
         return self._data.keys()
 
+    def items(self) -> Iterable[tuple[Key, Any]]:
+        """Read-only view of the live variables (no copy; do not mutate)."""
+        return self._data.items()
+
     def read(self, key: Key) -> Any:
         if key not in self._data:
             raise KeyError(f"variable not in store: {key!r}")
@@ -111,7 +115,9 @@ class StateMachine(ABC):
         """Execute ``command`` against ``view``; return the reply value.
 
         Must be deterministic: same command + same view contents => same
-        writes and same reply on every replica.
+        writes and same reply on every replica. Must replace values, never
+        mutate one it read in place: exchange messages and checkpoints
+        (:mod:`repro.reconfig.checkpoint`) hold read values by reference.
         """
 
     def initial_value(self, key: Key, args: dict) -> Any:

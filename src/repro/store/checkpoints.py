@@ -1,16 +1,24 @@
 """Durable, epoch-tagged checkpoint store.
 
-``save`` is callable from the synchronous capture path: it buffers one
-CRC-framed record on the disk immediately and spawns a background
-process to fsync it. Only after the fsync completes does the store
-prune old checkpoint files and truncate WAL segments behind the new
-checkpoint — a crash mid-save therefore always leaves the previous
-checkpoint (and the WAL suffix it needs) intact.
+A checkpoint reaches this module already frozen: ``freeze`` is the one
+serialisation pass (taken by the capture path, or by a recovery host
+for an SMR snapshot) and ``thaw`` its inverse, a private copy sharing
+nothing with the live state the bytes were taken from.
+
+``save`` is callable from the synchronous capture path: it CRC-frames
+the frozen record's ``payload`` verbatim, buffers it on the disk
+immediately and spawns a background process to fsync it. Only after
+the fsync completes does the store prune old checkpoint files and
+truncate WAL segments behind the new checkpoint — a crash mid-save
+therefore always leaves the previous checkpoint (and the WAL suffix it
+needs) intact.
 
 ``load_latest_checkpoint`` walks the durable checkpoint files newest
 first and CRC-verifies each; a bit-rotted checkpoint is skipped (and
 counted) in favour of the next older generation, which is why the
-store keeps ``keep_checkpoints`` of them.
+store keeps ``keep_checkpoints`` of them. It returns the thawed
+checkpoint with its ``checksum`` field empty: the CRC32 frame is the
+integrity check of a durable image.
 """
 
 from __future__ import annotations
@@ -31,6 +39,20 @@ CKPT_HEADER = struct.Struct("<II")
 CKPT_PREFIX = "ckpt"
 
 
+def freeze(state) -> bytes:
+    """Serialise ``state`` in one pass; the bytes are a point-in-time copy.
+
+    The caller may assemble ``state`` by reference from live structures
+    as long as nothing runs between the assembly and this call.
+    """
+    return pickle.dumps(state, protocol=4)
+
+
+def thaw(payload: bytes):
+    """A private copy of frozen state (only of bytes ``freeze`` wrote)."""
+    return pickle.loads(payload)
+
+
 def load_latest_checkpoint(disk: SimulatedDisk,
                            stats: Optional[StoreStats] = None,
                            prefix: str = CKPT_PREFIX
@@ -48,7 +70,7 @@ def load_latest_checkpoint(disk: SimulatedDisk,
                 raise ValueError("short payload")
             if zlib.crc32(payload) & 0xFFFFFFFF != crc:
                 raise ValueError("crc mismatch")
-            checkpoint = pickle.loads(payload)
+            checkpoint = thaw(payload)
         except Exception:
             skipped += 1
             if stats is not None:
@@ -59,7 +81,7 @@ def load_latest_checkpoint(disk: SimulatedDisk,
 
 
 class DurableCheckpointStore:
-    """Persists ``PartitionCheckpoint``s and truncates the WAL behind them."""
+    """Persists frozen checkpoints and truncates the WAL behind them."""
 
     def __init__(self, env: Environment, disk: SimulatedDisk,
                  stats: StoreStats, keep: int = 2,
@@ -81,7 +103,7 @@ class DurableCheckpointStore:
                 f".{checkpoint.applied_count:010d}")
         if self.disk.exists(path):
             return
-        payload = pickle.dumps(checkpoint, protocol=4)
+        payload = checkpoint.payload
         crc = zlib.crc32(payload) & 0xFFFFFFFF
         self.disk.append(path, CKPT_HEADER.pack(len(payload), crc) + payload)
         self.env.process(

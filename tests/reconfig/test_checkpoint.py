@@ -1,8 +1,20 @@
 """Tests for partition checkpoints and the canonical serialisation."""
 
-from repro.harness import build_cluster
+import copy
+import dataclasses
+import enum
+import pickle
+
+import pytest
+
+from repro.apps.chirper import ChirperClient, ChirperStateMachine, user_key
+from repro.harness import Cluster, ClusterConfig, build_cluster
 from repro.reconfig import canonical_bytes, state_checksum
+from repro.reconfig.checkpoint import PartitionCheckpoint
 from repro.smr import Command
+from repro.smr.state_machine import (ExecutionView, KeyValueStateMachine,
+                                     VariableStore)
+from repro.store import DurabilityConfig
 
 
 def run_workload(cluster, count=8, name="c0"):
@@ -58,7 +70,12 @@ class TestPartitionCheckpointer:
     def test_capture_reflects_server_state(self):
         cluster = build_loaded_cluster()
         server = cluster.servers["p0s0"]
-        checkpoint = server.checkpointer.capture("test")
+        frozen = server.checkpointer.capture("test")
+        checkpoint = frozen.thaw()
+        assert (frozen.partition, frozen.replica, frozen.epoch,
+                frozen.applied_count, frozen.num_keys) == (
+            checkpoint.partition, checkpoint.replica, checkpoint.epoch,
+            checkpoint.applied_count, checkpoint.num_keys)
         assert checkpoint.partition == "p0"
         assert checkpoint.replica == "p0s0"
         assert checkpoint.store == server.store.snapshot()
@@ -72,25 +89,27 @@ class TestPartitionCheckpointer:
     def test_capture_is_a_snapshot_not_a_view(self):
         cluster = build_loaded_cluster()
         server = cluster.servers["p0s0"]
-        checkpoint = server.checkpointer.capture("test")
-        before = dict(checkpoint.store)
+        frozen = server.checkpointer.capture("test")
+        before = frozen.thaw().store
+        assert before == server.store.snapshot()
         run_workload(cluster, count=4, name="c1")
-        assert checkpoint.store == before
+        assert before != server.store.snapshot()
+        assert frozen.thaw().store == before
 
     def test_replicas_capture_identical_checksums(self):
         """Converged replicas of one partition agree on the checksum —
         the transfer integrity check relies on this equality."""
         cluster = build_loaded_cluster()
-        first = cluster.servers["p0s0"].checkpointer.capture("a")
-        second = cluster.servers["p0s1"].checkpointer.capture("b")
+        first = cluster.servers["p0s0"].checkpointer.capture("a").thaw()
+        second = cluster.servers["p0s1"].checkpointer.capture("b").thaw()
         assert first.checksum == second.checksum
 
     def test_same_seed_runs_capture_identical_checksums(self):
         checksums = []
         for _ in range(2):
             cluster = build_loaded_cluster(seed=9)
-            checksums.append(
-                cluster.servers["p1s0"].checkpointer.capture("d").checksum)
+            checksums.append(cluster.servers["p1s0"].checkpointer
+                             .capture("d").thaw().checksum)
         assert checksums[0] == checksums[1]
 
     def test_history_trimmed_to_keep(self):
@@ -117,3 +136,235 @@ class TestPartitionCheckpointer:
             checkpointer = cluster.servers[name].checkpointer
             assert checkpointer.captures > count, name
             assert checkpointer.latest().epoch == 1
+
+
+# -- serialise-once capture: equivalence, isolation, the periodic path ------
+
+USERS = 12
+RING = {u: [(u - 1) % USERS, (u + 1) % USERS] for u in range(USERS)}
+
+
+def chirper_cluster(scheme, posts_per_client=40, durability=None):
+    """A Chirper deployment with three clients posting in closed loop."""
+    from repro.harness.chaos import _reset_id_counters
+
+    _reset_id_counters()
+    cluster = Cluster(ClusterConfig(
+        scheme=scheme, num_partitions=2, seed=3,
+        state_machine_factory=ChirperStateMachine, durability=durability))
+    cluster.preload({
+        user_key(u): {"following": sorted(RING[u]),
+                      "followers": sorted(RING[u]), "timeline": []}
+        for u in range(USERS)})
+    clients = [ChirperClient(cluster.new_client(f"c{index}"),
+                             social_view={u: set(RING[u]) for u in RING})
+               for index in range(3)]
+
+    def posts(chirper, offset):
+        for index in range(posts_per_client):
+            yield from chirper.post((offset + 5 * index) % USERS,
+                                    f"post {offset}/{index}")
+
+    for offset, chirper in enumerate(clients):
+        cluster.env.process(posts(chirper, offset))
+    return cluster, clients
+
+
+def completed(clients):
+    return sum(chirper.ops_completed for chirper in clients)
+
+
+def run_until_completed(cluster, clients, target):
+    while completed(clients) < target:
+        cluster.run(until=cluster.env.now + 1.0)
+        assert cluster.env.now < 60_000, "workload stalled"
+
+
+def reference_checkpoint(server) -> PartitionCheckpoint:
+    """What capture built before it serialised once: one ``deepcopy``
+    per field. Kept as the reference the frozen payload must equal."""
+    amcast, exchange = server.amcast, server.exchange
+    return PartitionCheckpoint(
+        partition=server.partition,
+        replica=server.node.name,
+        epoch=server.epoch,
+        taken_at=server.env.now,
+        store=copy.deepcopy(server.store._data),
+        executed=server.settled_history(),
+        replies=copy.deepcopy(server.replies._replies),
+        applied_count=server.log.applied_count,
+        amcast={
+            "clock": amcast._clock,
+            "delivered_uids": sorted(amcast._delivered_uids),
+            "my_ts": dict(amcast._my_ts),
+            "pending": copy.deepcopy(amcast._pending),
+            "deliver_count": amcast._deliver_count,
+            "delivery_log": list(amcast.delivery_log),
+        },
+        exchange={
+            "signals": {cid: sorted(senders) for cid, senders
+                        in exchange._signals.items()},
+            "vars": copy.deepcopy(exchange._vars),
+            "done": sorted(exchange._done),
+            "sent": copy.deepcopy(exchange._sent),
+        },
+        queued=copy.deepcopy(server.pending_deliveries()),
+        location_slice={key: server.partition
+                        for key in server.store.keys()},
+        applied_reconfigs=sorted(getattr(server, "applied_reconfigs", ())),
+    )
+
+
+STATE_FIELDS = [f.name for f in dataclasses.fields(PartitionCheckpoint)
+                if f.name != "checksum"]
+
+
+def field_images(checkpoint) -> dict:
+    return {name: canonical_bytes(getattr(checkpoint, name))
+            for name in STATE_FIELDS}
+
+
+def mutable_ids(obj, seen=None) -> set:
+    """ids of every mutable object reachable from ``obj``."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, (str, bytes, int, float, bool, type(None),
+                        enum.Enum)):
+        return seen
+    if isinstance(obj, dict):
+        children = list(obj.keys()) + list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    else:
+        children = list(vars(obj).values())
+    if not isinstance(obj, (tuple, frozenset)):
+        if id(obj) in seen:
+            return seen
+        seen.add(id(obj))
+    for child in children:
+        mutable_ids(child, seen)
+    return seen
+
+
+def live_state(server) -> list:
+    return [server.store._data, server.replies._replies,
+            server.amcast._pending, server.amcast._my_ts,
+            server.exchange._vars, server.exchange._sent,
+            server.pending_deliveries()]
+
+
+@pytest.mark.parametrize("scheme", ["ssmr", "dssmr"])
+class TestSerialiseOnceCapture:
+    def test_thaw_equals_the_deepcopy_reference_mid_run(self, scheme):
+        cluster, clients = chirper_cluster(scheme)
+        run_until_completed(cluster, clients, 30)
+        assert completed(clients) < 120          # still mid-run
+        for name, server in sorted(cluster.servers.items()):
+            reference = reference_checkpoint(server)
+            frozen = server.checkpointer.capture("test")
+            thawed = frozen.thaw()
+            expected = field_images(reference)
+            for field, image in field_images(thawed).items():
+                assert image == expected[field], (name, field)
+            assert thawed.checksum == reference.compute_checksum(), name
+            assert frozen.num_keys == len(reference.store)
+            assert thawed.exchange["sent"], "nothing in flight was captured"
+
+    def test_frozen_record_is_isolated_from_the_run(self, scheme):
+        cluster, clients = chirper_cluster(scheme)
+        run_until_completed(cluster, clients, 30)
+        server = cluster.servers["p0s0"]
+        frozen = server.checkpointer.capture("test")
+        first = frozen.thaw()
+        at_capture = field_images(first)
+        assert not mutable_ids(first) & mutable_ids(live_state(server))
+
+        run_until_completed(cluster, clients, 80)   # 50 more commands
+        assert field_images(reference_checkpoint(server)) != at_capture
+        second = frozen.thaw()
+        assert field_images(second) == at_capture
+        assert field_images(first) == at_capture
+        assert second.checksum == first.checksum
+        assert not mutable_ids(first) & mutable_ids(second)
+        assert not mutable_ids(second) & mutable_ids(live_state(server))
+
+
+def test_periodic_wal_captures_never_thaw_or_checksum(monkeypatch):
+    """The ``wal-periodic`` path stops at the frozen bytes."""
+    calls = {"loads": 0, "checksum": 0}
+    real_loads = pickle.loads
+    real_checksum = PartitionCheckpoint.compute_checksum
+
+    def counting_loads(*args, **kwargs):
+        calls["loads"] += 1
+        return real_loads(*args, **kwargs)
+
+    def counting_checksum(self):
+        calls["checksum"] += 1
+        return real_checksum(self)
+
+    monkeypatch.setattr(pickle, "loads", counting_loads)
+    monkeypatch.setattr(PartitionCheckpoint, "compute_checksum",
+                        counting_checksum)
+    cluster, clients = chirper_cluster(
+        "dssmr", posts_per_client=70,
+        durability=DurabilityConfig(checkpoint_every=16))
+    run_until_completed(cluster, clients, 210)
+    cluster.run(until=cluster.env.now + 50)       # let the saves fsync
+    for name, server in cluster.servers.items():
+        assert server.log.applied_count >= 200, name
+        assert server.checkpointer.captures >= 200 // 16, name
+    assert cluster.disks.stats.checkpoints_saved > 0
+    assert calls == {"loads": 0, "checksum": 0}
+    # ...and the counters do see a thaw when one happens.
+    cluster.servers["p0s0"].checkpointer.latest().thaw()
+    assert calls == {"loads": 1, "checksum": 1}
+
+
+class TestValueImmutabilityContract:
+    """By-reference capture (and by-reference exchange messages) are
+    sound only while state machines replace values instead of mutating
+    the ones they read; both shipped machines are held to it here."""
+
+    @staticmethod
+    def apply_and_check(machine, store, command):
+        held = {key: store.read(key) for key in store.keys()}
+        before = copy.deepcopy(held)
+        machine.apply(command, ExecutionView(store))
+        assert held == before, f"{command.op} mutated a value it read"
+        return {key for key in held if store.read(key) is not held[key]}
+
+    def test_chirper_writes_replace_values(self):
+        store = VariableStore()
+        for user in range(3):
+            store.write(user_key(user), {
+                "following": [(user + 1) % 3], "followers": [(user - 1) % 3],
+                "timeline": [("p0", 0, "old")]})
+        machine = ChirperStateMachine()
+        keys = tuple(user_key(u) for u in range(3))
+        replaced = self.apply_and_check(machine, store, Command(
+            op="post", args={"user": 0, "text": "hi", "post_id": "p1"},
+            variables=keys, writes=keys))
+        assert replaced == set(keys)
+        for op in ("follow", "unfollow"):
+            replaced = self.apply_and_check(machine, store, Command(
+                op=op, args={"follower": 0, "followee": 2},
+                variables=(keys[0], keys[2]), writes=(keys[0], keys[2])))
+            assert replaced == {keys[0], keys[2]}
+        self.apply_and_check(machine, store, Command(
+            op="timeline", args={"user": 1}, variables=(keys[1],)))
+
+    def test_key_value_writes_replace_values(self):
+        store = VariableStore()
+        store.write("a", [1, 2])
+        store.write("b", [3])
+        store.write("n", 4)
+        machine = KeyValueStateMachine()
+        for op, args, variables in [
+                ("append", {"key": "a", "value": 9}, ("a",)),
+                ("swap", {"a": "a", "b": "b"}, ("a", "b")),
+                ("incr", {"key": "n"}, ("n",)),
+                ("put", {"key": "b", "value": [7]}, ("b",)),
+                ("get", {"key": "a"}, ("a",))]:
+            self.apply_and_check(machine, store, Command(
+                op=op, args=args, variables=variables, writes=variables))
+        assert store.read("b") == [7] and store.read("n") == 5

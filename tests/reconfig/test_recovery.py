@@ -3,8 +3,8 @@ ordered-log suffix replay)."""
 
 import pytest
 
-from repro.harness import cluster_invariants
-from repro.reconfig import recover_partition_server
+from repro.harness import build_cluster, cluster_invariants
+from repro.reconfig import canonical_bytes, recover_partition_server
 from repro.smr import Command
 
 from tests.reconfig.test_checkpoint import build_loaded_cluster
@@ -208,3 +208,74 @@ def run_workload_terminal(cluster, count=8, name="c0"):
 
     cluster.env.process(proc(cluster.env))
     cluster.run(until=cluster.env.now + 5_000)
+
+
+class TestTransferredCheckpointIsPrivate:
+    """The checkpoint a replacement installs becomes its live state (its
+    ``_Pending.group_ts`` and ``_vars[cid]`` dicts keep changing), so it
+    must share nothing with the record the donor retains."""
+
+    @staticmethod
+    def image(checkpoint):
+        return canonical_bytes({
+            "store": checkpoint.store, "replies": checkpoint.replies,
+            "amcast": checkpoint.amcast, "exchange": checkpoint.exchange,
+            "queued": checkpoint.queued})
+
+    def recover_under_three_partition_load(self, recover_after):
+        from repro.harness.chaos import _reset_id_counters
+
+        _reset_id_counters()
+        cluster = build_cluster(
+            scheme="ssmr", num_partitions=3, replicas_per_partition=2,
+            seed=3, initial_assignment={f"k{i}": i % 3 for i in range(6)})
+        cluster.preload({f"k{i}": i for i in range(6)})
+        env = cluster.env
+
+        def load(client, offset):
+            for index in range(300):
+                keys = tuple(f"k{(index + offset + d) % 6}"
+                             for d in range(3))
+                yield from client.run_command(Command(
+                    op="sum", args={"keys": list(keys)}, variables=keys))
+
+        for offset in range(4):
+            env.process(load(cluster.new_client(f"m{offset}"), offset))
+
+        donor = cluster.servers["p0s0"]
+        captured = []
+        capture = donor.checkpointer.capture
+
+        def recording_capture(reason="manual"):
+            record = capture(reason)
+            captured.append((record, self.image(record.thaw())))
+            return record
+
+        donor.checkpointer.capture = recording_capture
+
+        def chaos(env):
+            yield env.timeout(5)
+            cluster.servers["p0s1"].crash()
+            yield env.timeout(recover_after)
+            cluster.recover_server("p0s1")
+
+        env.process(chaos(env))
+        cluster.run(until=5_000)
+        recovery = cluster.servers["p0s1"].recovery
+        assert recovery.installed
+        assert cluster_invariants(cluster) == []
+        (record, at_capture), = captured
+        assert donor.checkpointer.latest() is record
+        return record, at_capture, recovery.checkpoint
+
+    def test_replacement_progress_leaves_the_donor_record_alone(self):
+        installed_moved_on = 0
+        for recover_after in (20.0, 20.7):
+            record, at_capture, installed = \
+                self.recover_under_three_partition_load(recover_after)
+            assert self.image(record.thaw()) == at_capture, recover_after
+            installed_moved_on += self.image(installed) != at_capture
+        # The check above means something only if some transfer caught a
+        # multi-partition command mid-flight, so that the replacement
+        # kept writing into the objects it installed.
+        assert installed_moved_on

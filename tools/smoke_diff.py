@@ -8,9 +8,11 @@ runs there and in the working tree — same arguments, same relative
 ``--out`` paths, both sides of one smoke side by side — and prints one
 ``same`` / ``DIFFERS`` line per artifact (stdout, exit status, every file
 written). Wall-clock chatter goes to stderr in every command and is not
-compared.
+compared. The last entry, ``e2e-digests``, runs ``python3 -m
+benchmarks.e2e --smoke`` in both trees and keeps only the ``virt_digest``
+of each workload and sub-run: the host numbers beside them are noise.
 
-    python tools/smoke_diff.py HEAD~1            # the whole list, ~2 min
+    python tools/smoke_diff.py HEAD~1            # the whole list, ~3 min
     python tools/smoke_diff.py main --only trace --only profile
 
 Exit status 1 on any difference; the outputs are then kept for ``diff``.
@@ -22,29 +24,51 @@ import argparse
 import filecmp
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NamedTuple, Optional
 
-# name -> arguments of ``python -m repro``; paths are relative to a
-# per-side scratch directory, so both sides echo the same path.
+
+class Smoke(NamedTuple):
+    """One command to run on both trees, as arguments of ``python``."""
+
+    argv: list
+    # Run from the tree's root (a program that finds ``src/`` relative to
+    # its own checkout) instead of the per-side scratch directory.
+    in_tree: bool = False
+    # Regex; stdout is cut down to its matches, one per line, before the
+    # comparison.
+    keep: Optional[str] = None
+
+
+def repro(*args: str) -> Smoke:
+    """``python -m repro ...``; paths are relative to a per-side scratch
+    directory, so both sides echo the same path."""
+    return Smoke(["-m", "repro", *args])
+
+
 SMOKES = {
-    "chaos": ["chaos", "--scenarios", "5", "--seed", "0"],
-    "fuzz": ["fuzz", "--smoke"],
-    "fuzz-parallel": ["fuzz", "--smoke", "--parallel"],
-    "heal": ["heal", "--smoke"],
-    "trace": ["trace", "--scheme", "dssmr", "--seed", "7",
-              "--out", "spans.jsonl"],
-    "profile": ["profile", "--smoke"],
-    "perfcheck": ["perfcheck", "--smoke"],
-    "qos": ["qos", "--smoke", "--json"],
-    "durability": ["durability", "--smoke"],
-    "parallelexec": ["parallelexec", "--smoke"],
-    "reconfig": ["reconfig", "--seed", "0", "--json",
-                 "--out", "metrics.json"],
+    "chaos": repro("chaos", "--scenarios", "5", "--seed", "0"),
+    "fuzz": repro("fuzz", "--smoke"),
+    "fuzz-parallel": repro("fuzz", "--smoke", "--parallel"),
+    "heal": repro("heal", "--smoke"),
+    "trace": repro("trace", "--scheme", "dssmr", "--seed", "7",
+                   "--out", "spans.jsonl"),
+    "profile": repro("profile", "--smoke"),
+    "perfcheck": repro("perfcheck", "--smoke"),
+    "qos": repro("qos", "--smoke", "--json"),
+    "durability": repro("durability", "--smoke"),
+    "parallelexec": repro("parallelexec", "--smoke"),
+    "reconfig": repro("reconfig", "--seed", "0", "--json",
+                      "--out", "metrics.json"),
+    # Host numbers are noise; only the virtual-time digests are compared.
+    "e2e-digests": Smoke(["-m", "benchmarks.e2e", "--smoke"], in_tree=True,
+                         keep=r"^.*virt_digest [0-9a-f]+"),
 }
 
 
@@ -56,13 +80,20 @@ def extract_revision(repo: Path, rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def start(tree: Path, args: list, workdir: Path) -> subprocess.Popen:
+def start(tree: Path, smoke: Smoke, workdir: Path) -> subprocess.Popen:
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     with open(workdir / "stdout", "wb") as stdout:
         return subprocess.Popen(
-            [sys.executable, "-m", "repro", *args], cwd=workdir, env=env,
+            [sys.executable, *smoke.argv],
+            cwd=tree if smoke.in_tree else workdir, env=env,
             stdout=stdout, stderr=subprocess.DEVNULL)
+
+
+def keep_matches(stdout: Path, pattern: str) -> None:
+    """Cut ``stdout`` down to the matches of ``pattern``, one per line."""
+    matches = re.findall(pattern, stdout.read_text(), flags=re.MULTILINE)
+    stdout.write_text("".join(match + "\n" for match in matches))
 
 
 def compare(name: str, base: Path, ours: Path) -> int:
@@ -91,12 +122,15 @@ def main(argv=None) -> int:
     extract_revision(repo, options.rev, scratch / "tree")
     differing = 0
     for name in options.only or SMOKES:
+        smoke = SMOKES[name]
         sides = {"base": scratch / "tree", "ours": repo}
-        runs = {side: start(tree, SMOKES[name], scratch / side / name)
+        runs = {side: start(tree, smoke, scratch / side / name)
                 for side, tree in sides.items()}
         for side, process in runs.items():
             (scratch / side / name / "exit").write_text(
                 f"{process.wait()}\n")
+            if smoke.keep:
+                keep_matches(scratch / side / name / "stdout", smoke.keep)
         differing += compare(name, scratch / "base" / name,
                              scratch / "ours" / name)
     if differing:
