@@ -12,36 +12,70 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
+
+SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
 
 
-def _figure_registry() -> dict[str, Callable]:
-    from repro.harness import figures
-    return {
-        "fig1": figures.figure1_motivation,
-        "fig2": figures.figure2_edgecut_sweep,
-        "fig3": figures.figure3_partition_count,
-        "fig4": figures.figure4_dynamic_load,
-        "fig5": figures.figure5_partitioner_scaling,
-        "fig6": figures.figure6_oracle_load,
-        "fig7": figures.figure7_cache_ablation,
-        "fig8": figures.figure8_command_mix,
-        "fig9": figures.figure9_retry_fallback,
-        "fig10": figures.figure10_partitioner_ablation,
-        "fig11": figures.figure11_message_complexity,
-        "fig12": figures.figure12_async_oracle,
-        "fig13": figures.figure13_multicast_comparison,
-        "fig14": figures.figure14_batching,
-        "fig15": figures.figure15_chaos_overhead,
-        "fig16": figures.figure16_elastic_scaleout,
-        "fig17": figures.figure17_self_healing,
-        "fig18": figures.figure18_cost_attribution,
-        "fig19": figures.figure19_overload,
-        "fig20": figures.figure20_durability,
-        "fig21": figures.figure21_parallel_execution,
-    }
+def _run_flags(parser, *, seed: int, scheme: Optional[str] = None,
+               schemes: Sequence[str] = SCHEMES,
+               clients: Optional[int] = None, ops: Optional[int] = None,
+               per: str = "") -> None:
+    """The workload flags verbs share: ``--scheme`` (when the verb runs
+    one scheme), ``--seed``, and ``--clients`` / ``--ops`` (when it
+    drives closed-loop clients; ``per`` completes the ``--ops`` help)."""
+    if scheme is not None:
+        parser.add_argument("--scheme", default=scheme, choices=schemes)
+    parser.add_argument("--seed", type=int, default=seed)
+    if clients is not None:
+        parser.add_argument("--clients", type=int, default=clients)
+        parser.add_argument("--ops", type=int, default=ops,
+                            help=f"operations per client{per}")
+
+
+def _campaign_flags(parser, smoke: Optional[str] = None,
+                    json_help: str = "print the canonical campaign JSON "
+                                     "on stdout (report goes to stderr)",
+                    out_help: str = "also write the canonical campaign "
+                                    "JSON to PATH") -> None:
+    """``--smoke`` / ``--json`` / ``--out``, declared once (see
+    :func:`_emit`). ``smoke`` says what the verb's fixed smoke run is; a
+    verb without one passes nothing and gets no ``--smoke``."""
+    if smoke is not None:
+        parser.add_argument("--smoke", action="store_true",
+                            help=f"{smoke} on stdout (CI byte-compares "
+                                 f"two same-seed runs)")
+    parser.add_argument("--json", action="store_true", help=json_help)
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help=out_help)
+
+
+def _canonical(data) -> str:
+    """Byte-deterministic JSON: sorted keys, no whitespace."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _emit(args, report: str, payload: str,
+          out: Optional[str] = None) -> None:
+    """The one campaign output shape.
+
+    The report goes to stdout — or to stderr under ``--json`` /
+    ``--smoke``, where stdout carries exactly the canonical ``payload``
+    line and so stays byte-comparable. ``--out`` receives ``out``, by
+    default the payload.
+    """
+    emit_json = args.json or getattr(args, "smoke", False)
+    print(report, file=sys.stderr if emit_json else sys.stdout)
+    if emit_json:
+        print(payload)
+    if args.out:
+        with open(args.out, "w") as sink:
+            sink.write((payload if out is None else out) + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,47 +85,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("figure_id", help="fig1..fig12 (see list-figures)")
-    figure.add_argument("--seed", type=int, default=5)
+    figure.add_argument("figure_id", help="fig1..fig21 (see list-figures)")
+    figure.add_argument("--seed", type=int, default=None,
+                        help="default: the figure's own")
     figure.add_argument("--duration-ms", type=float, default=None,
-                        help="virtual run length per configuration")
+                        help="virtual run length per configuration "
+                             "(figures that have one; default: the "
+                             "figure's own)")
 
     sub.add_parser("list-figures", help="list reproducible figures")
 
     experiment = sub.add_parser(
         "experiment", help="one Chirper experiment configuration")
-    experiment.add_argument("--scheme", default="dssmr",
-                            choices=["smr", "ssmr", "dssmr", "dynastar"])
+    _run_flags(experiment, seed=5, scheme="dssmr")
     experiment.add_argument("--partitions", type=int, default=2)
     experiment.add_argument("--users", type=int, default=200)
     experiment.add_argument("--edge-cut", type=float, default=0.0)
     experiment.add_argument("--clients-per-partition", type=int, default=8)
     experiment.add_argument("--duration-ms", type=float, default=5_000.0)
-    experiment.add_argument("--seed", type=int, default=5)
 
     partition = sub.add_parser(
         "partition", help="run the multilevel partitioner on a demo graph")
     partition.add_argument("--vertices", type=int, default=5_000)
     partition.add_argument("--parts", type=int, default=4)
-    partition.add_argument("--seed", type=int, default=7)
+    _run_flags(partition, seed=7)
 
     chaos = sub.add_parser(
         "chaos", help="seeded chaos campaign against every scheme")
     chaos.add_argument("--scenarios", type=int, default=10,
                        help="number of generated fault scenarios")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--clients", type=int, default=3)
-    chaos.add_argument("--ops", type=int, default=8,
-                       help="operations per client per scenario")
+    _run_flags(chaos, seed=0, clients=3, ops=8, per=" per scenario")
 
     trace = sub.add_parser(
         "trace", help="traced workload: spans, latency breakdown, anomalies")
-    trace.add_argument("--scheme", default="dssmr",
-                       choices=["smr", "ssmr", "dssmr", "dynastar"])
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--clients", type=int, default=3)
-    trace.add_argument("--ops", type=int, default=10,
-                       help="operations per client")
+    _run_flags(trace, seed=7, scheme="dssmr", clients=3, ops=10)
     trace.add_argument("--partitions", type=int, default=2)
     trace.add_argument("--out", default=None, metavar="PATH",
                        help="write the span stream as JSONL to PATH")
@@ -103,30 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="virtual-time profiler: attribute simulated cost "
                         "to a component/stage tree, folded stacks + table")
-    profile.add_argument("--scheme", default="dssmr",
-                         choices=["smr", "ssmr", "dssmr", "dynastar"])
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--clients", type=int, default=3)
-    profile.add_argument("--ops", type=int, default=10,
-                         help="operations per client")
+    _run_flags(profile, seed=7, scheme="dssmr", clients=3, ops=10)
     profile.add_argument("--partitions", type=int, default=2)
     profile.add_argument("--top", type=int, default=15,
                          help="rows in the self/total cost table")
-    profile.add_argument("--smoke", action="store_true",
-                         help="profile all four schemes at the fixed smoke "
-                              "configuration and print the canonical JSON "
-                              "on stdout (CI byte-compares two runs)")
-    profile.add_argument("--json", action="store_true",
-                         help="print the canonical profile JSON on stdout "
-                              "(report goes to stderr)")
-    profile.add_argument("--out", default=None, metavar="PATH",
-                         help="write the folded-stack text to PATH "
-                              "(flamegraph.pl-compatible)")
+    _campaign_flags(
+        profile,
+        smoke="profile all four schemes at the fixed smoke configuration "
+              "and print the canonical JSON",
+        json_help="print the canonical profile JSON on stdout (report "
+                  "goes to stderr)",
+        out_help="write the folded-stack text to PATH "
+                 "(flamegraph.pl-compatible)")
 
     perfcheck = sub.add_parser(
         "perfcheck", help="perf-regression gate: run the seeded perf "
                           "suite and compare against a committed baseline")
-    perfcheck.add_argument("--seed", type=int, default=7)
+    _run_flags(perfcheck, seed=7)
     perfcheck.add_argument("--baseline",
                            default="benchmarks/baselines/perf_smoke.json",
                            metavar="PATH")
@@ -161,14 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "run, shrink, replay")
     fuzz.add_argument("--schedules", type=int, default=10,
                       help="number of generated schedules to run")
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--clients", type=int, default=3)
-    fuzz.add_argument("--ops", type=int, default=8,
-                      help="operations per client per schedule")
-    fuzz.add_argument("--smoke", action="store_true",
-                      help="small fixed campaign printing the canonical "
-                           "JSON summary on stdout (CI byte-compares two "
-                           "same-seed runs)")
+    _run_flags(fuzz, seed=0, clients=3, ops=8, per=" per schedule")
+    _campaign_flags(fuzz, smoke="small fixed campaign printing the "
+                                "canonical JSON summary")
     fuzz.add_argument("--replay", default=None, metavar="ARTIFACT",
                       help="re-run a repro artifact and byte-compare the "
                            "outcome instead of fuzzing")
@@ -182,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--artifacts", default=None, metavar="DIR",
                       help="write replayable repro artifacts for "
                            "violations into DIR")
-    fuzz.add_argument("--json", action="store_true",
-                      help="print the canonical campaign JSON on stdout "
-                           "(report goes to stderr)")
-    fuzz.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the canonical campaign JSON to "
-                           "PATH")
     fuzz.add_argument("--supervisor", action="store_true",
                       help="run every schedule under the autonomous "
                            "recovery supervisor (repro.heal): crashes "
@@ -213,35 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     qos = sub.add_parser(
         "qos", help="overload campaign: offered-load sweep with QoS "
                     "(admission control + AIMD) off and on")
-    qos.add_argument("--seed", type=int, default=0)
-    qos.add_argument("--scheme", default="ssmr",
-                     choices=["smr", "ssmr", "dssmr", "dynastar"])
-    qos.add_argument("--smoke", action="store_true",
-                     help="short fixed sweep printing the canonical JSON "
-                          "on stdout (CI byte-compares two same-seed "
-                          "runs)")
-    qos.add_argument("--json", action="store_true",
-                     help="print the canonical campaign JSON on stdout "
-                          "(report goes to stderr)")
-    qos.add_argument("--out", default=None, metavar="PATH",
-                     help="also write the canonical campaign JSON to "
-                          "PATH")
+    _run_flags(qos, seed=0, scheme="ssmr")
+    _campaign_flags(qos, smoke="short fixed sweep printing the canonical "
+                               "JSON")
 
     durability = sub.add_parser(
         "durability", help="durable-storage campaign: WAL replay "
                            "equivalence, whole-cluster power loss, "
                            "torn-write/bit-rot recovery ladder")
-    durability.add_argument("--seed", type=int, default=0)
-    durability.add_argument("--smoke", action="store_true",
-                            help="short fixed campaign printing the "
-                                 "canonical JSON on stdout (CI "
-                                 "byte-compares two same-seed runs)")
-    durability.add_argument("--json", action="store_true",
-                            help="print the canonical campaign JSON on "
-                                 "stdout (report goes to stderr)")
-    durability.add_argument("--out", default=None, metavar="PATH",
-                            help="also write the canonical campaign "
-                                 "JSON to PATH")
+    _run_flags(durability, seed=0)
+    _campaign_flags(durability, smoke="short fixed campaign printing the "
+                                      "canonical JSON")
 
     heal = sub.add_parser(
         "heal", help="self-healing campaign: crash every role, let the "
@@ -249,87 +240,63 @@ def build_parser() -> argparse.ArgumentParser:
     heal.add_argument("--scenarios", type=int, default=4,
                       help="scenarios per scheme (each crashes a "
                            "follower, a sequencer and an oracle)")
-    heal.add_argument("--seed", type=int, default=0)
-    heal.add_argument("--clients", type=int, default=3)
-    heal.add_argument("--ops", type=int, default=8,
-                      help="operations per client per scenario")
-    heal.add_argument("--smoke", action="store_true",
-                      help="small fixed campaign printing the canonical "
-                           "JSON summary on stdout (CI byte-compares two "
-                           "same-seed runs)")
-    heal.add_argument("--json", action="store_true",
-                      help="print the canonical campaign JSON on stdout "
-                           "(report goes to stderr)")
-    heal.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the canonical campaign JSON to "
-                           "PATH")
+    _run_flags(heal, seed=0, clients=3, ops=8, per=" per scenario")
+    _campaign_flags(heal, smoke="small fixed campaign printing the "
+                                "canonical JSON summary")
 
     parallelexec = sub.add_parser(
         "parallelexec", help="parallel-execution campaign: sequential "
                              "equivalence proof + worker/conflict "
                              "throughput sweep")
-    parallelexec.add_argument("--seed", type=int, default=1)
-    parallelexec.add_argument("--smoke", action="store_true",
-                              help="short fixed campaign printing the "
-                                   "canonical JSON on stdout (CI "
-                                   "byte-compares two same-seed runs)")
-    parallelexec.add_argument("--json", action="store_true",
-                              help="print the canonical campaign JSON on "
-                                   "stdout (report goes to stderr)")
-    parallelexec.add_argument("--out", default=None, metavar="PATH",
-                              help="also write the canonical campaign "
-                                   "JSON to PATH")
+    _run_flags(parallelexec, seed=1)
+    _campaign_flags(parallelexec, smoke="short fixed campaign printing "
+                                        "the canonical JSON")
 
     reconfig = sub.add_parser(
         "reconfig", help="elastic reconfiguration smoke: crash-restart "
                          "recovery + live partition join under chaos")
-    reconfig.add_argument("--scheme", default="dssmr",
-                          choices=["dssmr", "dynastar"])
-    reconfig.add_argument("--seed", type=int, default=0)
-    reconfig.add_argument("--clients", type=int, default=4)
-    reconfig.add_argument("--ops", type=int, default=36,
-                          help="operations per client")
+    _run_flags(reconfig, seed=0, scheme="dssmr",
+               schemes=("dssmr", "dynastar"), clients=4, ops=36)
     reconfig.add_argument("--no-chaos", action="store_true",
                           help="disable the background message faults")
-    reconfig.add_argument("--json", action="store_true",
-                          help="print canonical metrics JSON on stdout")
-    reconfig.add_argument("--out", default=None, metavar="PATH",
-                          help="write the metrics JSON to PATH (the "
-                               "determinism artifact CI byte-compares)")
+    _campaign_flags(
+        reconfig, json_help="print canonical metrics JSON on stdout",
+        out_help="write the metrics JSON to PATH (the determinism "
+                 "artifact CI byte-compares)")
 
     return parser
 
 
 def cmd_figure(args) -> int:
-    registry = _figure_registry()
-    figure_fn = registry.get(args.figure_id)
+    from repro.harness.figures import FIGURES
+
+    figure_fn = FIGURES.get(args.figure_id)
     if figure_fn is None:
         print(f"unknown figure {args.figure_id!r}; "
-              f"try: {', '.join(sorted(registry))}", file=sys.stderr)
+              f"try: {', '.join(FIGURES)}", file=sys.stderr)
         return 2
-    kwargs = {"seed": args.seed}
-    if args.duration_ms is not None:
-        kwargs["duration_ms"] = args.duration_ms
-    if args.figure_id in ("fig5", "fig10", "fig13", "fig14", "fig15",
-                          "fig16", "fig17", "fig18", "fig19", "fig20",
-                          "fig21"):
-        # figures without duration parameters
-        kwargs = {"seed": args.seed} \
-            if args.figure_id in ("fig13", "fig14", "fig15", "fig16",
-                                  "fig17", "fig18", "fig19", "fig20",
-                                  "fig21") \
-            else {}
-    started = time.perf_counter()
+    # Pass a flag only when given, so a bare run reproduces the figure's
+    # own defaults; refuse one the figure cannot honour.
+    accepted = inspect.signature(figure_fn).parameters
+    kwargs = {}
+    for name in ("seed", "duration_ms"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in accepted:
+            print(f"{args.figure_id} has no --{name.replace('_', '-')} "
+                  f"to set", file=sys.stderr)
+            return 2
+        kwargs[name] = value
     print(figure_fn(**kwargs))
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)")
     return 0
 
 
 def cmd_list_figures(_args) -> int:
-    from repro.harness import figures as figures_module
-    registry = _figure_registry()
-    for figure_id in sorted(registry, key=lambda f: int(f[3:])):
-        doc = (registry[figure_id].__doc__ or "").strip().splitlines()[0]
+    from repro.harness.figures import FIGURES
+
+    for figure_id, figure_fn in FIGURES.items():
+        doc = (figure_fn.__doc__ or "").strip().splitlines()[0]
         print(f"{figure_id:6s} {doc}")
     return 0
 
@@ -381,13 +348,10 @@ def cmd_partition(args) -> int:
 def cmd_chaos(args) -> int:
     from repro.harness.chaos import run_campaign
 
-    started = time.perf_counter()
     campaign = run_campaign(num_scenarios=args.scenarios, seed=args.seed,
                             num_clients=args.clients,
                             ops_per_client=args.ops)
     print(campaign.report())
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
     return 0 if campaign.ok else 1
 
 
@@ -397,7 +361,6 @@ def cmd_trace(args) -> int:
                            latency_breakdown, stage_sum_errors)
     from repro.obs.report import slowest_traces
 
-    started = time.perf_counter()
     run = run_traced_workload(args.scheme, seed=args.seed,
                               num_clients=args.clients,
                               ops_per_client=args.ops,
@@ -429,28 +392,21 @@ def cmd_trace(args) -> int:
         for trace_id in slowest_traces(spans, args.timelines):
             print()
             print(command_timeline(spans, trace_id))
-    # Wall time goes to stderr: stdout must be byte-identical across runs.
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
     return 0 if run.completed == run.expected and not errors else 1
 
 
 def cmd_profile(args) -> int:
-    import json
-
     from repro.harness.tracerun import run_traced_workload
     from repro.obs.profile import VirtualProfiler
 
-    started = time.perf_counter()
     if args.smoke:
-        schemes = ("smr", "ssmr", "dssmr", "dynastar")
+        schemes = SCHEMES
         clients, ops, partitions = 3, 10, 2
     else:
         schemes = (args.scheme,)
         clients, ops, partitions = args.clients, args.ops, args.partitions
-    emit_json = args.json or args.smoke
-    report = sys.stderr if emit_json else sys.stdout
     payload: dict = {"seed": args.seed, "schemes": {}}
+    report: list[str] = []
     folded_sections: list[str] = []
     ok = True
     for scheme in schemes:
@@ -463,40 +419,28 @@ def cmd_profile(args) -> int:
         ok = ok and run.completed == run.expected and not errors
         payload["schemes"][scheme] = profiler.to_dict()
         folded_sections.append(profiler.folded())
-        print(f"== {scheme}: {run.completed}/{run.expected} command(s), "
-              f"{profiler.total_cost():.1f}ms attributed ==", file=report)
-        print(profiler.table(top=args.top), file=report)
+        report += [f"== {scheme}: {run.completed}/{run.expected} "
+                   f"command(s), {profiler.total_cost():.1f}ms "
+                   f"attributed ==", profiler.table(top=args.top)]
         if errors:
-            print(f"stage-sum mismatches in {len(errors)} command(s): "
-                  f"{', '.join(errors[:5])}", file=report)
+            report.append(f"stage-sum mismatches in {len(errors)} "
+                          f"command(s): {', '.join(errors[:5])}")
         else:
-            print("per-command stage sums match end-to-end latency "
-                  "exactly", file=report)
-        print(file=report)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write("\n".join(folded_sections) + "\n")
-        print(f"wrote folded stacks to {args.out}", file=sys.stderr)
-    if emit_json:
-        # Canonical JSON on stdout: byte-identical across same-seed runs.
-        print(json.dumps(payload, sort_keys=True,
-                         separators=(",", ":")))
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
+            report.append("per-command stage sums match end-to-end "
+                          "latency exactly")
+        report.append("")
+    _emit(args, "\n".join(report), _canonical(payload),
+          out="\n".join(folded_sections))
     return 0 if ok else 1
 
 
 def cmd_perfcheck(args) -> int:
-    import json
-
     from repro.harness.perf import (SUBSTRATE_SHAPES, canonical_json,
                                     compare_substrate, compare_to_baseline,
                                     load_baseline, make_substrate_baseline,
                                     run_perf_suite, run_substrate_micro)
 
-    started = time.perf_counter()
     current = run_perf_suite(seed=args.seed, slowdown=args.slowdown)
-    payload = canonical_json(current)
     if args.update_baseline:
         with open(args.baseline, "w") as sink:
             json.dump(current, sink, sort_keys=True, indent=2)
@@ -509,14 +453,10 @@ def cmd_perfcheck(args) -> int:
                 sink.write("\n")
             print(f"wrote substrate floors to {args.substrate_baseline}",
                   file=sys.stderr)
-        print(f"(wall time: {time.perf_counter() - started:.1f}s)",
-              file=sys.stderr)
         return 0
     if args.smoke:
         # Canonical JSON on stdout, no gating: CI byte-compares two runs.
-        print(payload)
-        print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-              file=sys.stderr)
+        print(canonical_json(current))
         return 0
     baseline = load_baseline(args.baseline)
     if baseline is None:
@@ -554,47 +494,27 @@ def cmd_perfcheck(args) -> int:
             print(f"  - {failure}")
     else:
         print(f"\nperf gate passed (tolerance {args.tolerance:.0%})")
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
     return 1 if failures else 0
 
 
 def cmd_fuzz(args) -> int:
-    import json
-
     from repro.fuzz import (load_artifact, replay_artifact,
                             run_fuzz_campaign)
 
-    started = time.perf_counter()
     if args.replay:
         outcome = replay_artifact(load_artifact(args.replay))
         print(outcome.report())
-        print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-              file=sys.stderr)
         # Exit 0 only on a byte-identical reproduction: CI treats any
         # drift — even "still violating, different signature" — as news.
         return 0 if outcome.identical else 1
 
-    num_schedules = 6 if args.smoke else args.schedules
     campaign = run_fuzz_campaign(
-        num_schedules=num_schedules, seed=args.seed,
+        num_schedules=6 if args.smoke else args.schedules, seed=args.seed,
         num_clients=args.clients, ops_per_client=args.ops,
         inject_bug=args.inject_bug, shrink=not args.no_shrink,
         artifacts_dir=args.artifacts, supervisor=args.supervisor,
         overload=args.overload, disk=args.disk, parallel=args.parallel)
-    payload = json.dumps(campaign.to_dict(), sort_keys=True,
-                         separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(campaign.report(), file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
+    _emit(args, campaign.report(), _canonical(campaign.to_dict()))
     if args.inject_bug:
         # With a deliberate bug the fuzzer must FIND it; a clean
         # campaign means the fuzzer lost its teeth.
@@ -603,34 +523,18 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_qos(args) -> int:
-    import json
-
     from repro.harness.overload import (format_overload_report,
                                         run_overload_campaign)
 
-    started = time.perf_counter()
     data = run_overload_campaign(seed=args.seed, smoke=args.smoke,
                                  scheme=args.scheme)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(format_overload_report(data),
-          file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
-    summary = data["summary"]
+    _emit(args, format_overload_report(data), _canonical(data))
     # The campaign is also a self-check: QoS must beat the baseline
     # beyond saturation (full sweep only; the smoke sweep is a
     # determinism probe, too short to claim the figure's shape).
     if not args.smoke:
-        collapse = summary["qos_off"]["tail_ratio"]
-        plateau = summary["qos_on"]["tail_ratio"]
+        collapse = data["summary"]["qos_off"]["tail_ratio"]
+        plateau = data["summary"]["qos_on"]["tail_ratio"]
         if plateau <= collapse:
             print("QOS GATE FAILED: qos_on tail ratio "
                   f"{plateau} <= qos_off {collapse}", file=sys.stderr)
@@ -639,74 +543,30 @@ def cmd_qos(args) -> int:
 
 
 def cmd_durability(args) -> int:
-    import json
-
     from repro.harness.durability import (format_durability_report,
                                           run_durability_campaign)
 
-    started = time.perf_counter()
     data = run_durability_campaign(seed=args.seed, smoke=args.smoke)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(format_durability_report(data),
-          file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
+    _emit(args, format_durability_report(data), _canonical(data))
     # The campaign is also a self-check: every section gates.
     return 0 if data["summary"]["ok"] else 1
 
 
 def cmd_heal(args) -> int:
-    import json
-
     from repro.heal import run_heal_campaign
 
-    started = time.perf_counter()
-    num_scenarios = 2 if args.smoke else args.scenarios
     campaign = run_heal_campaign(
-        num_scenarios=num_scenarios, seed=args.seed,
+        num_scenarios=2 if args.smoke else args.scenarios, seed=args.seed,
         num_clients=args.clients, ops_per_client=args.ops)
-    payload = json.dumps(campaign.to_dict(), sort_keys=True,
-                         separators=(",", ":"))
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(campaign.report(), file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
+    _emit(args, campaign.report(), _canonical(campaign.to_dict()))
     return 0 if campaign.ok else 1
 
 
 def cmd_parallelexec(args) -> int:
-    from repro.harness.parallelexec import (format_report, run_campaign,
-                                            to_json)
+    from repro.harness.parallelexec import format_report, run_campaign
 
-    started = time.perf_counter()
     data = run_campaign(seed=args.seed, smoke=args.smoke)
-    payload = to_json(data)
-    emit_json = args.json or args.smoke
-    # Report to stderr in JSON mode: stdout must stay byte-comparable.
-    print(format_report(data), file=sys.stderr if emit_json else sys.stdout)
-    if emit_json:
-        print(payload)
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote campaign JSON to {args.out}", file=sys.stderr)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
+    _emit(args, format_report(data), _canonical(data))
     # The campaign is also a self-check: equivalence + speedup gate.
     return 0 if data["gate"]["passed"] else 1
 
@@ -714,44 +574,24 @@ def cmd_parallelexec(args) -> int:
 def cmd_reconfig(args) -> int:
     from repro.harness.elastic import run_elastic_scenario
 
-    started = time.perf_counter()
     result = run_elastic_scenario(seed=args.seed, scheme=args.scheme,
                                   num_clients=args.clients,
                                   ops_per_client=args.ops,
                                   chaos=not args.no_chaos)
-    payload = result.metrics_json()
-    if args.out:
-        with open(args.out, "w") as sink:
-            sink.write(payload + "\n")
-        print(f"wrote metrics JSON to {args.out}", file=sys.stderr)
-    # Report goes to stderr in --json mode: stdout stays byte-comparable.
-    print(result.report(), file=sys.stderr if args.json else sys.stdout)
-    if args.json:
-        print(payload)
-    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
-          file=sys.stderr)
+    _emit(args, result.report(), result.metrics_json())
     return 0 if result.ok else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "figure": cmd_figure,
-        "list-figures": cmd_list_figures,
-        "experiment": cmd_experiment,
-        "partition": cmd_partition,
-        "chaos": cmd_chaos,
-        "profile": cmd_profile,
-        "perfcheck": cmd_perfcheck,
-        "fuzz": cmd_fuzz,
-        "qos": cmd_qos,
-        "durability": cmd_durability,
-        "heal": cmd_heal,
-        "trace": cmd_trace,
-        "parallelexec": cmd_parallelexec,
-        "reconfig": cmd_reconfig,
-    }
-    return handlers[args.command](args)
+    # One shape for every verb: ``cmd_<verb>(args)`` returns the exit
+    # status; wall time goes to stderr so stdout stays byte-comparable.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
+    started = time.perf_counter()
+    status = handler(args)
+    print(f"\n(wall time: {time.perf_counter() - started:.1f}s)",
+          file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,23 +26,22 @@ pointless) leave, not a crash of the harness.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.checkers import (INCONCLUSIVE, VIOLATION, History,
                             KvSequentialSpec, check_linearizable_bounded)
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.faults import make_crash_restart, reset_id_counters
+from repro.harness.cluster import Cluster
+from repro.harness.faults import make_crash_restart
 from repro.harness.invariants import cluster_invariants
+from repro.harness.kvbed import build_kv_cluster, spawn_wave
 from repro.net import FailureInjector
 from repro.obs import CommandTracer, command_timeline, find_anomalies
 from repro.obs.report import slowest_traces
 from repro.qos import QosConfig
 from repro.resilience import RequestTimeout, RetryPolicy
-from repro.sim import SeedStream
-from repro.smr import Command, ExecutionConfig, ReplyStatus
+from repro.smr import Command, ExecutionConfig
 from repro.store import DurabilityConfig
 
 #: Settle time after the cooldown round before invariant checking (ms).
@@ -101,24 +100,6 @@ class ScheduleRunResult:
         }
 
 
-def _workload_command(rng: random.Random, keys: tuple) -> Command:
-    """The linearizability workload mix: reads, increments, swaps, sums."""
-    kind = rng.random()
-    if kind < 0.30:
-        key = rng.choice(keys)
-        return Command(op="get", args={"key": key}, variables=(key,))
-    if kind < 0.65:
-        key = rng.choice(keys)
-        return Command(op="incr", args={"key": key}, variables=(key,),
-                       writes=(key,))
-    if kind < 0.85:
-        a, b = rng.sample(keys, 2)
-        return Command(op="swap", args={"a": a, "b": b}, variables=(a, b),
-                       writes=(a, b))
-    picked = rng.sample(keys, 2)
-    return Command(op="sum", args={"keys": picked}, variables=tuple(picked))
-
-
 def _build_cluster(schedule: FaultSchedule, keys: tuple,
                    tracer) -> Cluster:
     if (schedule.inject_bug is not None
@@ -126,30 +107,21 @@ def _build_cluster(schedule: FaultSchedule, keys: tuple,
         raise ValueError(f"unknown injectable bug "
                          f"{schedule.inject_bug!r}; "
                          f"pick one of {INJECTABLE_BUGS}")
-    assignment = None
-    if schedule.scheme != "smr":
-        assignment = {key: i % 2 for i, key in enumerate(keys)}
-    cluster_seed = (SeedStream(schedule.seed).child(schedule.scheme)
-                    .stream(f"fuzz{schedule.index}").randrange(2**31))
     # qos=True arms the full overload-control stack with a token bucket
     # low enough that the generator's burst rates actually shed (the
     # fuzzer's execution model leaves the executors far from saturated,
     # so CoDel alone would rarely fire) plus a retry budget on every
     # client — the maximal surface for QoS x fault interactions.
-    cluster = Cluster(ClusterConfig(
-        scheme=schedule.scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed,
+    return build_kv_cluster(
+        schedule.scheme, schedule.seed,
+        (schedule.scheme, f"fuzz{schedule.index}"), keys, tracer=tracer,
         retry_policy=RetryPolicy(budget_ratio=0.2 if schedule.qos
                                  else None),
-        initial_assignment=assignment,
         dedup=schedule.inject_bug != "no_dedup",
         qos=QosConfig(rate_per_s=2_000.0) if schedule.qos else None,
         durability=DurabilityConfig() if schedule.durability else None,
         parallel=ExecutionConfig(workers=4) if schedule.parallel
-        else None),
-        tracer=tracer)
-    cluster.preload({key: 0 for key in keys})
-    return cluster
+        else None)
 
 
 def _overload_burst(cluster: Cluster, event: dict, burst_index: int,
@@ -342,7 +314,6 @@ def run_schedule(schedule: FaultSchedule,
                  ) -> ScheduleRunResult:
     """Run one fault schedule end to end and check every invariant."""
     schedule = normalize_schedule(schedule)
-    reset_id_counters()
     keys = tuple(f"k{i}" for i in range(max(schedule.num_keys, 2)))
     tracer = CommandTracer()
     cluster = _build_cluster(schedule, keys, tracer)
@@ -367,35 +338,14 @@ def run_schedule(schedule: FaultSchedule,
 
     # -- workload ----------------------------------------------------------
     history = History()
-    status = {"completed": 0, "finished_clients": 0}
-    workload_done = env.event()
-    clients = [cluster.new_client(f"c{i}")
-               for i in range(schedule.num_clients)]
-    workload_tag = (f"{schedule.seed}/{schedule.scheme}/"
-                    f"fuzz{schedule.index}")
-
-    def client_loop(client, index):
-        rng = random.Random(f"{workload_tag}/{index}")
-        for _ in range(schedule.ops_per_client):
-            command = _workload_command(rng, keys)
-            invoked = env.now
-            reply = yield from client.run_command(command)
-            result = reply.value if reply.status is not ReplyStatus.NOK \
-                else str(reply.value)
-            history.record(client.name, command.op, command.args,
-                           result, invoked, env.now)
-            status["completed"] += 1
-            yield env.timeout(rng.uniform(0.0, 1.0))
-        status["finished_clients"] += 1
-        if status["finished_clients"] == schedule.num_clients:
-            workload_done.succeed(None)
-
-    for index, client in enumerate(clients):
-        env.process(client_loop(client, index), name=f"fuzz/{client.name}")
+    wave = spawn_wave(
+        cluster, schedule.num_clients, schedule.ops_per_client,
+        f"{schedule.seed}/{schedule.scheme}/fuzz{schedule.index}",
+        keys=keys, history=history)
     end_marker = {"at": None}
 
     def driver():
-        yield workload_done
+        yield wave.done
         # In-flight joins/leaves must land before the end-state check —
         # retries run forever, so they complete once the network heals.
         for done in reconfig_done:
@@ -423,10 +373,9 @@ def run_schedule(schedule: FaultSchedule,
 
     # -- checks ------------------------------------------------------------
     violations: list[str] = []
-    expected = schedule.num_clients * schedule.ops_per_client
     linearizability = INCONCLUSIVE
-    if status["completed"] != expected or end_marker["at"] is None:
-        violations.append(f"only {status['completed']}/{expected} ops "
+    if wave.completed != wave.expected or end_marker["at"] is None:
+        violations.append(f"only {wave.completed}/{wave.expected} ops "
                           f"completed before the deadline")
     else:
         linearizability = check_linearizable_bounded(
@@ -460,7 +409,7 @@ def run_schedule(schedule: FaultSchedule,
 
     return ScheduleRunResult(
         schedule=schedule,
-        ops_completed=status["completed"], ops_expected=expected,
+        ops_completed=wave.completed, ops_expected=wave.expected,
         finished_at=end_marker["at"],
         timeouts=sum(c.timeouts for c in cluster.clients),
         resends=sum(c.resends for c in cluster.clients),

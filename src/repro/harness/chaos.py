@@ -33,36 +33,22 @@ tooling.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.fuzz.generate import shape_nodes
 from repro.fuzz.schedule import FaultSchedule
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.faults import VICTIM_ROLES, reset_id_counters
+from repro.harness.faults import VICTIM_ROLES
+from repro.harness.kvbed import KEYS, build_kv_cluster, spawn_wave
 from repro.harness.report import format_table
 from repro.net import FailureInjector
-from repro.resilience import RetryPolicy
 from repro.sim import SeedStream
-from repro.smr import Command, ReplyStatus
 
 #: Schemes every scenario is run against.
 CHAOS_SCHEMES = ("smr", "ssmr", "dssmr")
 
-#: Keys preloaded into every cluster (spread over both partitions).
-KEYS = tuple(f"k{i}" for i in range(6))
-INITIAL = {key: 0 for key in KEYS}
-
-#: Virtual-time bounds of one scenario run (ms).
+#: Virtual-time bound of one scenario run (ms).
 DEADLINE_MS = 8_000.0
-SETTLE_MS = 400.0
-
-
-# Canonical implementation lives with the other shared fault helpers;
-# the alias keeps this module's historical import surface
-# (repro.harness.elastic and older tests import it from here).
-_reset_id_counters = reset_id_counters
 
 
 # ---------------------------------------------------------------------------
@@ -240,69 +226,6 @@ class ScenarioResult:
         return not self.violations
 
 
-def _random_access(rng: random.Random) -> Command:
-    """The linearizability workload mix: reads, increments, swaps, sums."""
-    kind = rng.random()
-    if kind < 0.30:
-        key = rng.choice(KEYS)
-        return Command(op="get", args={"key": key}, variables=(key,))
-    if kind < 0.65:
-        key = rng.choice(KEYS)
-        return Command(op="incr", args={"key": key}, variables=(key,),
-                       writes=(key,))
-    if kind < 0.85:
-        a, b = rng.sample(KEYS, 2)
-        return Command(op="swap", args={"a": a, "b": b}, variables=(a, b),
-                       writes=(a, b))
-    keys = rng.sample(KEYS, 2)
-    return Command(op="sum", args={"keys": keys}, variables=tuple(keys))
-
-
-def _build_cluster(scheme: str, seed: int, tag: str,
-                   dedup: bool = True, tracer=None) -> Cluster:
-    assignment = None
-    if scheme != "smr":
-        assignment = {key: i % 2 for i, key in enumerate(KEYS)}
-    cluster_seed = SeedStream(seed).child(scheme).stream(tag).randrange(2**31)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment, dedup=dedup), tracer=tracer)
-    cluster.preload(dict(INITIAL))
-    return cluster
-
-
-def _spawn_workload(cluster: Cluster, history: Optional[History],
-                    num_clients: int, ops_per_client: int,
-                    workload_tag: str):
-    """Start client processes; returns (status dict, all-done event)."""
-    env = cluster.env
-    status = {"completed": 0, "finished_clients": 0}
-    done = env.event()
-    clients = [cluster.new_client(f"c{i}") for i in range(num_clients)]
-
-    def loop(client, index):
-        rng = random.Random(f"{workload_tag}/{index}")
-        for _ in range(ops_per_client):
-            command = _random_access(rng)
-            invoked = env.now
-            reply = yield from client.run_command(command)
-            result = reply.value if reply.status is not ReplyStatus.NOK \
-                else str(reply.value)
-            if history is not None:
-                history.record(client.name, command.op, command.args,
-                               result, invoked, env.now)
-            status["completed"] += 1
-            yield env.timeout(rng.uniform(0.0, 1.0))
-        status["finished_clients"] += 1
-        if status["finished_clients"] == num_clients:
-            done.succeed(None)
-
-    for index, client in enumerate(clients):
-        env.process(loop(client, index), name=f"chaos/{client.name}")
-    return status, done
-
-
 def run_scenario(scheme: str, scenario: ChaosScenario, seed: int,
                  num_clients: int = 3, ops_per_client: int = 8,
                  dedup: bool = True,
@@ -417,30 +340,21 @@ def run_overhead_point(scheme: str, drop_fraction: float, seed: int,
                        num_clients: int = 4,
                        ops_per_client: int = 15) -> dict:
     """Throughput/latency of the resilience layer at one drop rate."""
-    _reset_id_counters()
-    cluster = _build_cluster(scheme, seed, f"overhead{drop_fraction}")
-    env = cluster.env
+    cluster = build_kv_cluster(scheme, seed,
+                               (scheme, f"overhead{drop_fraction}"))
     if drop_fraction:
-        injector = FailureInjector(env, cluster.network,
+        injector = FailureInjector(cluster.env, cluster.network,
                                    cluster.seeds.child("overhead"))
         injector.drop_fraction(drop_fraction)
-    status, done = _spawn_workload(
-        cluster, None, num_clients, ops_per_client,
-        workload_tag=f"{seed}/{scheme}/overhead/{drop_fraction}")
-    end_marker = {"at": None}
-
-    def driver():
-        yield done
-        end_marker["at"] = env.now
-
-    env.process(driver(), name="chaos/overhead")
-    env.run(until=DEADLINE_MS * 4)
-    elapsed = end_marker["at"] or env.now
-    total = num_clients * ops_per_client
+    wave = spawn_wave(cluster, num_clients, ops_per_client,
+                      f"{seed}/{scheme}/overhead/{drop_fraction}")
+    cluster.run(until=DEADLINE_MS * 4)
+    elapsed = wave.done_at or cluster.env.now
     return {
-        "completed": status["completed"],
-        "total": total,
-        "throughput": total / (elapsed / 1000.0) if elapsed else 0.0,
+        "completed": wave.completed,
+        "total": wave.expected,
+        "throughput": (wave.expected / (elapsed / 1000.0)
+                       if elapsed else 0.0),
         "mean_ms": cluster.latency.mean(),
         "p95_ms": cluster.latency.percentile(95),
         "timeouts": sum(c.timeouts for c in cluster.clients),

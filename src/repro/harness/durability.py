@@ -31,15 +31,10 @@ two same-seed runs in CI):
 
 from __future__ import annotations
 
-import random
-
-from repro.harness.chaos import INITIAL, KEYS, _random_access
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.faults import reset_id_counters
+from repro.harness.cluster import Cluster
 from repro.harness.invariants import cluster_invariants
+from repro.harness.kvbed import build_kv_cluster, spawn_wave
 from repro.reconfig.checkpoint import state_checksum
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
 from repro.store import DurabilityConfig
 
 #: Schemes the replay-equivalence section proves.
@@ -57,51 +52,14 @@ OVERHEAD_BOUND_MS = 4.0
 
 def _build(scheme: str, seed: int, tag: str,
            durability: bool = True, extra_keys: int = 0) -> Cluster:
-    reset_id_counters()
-    cluster_seed = (SeedStream(seed).child("durability")
-                    .stream(tag).randrange(2 ** 31))
-    contents = dict(INITIAL)
-    assignment = {key: i % 2 for i, key in enumerate(KEYS)}
-    for index in range(extra_keys):
-        # Never-accessed ballast on partition 0: inflates the state
-        # image a peer transfer must ship without perturbing the
-        # workload (the recovery-time section sweeps this).
-        contents[f"x{index}"] = index
-        assignment[f"x{index}"] = 0
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment if scheme != "smr" else None,
-        durability=DurabilityConfig() if durability else None))
-    cluster.preload(contents)
-    return cluster
-
-
-def _wave(cluster: Cluster, num_clients: int, ops: int, tag: str):
-    """Spawn a closed-loop workload wave; returns (status, done event)."""
-    status = {"completed": 0, "finished": 0, "done_at": None,
-              "latency_ms": 0.0}
-    done = cluster.env.event()
-    clients = [cluster.new_client(f"{tag}{i}") for i in range(num_clients)]
-
-    def loop(client, index):
-        rng = random.Random(f"{tag}/{index}")
-        for _ in range(ops):
-            command = _random_access(rng)
-            invoked = cluster.env.now
-            yield from client.run_command(command)
-            status["latency_ms"] += cluster.env.now - invoked
-            status["completed"] += 1
-            yield cluster.env.timeout(rng.uniform(0.0, 1.0))
-        status["finished"] += 1
-        if status["finished"] == num_clients:
-            status["done_at"] = cluster.env.now
-            done.succeed(None)
-
-    for index, client in enumerate(clients):
-        cluster.env.process(loop(client, index),
-                            name=f"durability/{tag}{index}")
-    return status, done
+    # Never-accessed ballast on partition 0: inflates the state image a
+    # peer transfer must ship without perturbing the workload (the
+    # recovery-time section sweeps this).
+    return build_kv_cluster(
+        scheme, seed, ("durability", tag),
+        contents={f"x{index}": index for index in range(extra_keys)},
+        assignment={f"x{index}": 0 for index in range(extra_keys)},
+        durability=DurabilityConfig() if durability else None)
 
 
 def _member_image(server) -> dict:
@@ -121,9 +79,9 @@ def _cluster_hash(cluster: Cluster) -> str:
 def _replay_equivalence(scheme: str, seed: int, num_clients: int,
                         ops: int) -> dict:
     cluster = _build(scheme, seed, f"replay/{scheme}")
-    _, done = _wave(cluster, num_clients, ops, "w")
+    first = spawn_wave(cluster, num_clients, ops, "w", prefix="w")
     cluster.run(until=1_500.0)
-    completed_first = done.triggered
+    completed_first = first.done.triggered
     live_hash = _cluster_hash(cluster)
 
     cluster.power_fail()
@@ -132,7 +90,7 @@ def _replay_equivalence(scheme: str, seed: int, num_clients: int,
     cluster.run(until=cluster.env.now + 1_000.0)
     replayed_hash = _cluster_hash(cluster)
 
-    status2, done2 = _wave(cluster, 2, max(ops // 2, 3), "x")
+    second = spawn_wave(cluster, 2, max(ops // 2, 3), "x", prefix="x")
     cluster.run(until=cluster.env.now + 1_500.0)
     violations = cluster_invariants(cluster)
     stats = cluster.disks.stats
@@ -142,8 +100,8 @@ def _replay_equivalence(scheme: str, seed: int, num_clients: int,
         "replayed_hash": replayed_hash,
         "hash_equal": live_hash == replayed_hash,
         "first_wave_completed": completed_first,
-        "second_wave_ops": status2["completed"],
-        "second_wave_completed": done2.triggered,
+        "second_wave_ops": second.completed,
+        "second_wave_completed": second.done.triggered,
         "cold_starts": stats.cold_starts,
         "peer_fallbacks": stats.peer_fallbacks,
         "records_replayed": stats.records_replayed,
@@ -185,7 +143,7 @@ def _power_under_load(scheme: str, seed: int, num_clients: int,
 def _fault_ladder(scheme: str, seed: int, num_clients: int,
                   ops: int) -> dict:
     cluster = _build(scheme, seed, f"ladder/{scheme}")
-    _, _ = _wave(cluster, num_clients, ops, "w")
+    spawn_wave(cluster, num_clients, ops, "w", prefix="w")
     cluster.run(until=500.0)
 
     partition = cluster.partitions[0]
@@ -198,7 +156,7 @@ def _fault_ladder(scheme: str, seed: int, num_clients: int,
     cluster.servers[victim].crash()
     cluster.cold_restart_server(victim)
 
-    _, _ = _wave(cluster, 2, max(ops // 2, 3), "x")
+    spawn_wave(cluster, 2, max(ops // 2, 3), "x", prefix="x")
     cluster.run(until=cluster.env.now + 2_000.0)
     violations = cluster_invariants(cluster)
     stats = cluster.disks.stats
@@ -229,11 +187,11 @@ def _overhead(scheme: str, seed: int, num_clients: int, ops: int) -> dict:
     for durable in (False, True):
         cluster = _build(scheme, seed, f"overhead/{scheme}",
                          durability=durable)
-        status, done = _wave(cluster, num_clients, ops, "w")
+        wave = spawn_wave(cluster, num_clients, ops, "w", prefix="w")
         cluster.run(until=4_000.0)
         key = "wal_on" if durable else "wal_off"
-        latency[key] = (round(status["latency_ms"] / status["completed"], 3)
-                        if done.triggered and status["completed"] else None)
+        latency[key] = (round(wave.latency_ms / wave.completed, 3)
+                        if wave.done.triggered and wave.completed else None)
     off, on = latency["wal_off"], latency["wal_on"]
     overhead = round(on - off, 3) if off is not None and on is not None \
         else None
@@ -277,7 +235,7 @@ def _recovery_time(scheme: str, seed: int, num_clients: int, ops: int,
     """
     cluster = _build(scheme, seed, f"recovery/{scheme}/{mode}",
                      extra_keys=extra_keys)
-    _, _ = _wave(cluster, num_clients, ops, "w")
+    spawn_wave(cluster, num_clients, ops, "w", prefix="w")
     cluster.run(until=500.0)
 
     partition = cluster.partitions[0]

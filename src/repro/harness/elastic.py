@@ -24,40 +24,24 @@ import random
 from dataclasses import dataclass, field
 
 from repro.checkers import History, KvSequentialSpec, check_linearizable
-from repro.harness.chaos import _reset_id_counters
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.faults import make_crash_restart
 from repro.harness.invariants import cluster_invariants
+from repro.harness.kvbed import build_kv_cluster, kv_command, spawn_wave
 from repro.harness.report import format_table
 from repro.net import FailureInjector
 from repro.obs import CommandTracer
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
-from repro.smr import Command, ExecutionModel, ReplyStatus
+from repro.smr import Command, ExecutionModel
 
 #: Preloaded keys (spread over the two initial partitions).
 ELASTIC_KEYS = tuple(f"k{i:02d}" for i in range(24))
 
+#: Command-mix thresholds (get / incr / swap, see ``kvbed.MIX``): more
+#: increments and fewer sums than the bed's default.
+ELASTIC_MIX = (0.30, 0.70, 0.88)
+
 DEADLINE_MS = 12_000.0
 SETTLE_MS = 400.0
 BUCKET_MS = 40.0
-
-
-def _random_access(rng: random.Random, keys) -> Command:
-    kind = rng.random()
-    if kind < 0.30:
-        key = rng.choice(keys)
-        return Command(op="get", args={"key": key}, variables=(key,))
-    if kind < 0.70:
-        key = rng.choice(keys)
-        return Command(op="incr", args={"key": key}, variables=(key,),
-                       writes=(key,))
-    if kind < 0.88:
-        a, b = rng.sample(keys, 2)
-        return Command(op="swap", args={"a": a, "b": b}, variables=(a, b),
-                       writes=(a, b))
-    chosen = rng.sample(keys, 2)
-    return Command(op="sum", args={"keys": chosen},
-                   variables=tuple(chosen))
 
 
 def _timeline(completions, end: float, bucket_ms: float = BUCKET_MS):
@@ -132,17 +116,8 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
                          join_at: float = 220.0,
                          fault_end: float = 340.0) -> ElasticResult:
     """One full elastic scenario: crash-restart + live join under chaos."""
-    _reset_id_counters()
-    tracer = CommandTracer()
-    assignment = {key: i % 2 for i, key in enumerate(ELASTIC_KEYS)}
-    cluster_seed = SeedStream(seed).child("elastic").stream(scheme) \
-        .randrange(2**31)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment), tracer=tracer)
-    initial = {key: 0 for key in ELASTIC_KEYS}
-    cluster.preload(dict(initial))
+    cluster = build_kv_cluster(scheme, seed, ("elastic", scheme),
+                               ELASTIC_KEYS, tracer=CommandTracer())
     env = cluster.env
 
     injector = FailureInjector(env, cluster.network,
@@ -154,15 +129,9 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
     env.schedule_callback(fault_end, injector.heal_all)
 
     victim = "p0s1"      # follower; the sequencer is a fixed point
-
-    def do_crash() -> None:
-        cluster.servers[victim].crash()
-
-    def do_restart() -> None:
-        cluster.recover_server(victim)
-
+    crash, restart = make_crash_restart(cluster, victim, "restart")
     injector.crash_restart_at(crash_at, victim, recover_after,
-                              crash=do_crash, restart=do_restart)
+                              crash=crash, restart=restart)
 
     join_done = {"ack": None}
 
@@ -175,35 +144,14 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
     # -- workload (same shape as the chaos campaign, paced so the
     # crash/recovery/join land mid-run) ------------------------------------
     history = History()
-    status = {"completed": 0, "finished": 0}
-    completions: list[float] = []
-    done = env.event()
-    clients = [cluster.new_client(f"c{i}") for i in range(num_clients)]
-
-    def loop(client, index):
-        rng = random.Random(f"elastic/{seed}/{index}")
-        for _ in range(ops_per_client):
-            command = _random_access(rng, ELASTIC_KEYS)
-            invoked = env.now
-            reply = yield from client.run_command(command)
-            result = reply.value if reply.status is not ReplyStatus.NOK \
-                else str(reply.value)
-            history.record(client.name, command.op, command.args,
-                           result, invoked, env.now)
-            status["completed"] += 1
-            completions.append(env.now)
-            yield env.timeout(rng.uniform(3.0, 9.0))
-        status["finished"] += 1
-        if status["finished"] == num_clients:
-            done.succeed(None)
-
-    for index, client in enumerate(clients):
-        env.process(loop(client, index), name=f"elastic/{client.name}")
+    wave = spawn_wave(cluster, num_clients, ops_per_client,
+                      f"elastic/{seed}", keys=ELASTIC_KEYS, mix=ELASTIC_MIX,
+                      think=(3.0, 9.0), history=history)
 
     end_marker = {"at": None}
 
     def driver():
-        yield done
+        yield wave.done
         if env.now < fault_end + 10.0:
             yield env.timeout(fault_end + 10.0 - env.now)
         while join_done["ack"] is None:   # never under default timings
@@ -221,11 +169,11 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
 
     # -- invariants --------------------------------------------------------
     violations: list[str] = []
-    expected = num_clients * ops_per_client
-    if status["completed"] != expected or end_marker["at"] is None:
-        violations.append(f"only {status['completed']}/{expected} ops "
+    if wave.completed != wave.expected or end_marker["at"] is None:
+        violations.append(f"only {wave.completed}/{wave.expected} ops "
                           f"completed before the deadline")
-    elif not check_linearizable(history, KvSequentialSpec(dict(initial))):
+    elif not check_linearizable(
+            history, KvSequentialSpec({key: 0 for key in ELASTIC_KEYS})):
         violations.append("history is not linearizable")
     violations.extend(cluster_invariants(cluster))
 
@@ -249,14 +197,14 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
     end = end_marker["at"] or env.now
     return ElasticResult(
         seed=seed, scheme=scheme,
-        ops_completed=status["completed"], ops_expected=expected,
+        ops_completed=wave.completed, ops_expected=wave.expected,
         finished_at=end_marker["at"],
         epoch=cluster.oracles[0].epoch if cluster.oracles else 0,
         newcomer_keys=newcomer_keys,
         recovery_installed=recovery_installed,
         violations=tuple(violations),
         metrics={name: metrics[name] for name in sorted(wanted)},
-        timeline=_timeline(completions, end))
+        timeline=_timeline(wave.completions, end))
 
 
 def run_scaleout_timeline(seed: int = 7, elastic: bool = True,
@@ -269,17 +217,10 @@ def run_scaleout_timeline(seed: int = 7, elastic: bool = True,
     ``elastic=True`` a third partition joins at ``join_at``. Returns the
     bucketed completion timeline plus before/during/after throughput.
     """
-    _reset_id_counters()
     keys = tuple(f"k{i:02d}" for i in range(48))
-    assignment = {key: i % 2 for i, key in enumerate(keys)}
-    cluster_seed = SeedStream(seed).child("fig16") \
-        .stream("elastic" if elastic else "static").randrange(2**31)
-    cluster = Cluster(ClusterConfig(
-        scheme="dssmr", num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        execution=ExecutionModel(base_ms=0.4, per_variable_ms=0.02),
-        initial_assignment=assignment))
-    cluster.preload({key: 0 for key in keys})
+    cluster = build_kv_cluster(
+        "dssmr", seed, ("fig16", "elastic" if elastic else "static"), keys,
+        execution=ExecutionModel(base_ms=0.4, per_variable_ms=0.02))
     env = cluster.env
 
     completions: list[float] = []
@@ -288,7 +229,7 @@ def run_scaleout_timeline(seed: int = 7, elastic: bool = True,
     def loop(client, index):
         rng = random.Random(f"fig16/{seed}/{index}")
         while env.now < duration_ms:
-            command = _random_access(rng, keys)
+            command = kv_command(rng, keys, ELASTIC_MIX)
             yield from client.run_command(command)
             completions.append(env.now)
 

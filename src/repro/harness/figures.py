@@ -744,15 +744,13 @@ def _self_healing_run(seed: int, supervisor: bool,
     """
     import random as random_module
 
-    from repro.harness.chaos import KEYS, _build_cluster
-    from repro.harness.faults import (make_crash_restart, reset_id_counters,
-                                      select_victim)
+    from repro.harness.faults import make_crash_restart, select_victim
+    from repro.harness.kvbed import KEYS, build_kv_cluster
     from repro.heal import ClusterHealer
     from repro.smr import Command
 
-    reset_id_counters()
     tag = "fig17-heal" if supervisor else "fig17-base"
-    cluster = _build_cluster("dssmr", seed, tag)
+    cluster = build_kv_cluster("dssmr", seed, ("dssmr", tag))
     env = cluster.env
     healer = ClusterHealer(cluster) if supervisor else None
 
@@ -987,3 +985,11 @@ def figure21_parallel_execution(seed: int = 1) -> FigureData:
     return FigureData("fig21", "Parallel execution: throughput vs "
                                "workers and conflict rate",
                       format_report(data), data)
+
+
+#: ``fig<N>`` -> its function, in definition (= figure) order: the registry
+#: behind ``python -m repro figure`` / ``list-figures``, derived from this
+#: module's ``figure<N>_<slug>`` names so a new figure registers itself.
+FIGURES = {"fig" + name[len("figure"):name.index("_")]: function
+           for name, function in list(globals().items())
+           if name.startswith("figure") and callable(function)}

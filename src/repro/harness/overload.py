@@ -23,11 +23,9 @@ import math
 import random
 from typing import Optional
 
-from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.faults import reset_id_counters
+from repro.harness.kvbed import build_kv_cluster
 from repro.qos import QosConfig
 from repro.resilience import RequestTimeout, RetryPolicy
-from repro.sim import SeedStream
 from repro.smr import Command, ExecutionModel
 
 #: Keys preloaded into every cluster, spread over both partitions.
@@ -72,23 +70,16 @@ def run_overload_point(multiplier: float, qos_on: bool, seed: int = 0,
     ``drain_ms`` so in-flight commands can finish. Goodput counts
     completions within ``slo_ms``, per second of the arrival window.
     """
-    reset_id_counters()
-    assignment = {key: i % 2 for i, key in enumerate(KEYS)}
     tag = f"{scheme}/{multiplier}/{'on' if qos_on else 'off'}"
-    cluster_seed = SeedStream(seed).child("overload").stream(tag) \
-        .randrange(2 ** 31)
-    retry = RetryPolicy(budget_ratio=0.2 if qos_on else None)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=retry,
+    cluster = build_kv_cluster(
+        scheme, seed, ("overload", tag), KEYS,
+        retry_policy=RetryPolicy(budget_ratio=0.2 if qos_on else None),
         execution=ExecutionModel(base_ms=EXEC_MS, per_variable_ms=0.0),
-        initial_assignment=assignment,
         # Rate-limit each partition's intake just under its executor
         # capacity (1000/EXEC_MS cmd/s); CoDel mops up queueing that the
         # bucket's burst allowance lets through.
         qos=QosConfig(rate_per_s=0.95 * 1000.0 / EXEC_MS)
-        if qos_on else None))
-    cluster.preload({key: 0 for key in KEYS})
+        if qos_on else None)
 
     env = cluster.env
     proxies = [cluster.new_client(f"c{i}") for i in range(num_proxies)]

@@ -34,13 +34,9 @@ import json
 import random
 from typing import Optional
 
-from repro.harness.chaos import INITIAL, KEYS, _random_access, \
-    _reset_id_counters
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.kvbed import build_kv_cluster, kv_command
 from repro.harness.report import format_table
 from repro.reconfig.checkpoint import state_checksum
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
 from repro.smr import Command, ExecutionConfig, ExecutionModel, ReplyStatus
 
 RESULT_FORMAT = "repro-parallelexec/1"
@@ -67,19 +63,6 @@ EQUIVALENCE_SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
 
 # -- equivalence ------------------------------------------------------------
 
-def _equivalence_cluster(scheme: str, seed: int,
-                         parallel: Optional[ExecutionConfig]) -> Cluster:
-    assignment = None
-    if scheme != "smr":
-        assignment = {key: i % 2 for i, key in enumerate(KEYS)}
-    cluster_seed = SeedStream(seed).child(scheme).stream("parallelexec") \
-        .randrange(2 ** 31)
-    return Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=2, replicas_per_partition=2,
-        seed=cluster_seed, retry_policy=RetryPolicy(),
-        initial_assignment=assignment, parallel=parallel))
-
-
 def run_equivalence_case(scheme: str, seed: int,
                          parallel: Optional[ExecutionConfig],
                          num_clients: int = 4,
@@ -92,13 +75,10 @@ def run_equivalence_case(scheme: str, seed: int,
     Reply *times* are deliberately excluded — finishing earlier is the
     entire point of the engine.
     """
-    _reset_id_counters()
-    cluster = _equivalence_cluster(scheme, seed, parallel)
-    cluster.preload(dict(INITIAL))
+    cluster = build_kv_cluster(scheme, seed, (scheme, "parallelexec"),
+                               parallel=parallel)
     env = cluster.env
     observed: list = []
-    status = {"completed": 0, "finished": 0}
-    done = env.event()
 
     def loop(client, index):
         rng = random.Random(f"parallelexec/{seed}/{scheme}/{index}")
@@ -108,14 +88,10 @@ def run_equivalence_case(scheme: str, seed: int,
             slot = start + op * SLOT_MS
             if env.now < slot:
                 yield env.timeout(slot - env.now)
-            command = _random_access(rng)
+            command = kv_command(rng)
             reply = yield from client.run_command(command)
             observed.append((client.name, op, command.op,
                              reply.status.value, repr(reply.value)))
-            status["completed"] += 1
-        status["finished"] += 1
-        if status["finished"] == num_clients:
-            done.succeed(None)
 
     for index in range(num_clients):
         client = cluster.new_client(f"c{index}")
@@ -135,7 +111,7 @@ def run_equivalence_case(scheme: str, seed: int,
         "observed": sorted(observed),
     }
     return {
-        "completed": status["completed"],
+        "completed": len(observed),
         "expected": num_clients * ops_per_client,
         "checksum": state_checksum(fingerprint),
     }
@@ -185,16 +161,12 @@ def run_throughput(workers: int, conflict: float, seed: int = 1,
     ``workers=0`` runs the sequential executor (``parallel=None``) — the
     baseline row of the sweep.
     """
-    _reset_id_counters()
     parallel = ExecutionConfig(workers=workers) if workers else None
-    cluster_seed = SeedStream(seed).child("parallelexec") \
-        .stream(f"sweep/{workers}/{conflict}").randrange(2 ** 31)
-    cluster = Cluster(ClusterConfig(
-        scheme="dssmr", num_partitions=1, replicas_per_partition=2,
-        seed=cluster_seed, execution=SWEEP_EXECUTION, parallel=parallel))
-    initial = {HOT_KEY: 0}
-    initial.update({f"c{i}": 0 for i in range(num_clients)})
-    cluster.preload(initial)
+    keys = (HOT_KEY, *(f"c{i}" for i in range(num_clients)))
+    cluster = build_kv_cluster(
+        "dssmr", seed, ("parallelexec", f"sweep/{workers}/{conflict}"), keys,
+        num_partitions=1, retry_policy=None, execution=SWEEP_EXECUTION,
+        parallel=parallel)
     env = cluster.env
     status = {"completed": 0}
 

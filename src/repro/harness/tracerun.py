@@ -17,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.harness.chaos import INITIAL, KEYS, _reset_id_counters, \
-    _spawn_workload
-from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.cluster import Cluster
+from repro.harness.kvbed import build_kv_cluster, spawn_wave
 from repro.obs import CommandTracer
-from repro.resilience import RetryPolicy
-from repro.sim import SeedStream
 from repro.smr import ExecutionModel
 
 #: Virtual-time bound of one traced run (ms); fault-free runs finish far
@@ -67,37 +64,18 @@ def run_traced_workload(scheme: str, seed: int = 7, num_clients: int = 3,
     :class:`~repro.smr.ExecutionConfig`) arms conflict-aware parallel
     execution; the default ``None`` runs the sequential executors.
     """
-    _reset_id_counters()
     tracer = CommandTracer() if trace else None
-    assignment = None
-    if scheme != "smr":
-        assignment = {key: i % num_partitions
-                      for i, key in enumerate(KEYS)}
-    cluster_seed = SeedStream(seed).child(scheme).stream("trace") \
-        .randrange(2 ** 31)
     base = ExecutionModel()
     execution = ExecutionModel(base_ms=base.base_ms * slowdown,
                                per_variable_ms=base.per_variable_ms * slowdown)
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, num_partitions=num_partitions,
-        replicas_per_partition=2, seed=cluster_seed,
-        retry_policy=RetryPolicy(), initial_assignment=assignment,
-        execution=execution, durability=durability, parallel=parallel),
-        tracer=tracer, profiler=profiler)
-    cluster.preload(dict(INITIAL))
-    status, done = _spawn_workload(
-        cluster, None, num_clients, ops_per_client,
-        workload_tag=f"{seed}/{scheme}/trace")
-    end_marker = {"at": None}
-
-    def driver():
-        yield done
-        end_marker["at"] = cluster.env.now
-
-    cluster.env.process(driver(), name="trace/driver")
-    cluster.env.run(until=DEADLINE_MS)
+    cluster = build_kv_cluster(
+        scheme, seed, (scheme, "trace"), tracer=tracer, profiler=profiler,
+        num_partitions=num_partitions, execution=execution,
+        durability=durability, parallel=parallel)
+    wave = spawn_wave(cluster, num_clients, ops_per_client,
+                      f"{seed}/{scheme}/trace")
+    cluster.run(until=DEADLINE_MS)
     return TraceRun(
-        scheme=scheme, seed=seed, completed=status["completed"],
-        expected=num_clients * ops_per_client,
-        finished_at=end_marker["at"], tracer=tracer, cluster=cluster,
-        profiler=profiler)
+        scheme=scheme, seed=seed, completed=wave.completed,
+        expected=wave.expected, finished_at=wave.done_at, tracer=tracer,
+        cluster=cluster, profiler=profiler)

@@ -194,7 +194,3 @@ def run_heal_campaign(num_scenarios: int = 4, seed: int = 0,
             runs.append(run_schedule(schedule))
     return HealCampaignResult(seed=seed, runs=tuple(runs))
 
-
-def run_heal_smoke(seed: int = 0) -> HealCampaignResult:
-    """The CI smoke: 2 scenarios x both schemes, byte-deterministic."""
-    return run_heal_campaign(num_scenarios=2, seed=seed)

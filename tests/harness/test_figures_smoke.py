@@ -70,8 +70,7 @@ class TestFigureSmoke:
         assert figure.data[("smr", 0.0)]["completed"] == 8
 
     def test_registry_covers_all_figures(self):
-        from repro.cli import _figure_registry
-        registry = _figure_registry()
-        assert len(registry) == 21
+        registry = figures.FIGURES
+        assert list(registry) == [f"fig{n}" for n in range(1, 22)]
         for name, fn in registry.items():
             assert fn.__doc__, f"{name} lacks a docstring"

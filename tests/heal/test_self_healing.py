@@ -15,8 +15,7 @@ import pytest
 
 from repro.fuzz.runner import run_schedule
 from repro.fuzz.schedule import FaultSchedule
-from repro.harness.chaos import _build_cluster
-from repro.harness.faults import reset_id_counters
+from repro.harness.kvbed import build_kv_cluster
 from repro.heal import FAST_TIMING, ClusterHealer
 from repro.heal.campaign import generate_heal_schedule, run_heal_campaign
 
@@ -138,8 +137,7 @@ class TestSpareEscalation:
         # After ESCALATE_AFTER_ATTEMPTS futile reconnects the lease
         # holder gives up on the victim and joins the spare partition
         # instead, restoring capacity.
-        reset_id_counters()
-        cluster = _build_cluster("dssmr", seed=9, tag="heal-spare")
+        cluster = build_kv_cluster("dssmr", 9, ("dssmr", "heal-spare"))
         healer = ClusterHealer(cluster, timing=FAST_TIMING,
                                spare_partition="p2")
         env = cluster.env
@@ -158,8 +156,7 @@ class TestSpareEscalation:
         assert episode.attempts >= 3
 
     def test_no_spare_configured_keeps_retrying_reconnect(self):
-        reset_id_counters()
-        cluster = _build_cluster("dssmr", seed=9, tag="heal-nospare")
+        cluster = build_kv_cluster("dssmr", 9, ("dssmr", "heal-nospare"))
         healer = ClusterHealer(cluster, timing=FAST_TIMING)
         env = cluster.env
         env.run(until=100.0)

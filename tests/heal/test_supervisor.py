@@ -9,15 +9,13 @@ rejected by every member at apply time.
 
 import pytest
 
-from repro.harness.chaos import _build_cluster
-from repro.harness.faults import reset_id_counters
+from repro.harness.kvbed import build_kv_cluster
 from repro.heal import FAST_TIMING, ClusterHealer
 
 
 @pytest.fixture
 def cluster():
-    reset_id_counters()
-    return _build_cluster("dssmr", seed=11, tag="heal-supervisor")
+    return build_kv_cluster("dssmr", 11, ("dssmr", "heal-supervisor"))
 
 
 @pytest.fixture
@@ -39,8 +37,7 @@ class TestLease:
     def test_election_is_deterministic(self):
         holders = []
         for _ in range(2):
-            reset_id_counters()
-            c = _build_cluster("dssmr", seed=11, tag="heal-supervisor")
+            c = build_kv_cluster("dssmr", 11, ("dssmr", "heal-supervisor"))
             h = ClusterHealer(c, timing=FAST_TIMING)
             c.env.run(until=200.0)
             holders.append([s.holder for s in h.supervisors])

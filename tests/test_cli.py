@@ -196,3 +196,149 @@ class TestQosCommand:
             assert fh.read() == first.out
         assert main(argv) == 0
         assert capsys.readouterr().out == first.out
+
+
+class TestFigureFlags:
+    """``figure`` passes --seed / --duration-ms through when — and only
+    when — they are given and the figure has them (it used to replace
+    them from two hand-kept id lists)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.harness import figures
+        calls = []
+
+        def timeline(seed=5, duration_ms=1_600.0, join_at=600.0):
+            calls.append(("fig16", seed, duration_ms))
+            return "canned figure"
+
+        def scaling(sizes=(), k=4, seed=7):
+            calls.append(("fig5", seed))
+            return "canned figure"
+
+        def overload(seed=0):
+            calls.append(("fig19", seed))
+            return "canned figure"
+
+        for figure_id, fake in [("fig16", timeline), ("fig5", scaling),
+                                ("fig19", overload)]:
+            monkeypatch.setitem(figures.FIGURES, figure_id, fake)
+        return calls
+
+    def test_duration_reaches_a_figure_that_has_one(self, calls, capsys):
+        assert main(["figure", "fig16", "--duration-ms", "800"]) == 0
+        assert calls == [("fig16", 5, 800.0)]
+
+    def test_seed_reaches_the_partitioner_figures(self, calls):
+        assert main(["figure", "fig5", "--seed", "3"]) == 0
+        assert calls == [("fig5", 3)]
+
+    def test_bare_run_keeps_the_figures_own_seed(self, calls):
+        assert main(["figure", "fig19"]) == 0
+        assert calls == [("fig19", 0)]
+
+    def test_committed_results_seeds_are_the_defaults(self):
+        import inspect
+
+        from repro.harness.figures import FIGURES
+        defaults = {figure_id: inspect.signature(FIGURES[figure_id])
+                    .parameters["seed"].default
+                    for figure_id in ("fig18", "fig19", "fig20", "fig21")}
+        assert defaults == {"fig18": 7, "fig19": 0, "fig20": 0, "fig21": 1}
+
+    def test_flag_the_figure_cannot_honour_exits_2(self, calls, capsys):
+        assert main(["figure", "fig19", "--duration-ms", "500"]) == 2
+        assert "--duration-ms" in capsys.readouterr().err
+        assert calls == []
+
+    def test_stdout_is_the_figure_alone(self, calls, capsys):
+        assert main(["figure", "fig19", "--seed", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "canned figure\n"
+        assert "wall time" in captured.err
+
+    def test_help_names_every_figure(self, capsys):
+        from repro.harness.figures import FIGURES
+        with pytest.raises(SystemExit):
+            main(["figure", "--help"])
+        assert f"fig1..fig{len(FIGURES)}" in capsys.readouterr().out
+
+
+# One result every verb's gate accepts: durability reads summary.ok,
+# parallelexec gate.passed, the full qos sweep the two tail ratios.
+CANNED = {"seed": 0, "rows": [1.5, "é", None], "gate": {"passed": True},
+          "summary": {"ok": True, "qos_off": {"tail_ratio": 0.1},
+                      "qos_on": {"tail_ratio": 0.9}}}
+
+
+class CannedCampaign:
+    ok = True
+
+    def report(self):
+        return "canned report"
+
+    def to_dict(self):
+        return CANNED
+
+
+# verb -> (module, attribute, canned stand-in) for the campaign runner
+# and, where the report is a function of the result dict, its formatter.
+CAMPAIGN_VERBS = {
+    "fuzz": [("repro.fuzz", "run_fuzz_campaign",
+              lambda **_: CannedCampaign())],
+    "heal": [("repro.heal", "run_heal_campaign",
+              lambda **_: CannedCampaign())],
+    "qos": [("repro.harness.overload", "run_overload_campaign",
+             lambda **_: CANNED),
+            ("repro.harness.overload", "format_overload_report",
+             lambda _data: "canned report")],
+    "durability": [("repro.harness.durability", "run_durability_campaign",
+                    lambda **_: CANNED),
+                   ("repro.harness.durability", "format_durability_report",
+                    lambda _data: "canned report")],
+    "parallelexec": [("repro.harness.parallelexec", "run_campaign",
+                      lambda **_: CANNED),
+                     ("repro.harness.parallelexec", "format_report",
+                      lambda _data: "canned report")],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(CAMPAIGN_VERBS))
+class TestCampaignShape:
+    """Every campaign verb emits through one shape: --smoke / --json put
+    exactly one canonical JSON line on stdout and the report on stderr;
+    --out holds the same bytes; wall time never reaches stdout."""
+
+    @pytest.fixture(autouse=True)
+    def canned(self, verb, monkeypatch):
+        import importlib
+        for module, attribute, stand_in in CAMPAIGN_VERBS[verb]:
+            monkeypatch.setattr(importlib.import_module(module), attribute,
+                                stand_in, raising=False)
+
+    def test_smoke_stdout_is_one_canonical_line(self, verb, capsys,
+                                                tmp_path):
+        import json
+        out_path = tmp_path / "campaign.json"
+        assert main([verb, "--smoke", "--out", str(out_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\n")
+        line = captured.out[:-1]
+        assert json.loads(line) == CANNED
+        assert json.dumps(json.loads(line), sort_keys=True,
+                          separators=(",", ":")) == line
+        assert "canned report" in captured.err
+        assert "wall time" in captured.err
+        assert out_path.read_text() == captured.out
+
+    def test_json_flag_equals_smoke_output(self, verb, capsys):
+        assert main([verb, "--smoke"]) == 0
+        smoke = capsys.readouterr().out
+        assert main([verb, "--json"]) == 0
+        assert capsys.readouterr().out == smoke
+
+    def test_report_mode_prints_the_report_on_stdout(self, verb, capsys):
+        assert main([verb]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "canned report\n"
+        assert "wall time" in captured.err

@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
 """Compare the CI smoke artifacts of the working tree with another revision.
 
-CI only ``cmp``s each smoke run against a second run of *itself*; that
-proves determinism, not that a refactor left behaviour alone. This script
-extracts ``<git-rev>`` into a temporary directory, runs the smoke list CI
-runs there and in the working tree — same arguments, same relative
-``--out`` paths, both sides of one smoke side by side — and prints one
-``same`` / ``DIFFERS`` line per artifact (stdout, exit status, every file
-written). Wall-clock chatter goes to stderr in every command and is not
-compared. The last entry, ``e2e-digests``, runs ``python3 -m
-benchmarks.e2e --smoke`` in both trees and keeps only the ``virt_digest``
-of each workload and sub-run: the host numbers beside them are noise.
+A second run of a smoke against *itself* proves determinism, not that a
+refactor left behaviour alone. This script extracts ``<git-rev>`` into a
+temporary directory, runs the one list of smokes (``SMOKES``) there and in
+the working tree — same arguments, same relative ``--out`` paths, both
+sides of one smoke side by side — and prints one ``same`` / ``DIFFERS``
+line per artifact (stdout, exit status, every file written). Wall-clock
+chatter goes to stderr in every command and is not compared. The last
+entry, ``e2e-digests``, runs ``python3 -m benchmarks.e2e --smoke`` in both
+trees and keeps only the ``virt_digest`` of each workload and sub-run: the
+host numbers beside them are noise.
 
-    python tools/smoke_diff.py HEAD~1            # the whole list, ~3 min
+    python tools/smoke_diff.py HEAD~1            # the whole list, ~4 min
     python tools/smoke_diff.py main --only trace --only profile
+    python tools/smoke_diff.py --self            # CI's determinism step
 
-Exit status 1 on any difference; the outputs are then kept for ``diff``.
+``--self`` puts the working tree on both sides: every smoke runs twice
+and must repeat byte for byte. Exit status 1 on any difference; the
+outputs are then kept for ``diff``.
 """
 
 from __future__ import annotations
@@ -46,11 +49,16 @@ class Smoke(NamedTuple):
     keep: Optional[str] = None
 
 
-def repro(*args: str) -> Smoke:
+def repro(*args: str, keep: Optional[str] = None) -> Smoke:
     """``python -m repro ...``; paths are relative to a per-side scratch
     directory, so both sides echo the same path."""
-    return Smoke(["-m", "repro", *args])
+    return Smoke(["-m", "repro", *args], keep=keep)
 
+
+# The text of a figure. Before every verb's wall time moved to stderr,
+# ``figure`` printed a blank line and ``(wall time: ...)`` on stdout;
+# keeping the other non-empty lines compares across that change.
+FIGURE_TEXT = r"^(?!\(wall time: ).+$"
 
 SMOKES = {
     "chaos": repro("chaos", "--scenarios", "5", "--seed", "0"),
@@ -66,6 +74,10 @@ SMOKES = {
     "parallelexec": repro("parallelexec", "--smoke"),
     "reconfig": repro("reconfig", "--seed", "0", "--json",
                       "--out", "metrics.json"),
+    # The three figures that run on the key-value test bed.
+    "fig15": repro("figure", "fig15", keep=FIGURE_TEXT),
+    "fig16": repro("figure", "fig16", keep=FIGURE_TEXT),
+    "fig17": repro("figure", "fig17", keep=FIGURE_TEXT),
     # Host numbers are noise; only the virtual-time digests are compared.
     "e2e-digests": Smoke(["-m", "benchmarks.e2e", "--smoke"], in_tree=True,
                          keep=r"^.*virt_digest [0-9a-f]+"),
@@ -112,18 +124,28 @@ def compare(name: str, base: Path, ours: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("rev", nargs="?",
+                        help="git revision to compare against")
+    parser.add_argument("--self", dest="twice", action="store_true",
+                        help="compare two runs of the working tree "
+                             "instead of a revision")
     parser.add_argument("--only", action="append", choices=sorted(SMOKES),
                         help="run only this smoke (repeatable)")
     options = parser.parse_args(argv)
+    if options.twice == (options.rev is not None):
+        parser.error("give a revision or --self")
 
     repo = Path(__file__).resolve().parent.parent
     scratch = Path(tempfile.mkdtemp(prefix="smoke-diff-"))
-    extract_revision(repo, options.rev, scratch / "tree")
+    if options.twice:
+        base, against = repo, "a second run of the working tree"
+    else:
+        base, against = scratch / "tree", options.rev
+        extract_revision(repo, options.rev, base)
     differing = 0
     for name in options.only or SMOKES:
         smoke = SMOKES[name]
-        sides = {"base": scratch / "tree", "ours": repo}
+        sides = {"base": base, "ours": repo}
         runs = {side: start(tree, smoke, scratch / side / name)
                 for side, tree in sides.items()}
         for side, process in runs.items():
@@ -134,11 +156,11 @@ def main(argv=None) -> int:
         differing += compare(name, scratch / "base" / name,
                              scratch / "ours" / name)
     if differing:
-        print(f"{differing} artifact(s) differ from {options.rev}; "
+        print(f"{differing} artifact(s) differ from {against}; "
               f"outputs kept in {scratch}/base and {scratch}/ours")
         return 1
     shutil.rmtree(scratch)
-    print(f"every smoke artifact equals {options.rev}")
+    print(f"every smoke artifact equals {against}")
     return 0
 
 
