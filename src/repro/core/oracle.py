@@ -68,7 +68,9 @@ class OracleReplica(OrderedExecutor):
                          dedup=dedup, tracer=tracer)
         self.partitions = tuple(partitions)
         self.rmcast = ReliableMulticast(self.node, directory)
-        self.exchange = ExchangeBuffer(env, self.rmcast, ORACLE_GROUP)
+        self.exchange = ExchangeBuffer(
+            env, self.rmcast, ORACLE_GROUP,
+            transmits=lambda: self.amcast.announcing)
         self.policy = policy or MajorityTargetPolicy()
         self.oracle_issues_moves = oracle_issues_moves
         # Asynchronous repartitioning (paper, implementation section): the
@@ -338,6 +340,28 @@ class OracleReplica(OrderedExecutor):
     # -- Task 3: move -----------------------------------------------------------
 
     def _task_move(self, command: Command) -> None:
+        moved = self._follow_move(command)
+        if not self.oracle_issues_moves:
+            self.moves_issued.increment(self.env.now,
+                                        len(command.variables))
+        # A client-issued move whose target was consulted before a leave
+        # fence may gather variables on a draining/retired partition.
+        if moved:
+            self._maybe_evacuate(command.cid, tuple(moved),
+                                 command.args["dest"])
+
+    def _follow_move(self, command: Command) -> list:
+        """Point the map at the move's destination; returns the keys moved.
+
+        Only the first delivery of a move counts, here as at its sources
+        and its destination: a client that timed out re-multicasts the
+        move under a fresh uid, and by then the variable may have come
+        back — relocating it again would point the map at a partition
+        that ignores the stale copy and never installs the value.
+        """
+        if command.cid in self.replies:
+            return []
+        self._cache_reply(command, ReplyStatus.OK, "moved", 1)
         dest = command.args["dest"]
         sources = set(command.args.get("sources", ()))
         moved = []
@@ -354,13 +378,7 @@ class OracleReplica(OrderedExecutor):
                 continue
             self._relocate(key, dest)
             moved.append(key)
-        if not self.oracle_issues_moves:
-            self.moves_issued.increment(self.env.now,
-                                        len(command.variables))
-        # A client-issued move whose target was consulted before a leave
-        # fence may gather variables on a draining/retired partition.
-        if moved:
-            self._maybe_evacuate(command.cid, tuple(moved), dest)
+        return moved
 
     # -- Task 4: elastic reconfiguration (repro.reconfig) -----------------------
 
@@ -672,15 +690,7 @@ class OracleReplica(OrderedExecutor):
                 self._cache_reply(command, ReplyStatus.NOK, "missing",
                                   attempt)
         elif command.ctype is CommandType.MOVE:
-            dest = command.args["dest"]
-            sources = set(command.args.get("sources", ()))
-            for key in command.variables:
-                location = self.location.get(key)
-                if location is None:
-                    continue
-                if sources and location not in sources and location != dest:
-                    continue  # raced move; keep following the ordered log
-                self._relocate(key, dest)
+            self._follow_move(command)
         # CONSULT: pure read of the map — nothing to re-apply.
 
     def _cache_reply(self, command: Command, status: ReplyStatus,

@@ -102,11 +102,16 @@ class DssmrServer(SsmrServer):
         notify = command.args.get("notify")
         if self.partition in sources:
             # Ship whatever we still hold (possibly nothing, if an earlier
-            # move already took these variables) and forget it.
+            # move already took these variables) and forget it — once. A
+            # re-delivery (the client re-multicast the move after a
+            # timeout) only repeats the cached transfer: the destination
+            # ignores it, so a variable that has come back since would be
+            # popped here and installed nowhere.
             shipped = {}
-            for key in command.variables:
-                if key in self.store:
-                    shipped[key] = self.store.pop(key)
+            if not self.exchange.has_sent(command.cid):
+                for key in command.variables:
+                    if key in self.store:
+                        shipped[key] = self.store.pop(key)
             self.moves_out.increment(self.env.now, len(shipped))
             self.exchange.send([dest], command.cid, shipped)
             start = self.env.now

@@ -6,9 +6,10 @@ Skeen-style timestamp protocol layered on per-group ordered logs:
    destination group. When a group applies the propose entry it advances its
    logical clock and assigns the message a local timestamp.
 2. *Timestamp exchange* — the group's speaker submits the local timestamp to
-   the log of every destination group (including its own). Applying a
-   timestamp entry bumps the local clock to at least that value, which is
-   what makes the final order acyclic.
+   the log of every *other* destination group; its own members recorded it
+   when they applied the propose, so a k-group message costs k(k−1)
+   timestamp entries. Applying a timestamp entry bumps the local clock to
+   at least that value, which is what makes the final order acyclic.
 3. *Finalise & deliver* — once timestamps from all destination groups are
    known, the final timestamp is their maximum. A group member delivers the
    pending message with the smallest ``(timestamp, uid)`` key once that
@@ -83,9 +84,12 @@ class AtomicMulticast:
     """One group member's endpoint of the atomic multicast protocol.
 
     Construct with the member's ordered log. ``speaker_only=True`` (default)
-    has only the group's designated speaker emit timestamp announcements —
-    the efficient configuration; set it to False when the speaker may crash,
-    in which case every member announces and the logs deduplicate.
+    makes the group speak with one voice: only its designated speaker emits
+    timestamp announcements, and the layers above read :attr:`announcing`
+    to let only that member transmit the group's signal/variable exchanges
+    (``repro.ssmr.exchange``). Set it to False when the speaker may crash,
+    in which case every member announces and transmits, and the logs and
+    receivers deduplicate.
     """
 
     TS_SIZE = 96  # wire size of a timestamp announcement
@@ -177,25 +181,27 @@ class AtomicMulticast:
         self._try_deliver()
 
     @property
-    def _announcing(self) -> bool:
+    def announcing(self) -> bool:
+        """Whether this member speaks for its group on the wire."""
         return (not self.speaker_only
                 or self.directory.speaker(self.group) == self.node.name)
 
     def _announce_ts(self, muid: str, state: _Pending) -> None:
-        if not self._announcing:
+        if not self.announcing:
             return
         for group in state.groups:
-            entry = {
-                "uid": f"ts:{muid}:{self.group}:{group}",
-                "kind": "am-ts",
-                "muid": muid,
-                "from_group": self.group,
-                "ts": state.local_ts,
-            }
-            if group == self.group:
-                self.log.submit(entry)
-            else:
-                self._log_client.submit(group, entry, size=self.TS_SIZE)
+            if group != self.group:
+                self._submit_ts(group, muid, state.local_ts)
+
+    def _submit_ts(self, group: str, muid: str, ts: int) -> None:
+        """Order this group's timestamp for ``muid`` in ``group``'s log."""
+        self._log_client.submit(group, {
+            "uid": f"ts:{muid}:{self.group}:{group}",
+            "kind": "am-ts",
+            "muid": muid,
+            "from_group": self.group,
+            "ts": ts,
+        }, size=self.TS_SIZE)
 
     def _apply_ts(self, entry: dict) -> None:
         muid = entry["muid"]
@@ -228,7 +234,7 @@ class AtomicMulticast:
     def _heal(self, muid: str) -> None:
         state = self._pending.get(muid)
         if (state is None or state.final_ts is not None
-                or not state.proposed or not self._announcing):
+                or not state.proposed or not self.announcing):
             return
         self.heals += 1
         entry = _propose_entry(muid, state.groups, state.payload,
@@ -245,24 +251,14 @@ class AtomicMulticast:
                                         lambda: self._heal(muid))
 
     def _on_ts_pull(self, message) -> None:
-        if not self._announcing:
+        if not self.announcing:
             return
         muid = message.payload["muid"]
         ts = self._my_ts.get(muid)
         if ts is None:
             return  # never saw the propose; the puller's re-propose fixes that
-        reply_group = message.payload["reply_group"]
-        entry = {
-            "uid": f"ts:{muid}:{self.group}:{reply_group}",
-            "kind": "am-ts",
-            "muid": muid,
-            "from_group": self.group,
-            "ts": ts,
-        }
-        if reply_group == self.group:
-            self.log.submit(entry)
-        else:
-            self._log_client.submit(reply_group, entry, size=self.TS_SIZE)
+        # Pulls come from other groups only: _heal skips its own.
+        self._submit_ts(message.payload["reply_group"], muid, ts)
 
     # -- logical clock ----------------------------------------------------
 
@@ -276,12 +272,15 @@ class AtomicMulticast:
 
     def _try_deliver(self) -> None:
         while True:
-            candidates = [(state.current_ts, muid, state)
-                          for muid, state in self._pending.items()
-                          if state.proposed]
-            if not candidates:
+            head = None   # smallest (current_ts, muid) among proposed
+            for muid, state in self._pending.items():
+                if state.proposed:
+                    key = (state.current_ts, muid)
+                    if head is None or key < head[0]:
+                        head = (key, state)
+            if head is None:
                 return
-            ts, muid, state = min(candidates, key=lambda c: (c[0], c[1]))
+            (_, muid), state = head
             if state.final_ts is None:
                 return  # the head of the queue is not final yet
             del self._pending[muid]

@@ -123,6 +123,13 @@ class GroupLog(ABC):
         self._next_apply = position
         for seq in [s for s in self._pending_apply if s < position]:
             del self._pending_apply[seq]
+        # Entries learned while the snapshot was in flight may already
+        # continue it; apply that run now — a later copy of ``position``
+        # would be dropped as "already pending" and the run would sit
+        # there until some newer entry happened to arrive.
+        ready = self._pending_apply.pop(position, None)
+        if ready is not None:
+            self._learn(position, ready)
 
     def suspend_backfill(self) -> None:
         """Hold automatic gap backfill (recovery install window).

@@ -63,11 +63,6 @@ class ReliableMulticast:
         envelope = {"uid": uid, "groups": groups, "payload": payload}
         destinations = self.directory.all_members(groups)
         for dst in destinations:
-            if dst == self.node.name:
-                # Local delivery without a network round-trip would break
-                # the "every destination sees the same thing" symmetry used
-                # by tests; send to self through the network for uniformity.
-                pass
             self.node.send(dst, KIND, envelope, size=size)
         return uid
 

@@ -112,6 +112,7 @@ class CheckpointHost:
             "exchange": checkpoint.exchange,
             "queued": checkpoint.queued,
             "location_slice": checkpoint.location_slice,
+            "applied_reconfigs": checkpoint.applied_reconfigs,
         }
         payloads = [{"control": control}]
         keys = sorted(checkpoint.store, key=str)
@@ -332,6 +333,7 @@ class StateTransfer:
             exchange=control["exchange"],
             queued=control["queued"],
             location_slice=control["location_slice"],
+            applied_reconfigs=control["applied_reconfigs"],
         )
         checkpoint.checksum = checkpoint.compute_checksum()
         if checkpoint.checksum != self._meta["checksum"]:

@@ -7,17 +7,25 @@ wait until every expected peer's signal has arrived. Used by S-SMR
 multi-partition execution, DS-SMR moves, and create/delete coordination
 with the oracle.
 
-Loss recovery is pull-based: every outbound exchange is cached, and a
-waiter that has not heard from an expected peer within ``retry_ms``
-multicasts a pull request to that peer's group; any member that already
-sent for the command re-sends its cached message (receivers deduplicate
-by sender, so redundant copies are harmless). Without this, one dropped
-signal blocks a partition's executor forever.
+A group speaks once: every member of the sending group *caches* its
+outbound exchange, but only the member for which ``transmits()`` is true —
+the owners wire it to ``AtomicMulticast.announcing``, i.e. the group's
+speaker unless the stack was built with ``speaker_only=False`` —
+*transmits* it. (The paper's Algorithm 1 has every server multicast its
+signal and receivers drop the copies; see DESIGN.md.)
+
+Loss recovery is pull-based: a waiter that has not heard from an expected
+peer within ``retry_ms`` multicasts a pull request to that peer's group,
+and *any* member holding the cached message — the followers that never
+transmitted included — re-sends it (receivers deduplicate by sending
+group, so redundant copies are harmless). Without this, one dropped
+signal, or a speaker that crashed before sending, blocks a partition's
+executor forever.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.ordering import ReliableMulticast
 from repro.sim import Environment
@@ -30,16 +38,21 @@ class ExchangeBuffer:
     """Per-node buffer of exchange messages, keyed by command id."""
 
     def __init__(self, env: Environment, rmcast: ReliableMulticast,
-                 local_name: str, retry_ms: Optional[float] = 60.0):
+                 local_name: str, retry_ms: Optional[float] = 60.0, *,
+                 transmits: Callable[[], bool]):
         self.env = env
         self.rmcast = rmcast
         self.local_name = local_name  # partition (or "oracle") we speak for
         self.retry_ms = retry_ms      # None: legacy block-forever waits
+        self.transmits = transmits    # does this member speak for the group?
         self._signals: dict[str, set[str]] = {}
         self._vars: dict[str, dict] = {}
         self._done: set[str] = set()
         self._waiters: dict[str, object] = {}
         # Outbound cache for pull-based retransmission, cid -> payload.
+        # Never pruned, and must not be without a replacement: ``has_sent``
+        # is also how a DS-SMR source tells a move's first delivery from a
+        # re-delivery (``DssmrServer._exec_move``).
         self._sent: dict[str, dict] = {}
         self.pulls_sent = 0
         self.pulls_served = 0
@@ -48,6 +61,9 @@ class ExchangeBuffer:
     def send(self, groups: Iterable[str], cid: str, variables: dict,
              done: bool = False) -> None:
         """Signal (plus our share of the variables) to ``groups``.
+
+        Every member caches the message for the pull path; only the
+        group's transmitting member puts it on the wire.
 
         ``done=True`` marks that this participant already executed the
         command (reply-cache hit): receivers must not re-execute it, which
@@ -71,8 +87,16 @@ class ExchangeBuffer:
             payload["vars"] = {**cached["vars"], **variables}
             payload["done"] = done or cached["done"]
         self._sent[cid] = payload
+        if self.transmits():
+            self._transmit(groups, payload)
+
+    def has_sent(self, cid: str) -> bool:
+        """True once this member has sent (at least cached) for ``cid``."""
+        return cid in self._sent
+
+    def _transmit(self, groups: Iterable[str], payload: dict) -> None:
         self.rmcast.multicast(groups, payload,
-                              size=128 + 64 * len(variables))
+                              size=128 + 64 * len(payload["vars"]))
 
     def _on_rmcast(self, payload, message) -> None:
         if not isinstance(payload, dict):
@@ -86,7 +110,9 @@ class ExchangeBuffer:
         sender = payload["from"]
         signals = self._signals.setdefault(cid, set())
         if sender in signals:
-            return  # duplicate from another replica of the same partition
+            # Duplicate: several members answered a pull, a client-retry
+            # resend, or (speaker_only=False) the sender's other replicas.
+            return
         signals.add(sender)
         self._vars.setdefault(cid, {}).update(payload["vars"])
         if payload.get("done"):
@@ -100,8 +126,7 @@ class ExchangeBuffer:
         if cached is None:
             return  # we have not executed the command yet; nothing to resend
         self.pulls_served += 1
-        self.rmcast.multicast([payload["reply_to"]], cached,
-                              size=128 + 64 * len(cached["vars"]))
+        self._transmit([payload["reply_to"]], cached)
 
     def wait(self, cid: str, expected: set[str]):
         """Generator: block until signals from all ``expected`` arrived.

@@ -13,6 +13,10 @@ Implementation notes:
 * Signals and variable values travel in one reliable-multicast message per
   (command, partition) pair — same semantics as sending them separately,
   half the messages.
+* A partition speaks once: every replica caches that message, only the
+  replica whose ``amcast.announcing`` is true (the speaker, unless built
+  with ``speaker_only=False``) transmits it, and any replica answers a
+  peer's pull from its cache (see :mod:`repro.ssmr.exchange`).
 * Ownership is determined by *store contents* rather than the static map,
   which lets the exact same execution path serve as DS-SMR's fallback mode
   (where variables migrate between partitions).
@@ -53,7 +57,9 @@ class SsmrServer(OrderedExecutor):
                          dedup=dedup, start_gate=start_gate, tracer=tracer)
         self.partition = partition
         self.rmcast = ReliableMulticast(self.node, directory)
-        self.exchange = ExchangeBuffer(env, self.rmcast, partition)
+        self.exchange = ExchangeBuffer(
+            env, self.rmcast, partition,
+            transmits=lambda: self.amcast.announcing)
         self.multi_partition_count = 0
         # Configuration epoch: bumped by every ordered reconfiguration
         # entry (partition join / leave-begin); see repro.reconfig.

@@ -1,5 +1,6 @@
 """Focused tests on move-command semantics (Algorithm 3, Task 2/3)."""
 
+from repro.core import ORACLE_GROUP
 from repro.smr import Command, CommandType, ReplyStatus
 
 from tests.core.conftest import DssmrStack, get, ksum, put, run_script, swap
@@ -83,3 +84,35 @@ class TestMoveMechanics:
             member = stack.directory.members(partition)[0]
             values.append(stack.servers[member].store.read(key))
         assert sorted(values) == [10, 20, 30]
+
+    def test_redelivered_move_does_not_take_the_variable_again(self, stack):
+        """A client that times out re-multicasts its move under a fresh
+        uid. If the variable has come back to the source in between, the
+        stale copy must be a no-op at all three participants: the
+        destination ignores it (reply cache), so a source that shipped
+        again would lose the value and an oracle that relocated again
+        would point at a partition that never installs it. (Found by
+        ``fuzz --disk``: "oracle maps k5 to p0 but no partition stores
+        it".)"""
+        stack.preload({"v": 42}, {"v": "p1"})
+        client = stack.client()
+
+        def move(cid, source, dest, uid):
+            command = Command(op="move", ctype=CommandType.MOVE,
+                              variables=("v",), cid=cid, client=client.name,
+                              args={"sources": [source], "dest": dest})
+            dests = sorted({ORACLE_GROUP, source, dest})
+            client.mcast.multicast(dests, {"command": command,
+                                           "dests": dests}, uid=uid)
+            stack.run(until=stack.env.now + 1_000)
+
+        move("c1:m1", "p1", "p0", "am:c1:m1")
+        assert stack.var_locations() == {"v": "p0"}
+        move("c2:m1", "p0", "p1", "am:c2:m1")
+        assert stack.var_locations() == {"v": "p1"}
+        move("c1:m1", "p1", "p0", "am:c1:m1:r2")       # the stale resend
+        assert stack.var_locations() == {"v": "p1"}
+        assert stack.stores_consistent()
+        assert stack.servers["p1s1"].store.read("v") == 42
+        assert [oracle.location["v"] for oracle in stack.oracles] \
+            == ["p1", "p1"]

@@ -305,16 +305,23 @@ def test_periodic_wal_captures_never_thaw_or_checksum(monkeypatch):
     monkeypatch.setattr(pickle, "loads", counting_loads)
     monkeypatch.setattr(PartitionCheckpoint, "compute_checksum",
                         counting_checksum)
-    cluster, clients = chirper_cluster(
-        "dssmr", posts_per_client=70,
-        durability=DurabilityConfig(checkpoint_every=16))
-    run_until_completed(cluster, clients, 210)
-    cluster.run(until=cluster.env.now + 50)       # let the saves fsync
-    for name, server in cluster.servers.items():
-        assert server.log.applied_count >= 200, name
-        assert server.checkpointer.captures >= 200 // 16, name
-    assert cluster.disks.stats.checkpoints_saved > 0
-    assert calls == {"loads": 0, "checksum": 0}
+    # dssmr captures with moves and oracle verdicts in flight, but gathers
+    # all twelve users on p1, so p0's log goes quiet at 153 entries
+    # whatever the load; under static ssmr every post stays
+    # multi-partition and both logs pass 200.
+    for scheme, quiet in (("dssmr", {"p0"}), ("ssmr", set())):
+        cluster, clients = chirper_cluster(
+            scheme, posts_per_client=70,
+            durability=DurabilityConfig(checkpoint_every=16))
+        run_until_completed(cluster, clients, 210)
+        cluster.run(until=cluster.env.now + 50)   # let the saves fsync
+        for name, server in cluster.servers.items():
+            applied = server.log.applied_count
+            assert server.checkpointer.captures >= applied // 16, name
+            assert applied >= (100 if server.partition in quiet else 200), \
+                (scheme, name)
+        assert cluster.disks.stats.checkpoints_saved > 0
+        assert calls == {"loads": 0, "checksum": 0}, scheme
     # ...and the counters do see a thaw when one happens.
     cluster.servers["p0s0"].checkpointer.latest().thaw()
     assert calls == {"loads": 1, "checksum": 1}

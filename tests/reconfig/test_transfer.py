@@ -38,6 +38,19 @@ class TestStateTransfer:
         assert transfer.duplicates == 0
         assert transfer.corrupt == 0
 
+    def test_applied_reconfigs_travel_with_the_checkpoint(self):
+        """The epoch arrives with the rids that produced it: a replacement
+        that got the epoch alone bumps it again when the manager's retry
+        of the same fence is delivered (fuzz: "configuration epochs
+        diverge ... p0s1=2")."""
+        cluster = build_loaded_cluster()
+        source = cluster.servers["p0s0"]
+        source.epoch = 1
+        source.applied_reconfigs.add("rcfg-rm0-0")
+        _transfer, checkpoint = fetch_between(cluster)
+        assert checkpoint.epoch == 1
+        assert checkpoint.applied_reconfigs == ["rcfg-rm0-0"]
+
     def test_chunking_respects_chunk_keys(self):
         cluster = build_loaded_cluster()
         host = cluster.servers["p0s0"].checkpoint_host

@@ -82,7 +82,8 @@ class Rig:
             self.executor.preload_locations({"x": "p0"})
             peer = ProtocolNode(env, self.network, "p0s0")
             self.partition = ExchangeBuffer(
-                env, ReliableMulticast(peer, self.directory), "p0")
+                env, ReliableMulticast(peer, self.directory), "p0",
+                transmits=lambda: True)
         else:
             self.executor = role(env, self.network, self.directory, self.group,
                                  "x0", KeyValueStateMachine(),

@@ -394,6 +394,24 @@ class TestLogBackfill:
         with pytest.raises(ValueError):
             logs["m1"].fast_forward(0)
 
+    def test_fast_forward_applies_the_run_that_was_waiting(self, env):
+        """Entries past the snapshot learned while it was in flight are
+        applied by the fast-forward itself; left pending, every later
+        copy of them is dropped as a duplicate and the log stalls until
+        newer traffic arrives (fuzz: a recovered replica ends a prefix
+        behind its peer, "replicas diverge on execution order")."""
+        from tests.ordering.test_logs import build_logs
+        from repro.ordering import SequencerLog
+
+        _net, _directory, logs = build_logs(env, SequencerLog)
+        log = logs["m1"]
+        for seq in (2, 3):              # 0 and 1 are in the snapshot
+            log._learn(seq, {"uid": f"e{seq}"})
+        assert log.applied == []
+        log.fast_forward(2)
+        assert log.applied == [(2, "e2"), (3, "e3")]
+        assert log.applied_count == 4
+
 
 class TestRecoveryUnderLoad:
     """Satellite of the reconfiguration PR: recovery is not a quiet-time

@@ -8,7 +8,9 @@ from repro.ssmr.exchange import ExchangeBuffer
 from tests.conftest import make_network
 
 
-def build_pair(env):
+def build_pair(env, speakers=None):
+    """Two partitions of two members; only ``speakers`` transmit (servers
+    wire that to ``AtomicMulticast.announcing``), everyone if ``None``."""
     network = make_network(env)
     directory = GroupDirectory({"p0": ["a0", "a1"], "p1": ["b0", "b1"]})
     buffers = {}
@@ -16,8 +18,14 @@ def build_pair(env):
                               ("b0", "p1"), ("b1", "p1")]:
         node = ProtocolNode(env, network, member)
         rmcast = ReliableMulticast(node, directory)
-        buffers[member] = ExchangeBuffer(env, rmcast, partition)
+        buffers[member] = ExchangeBuffer(
+            env, rmcast, partition,
+            transmits=lambda m=member: speakers is None or m in speakers)
     return buffers
+
+
+def network_of(buffers):
+    return buffers["a0"].rmcast.node.network
 
 
 class TestExchangeBuffer:
@@ -36,8 +44,9 @@ class TestExchangeBuffer:
 
     def test_duplicate_sender_partition_ignored(self, env):
         buffers = build_pair(env)
-        # Both replicas of p0 send (as real replicas do); p1 sees one
-        # signal for partition p0 and the first values win.
+        # Both replicas of p0 send (as replicas built with
+        # speaker_only=False do); p1 sees one signal for partition p0 and
+        # the first values win.
         buffers["a0"].send(["p1"], "c1", {"x": 1})
         buffers["a1"].send(["p1"], "c1", {"x": 2})
         env.run(until=1_000)
@@ -113,3 +122,59 @@ class TestExchangeBuffer:
         buffers = build_pair(env)
         buffers["a0"].send([], "c6", {"x": 1})   # must not raise
         env.run(until=100)
+
+
+class TestOneVoice:
+    """A group speaks once: every member caches, the speaker transmits,
+    any member answers a pull."""
+
+    def test_follower_caches_but_does_not_transmit(self, env):
+        buffers = build_pair(env, speakers={"a0", "b0"})
+        buffers["a1"].send(["p1"], "c1", {"x": 1})
+        env.run(until=100)
+        assert network_of(buffers).messages_sent == 0
+        assert buffers["a1"]._sent["c1"]["vars"] == {"x": 1}
+        buffers["a0"].send(["p1"], "c1", {"x": 1})
+        env.run(until=200)
+        assert network_of(buffers).sent_by_kind == {"rmcast": 2}
+        assert buffers["b1"].collect("c1") == {"x": 1}
+
+    def test_pull_is_served_by_a_follower_that_never_transmitted(self, env):
+        buffers = build_pair(env, speakers={"b0"})   # p0 has no voice left
+        buffers["a1"].send(["p1"], "c1", {"x": 7})
+        received = []
+
+        def waiter(env):
+            yield from buffers["b0"].wait("c1", {"p0"})
+            received.append((env.now, buffers["b0"].collect("c1")))
+
+        env.process(waiter(env))
+        env.run(until=1_000)
+        (at, variables), = received
+        assert variables == {"x": 7}
+        assert 60.0 < at <= 62.0          # retry_ms + one round trip
+        assert buffers["a1"].pulls_served == 1
+        assert buffers["a0"].pulls_served == 0   # nothing cached there
+
+    def test_resend_carries_and_is_charged_for_the_original_variables(
+            self, env):
+        buffers = build_pair(env)
+        wire = []   # (size, variables) of every exchange message sent
+
+        def tap(message):
+            payload = message.payload["payload"]
+            if payload["kind"] == "ssmr-exchange":
+                wire.append((message.size, payload["vars"]))
+
+        network_of(buffers).add_drop_rule(tap)
+        original = (128 + 64 * 2, {"x": 1, "y": 2})
+        buffers["a0"].send(["p1"], "c1", {"x": 1, "y": 2})
+        # The client-retry exchange: nothing left to ship, done flag set.
+        buffers["a0"].send(["p1"], "c1", {}, done=True)
+        assert wire == [original] * 4     # 2 sends x 2 members of p1
+        # A pull answer is the same message at the same price.
+        del wire[:]
+        buffers["b0"].rmcast.multicast(["p0"], {
+            "kind": "ssmr-exchange-pull", "cid": "c1", "reply_to": "p1"})
+        env.run(until=100)
+        assert wire == [original] * 2     # a0's answer; a1 holds nothing

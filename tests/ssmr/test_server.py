@@ -1,7 +1,9 @@
 """Integration tests for S-SMR (Algorithm 1): partitioned execution with
 signal/variable exchange."""
 
-from repro.ordering import GroupDirectory
+import pytest
+
+from repro.ordering import GroupDirectory, PaxosLog
 from repro.smr import Command, ExecutionModel, KeyValueStateMachine, ReplyStatus
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
 
@@ -153,3 +155,102 @@ class TestOrderingAcrossPartitions:
         assert sorted(done) == ["c0", "c1"]
         assert servers["p0s0"].store.read("x") == 4
         assert servers["p1s1"].store.read("y") == 5
+
+
+def build_wide(env, k, **server_options):
+    """``k`` partitions x 2 replicas holding one key each, and one ``sum``
+    over all k keys — a single access that involves every partition."""
+    network = make_network(env)
+    partitions = [f"p{i}" for i in range(k)]
+    directory = GroupDirectory({p: [f"{p}s0", f"{p}s1"] for p in partitions})
+    keys = {f"k{i}": i for i in range(k)}
+    servers = {}
+    for key, index in keys.items():
+        for member in directory.members(partitions[index]):
+            servers[member] = SsmrServer(
+                env, network, directory, partitions[index], member,
+                KeyValueStateMachine(),
+                execution=ExecutionModel(base_ms=0.05), **server_options)
+            servers[member].load_state({key: index})
+    client = SsmrClient(env, network, directory, "c0", StaticOracle(
+        StaticPartitionMap(partitions, assignment=keys)))
+    command = Command(op="sum", args={"keys": list(keys)},
+                      variables=tuple(keys))
+    return network, servers, client, command
+
+
+def kinds(network) -> dict:
+    """Messages sent so far, folded over groups: ``log/p1/decide`` counts
+    as ``decide``."""
+    folded = {}
+    for kind, count in network.sent_by_kind.items():
+        kind = kind.rsplit("/", 1)[-1]
+        folded[kind] = folded.get(kind, 0) + count
+    return folded
+
+
+class TestOneVoice:
+    """Each group speaks once per multi-partition command: its speaker
+    announces the timestamp and transmits the exchange, every member
+    caches the exchange, any member answers a pull."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_message_budget_of_one_access(self, env, k):
+        network, servers, client, command = build_wide(env, k)
+        results = []
+        run_commands(env, client, [command], results)
+        env.run(until=10_000)
+        assert results[0].value == sum(range(k))
+        assert kinds(network) == {
+            "submit": k + k * (k - 1),    # client proposes + timestamps
+            "decide": k * k,              # k entries per group, 1 follower
+            "rmcast": 2 * k * (k - 1),    # speaker -> both peer members
+            "reply": 2 * k,
+        }
+        for server in servers.values():
+            uids = [entry["uid"]
+                    for entry in server.log.decided_entries.values()]
+            assert len(uids) == k         # one propose, k-1 timestamps
+            own = f":{server.partition}:{server.partition}"
+            assert not [uid for uid in uids
+                        if uid.startswith("ts:") and uid.endswith(own)]
+
+    def test_dropped_speaker_exchange_is_pulled_from_any_member(self, env):
+        network, servers, client, command = build_wide(env, 2)
+        transmitted = set()
+
+        def lose_p0_to_p1s1(message):
+            if message.kind != "rmcast":
+                return False
+            if message.payload["payload"]["kind"] != "ssmr-exchange":
+                return False
+            if message.sent_at < 50:
+                transmitted.add(message.src)
+            return (message.src, message.dst) == ("p0s0", "p1s1")
+
+        remove = network.add_drop_rule(lose_p0_to_p1s1)
+        run_commands(env, client, [command], [])
+        env.run(until=50)
+        assert transmitted == {"p0s0", "p1s0"}        # followers are silent
+        assert [len(s.executed) for s in servers.values()] == [1, 1, 1, 0]
+        remove()
+        env.run(until=70)            # retry_ms (60) + a round trip (<= 2)
+        assert len(servers["p1s1"].executed) == 1
+        assert servers["p1s1"].exchange.pulls_sent == 1
+        # The pull went to the group; the follower, which never
+        # transmitted, answered from its cache beside the speaker.
+        assert servers["p0s1"].exchange.pulls_served == 1
+        assert servers["p0s0"].exchange.pulls_served == 1
+
+    def test_every_member_transmits_without_speaker_only(self, env):
+        network, servers, client, command = build_wide(
+            env, 2, log_factory=PaxosLog, speaker_only=False)
+        senders = set()
+        network.add_drop_rule(lambda message: senders.add(message.src)
+                              if message.kind == "rmcast" else None)
+        results = []
+        run_commands(env, client, [command], results)
+        env.run(until=10_000)
+        assert results[0].value == 1
+        assert senders == set(servers)
+        assert kinds(network)["rmcast"] == 8   # 4 members x 2 peer members

@@ -74,6 +74,8 @@ SMOKES = {
     "parallelexec": repro("parallelexec", "--smoke"),
     "reconfig": repro("reconfig", "--seed", "0", "--json",
                       "--out", "metrics.json"),
+    # Message complexity: messages per command of every scheme.
+    "fig11": repro("figure", "fig11", keep=FIGURE_TEXT),
     # The three figures that run on the key-value test bed.
     "fig15": repro("figure", "fig15", keep=FIGURE_TEXT),
     "fig16": repro("figure", "fig16", keep=FIGURE_TEXT),
