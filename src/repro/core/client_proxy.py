@@ -271,7 +271,7 @@ class DssmrClient(BaseClient):
         self.moves_initiated += len(variables)
         dests = sorted({ORACLE_GROUP, target, *sources})
 
-        def send() -> None:
+        def send(_sends: int) -> None:
             self.mcast.multicast(dests, {"command": move, "dests": dests},
                                  size=move.payload_size(),
                                  uid=self.next_uid(f"am:{move_cid}"))
@@ -294,7 +294,7 @@ class DssmrClient(BaseClient):
             command.args = dict(command.args, partition=dests[0])
         envelope = {"command": command, "dests": dests, "attempt": attempt}
 
-        def send() -> None:
+        def send(_sends: int) -> None:
             self.mcast.multicast(groups, envelope,
                                  size=command.payload_size(),
                                  uid=self.next_uid(f"am:{command.cid}:a{attempt}"))
@@ -310,7 +310,7 @@ class DssmrClient(BaseClient):
         envelope = {"command": command, "dests": dests, "mode": "fallback",
                     "attempt": attempt}
 
-        def send() -> None:
+        def send(_sends: int) -> None:
             self.mcast.multicast(dests, envelope,
                                  size=command.payload_size(),
                                  uid=self.next_uid(f"am:{command.cid}:a{attempt}"))

@@ -42,8 +42,15 @@ class DssmrServer(SsmrServer):
         if ctype is CommandType.MOVE:
             return (yield from self._exec_move(command))
         if ctype is CommandType.ACCESS and envelope.get("mode") != "fallback":
-            return (yield from self._exec_single_partition_access(
-                command, delivery_attempt(envelope)))
+            # The single-partition fast path (inline, like S-SMR's).
+            attempt = delivery_attempt(envelope)
+            if (self._resend_cached(command, attempt)
+                    or self._retry_if_moved(command, attempt)):
+                return None
+            start = self.env.now
+            yield self.env.timeout(self.execution.cost(command))
+            self._account(command, "execute", start)
+            return self._apply_local(command)
         # Reconfig fences, create/delete and fallback accesses reuse the
         # S-SMR machinery, with the oracle joining the signal exchange for
         # create/delete.
@@ -77,22 +84,12 @@ class DssmrServer(SsmrServer):
     def _retry_if_moved(self, command: Command, attempt: int) -> bool:
         """Reply ``retry`` if variables moved away since the client
         consulted; True when it did."""
-        missing = [key for key in command.variables
-                   if key not in self.store]
+        missing = self.store.missing(command.variables)
         if missing:
             self.retries_sent.increment(self.env.now)
             self._send_reply(command, self._make_reply(
                 command, ReplyStatus.RETRY, {"missing": missing}, attempt))
         return bool(missing)
-
-    def _exec_single_partition_access(self, command: Command, attempt: int):
-        if (self._resend_cached(command, attempt)
-                or self._retry_if_moved(command, attempt)):
-            return None
-        start = self.env.now
-        yield self.env.timeout(self.execution.cost(command))
-        self._account(command, "execute", start)
-        return self._apply_local(command)
 
     # -- move --------------------------------------------------------------------
 
@@ -152,12 +149,12 @@ class DssmrServer(SsmrServer):
         self._account(command, "exchange", start, peers=1)
         return self.exchange.collect(command.cid).get("verdict")
 
-    def _exec_create(self, command: Command, dests: tuple):
+    def _exec_create(self, command: Command):
         if (yield from self._oracle_verdict(command)) != "ok":
             return self._make_reply(command, ReplyStatus.NOK, "exists")
-        return (yield from super()._exec_create(command, dests))
+        return (yield from super()._exec_create(command))
 
-    def _exec_delete(self, command: Command, dests: tuple):
+    def _exec_delete(self, command: Command):
         if (yield from self._oracle_verdict(command)) != "ok":
             return self._make_reply(command, ReplyStatus.NOK, "missing")
-        return (yield from super()._exec_delete(command, dests))
+        return (yield from super()._exec_delete(command))

@@ -3,8 +3,8 @@
 Each scenario is drawn from a seeded generator — a mix of message drops,
 latency spikes, duplication, bounded reordering, a network partition window
 and a crash-restart whose victim is drawn by *role*: followers die with
-amnesia and recover through :mod:`repro.smr.recovery` (classic SMR) or
-checkpoint-install recovery (:mod:`repro.reconfig.recovery`); speakers
+amnesia and recover through checkpoint-install recovery
+(:mod:`repro.reconfig.recovery`), whatever the scheme; speakers
 and oracle replicas suffer a network blackout and reconnect with their
 in-memory ordering state intact (no recovery path can rebuild a
 sequencer). The campaign runs each scenario against classic SMR, S-SMR

@@ -7,7 +7,8 @@ and exposes the metrics the experiments need.
 
 Schemes:
 
-* ``"smr"``      — classic SMR: one group, full replication.
+* ``"smr"``      — classic SMR: S-SMR with one partition (one group,
+  full replication; ``num_partitions`` is forced to 1).
 * ``"ssmr"``     — S-SMR with a static partition map.
 * ``"dssmr"``    — DS-SMR with the decentralised majority policy
   (client-issued moves), the paper's core protocol.
@@ -37,7 +38,7 @@ from repro.resilience import RetryPolicy
 from repro.sim import Environment, LatencyRecorder, SeedStream
 from repro.smr import (ExecutionConfig, ExecutionModel,
                        KeyValueStateMachine, ParallelExecutionModel,
-                       SmrClient, SmrReplica, StateMachine)
+                       StateMachine)
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
 from repro.store import (DiskFarm, DurabilityConfig, attach_durability,
                          wipe_wal)
@@ -226,24 +227,13 @@ class Cluster:
     def _make_server(self, partition: str, name: str):
         config = self.config
         state_machine = config.state_machine_factory()
-        if config.scheme == "smr":
-            server = SmrReplica(self.env, self.network, self.directory,
-                                partition, name, state_machine,
-                                execution=config.execution,
-                                dedup=config.dedup, tracer=self.tracer)
-        else:
-            if config.scheme == "ssmr":
-                server = SsmrServer(self.env, self.network, self.directory,
-                                    partition, name, state_machine,
-                                    execution=config.execution,
-                                    dedup=config.dedup, tracer=self.tracer)
-            else:
-                server = DssmrServer(self.env, self.network, self.directory,
-                                     partition, name, state_machine,
-                                     execution=config.execution,
-                                     dedup=config.dedup, tracer=self.tracer)
-            PartitionCheckpointer(server)
-            CheckpointHost(server)
+        server_class = DssmrServer if self._dynamic else SsmrServer
+        server = server_class(self.env, self.network, self.directory,
+                              partition, name, state_machine,
+                              execution=config.execution,
+                              dedup=config.dedup, tracer=self.tracer)
+        PartitionCheckpointer(server)
+        CheckpointHost(server)
         if self.disks is not None:
             attach_durability(server, self.disks)
         if config.parallel is not None:
@@ -287,11 +277,9 @@ class Cluster:
             s.replies.hits for s in self.servers.values())
             + sum(o.replies.hits for o in self.oracles))
         reg.gauge("exchange.pulls_sent", lambda: sum(
-            s.exchange.pulls_sent for s in self.servers.values()
-            if hasattr(s, "exchange")))
+            s.exchange.pulls_sent for s in self.servers.values()))
         reg.gauge("exchange.pulls_served", lambda: sum(
-            s.exchange.pulls_served for s in self.servers.values()
-            if hasattr(s, "exchange")))
+            s.exchange.pulls_served for s in self.servers.values()))
         reg.gauge("oracle.consults", lambda: sum(
             o.consults.total for o in self.oracles))
         reg.gauge("oracle.moves_issued", lambda: self.moves_total())
@@ -323,8 +311,7 @@ class Cluster:
         reg.gauge("reconfig.move_resends", lambda: (
             self.reconfig.move_resends if self.reconfig else 0))
         reg.gauge("reconfig.checkpoints", lambda: sum(
-            s.checkpointer.captures for s in self.servers.values()
-            if getattr(s, "checkpointer", None) is not None))
+            s.checkpointer.captures for s in self.servers.values()))
         reg.gauge("reconfig.transfer_chunks", lambda: sum(
             s.recovery.transfer.chunks_received
             for s in self.servers.values()
@@ -425,12 +412,7 @@ class Cluster:
         # Each client's backoff jitter has its own seeded stream, so
         # retries desynchronise deterministically.
         rng = self.seeds.child("clients").stream(name)
-        if config.scheme == "smr":
-            client = SmrClient(self.env, self.network, self.directory, name,
-                               self.partitions[0], latency=self.latency,
-                               retry_policy=config.retry_policy, rng=rng,
-                               tracer=self.tracer)
-        elif config.scheme == "ssmr":
+        if not self._dynamic:
             client = SsmrClient(self.env, self.network, self.directory, name,
                                 StaticOracle(self.partition_map),
                                 latency=self.latency,

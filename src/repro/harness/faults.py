@@ -6,11 +6,10 @@ pairs for :meth:`~repro.net.failure.FailureInjector.crash_restart_at`,
 previously duplicated per harness:
 
 * **restart** (amnesia) — the victim object dies and a replacement is
-  rebuilt under the same name: classic SMR replicas through
-  snapshot-and-catch-up (:mod:`repro.smr.recovery`), partitioned replicas
-  through checkpoint-install recovery (:mod:`repro.reconfig.recovery`).
-  Valid only for non-speaker partition replicas: neither recovery path
-  can resurrect an ordering endpoint's sequencer state.
+  rebuilt under the same name through checkpoint-install recovery
+  (:mod:`repro.reconfig.recovery`), whatever the scheme. Valid only for
+  non-speaker partition replicas: recovery cannot resurrect an ordering
+  endpoint's sequencer state.
 * **blackout** — the victim is cut off at the network level (drops all
   traffic both ways) and later reconnects with its in-memory state
   intact (:meth:`~repro.ordering.ProtocolNode.reconnect`). Valid for
@@ -39,10 +38,8 @@ def reset_id_counters() -> None:
     import repro.reconfig.manager as reconfig_manager
     import repro.reconfig.transfer as reconfig_transfer
     import repro.smr.command as command
-    import repro.smr.recovery as recovery
     command._cmd_counter = itertools.count()
     atomic_multicast._am_counter = itertools.count()
-    recovery._recovery_counter = itertools.count()
     reconfig_manager._rid_counter = itertools.count()
     reconfig_transfer._transfer_counter = itertools.count()
 
@@ -96,9 +93,8 @@ def crash_victim(cluster, victim: str) -> None:
 def recover_victim(cluster, victim: str):
     """Recover an amnesia-crashed server under the same name.
 
-    One helper for every scheme — classic SMR replicas come back through
-    peer-snapshot recovery, partitioned replicas through the
-    checkpoint-install path (:meth:`Cluster.recover_server`). Durable
+    One path for every scheme: the checkpoint-install recovery of
+    :meth:`Cluster.recover_server`. Durable
     deployments (``ClusterConfig.durability``) restart from the victim's
     own disk instead, falling back to peers only for a gapped or
     corrupted local history (:mod:`repro.store.coldstart`). Returns the
@@ -106,20 +102,6 @@ def recover_victim(cluster, victim: str):
     """
     if getattr(cluster, "disks", None) is not None:
         return cluster.cold_restart_server(victim)
-    if cluster.config.scheme == "smr":
-        from repro.smr.recovery import RecoveryHost, recover_replica
-        crashed = cluster.servers[victim]
-        partition = crashed.group
-        live = [member for member in cluster.directory.members(partition)
-                if member != victim
-                and not cluster.servers[member].node.crashed]
-        for name in live:
-            peer = cluster.servers[name]
-            if getattr(peer, "recovery_host", None) is None:
-                peer.recovery_host = RecoveryHost(peer)
-        cluster.servers[victim] = recover_replica(
-            crashed, cluster.servers[live[0]], fallback_peers=live[1:])
-        return cluster.servers[victim]
     return cluster.recover_server(victim)
 
 

@@ -100,9 +100,7 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
              + tuple(getattr(cluster, "retired_partitions", ())))
     for partition in known:
         for name in _live_members(cluster, partition, dead):
-            epoch = getattr(cluster.servers[name], "epoch", None)
-            if epoch is not None:
-                epochs[name] = epoch
+            epochs[name] = cluster.servers[name].epoch
     if len(set(epochs.values())) > 1:
         detail = ", ".join(f"{name}={epoch}"
                            for name, epoch in sorted(epochs.items()))

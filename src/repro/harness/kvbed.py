@@ -67,10 +67,9 @@ def build_kv_cluster(scheme: str, seed: int, seed_path: tuple,
 
     The cluster seed is drawn from ``SeedStream(seed)`` at ``seed_path``
     = ``(child, stream)``, so every campaign keeps its own seed
-    namespace. ``keys`` are dealt round-robin over the partitions (classic
-    SMR has one partition and takes no assignment) and preloaded with 0;
-    ``assignment`` and ``contents`` add to or override that deal and those
-    values. ``config`` passes through to :class:`ClusterConfig`; it
+    namespace. ``keys`` are dealt round-robin over the partitions and
+    preloaded with 0; ``assignment`` and ``contents`` add to or override
+    that deal and those values. ``config`` passes through to :class:`ClusterConfig`; it
     defaults to 2 partitions x 2 replicas and ``RetryPolicy()`` clients
     (an explicit ``retry_policy=None`` keeps block-forever clients).
     """
@@ -79,15 +78,17 @@ def build_kv_cluster(scheme: str, seed: int, seed_path: tuple,
     config.setdefault("num_partitions", 2)
     config.setdefault("replicas_per_partition", 2)
     config.setdefault("retry_policy", RetryPolicy())
-    placement = None
-    if scheme != "smr":
-        placement = {key: i % config["num_partitions"]
-                     for i, key in enumerate(keys)}
-        placement.update(assignment or {})
-    cluster = Cluster(ClusterConfig(
-        scheme=scheme, initial_assignment=placement,
+    cluster_config = ClusterConfig(
+        scheme=scheme,
         seed=SeedStream(seed).child(child).stream(stream).randrange(2 ** 31),
-        **config), tracer=tracer, profiler=profiler)
+        **config)
+    # Dealt over the partitions the deployment really has: classic SMR
+    # is forced to one, whatever ``num_partitions`` says.
+    cluster_config.initial_assignment = {
+        key: i % cluster_config.num_partitions
+        for i, key in enumerate(keys)}
+    cluster_config.initial_assignment.update(assignment or {})
+    cluster = Cluster(cluster_config, tracer=tracer, profiler=profiler)
     initial = {key: 0 for key in keys}
     initial.update(contents or {})
     cluster.preload(initial)

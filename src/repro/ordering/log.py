@@ -40,8 +40,8 @@ class GroupLog(ABC):
 
     Besides ordering, every log retains its decided entries and answers
     *backfill* requests — the mechanism recovering replicas use to close
-    the gap between a state snapshot and live traffic (see
-    :mod:`repro.smr.recovery`). A member that detects a hole in its own
+    the gap between an installed checkpoint and live traffic (see
+    :mod:`repro.reconfig.recovery`). A member that detects a hole in its own
     sequence also requests backfill from the group's speaker.
     """
 

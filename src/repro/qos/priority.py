@@ -18,19 +18,11 @@ load — carry no such coupling and are fair game.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.smr.command import Command, CommandType
+from repro.smr.command import CommandType
+from repro.smr.executor import delivery_command
 
 PRIO_CONTROL = 0
 PRIO_CLIENT = 1
-
-
-def command_of(payload) -> Optional[Command]:
-    """Extract the client command from a log-entry payload, if any."""
-    if isinstance(payload, dict):
-        payload = payload.get("command")
-    return payload if isinstance(payload, Command) else None
 
 
 def classify_entry(entry: dict) -> tuple[int, bool]:
@@ -39,7 +31,7 @@ def classify_entry(entry: dict) -> tuple[int, bool]:
         # Timestamp announcements and anything else the protocol layers
         # put on the log directly: ordering machinery, never shed.
         return PRIO_CONTROL, False
-    command = command_of(entry.get("payload"))
+    command = delivery_command(entry.get("payload"))
     if command is None:
         # Hints, reconfiguration fences, repartition activations.
         return PRIO_CONTROL, False

@@ -1,13 +1,13 @@
-"""Crash-recovery for *partitioned* replicas (closes the gap
-:mod:`repro.smr.recovery` documents).
+"""Crash-recovery for the replicas of every scheme.
 
 A partitioned replica's state is not a pure function of its delivered
 commands — it is coupled to in-flight signal/variable exchanges, the
 multicast's timestamp state and the reply cache — so classic
-snapshot-and-replay is not enough. The recovery here installs a peer's
-full :class:`~repro.reconfig.checkpoint.PartitionCheckpoint` (fetched
-via the chunked :class:`~repro.reconfig.transfer.StateTransfer`) and
-then replays the ordered-log suffix past the checkpoint's apply
+snapshot-and-replay is not enough, and a classic-SMR group is simply the
+one-partition case with nothing in flight. The recovery here installs a
+peer's full :class:`~repro.reconfig.checkpoint.PartitionCheckpoint`
+(fetched via the chunked :class:`~repro.reconfig.transfer.StateTransfer`)
+and then replays the ordered-log suffix past the checkpoint's apply
 position:
 
 1. The crashed node is recovered in the network and a fresh server of

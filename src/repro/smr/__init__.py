@@ -1,9 +1,14 @@
 """Classic State Machine Replication (Section 3.1 of the paper).
 
 Every replica holds the full service state and executes the same totally
-ordered sequence of deterministic commands, implemented here over the atomic
-broadcast special case of :mod:`repro.ordering`. This package also defines
-the command and state-machine abstractions shared by S-SMR and DS-SMR.
+ordered sequence of deterministic commands. Classic SMR = S-SMR at k = 1:
+a deployment with ``scheme="smr"`` is one partition of
+:class:`~repro.ssmr.SsmrServer` replicas (atomic broadcast is the
+one-group case of :mod:`repro.ordering`'s atomic multicast, and a
+single-partition command never exchanges signals), so this package holds
+no replica or client of its own — only what every scheme shares: commands
+and replies, state machines, the execution cost model, the ordered
+executor loop, the worker pool and the client base class.
 """
 
 from repro.smr.command import Command, CommandType, Reply, ReplyStatus, new_command_id
@@ -16,10 +21,7 @@ from repro.smr.execution import ExecutionModel
 from repro.smr.parallel import (ConflictScheduler, Dispatch, ExecutionConfig,
                                 ParallelExecutionModel)
 from repro.smr.executor import OrderedExecutor
-from repro.smr.replica import SmrReplica
-from repro.smr.recovery import (RecoveryHost, RecoveringReplica,
-                                recover_replica)
-from repro.smr.client import BaseClient, SmrClient
+from repro.smr.client import BaseClient
 from repro.smr.probject import (ObjectDirectory, ObjectStateMachine,
                                 PRObject, object_key)
 
@@ -37,15 +39,10 @@ __all__ = [
     "ObjectStateMachine",
     "OrderedExecutor",
     "PRObject",
-    "RecoveringReplica",
-    "RecoveryHost",
     "Reply",
     "ReplyStatus",
-    "SmrClient",
-    "SmrReplica",
     "StateMachine",
     "VariableStore",
-    "recover_replica",
     "new_command_id",
     "object_key",
 ]

@@ -3,9 +3,9 @@
 :class:`BaseClient` holds the machinery shared by every protocol's client
 proxy — reply matching by command id, first-reply-wins deduplication (all
 replicas of a partition reply), attempt-tagged retry with timeout/backoff
-(:mod:`repro.resilience`), and latency recording. :class:`SmrClient` is the
-classic-SMR specialisation that multicasts every command to the single
-replica group.
+(:mod:`repro.resilience`), and latency recording. The scheme clients
+(:class:`~repro.ssmr.SsmrClient`, which also serves classic SMR, and
+:class:`~repro.core.DssmrClient`) add routing on top.
 
 Retry semantics: a resend must use a *fresh* multicast uid — the ordered
 logs deduplicate by uid, so re-sending the original uid can never re-elicit
@@ -17,14 +17,14 @@ re-tagged with the attempt number the client is currently waiting for.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.net import Message, Network
 from repro.obs.tracing import NULL_TRACER, trace_id_of
 from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
 from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
 from repro.sim import Environment, Event, LatencyRecorder
-from repro.smr.command import Command, Reply, ReplyStatus
+from repro.smr.command import Reply, ReplyStatus
 from repro.smr.executor import REPLY_KIND
 
 
@@ -212,149 +212,66 @@ class BaseClient:
         Reply waits are traced as ``stage`` spans and inter-attempt
         backoff as ``retry-wait`` spans (see :meth:`trace_stage`).
         """
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            attempt += 1
-            event = self.wait_reply(cid, attempt=attempt)
-            if self.tracer.enabled:
-                self.tracer.mark_send(cid, self.env.now)
-            wait_start = self.env.now
-            send(attempt)
-            if attempt > 1:
-                self.resends += 1
-            fired, reply = yield from with_timeout(
-                self.env, event, policy.timeout_ms if policy else None)
-            if fired:
-                if reply.status is ReplyStatus.OVERLOAD:
-                    # Explicit backpressure: the sequencer shed this
-                    # attempt before ordering it. Shrink the congestion
-                    # window and back off harder than a plain retry.
-                    self.trace_stage(cid, stage, wait_start, overload=True)
-                    self.overload_replies += 1
-                    self._note_congestion()
-                    self.node.flight("qos",
-                                     f"{cid} overload ({reply.value})")
-                    if policy is not None and policy.gives_up(attempt):
-                        raise RequestTimeout(cid, attempt)
-                    yield from self.acquire_retry(cid)
-                    backoff_start = self.env.now
-                    yield self.env.timeout(self.overload_backoff_ms(attempt))
-                    self.trace_stage(cid, "retry-wait", backoff_start)
-                    continue
-                self.trace_stage(cid, stage, wait_start)
-                self._note_success()
-                return reply
-            self.trace_stage(cid, stage, wait_start, timeout=True)
-            self.cancel_wait(cid)
-            self.timeouts += 1
-            self._note_congestion()
-            self.node.flight("retry", f"{cid} attempt {attempt} timed out")
-            if policy.gives_up(attempt):
-                raise RequestTimeout(cid, attempt)
-            yield from self.acquire_retry(cid)
-            backoff_start = self.env.now
-            yield self.env.timeout(policy.backoff_ms(attempt, self._rng))
-            self.trace_stage(cid, "retry-wait", backoff_start)
+        return self._send_until_reply(cid, send, stage, True, None)
 
-    def send_with_retries(self, cid: str, send: Callable[[], None],
+    def send_with_retries(self, cid: str, send: Callable[[int], None],
                           expected_attempt: Optional[int] = None,
                           stage: str = "execute"):
         """Generator: like :meth:`resilient_request`, but the request's
         attempt tag is fixed by the caller — resends repeat the same
         logical attempt under fresh uids (DS-SMR's algorithm attempts are
-        protocol-level; network resends must not consume them)."""
+        protocol-level; network resends must not consume them), and
+        ``send`` is handed the transmission count, not a tag."""
+        return self._send_until_reply(cid, send, stage, False,
+                                      expected_attempt)
+
+    def _send_until_reply(self, cid: str, send: Callable[[int], None],
+                          stage: str, tag_advances: bool,
+                          fixed_tag: Optional[int]):
+        """The one timeout / OVERLOAD / budget / backoff loop.
+
+        ``send(n)`` makes the n-th transmission. The reply must echo
+        attempt ``n`` when ``tag_advances``, else ``fixed_tag`` (None
+        matches any attempt).
+        """
         policy = self.retry_policy
         sends = 0
         while True:
             sends += 1
-            event = self.wait_reply(cid, attempt=expected_attempt)
+            event = self.wait_reply(
+                cid, attempt=sends if tag_advances else fixed_tag)
             if self.tracer.enabled:
                 self.tracer.mark_send(cid, self.env.now)
             wait_start = self.env.now
-            send()
+            send(sends)
             if sends > 1:
                 self.resends += 1
             fired, reply = yield from with_timeout(
                 self.env, event, policy.timeout_ms if policy else None)
             if fired:
-                if reply.status is ReplyStatus.OVERLOAD:
-                    self.trace_stage(cid, stage, wait_start, overload=True)
-                    self.overload_replies += 1
-                    self._note_congestion()
-                    self.node.flight("qos",
-                                     f"{cid} overload ({reply.value})")
-                    if policy is not None and policy.gives_up(sends):
-                        raise RequestTimeout(cid, sends)
-                    yield from self.acquire_retry(cid)
-                    backoff_start = self.env.now
-                    yield self.env.timeout(self.overload_backoff_ms(sends))
-                    self.trace_stage(cid, "retry-wait", backoff_start)
-                    continue
-                self.trace_stage(cid, stage, wait_start)
-                self._note_success()
-                return reply
-            self.trace_stage(cid, stage, wait_start, timeout=True)
-            self.cancel_wait(cid)
-            self.timeouts += 1
+                if reply.status is not ReplyStatus.OVERLOAD:
+                    self.trace_stage(cid, stage, wait_start)
+                    self._note_success()
+                    return reply
+                # Explicit backpressure: the sequencer shed this attempt
+                # before ordering it. Shrink the congestion window and
+                # back off harder than a plain retry.
+                self.trace_stage(cid, stage, wait_start, overload=True)
+                self.overload_replies += 1
+                self.node.flight("qos", f"{cid} overload ({reply.value})")
+            else:
+                self.trace_stage(cid, stage, wait_start, timeout=True)
+                self.cancel_wait(cid)
+                self.timeouts += 1
+                self.node.flight(
+                    "retry", f"{cid} {'attempt' if tag_advances else 'send'}"
+                    f" {sends} timed out")
             self._note_congestion()
-            self.node.flight("retry", f"{cid} send {sends} timed out")
-            if policy.gives_up(sends):
+            if policy is not None and policy.gives_up(sends):
                 raise RequestTimeout(cid, sends)
             yield from self.acquire_retry(cid)
             backoff_start = self.env.now
-            yield self.env.timeout(policy.backoff_ms(sends, self._rng))
+            yield self.env.timeout(
+                self.overload_backoff_ms(sends) if fired
+                else policy.backoff_ms(sends, self._rng))
             self.trace_stage(cid, "retry-wait", backoff_start)
-
-    # -- legacy single-shot API ----------------------------------------------
-
-    def submit(self, command: Command, groups: Iterable[str]) -> Event:
-        """Multicast ``command`` to ``groups`` and return the reply event."""
-        command.client = self.name
-        event = self.wait_reply(command.cid)
-        self.mcast.multicast(groups, command, size=command.payload_size(),
-                             uid=f"am:{command.cid}")
-        return event
-
-    def execute(self, command: Command, groups: Iterable[str]):
-        """Generator: submit (with retries), wait, record latency.
-
-        Usage inside a client process::
-
-            reply = yield from client.execute(command, ["partition-0"])
-        """
-        command.client = self.name
-        groups = list(groups)
-        start = self.env.now
-        self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
-
-        def send(attempt: int) -> None:
-            self.mcast.multicast(
-                groups, {"command": command, "attempt": attempt},
-                size=command.payload_size(),
-                uid=self.next_uid(f"am:{command.cid}"))
-
-        reply = yield from self.resilient_request(command.cid, send)
-        self.latency.record(self.env.now, self.env.now - start)
-        self.tracer.end_trace(command.cid, self.env.now,
-                              status=reply.status.value)
-        self.profile_command(command.cid, start)
-        return reply
-
-
-class SmrClient(BaseClient):
-    """Client of a classically replicated (single group) service."""
-
-    def __init__(self, env: Environment, network: Network,
-                 directory: GroupDirectory, name: str, group: str,
-                 latency: Optional[LatencyRecorder] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 rng: Optional[random.Random] = None,
-                 tracer=None):
-        super().__init__(env, network, directory, name, latency,
-                         retry_policy=retry_policy, rng=rng, tracer=tracer)
-        self.group = group
-
-    def run_command(self, command: Command):
-        """Generator: execute one command against the replica group."""
-        return (yield from self.execute(command, [self.group]))

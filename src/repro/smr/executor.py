@@ -1,7 +1,8 @@
 """The ordered executor every replica role runs.
 
-Algorithm 1 (S-SMR server), Algorithm 3 (DS-SMR server proxy), Algorithm 4
-(the oracle) and the classic SMR replica all sit on the same loop: take the
+Algorithm 1 (S-SMR server, which at one partition is the classic SMR
+replica), Algorithm 3 (DS-SMR server proxy) and Algorithm 4 (the oracle)
+all sit on the same loop: take the
 next atomically-multicast delivery, execute it, reply. P-SMR describes it
 as one deliver -> schedule -> execute pipeline; :class:`OrderedExecutor`
 is that pipeline, written once. A role subclasses it and supplies what it
@@ -29,12 +30,10 @@ REPLY_KIND = "reply"
 def delivery_command(payload) -> Optional[Command]:
     """The command inside an amcast delivery payload, if any.
 
-    Payloads are resilient-client envelopes (dicts), legacy raw commands,
-    or control messages (hints, activations, reconfiguration fences) with
-    no command.
+    Payloads are client envelopes (dicts carrying ``command``) or control
+    messages (hints, activations, reconfiguration fences) with no
+    command.
     """
-    if isinstance(payload, Command):
-        return payload
     if isinstance(payload, dict):
         command = payload.get("command")
         if isinstance(command, Command):
@@ -42,9 +41,9 @@ def delivery_command(payload) -> Optional[Command]:
     return None
 
 
-def delivery_attempt(payload) -> int:
-    """The client's attempt number (1 for legacy raw commands)."""
-    return payload.get("attempt", 1) if isinstance(payload, dict) else 1
+def delivery_attempt(payload: dict) -> int:
+    """The client's attempt number (1 when the envelope carries none)."""
+    return payload.get("attempt", 1)
 
 
 class OrderedExecutor:
@@ -84,9 +83,8 @@ class OrderedExecutor:
       and the *queue* span see queueing only, never group-commit wait.
     * A pooled command gets the loop's *queue* span up to its dequeue; the
       wait for a core is profiled as ``exec.queue`` (S-SMR's shape).
-    * Duplicates are detected by the reply cache alone. Classic SMR kept a
-      separate executed-set only because its recovery snapshot carried
-      ``executed`` without the replies; the snapshot now carries both.
+    * Duplicates are detected by the reply cache alone; the checkpoint a
+      replacement installs carries ``executed`` and the replies.
     * A barriered command charges ``execution.cost`` to the scheduler's
       serial account before it is handled (S-SMR's accounting).
     * A pooled command finishing stores its reply, frees its slot, then

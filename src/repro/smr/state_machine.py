@@ -35,6 +35,13 @@ class VariableStore:
     def __len__(self) -> int:
         return len(self._data)
 
+    def missing(self, keys: Iterable[Key], elsewhere=()) -> list[Key]:
+        """The ``keys`` held neither here nor in ``elsewhere`` (one pass:
+        servers ask this before every access)."""
+        data = self._data
+        return [key for key in keys
+                if key not in data and key not in elsewhere]
+
     def keys(self) -> Iterable[Key]:
         return self._data.keys()
 

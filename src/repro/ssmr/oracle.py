@@ -21,9 +21,11 @@ class StaticOracle:
 
     def partitions_for(self, command: Command) -> set[str]:
         """The set of partitions ``command`` must be multicast to."""
-        if not command.variables:
+        partitions = self.partition_map.partitions
+        if not command.variables or len(partitions) == 1:
             # A command touching no declared variables could read anything:
             # the safe superset is all partitions (paper, footnote on the
-            # oracle).
-            return set(self.partition_map.partitions)
+            # oracle). With one partition — classic SMR — that superset is
+            # exact for every command and nothing needs looking up.
+            return set(partitions)
         return self.partition_map.partitions_of(command.variables)

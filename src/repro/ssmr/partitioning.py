@@ -24,21 +24,24 @@ class StaticPartitionMap:
         if not partitions:
             raise ValueError("need at least one partition")
         self.partitions = tuple(partitions)
-        self._explicit: dict[Key, str] = {}
+        # Explicit assignments, plus every hashed placement looked up so
+        # far: the map never changes, so a key is hashed at most once.
+        self._placed: dict[Key, str] = {}
         if assignment:
             for key, index in assignment.items():
                 if not 0 <= index < len(self.partitions):
                     raise ValueError(
                         f"assignment index {index} out of range for "
                         f"{len(self.partitions)} partitions")
-                self._explicit[key] = self.partitions[index]
+                self._placed[key] = self.partitions[index]
 
     def partition_of(self, key: Key) -> str:
         """Partition holding ``key`` (hash fallback for unmapped keys)."""
-        explicit = self._explicit.get(key)
-        if explicit is not None:
-            return explicit
-        return self.partitions[stable_hash(key) % len(self.partitions)]
+        placed = self._placed.get(key)
+        if placed is None:
+            placed = self._placed[key] = self.partitions[
+                stable_hash(key) % len(self.partitions)]
+        return placed
 
     def partitions_of(self, keys: Iterable[Key]) -> set[str]:
         return {self.partition_of(key) for key in keys}

@@ -82,8 +82,7 @@ class SsmrServer(OrderedExecutor):
         """Single-partition accesses addressed to this partition alone:
         no signal exchange, no store-shape change, no epoch fence."""
         return (command.ctype is CommandType.ACCESS
-                and all(dest == self.partition
-                        for dest in envelope["dests"]))
+                and len(envelope["dests"]) == 1)
 
     # -- executor -------------------------------------------------------------
 
@@ -93,7 +92,7 @@ class SsmrServer(OrderedExecutor):
             self._apply_reconfig(envelope["reconfig"])
             return None
         command: Command = envelope["command"]
-        dests = tuple(envelope["dests"])
+        dests = envelope["dests"]
         cached = self.replies.lookup(command.cid, delivery_attempt(envelope))
         if cached is not None:
             # Already executed here (the client re-multicast after a lost
@@ -107,11 +106,20 @@ class SsmrServer(OrderedExecutor):
             self._send_reply(command, cached)
             return None
         if command.ctype is CommandType.ACCESS:
-            return (yield from self._exec_access(command, dests))
+            if len(dests) > 1:
+                return (yield from self._exec_access(command, dests))
+            # Addressed to this partition alone: no exchange — classic
+            # SMR's whole algorithm, and every command of a one-partition
+            # deployment. Inline, not a nested generator: this is the hot
+            # path of every scheme.
+            start = self.env.now
+            yield self.env.timeout(self.execution.cost(command))
+            self._account(command, "execute", start)
+            return self._apply_local(command)
         if command.ctype is CommandType.CREATE:
-            return (yield from self._exec_create(command, dests))
+            return (yield from self._exec_create(command))
         if command.ctype is CommandType.DELETE:
-            return (yield from self._exec_delete(command, dests))
+            return (yield from self._exec_delete(command))
         raise ValueError(f"{self.node.name}: unexpected command type "
                          f"{command.ctype.value!r}")
 
@@ -144,18 +152,16 @@ class SsmrServer(OrderedExecutor):
 
     # -- command execution (Algorithm 1) -----------------------------------
 
-    def _exec_access(self, command: Command, dests: tuple):
+    def _exec_access(self, command: Command, dests):
+        """A multi-partition access: signal + variable exchange."""
         others = [d for d in dests if d != self.partition]
-        if others:
-            self.multi_partition_count += 1
-            local_vars = {key: self.store.read(key)
-                          for key in command.variables if key in self.store}
-            self.exchange.send(others, command.cid, local_vars)
+        self.multi_partition_count += 1
+        local_vars = {key: self.store.read(key)
+                      for key in command.variables if key in self.store}
+        self.exchange.send(others, command.cid, local_vars)
         start = self.env.now
         yield self.env.timeout(self.execution.cost(command))
         self._account(command, "execute", start)
-        if not others:
-            return self._apply_local(command)
         start = self.env.now
         yield from self.exchange.wait(command.cid, set(others))
         self._account(command, "exchange", start, peers=len(others))
@@ -174,9 +180,8 @@ class SsmrServer(OrderedExecutor):
 
     def _apply_local(self, command: Command, remote_vars=()) -> Reply:
         """Apply an access whose cost is already charged: the tail of
-        :meth:`_exec_access`, and what a worker core runs at its finish."""
-        missing = [key for key in command.variables
-                   if key not in self.store and key not in remote_vars]
+        both access paths, and what a worker core runs at its finish."""
+        missing = self.store.missing(command.variables, remote_vars)
         if missing:
             return self._make_reply(command, ReplyStatus.NOK,
                                     f"missing variables: {missing[:3]}")
@@ -192,7 +197,7 @@ class SsmrServer(OrderedExecutor):
                                     f"undeclared variable access: {error}")
         return self._make_reply(command, ReplyStatus.OK, value)
 
-    def _exec_create(self, command: Command, dests: tuple):
+    def _exec_create(self, command: Command):
         """Static S-SMR create: the owning partition installs the variable."""
         key = command.variables[0]
         if key in self.store:
@@ -204,7 +209,7 @@ class SsmrServer(OrderedExecutor):
         self._account(command, "execute", start)
         return self._make_reply(command, ReplyStatus.OK, "created")
 
-    def _exec_delete(self, command: Command, dests: tuple):
+    def _exec_delete(self, command: Command):
         key = command.variables[0]
         if key not in self.store:
             return self._make_reply(command, ReplyStatus.NOK, "missing")

@@ -3,8 +3,7 @@
 A durable deployment (:class:`~repro.harness.cluster.ClusterConfig` with
 ``durability`` set) can bring a crashed replica back **from its own
 disk**, without any live peer — the capability peer-transfer recovery
-(:mod:`repro.smr.recovery`, :mod:`repro.reconfig.recovery`) cannot
-provide. The ladder, per member:
+(:mod:`repro.reconfig.recovery`) cannot provide. The ladder, per member:
 
 1. **Read the local images.** The member's disk first suffers a
    power-fail (un-fsynced page-cache bytes are dropped or torn — cold
@@ -24,11 +23,11 @@ provide. The ladder, per member:
    (replay *is* compaction) and re-executes through the normal decide →
    deliver → execute pipeline. Replay is deterministic because the
    atomic multicast's timestamp exchange itself rides the ordered log.
-4. **Peer fallback (rung 2).** A gapped/corrupted prefix on a
-   partitioned scheme falls back to a full peer state transfer
+4. **Peer fallback (rung 2).** A gapped/corrupted prefix falls back to
+   a full peer state transfer
    (:class:`~repro.reconfig.recovery.PartitionRecovery`, which itself
-   walks fallback peers and turns terminal when all are gone). Classic
-   SMR falls back to snapshot recovery. ``peer_fallbacks`` counts these.
+   walks fallback peers and turns terminal when all are gone).
+   ``peer_fallbacks`` counts these.
 5. **Unrecoverable suffix (rung 3).** With a gap and *no* live peer,
    the contiguous prefix is installed, the loss is flight-recorded, and
    the lost suffix is left to client resends. Because executors gate on
@@ -60,9 +59,8 @@ from repro.store.wal import replay_wal, wipe_wal
 def _rebuild_server(crashed):
     """A fresh, gated server of the same class under the same name."""
     replacement = crashed.respawn(crashed.env.event())
-    if getattr(crashed, "checkpointer", None) is not None:
-        PartitionCheckpointer(replacement)
-        CheckpointHost(replacement)
+    PartitionCheckpointer(replacement)
+    CheckpointHost(replacement)
     replacement.log.suspend_backfill()
     return replacement
 
@@ -157,7 +155,7 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
     degraded = bool(lost) or status == "corrupt"
     if degraded and peers:
         # Rung 2: the local images cannot reconstruct a contiguous
-        # history — pull a full checkpoint/snapshot from a peer.
+        # history — pull a full checkpoint from a peer.
         farm.stats.peer_fallbacks += 1
         wipe_wal(disk)
         attach_durability(replacement, farm)
@@ -165,18 +163,9 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
             "store", f"cold start: {lost} entr(ies) stranded past "
             f"{position + len(feed)} (wal {status}); falling back to "
             f"peer {peers[0]}")
-        if cluster.config.scheme == "smr":
-            from repro.smr.recovery import RecoveringReplica, RecoveryHost
-            for peer in peers:
-                server = cluster.servers[peer]
-                if getattr(server, "recovery_host", None) is None:
-                    server.recovery_host = RecoveryHost(server)
-            replacement.recovery = RecoveringReplica(
-                replacement, peers[0], fallback_peers=peers[1:])
-        else:
-            replacement.recovery = PartitionRecovery(
-                replacement, peers[0], fallback_peers=peers[1:],
-                on_failure=cluster._on_recovery_failure)
+        replacement.recovery = PartitionRecovery(
+            replacement, peers[0], fallback_peers=peers[1:],
+            on_failure=cluster._on_recovery_failure)
         cluster.servers[name] = replacement
         return replacement
 
@@ -203,11 +192,9 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
     _reconcile_sequencer(cluster, replacement, feed)
     for seq, entry in feed:
         replacement.log._learn(seq, entry)
-    checkpointer = getattr(replacement, "checkpointer", None)
-    if checkpointer is not None and checkpointer.store is not None:
-        # Persist the recovered baseline: the next cold start loads it
-        # instead of re-replaying from the previous checkpoint.
-        checkpointer.capture(reason="cold-start")
+    # Persist the recovered baseline: the next cold start loads it
+    # instead of re-replaying from the previous checkpoint.
+    replacement.checkpointer.capture(reason="cold-start")
     farm.stats.cold_starts += 1
     replacement.node.flight(
         "store", f"cold start: checkpoint@{position} + {len(feed)} wal "

@@ -1,7 +1,7 @@
 """Wiring durable storage onto live servers and oracles.
 
 ``attach_durability(owner, farm)`` gives ``owner`` (any
-:class:`~repro.smr.executor.OrderedExecutor`: an ``SmrReplica``,
+:class:`~repro.smr.executor.OrderedExecutor`: an
 ``SsmrServer``/``DssmrServer`` or ``OracleReplica``) a write-ahead log
 on its own disk in ``farm`` and hooks it into the ordered log: every
 applied position is appended before execution, and the shared executor
@@ -9,13 +9,14 @@ loop yields ``owner.wal.sync_barrier()`` after measuring the delivery's
 queue sojourn and before scheduling or executing it (and therefore
 before replying), so acknowledged commands are always durable somewhere.
 
-Owners that carry a ``PartitionCheckpointer`` (the ssmr family) also
+Owners that carry a ``PartitionCheckpointer`` (every partition server,
+classic SMR's single group included) also
 get a :class:`~repro.store.checkpoints.DurableCheckpointStore`: every
 captured checkpoint is persisted and, once fsynced, truncates the WAL
 segments behind it. A decide-callback counter triggers a periodic
 capture every ``checkpoint_every`` applied entries so replay stays
-bounded. Checkpoint-less owners (smr replicas, oracles) replay their
-whole WAL from position zero on cold start.
+bounded. Checkpoint-less owners (oracles) replay their whole WAL from
+position zero on cold start.
 """
 
 from __future__ import annotations

@@ -82,10 +82,12 @@ class TestBuildKvCluster:
         assert [cluster.partition_map.partition_of(key) for key in KEYS] \
             == ["p0", "p1", "p2", "p0", "p1", "p2"]
 
-    def test_smr_takes_no_assignment(self):
+    def test_smr_is_dealt_onto_its_one_partition(self):
+        # The bed's default of two partitions does not reach the deal:
+        # classic SMR is S-SMR with ``num_partitions`` forced to 1.
         cluster = build_kv_cluster("smr", 1, ("smr", "deal"),
-                                   assignment={"x0": 1})
-        assert cluster.config.initial_assignment is None
+                                   assignment={"x0": 0})
+        assert set(cluster.config.initial_assignment.values()) == {0}
         assert cluster.partitions == ("p0",)
         assert set(cluster.servers["p0s0"].store.snapshot()) == set(KEYS)
 

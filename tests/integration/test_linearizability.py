@@ -12,8 +12,7 @@ import pytest
 from repro.checkers import History, KvSequentialSpec, check_linearizable
 from repro.ordering import GroupDirectory
 from repro.smr import (Command, CommandType, ExecutionModel,
-                       KeyValueStateMachine, ReplyStatus, SmrClient,
-                       SmrReplica)
+                       KeyValueStateMachine, ReplyStatus)
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
 
 from tests.conftest import make_network
@@ -66,13 +65,14 @@ class TestSchemesAreLinearizable:
     def test_classic_smr(self, env, seed):
         network = make_network(env, seed=seed)
         directory = GroupDirectory({"smr": ["r0", "r1", "r2"]})
-        replicas = [SmrReplica(env, network, directory, "smr", f"r{i}",
+        replicas = [SsmrServer(env, network, directory, "smr", f"r{i}",
                                KeyValueStateMachine(),
                                execution=ExecutionModel(base_ms=0.05))
                     for i in range(3)]
         for replica in replicas:
             replica.load_state(dict(INITIAL))
-        clients = [SmrClient(env, network, directory, f"c{i}", "smr")
+        oracle = StaticOracle(StaticPartitionMap(["smr"]))
+        clients = [SsmrClient(env, network, directory, f"c{i}", oracle)
                    for i in range(self.CLIENTS)]
         history = History()
         record_workload(env, clients, history, self.OPS, seed)

@@ -136,3 +136,42 @@ class TestSequencerSpecifics:
         logs["m0"].submit({"uid": "a"})
         env.run()
         assert logs["m1"].applied_count == 1
+
+
+class TestLogBackfill:
+    def test_gap_triggers_backfill(self, env):
+        """A member that misses a decision fills the hole via backfill."""
+        net, _directory, logs = build_logs(env, SequencerLog, seed=9)
+        # Drop exactly the decide messages to m2 for a window, creating a
+        # hole that only backfill can repair.
+        remove = net.add_drop_rule(
+            lambda m: m.dst == "m2" and m.kind == "log/g/decide")
+        logs["m0"].submit({"uid": "lost"})
+        env.run(until=10)
+        remove()
+        logs["m0"].submit({"uid": "after"})
+        env.run(until=10_000)
+        assert [uid for _seq, uid in logs["m2"].applied] == \
+            ["lost", "after"]
+
+    def test_fast_forward_validation(self, env):
+        _net, _directory, logs = build_logs(env, SequencerLog)
+        logs["m0"].submit({"uid": "a"})
+        env.run(until=100)
+        with pytest.raises(ValueError):
+            logs["m1"].fast_forward(0)
+
+    def test_fast_forward_applies_the_run_that_was_waiting(self, env):
+        """Entries past the snapshot learned while it was in flight are
+        applied by the fast-forward itself; left pending, every later
+        copy of them is dropped as a duplicate and the log stalls until
+        newer traffic arrives (fuzz: a recovered replica ends a prefix
+        behind its peer, "replicas diverge on execution order")."""
+        _net, _directory, logs = build_logs(env, SequencerLog)
+        log = logs["m1"]
+        for seq in (2, 3):              # 0 and 1 are in the snapshot
+            log._learn(seq, {"uid": f"e{seq}"})
+        assert log.applied == []
+        log.fast_forward(2)
+        assert log.applied == [(2, "e2"), (3, "e3")]
+        assert log.applied_count == 4

@@ -3,8 +3,8 @@
 Each test builds one executor alone in its group and feeds it deliveries
 directly (no ordering layer in the way), so the stage order of the shared
 loop — sojourn -> WAL barrier -> schedule -> apply -> reply cache -> reply —
-is pinned on ``SmrReplica``, ``SsmrServer``, ``DssmrServer`` and
-``OracleReplica`` alike.
+is pinned on ``SsmrServer`` (which also serves classic SMR),
+``DssmrServer`` and ``OracleReplica`` alike.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from repro.qos import classify_entry
 from repro.sim import SeedStream
 from repro.smr import (Command, CommandType, ExecutionConfig, ExecutionModel,
                        KeyValueStateMachine, ParallelExecutionModel,
-                       ReplyStatus, SmrReplica)
+                       ReplyStatus)
 from repro.smr.executor import REPLY_KIND, OrderedExecutor
 from repro.ssmr import SsmrServer
 from repro.ssmr.exchange import ExchangeBuffer
 
 LATENCY_MS = 0.1
 FSYNC_MS = 5.0
-STORE_BACKED = (SmrReplica, SsmrServer, DssmrServer)
+STORE_BACKED = (SsmrServer, DssmrServer)
 ALL_ROLES = STORE_BACKED + (OracleReplica,)
 
 
@@ -285,7 +285,7 @@ def test_pending_deliveries_lists_cores_then_current_then_queue(store_rig):
 
 def test_replace_queue_drops_the_stamps_of_what_it_drops(env):
     gate = env.event()
-    rig = Rig(env, SmrReplica, start_gate=gate)
+    rig = Rig(env, SsmrServer, start_gate=gate)
     rig.executor.attach_qos(RecordingQos([]))
     for cid in ("c0:1", "c0:2", "c0:3"):
         rig.deliver(rig.command(cid))

@@ -1,13 +1,14 @@
-"""Tests for classic-SMR crash recovery (snapshot + log backfill)."""
+"""Crash recovery of a classic-SMR group: the one-partition case of
+checkpoint-install recovery (:mod:`repro.reconfig.recovery`)."""
 
 from repro.obs.tracing import CommandTracer
-from repro.ordering import GroupDirectory
-from repro.smr import (Command, ExecutionModel, KeyValueStateMachine,
-                       SmrClient, SmrReplica)
-from repro.smr.recovery import RecoveryHost, recover_replica
+from repro.reconfig import (CheckpointHost, PartitionCheckpointer,
+                            recover_partition_server)
+from repro.reconfig.transfer import (XFER_CHUNK, XFER_CHUNK_REQ, XFER_META,
+                                     XFER_META_REQ)
+from repro.smr import Command
 
-from tests.conftest import make_network
-from tests.smr.test_replica import build_smr
+from tests.smr.test_replica import build_smr, smr_client
 
 
 def incr(key="x"):
@@ -23,14 +24,22 @@ def run_commands(env, client, count, replies, pause=5.0):
     env.process(proc(env))
 
 
+def build_group(env, seed=1, contents=None, **server_options):
+    """Three replicas (``r0`` is the speaker), each able to seed a peer."""
+    net, directory, replicas = build_smr(env, replicas=3, seed=seed,
+                                         **server_options)
+    hosts = []
+    for replica in replicas:
+        replica.load_state(contents or {"x": 0})
+        PartitionCheckpointer(replica)
+        hosts.append(CheckpointHost(replica))
+    return net, directory, replicas, hosts
+
+
 class TestRecovery:
     def _setup(self, env, seed=1):
-        net, directory, replicas = build_smr(env, replicas=3, seed=seed)
-        hosts = []
-        for replica in replicas:
-            replica.load_state({"x": 0})
-            hosts.append(RecoveryHost(replica))
-        client = SmrClient(env, net, directory, "c0", "smr")
+        net, directory, replicas, hosts = build_group(env, seed=seed)
+        client = smr_client(env, net, directory, "c0")
         return net, directory, replicas, client, hosts
 
     def test_recovered_replica_catches_up(self, env):
@@ -43,9 +52,8 @@ class TestRecovery:
             yield env.timeout(20)      # a few commands executed
             replicas[2].crash()
             yield env.timeout(25)      # more commands missed while down
-            replacement = recover_replica(replicas[2], replicas[0])
-            RecoveryHost(replacement)
-            recovered_holder.append(replacement)
+            recovered_holder.append(
+                recover_partition_server(replicas[2], replicas[0]))
 
         env.process(chaos(env))
         env.run(until=60_000)
@@ -61,17 +69,9 @@ class TestRecovery:
         replica went dark in traces and re-enabled dedup under the
         ``no_dedup`` sentinel."""
         tracer = CommandTracer()
-        net = make_network(env, seed=1)
-        directory = GroupDirectory({"smr": ["r0", "r1", "r2"]})
-        replicas = [SmrReplica(env, net, directory, "smr", name,
-                               KeyValueStateMachine(),
-                               execution=ExecutionModel(base_ms=0.05),
-                               dedup=False, tracer=tracer)
-                    for name in directory.members("smr")]
-        for replica in replicas:
-            replica.load_state({"x": 0})
-            RecoveryHost(replica)
-        client = SmrClient(env, net, directory, "c0", "smr")
+        net, directory, replicas, _hosts = build_group(
+            env, dedup=False, tracer=tracer)
+        client = smr_client(env, net, directory, "c0")
         replies = []
         run_commands(env, client, 12, replies)
         holder = []
@@ -80,7 +80,7 @@ class TestRecovery:
             yield env.timeout(20)
             replicas[2].crash()
             yield env.timeout(25)
-            holder.append(recover_replica(replicas[2], replicas[0]))
+            holder.append(recover_partition_server(replicas[2], replicas[0]))
 
         env.process(chaos(env))
         env.run(until=60_000)
@@ -102,10 +102,10 @@ class TestRecovery:
             yield env.timeout(30)
             replicas[1].crash()
             yield env.timeout(10)
-            replacement = recover_replica(replicas[1], replicas[0])
+            replacement = recover_partition_server(replicas[1], replicas[0])
             yield env.timeout(100)
             # A fresh client command must reach the replacement too.
-            late = SmrClient(env, net, directory, "c9", "smr")
+            late = smr_client(env, net, directory, "c9")
             reply = yield from late.run_command(incr())
             results.append((reply.value, replacement))
 
@@ -124,14 +124,15 @@ class TestRecovery:
             yield env.timeout(15)
             replicas[2].crash()
             yield env.timeout(5)
-            recover_replica(replicas[2], replicas[0])
+            recover_partition_server(replicas[2], replicas[0])
 
         env.process(chaos(env))
         env.run(until=30_000)
-        assert hosts[0].snapshots_served == 1
+        assert hosts[0].transfers_started == 1
+        assert hosts[1].transfers_started == 0
 
     def test_quiet_period_recovery(self, env):
-        """Recovery with no concurrent traffic: snapshot alone suffices."""
+        """Recovery with no concurrent traffic: the checkpoint suffices."""
         net, _directory, replicas, client, _hosts = self._setup(env, seed=5)
         replies = []
         run_commands(env, client, 3, replies, pause=1.0)
@@ -141,7 +142,7 @@ class TestRecovery:
             yield env.timeout(5_000)   # traffic long finished
             replicas[2].crash()
             yield env.timeout(100)
-            holder.append(recover_replica(replicas[2], replicas[0]))
+            holder.append(recover_partition_server(replicas[2], replicas[0]))
 
         env.process(chaos(env))
         env.run(until=30_000)
@@ -149,27 +150,11 @@ class TestRecovery:
 
 
 class TestRecoveryUnderLoss:
-    """Satellite of the chaos PR: snapshot traffic is not reliable either.
+    """Satellite of the chaos PR: checkpoint traffic is not reliable either.
 
-    A dropped snapshot request or response must lead to a timed-out,
+    A dropped transfer request or response must lead to a timed-out,
     retried recovery — never a replacement replica gated forever.
     """
-
-    def _recover_with_handle(self, crashed, peer, retry_ms=20.0):
-        """recover_replica, but keeping the RecoveringReplica handle."""
-        from repro.smr.recovery import RecoveringReplica
-        from repro.smr import KeyValueStateMachine, SmrReplica
-
-        network = crashed.node.network
-        name = crashed.node.name
-        network.recover(name)
-        replacement = SmrReplica(
-            crashed.env, network, crashed.amcast.directory, crashed.group,
-            name, KeyValueStateMachine(), execution=crashed.execution,
-            log_factory=type(crashed.log), start_gate=crashed.env.event())
-        handle = RecoveringReplica(replacement, peer.node.name,
-                                   retry_ms=retry_ms)
-        return replacement, handle
 
     def _drop_first(self, net, kind, count):
         dropped = []
@@ -184,14 +169,8 @@ class TestRecoveryUnderLoss:
         return dropped
 
     def _run_loss_scenario(self, env, lost_kind, lost_count=2):
-        from repro.smr.recovery import RecoveryHost
-
-        net, _directory, replicas = build_smr(env)
-        host = RecoveryHost(replicas[0])
-        for replica in replicas:
-            replica.load_state({"x": 0})
-        client = SmrClient(env, net, directory=replicas[0].amcast.directory,
-                           name="c0", group="smr")
+        net, directory, replicas, hosts = build_group(env)
+        client = smr_client(env, net, directory, "c0")
         replies = []
         run_commands(env, client, 6, replies, pause=2.0)
         outcome = {}
@@ -201,84 +180,62 @@ class TestRecoveryUnderLoss:
             replicas[2].crash()
             outcome["dropped"] = self._drop_first(net, lost_kind, lost_count)
             yield env.timeout(4)
-            replacement, handle = self._recover_with_handle(
+            outcome["replacement"] = recover_partition_server(
                 replicas[2], replicas[0])
-            yield env.timeout(2_000)
-            outcome.update(replacement=replacement, handle=handle)
 
         env.process(chaos(env))
         env.run(until=60_000)
         assert replies == list(range(1, 7))
         assert len(outcome["dropped"]) == lost_count
-        handle = outcome["handle"]
-        assert handle.installed, "recovery hung instead of retrying"
-        assert handle.attempts >= lost_count + 1
         replacement = outcome["replacement"]
+        recovery = replacement.recovery
+        assert recovery.installed, "recovery hung instead of retrying"
+        assert recovery.transfer.meta_retries >= lost_count
         assert replacement.store.snapshot() == replicas[0].store.snapshot()
         assert replacement.executed == replicas[0].executed
-        return host, handle
+        return hosts[0], recovery
 
     def test_lost_snapshot_request_is_retried(self, env):
-        from repro.smr.recovery import SNAPSHOT_REQUEST
-
-        self._run_loss_scenario(env, SNAPSHOT_REQUEST)
+        self._run_loss_scenario(env, XFER_META_REQ)
 
     def test_lost_snapshot_response_is_retried(self, env):
-        from repro.smr.recovery import SNAPSHOT_RESPONSE
-
-        host, _handle = self._run_loss_scenario(env, SNAPSHOT_RESPONSE)
-        # The peer served every (retried) request; duplicates of the
-        # response install at most once at the recovering side.
-        assert host.snapshots_served >= 2
+        host, _recovery = self._run_loss_scenario(env, XFER_META)
+        # The peer answered every (retried) request from the one frozen
+        # capture; the receiver installs it at most once.
+        assert host.transfers_started == 1
 
     def test_recovery_survives_random_loss(self, env):
         from repro.net import FailureInjector
         from repro.sim import SeedStream
-        from repro.smr.recovery import (RecoveryHost, SNAPSHOT_REQUEST,
-                                        SNAPSHOT_RESPONSE, recover_replica)
 
-        net, _directory, replicas = build_smr(env, seed=11)
-        RecoveryHost(replicas[0])
-        for replica in replicas:
-            replica.load_state({"x": 0})
+        net, _directory, replicas, _hosts = build_group(env, seed=11)
         injector = FailureInjector(env, net, SeedStream(4))
-        injector.drop_fraction(0.5, kinds=[SNAPSHOT_REQUEST,
-                                           SNAPSHOT_RESPONSE])
+        injector.drop_fraction(0.5, kinds=[XFER_META_REQ, XFER_META,
+                                           XFER_CHUNK_REQ, XFER_CHUNK])
         holder = []
 
         def chaos(env):
             replicas[2].crash()
             yield env.timeout(5)
-            holder.append(recover_replica(replicas[2], replicas[0]))
+            holder.append(recover_partition_server(replicas[2], replicas[0]))
 
         env.process(chaos(env))
         env.run(until=60_000)
-        # Retry-until-installed beats a 50% loss rate on snapshot traffic.
+        # Retry-until-installed beats a 50% loss rate on transfer traffic.
+        assert holder[0].recovery.installed
         assert holder[0].store.snapshot() == replicas[0].store.snapshot()
 
 
 class TestPeerRotation:
-    """Satellite of the durability PR: the snapshot source is not a
+    """Satellite of the durability PR: the checkpoint source is not a
     single point of failure. A primary peer that dies between the
     request and its reply must only delay the install — the recovery
-    rotates through its fallback peers instead of retrying a dead node
+    moves on to its fallback peers instead of retrying a dead node
     forever."""
 
-    def _setup(self, env, seed=17):
-        net, directory, replicas = build_smr(env, replicas=3, seed=seed)
-        for replica in replicas:
-            replica.load_state({"x": 0})
-        # Hosts on the *fallback* candidates only; the doomed primary
-        # never gets to answer anyway.
-        hosts = [RecoveryHost(replicas[0]), RecoveryHost(replicas[1])]
-        client = SmrClient(env, net, directory, "c0", "smr")
-        return net, replicas, client, hosts
-
     def test_rotation_to_fallback_when_primary_dies(self, env):
-        from repro.smr.recovery import RecoveringReplica
-        from repro.smr import SmrReplica
-
-        net, replicas, client, hosts = self._setup(env)
+        net, directory, replicas, hosts = build_group(env, seed=17)
+        client = smr_client(env, net, directory, "c0")
         replies = []
         run_commands(env, client, 5, replies, pause=2.0)
         outcome = {}
@@ -286,144 +243,35 @@ class TestPeerRotation:
         def chaos(env):
             yield env.timeout(25)          # workload finished
             replicas[2].crash()
-            # The chosen snapshot source dies before it can answer.
+            # The chosen checkpoint source dies before it can answer.
             replicas[1].crash()
             yield env.timeout(2)
-            net.recover(replicas[2].node.name)
-            replacement = SmrReplica(
-                env, net, replicas[2].amcast.directory, replicas[2].group,
-                replicas[2].node.name, KeyValueStateMachine(),
-                execution=replicas[2].execution,
-                log_factory=type(replicas[2].log),
-                start_gate=env.event())
-            handle = RecoveringReplica(
-                replacement, replicas[1].node.name, retry_ms=10.0,
-                fallback_peers=[replicas[0].node.name],
-                attempts_per_peer=2)
-            yield env.timeout(2_000)
-            outcome.update(replacement=replacement, handle=handle)
+            outcome["replacement"] = recover_partition_server(
+                replicas[2], replicas[1],
+                fallback_peers=[replicas[0].node.name])
 
         env.process(chaos(env))
         env.run(until=60_000)
-        handle = outcome["handle"]
-        assert handle.installed, "recovery hung on the dead primary"
-        # It burned its attempts on the dead peer, then rotated.
-        assert handle.peer_name == replicas[0].node.name
-        assert handle.attempts > handle.attempts_per_peer
-        assert hosts[0].snapshots_served >= 1
-        assert outcome["replacement"].store.snapshot() == \
-            replicas[0].store.snapshot()
-        assert outcome["replacement"].executed == replicas[0].executed
-
-    def test_rotation_wraps_around_while_all_sources_are_dead(self, env):
-        """With every source dead the rotation keeps cycling (primary →
-        fallback → primary …) instead of wedging on one peer: whichever
-        source comes back first will get the next request."""
-        from repro.smr.recovery import RecoveringReplica
-        from repro.smr import SmrReplica
-
-        net, replicas, client, hosts = self._setup(env, seed=19)
-        replies = []
-        run_commands(env, client, 3, replies, pause=2.0)
-        outcome = {}
-        seen_peers = []
-
-        def chaos(env):
-            yield env.timeout(20)
-            replicas[2].crash()
-            replicas[0].crash()
-            replicas[1].crash()
-            yield env.timeout(2)
-            net.recover(replicas[2].node.name)
-            replacement = SmrReplica(
-                env, net, replicas[2].amcast.directory, replicas[2].group,
-                replicas[2].node.name, KeyValueStateMachine(),
-                execution=replicas[2].execution,
-                log_factory=type(replicas[2].log),
-                start_gate=env.event())
-            handle = RecoveringReplica(
-                replacement, replicas[0].node.name, retry_ms=10.0,
-                fallback_peers=[replicas[1].node.name],
-                attempts_per_peer=2)
-            for _ in range(12):
-                seen_peers.append(handle.peer_name)
-                yield env.timeout(10.0)
-            outcome["handle"] = handle
-
-        env.process(chaos(env))
-        env.run(until=60_000)
-        handle = outcome["handle"]
-        assert not handle.installed        # nobody could answer
-        assert handle.attempts > 2 * handle.attempts_per_peer
-        # Both sources were asked, and the cycle wrapped back around.
-        primary = replicas[0].node.name
-        fallback = replicas[1].node.name
-        assert fallback in seen_peers
-        assert primary in seen_peers[seen_peers.index(fallback):]
-
-
-class TestLogBackfill:
-    def test_gap_triggers_backfill(self, env):
-        """A member that misses a decision fills the hole via backfill."""
-        from repro.net import FailureInjector
-        from repro.sim import SeedStream
-        from tests.ordering.test_logs import build_logs
-        from repro.ordering import SequencerLog
-
-        net, _directory, logs = build_logs(env, SequencerLog, seed=9)
-        # Drop exactly the decide messages to m2 for a window, creating a
-        # hole that only backfill can repair.
-        remove = net.add_drop_rule(
-            lambda m: m.dst == "m2" and m.kind == "log/g/decide")
-        logs["m0"].submit({"uid": "lost"})
-        env.run(until=10)
-        remove()
-        logs["m0"].submit({"uid": "after"})
-        env.run(until=10_000)
-        assert [uid for _seq, uid in logs["m2"].applied] == \
-            ["lost", "after"]
-
-    def test_fast_forward_validation(self, env):
-        from tests.ordering.test_logs import build_logs
-        from repro.ordering import SequencerLog
-        import pytest
-
-        _net, _directory, logs = build_logs(env, SequencerLog)
-        logs["m0"].submit({"uid": "a"})
-        env.run(until=100)
-        with pytest.raises(ValueError):
-            logs["m1"].fast_forward(0)
-
-    def test_fast_forward_applies_the_run_that_was_waiting(self, env):
-        """Entries past the snapshot learned while it was in flight are
-        applied by the fast-forward itself; left pending, every later
-        copy of them is dropped as a duplicate and the log stalls until
-        newer traffic arrives (fuzz: a recovered replica ends a prefix
-        behind its peer, "replicas diverge on execution order")."""
-        from tests.ordering.test_logs import build_logs
-        from repro.ordering import SequencerLog
-
-        _net, _directory, logs = build_logs(env, SequencerLog)
-        log = logs["m1"]
-        for seq in (2, 3):              # 0 and 1 are in the snapshot
-            log._learn(seq, {"uid": f"e{seq}"})
-        assert log.applied == []
-        log.fast_forward(2)
-        assert log.applied == [(2, "e2"), (3, "e3")]
-        assert log.applied_count == 4
+        replacement = outcome["replacement"]
+        recovery = replacement.recovery
+        assert recovery.installed, "recovery hung on the dead primary"
+        # It waited out the dead peer's stall window, then moved on.
+        assert recovery.peers_tried == ["r1", "r0"]
+        assert recovery.transfer.stalls == 1
+        assert hosts[0].transfers_started == 1
+        assert replacement.store.snapshot() == replicas[0].store.snapshot()
+        assert replacement.executed == replicas[0].executed
 
 
 class TestRecoveryUnderLoad:
     """Satellite of the reconfiguration PR: recovery is not a quiet-time
-    operation. Snapshots get requested while commands are in flight, a
-    replica can crash again right after coming back, and the only willing
-    snapshot host may itself still be catching up."""
+    operation. Checkpoints get requested while commands are in flight, a
+    replica can crash again right after coming back, and the source may
+    itself still be catching up."""
 
     def _setup(self, env, seed=7):
-        net, directory, replicas = build_smr(env, replicas=3, seed=seed)
-        for replica in replicas:
-            replica.load_state({"x": 0, "y": 0})
-            RecoveryHost(replica)
+        net, directory, replicas, _hosts = build_group(
+            env, seed=seed, contents={"x": 0, "y": 0})
         return net, directory, replicas
 
     def _pipelined_load(self, env, net, directory, clients=3, count=20,
@@ -432,7 +280,7 @@ class TestRecoveryUnderLoad:
         flight at every point of the run."""
         replies = []
         for index in range(clients):
-            client = SmrClient(env, net, directory, f"c{index}", "smr")
+            client = smr_client(env, net, directory, f"c{index}")
             key = "x" if index % 2 == 0 else "y"
 
             def proc(env, client=client, key=key):
@@ -453,9 +301,7 @@ class TestRecoveryUnderLoad:
             yield env.timeout(9)        # mid-burst: deliveries queued
             replicas[2].crash()
             yield env.timeout(3)        # recover while traffic still flows
-            replacement = recover_replica(replicas[2], replicas[0])
-            RecoveryHost(replacement)
-            holder.append(replacement)
+            holder.append(recover_partition_server(replicas[2], replicas[0]))
 
         env.process(chaos(env))
         env.run(until=60_000)
@@ -463,7 +309,7 @@ class TestRecoveryUnderLoad:
         replacement = holder[0]
         assert replacement.store.snapshot() == replicas[0].store.snapshot()
         # Deliveries buffered during the install were deduplicated against
-        # the snapshot: nothing executed twice, order matches the peer.
+        # the checkpoint: nothing executed twice, order matches the peer.
         assert len(replacement.executed) == len(set(replacement.executed))
         assert replacement.executed == replicas[0].executed
 
@@ -478,10 +324,8 @@ class TestRecoveryUnderLoad:
                 yield env.timeout(8 + 5 * cycle)
                 current["replica"].crash()
                 yield env.timeout(4)
-                replacement = recover_replica(current["replica"],
-                                              replicas[0])
-                RecoveryHost(replacement)
-                current["replica"] = replacement
+                current["replica"] = recover_partition_server(
+                    current["replica"], replicas[0])
 
         env.process(chaos(env))
         env.run(until=60_000)
@@ -492,11 +336,11 @@ class TestRecoveryUnderLoad:
         assert len(survivor.executed) == len(set(survivor.executed))
 
     def test_snapshot_served_by_peer_mid_catchup(self, env):
-        """A replica that is itself still catching up serves a snapshot.
+        """A replica that is itself still catching up serves a checkpoint.
 
-        m2 recovers from m0, and while its log suffix is still being
-        backfilled, m1 crashes and recovers *from m2*. The partial
-        snapshot is consistent (store matches its executed prefix), and
+        r2 recovers from r0, and while its log suffix is still being
+        backfilled, r1 crashes and recovers *from r2*. The partial
+        checkpoint is consistent (store matches its executed prefix), and
         the log's gap/backfill machinery delivers the rest to both.
         """
         net, directory, replicas = self._setup(env, seed=11)
@@ -506,22 +350,19 @@ class TestRecoveryUnderLoad:
         def chaos(env):
             yield env.timeout(10)
             replicas[2].crash()
-            yield env.timeout(15)       # m2 misses a chunk of the log
-            second = recover_replica(replicas[2], replicas[0])
-            RecoveryHost(second)
-            holder["m2"] = second
-            # Immediately crash m1 and point its recovery at the replica
+            yield env.timeout(15)       # r2 misses a chunk of the log
+            second = recover_partition_server(replicas[2], replicas[0])
+            holder["r2"] = second
+            # Immediately crash r1 and point its recovery at the replica
             # that is still mid-catch-up.
             replicas[1].crash()
             yield env.timeout(1)
-            first = recover_replica(replicas[1], second)
-            RecoveryHost(first)
-            holder["m1"] = first
+            holder["r1"] = recover_partition_server(replicas[1], second)
 
         env.process(chaos(env))
         env.run(until=60_000)
         assert len(replies) == 75
-        for name in ("m1", "m2"):
+        for name in ("r1", "r2"):
             recovered = holder[name]
             assert recovered.store.snapshot() == \
                 replicas[0].store.snapshot(), name

@@ -1,21 +1,29 @@
-"""Integration tests for classic SMR: full replication over atomic broadcast."""
+"""Integration tests for classic SMR: full replication over atomic
+broadcast — one S-SMR partition (classic SMR = S-SMR at k = 1)."""
 
 from repro.ordering import GroupDirectory
 from repro.smr import (Command, CommandType, ExecutionModel,
-                       KeyValueStateMachine, ReplyStatus, SmrClient,
-                       SmrReplica)
+                       KeyValueStateMachine, ReplyStatus)
+from repro.ssmr import (SsmrClient, SsmrServer, StaticOracle,
+                        StaticPartitionMap)
 
 from tests.conftest import make_network
 
 
-def build_smr(env, replicas=3, seed=1):
+def build_smr(env, replicas=3, seed=1, **server_options):
     network = make_network(env, seed=seed)
     directory = GroupDirectory({"smr": [f"r{i}" for i in range(replicas)]})
-    nodes = [SmrReplica(env, network, directory, "smr", f"r{i}",
+    nodes = [SsmrServer(env, network, directory, "smr", f"r{i}",
                         KeyValueStateMachine(),
-                        execution=ExecutionModel(base_ms=0.05))
+                        execution=ExecutionModel(base_ms=0.05),
+                        **server_options)
              for i in range(replicas)]
     return network, directory, nodes
+
+
+def smr_client(env, network, directory, name):
+    return SsmrClient(env, network, directory, name,
+                      StaticOracle(StaticPartitionMap(["smr"])))
 
 
 class TestClassicSmr:
@@ -23,7 +31,7 @@ class TestClassicSmr:
         net, directory, replicas = build_smr(env)
         for replica in replicas:
             replica.load_state({"x": 0})
-        client = SmrClient(env, net, directory, "c0", "smr")
+        client = smr_client(env, net, directory, "c0")
         results = []
 
         def run(env):
@@ -42,7 +50,7 @@ class TestClassicSmr:
         net, directory, replicas = build_smr(env, seed=3)
         for replica in replicas:
             replica.load_state({"x": 0})
-        clients = [SmrClient(env, net, directory, f"c{i}", "smr")
+        clients = [smr_client(env, net, directory, f"c{i}")
                    for i in range(4)]
 
         def run(client):
@@ -61,7 +69,7 @@ class TestClassicSmr:
 
     def test_create_and_delete(self, env):
         net, directory, replicas = build_smr(env)
-        client = SmrClient(env, net, directory, "c0", "smr")
+        client = smr_client(env, net, directory, "c0")
         results = []
 
         def run(env):
@@ -83,7 +91,7 @@ class TestClassicSmr:
 
     def test_nok_on_missing_variable(self, env):
         net, directory, _replicas = build_smr(env)
-        client = SmrClient(env, net, directory, "c0", "smr")
+        client = smr_client(env, net, directory, "c0")
         results = []
 
         def run(env):
@@ -101,7 +109,7 @@ class TestClassicSmr:
         replicas[0].load_state({"x": 0})
         replicas[1].load_state({"x": 0})
         replicas[2].load_state({"x": 0})
-        client = SmrClient(env, net, directory, "c0", "smr")
+        client = smr_client(env, net, directory, "c0")
 
         def run(env):
             yield from client.run_command(
@@ -124,7 +132,7 @@ class TestClassicSmr:
             net, directory, nodes = build_smr(local_env, replicas=replicas)
             for node in nodes:
                 node.load_state({"x": 0})
-            clients = [SmrClient(local_env, net, directory, f"c{i}", "smr")
+            clients = [smr_client(local_env, net, directory, f"c{i}")
                        for i in range(20)]
             end = 2_000.0
 
@@ -141,3 +149,28 @@ class TestClassicSmr:
             tput[replicas] = completed
         # Within 25%: replication does not add capacity.
         assert math.isclose(tput[1], tput[3], rel_tol=0.25)
+
+
+def test_scheme_smr_is_scheme_ssmr_with_one_partition():
+    """Classic SMR = S-SMR at k = 1: the same seeded command stream gives
+    the same executions, state, latencies and message count."""
+    from repro.harness.kvbed import build_kv_cluster, spawn_wave
+
+    def run(scheme, **config):
+        cluster = build_kv_cluster(scheme, 5, ("equivalence", "k1"),
+                                   **config)
+        wave = spawn_wave(cluster, 3, 12, "equivalence")
+        cluster.run(until=60_000)
+        assert wave.completed == wave.expected == 36
+        return {
+            "executed": {name: list(server.executed)
+                         for name, server in cluster.servers.items()},
+            "stores": {name: server.store.snapshot()
+                       for name, server in cluster.servers.items()},
+            "latencies": list(cluster.latency.completions.values),
+            "completions": wave.completions,
+            "messages_sent": cluster.network.messages_sent,
+        }
+
+    # The bed's default of two partitions is forced to one for "smr".
+    assert run("smr") == run("ssmr", num_partitions=1)
