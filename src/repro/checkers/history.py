@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
-_op_counter = itertools.count()
+from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass
 class Operation:
-    """One completed operation in a concurrent history."""
+    """One completed operation in a concurrent history; ``op_id`` is its
+    position in that history."""
 
     client: str
     op: str
@@ -19,7 +17,7 @@ class Operation:
     result: Any
     invoked_at: float
     responded_at: float
-    op_id: int = field(default_factory=lambda: next(_op_counter))
+    op_id: int
 
     def __post_init__(self):
         if self.responded_at < self.invoked_at:
@@ -45,7 +43,8 @@ class History:
                invoked_at: float, responded_at: float) -> Operation:
         operation = Operation(client=client, op=op, args=dict(args),
                               result=result, invoked_at=invoked_at,
-                              responded_at=responded_at)
+                              responded_at=responded_at,
+                              op_id=len(self.operations))
         self.operations.append(operation)
         return operation
 

@@ -18,6 +18,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from repro.canonical import canonical_json
+
 SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
 
 
@@ -54,20 +56,15 @@ def _campaign_flags(parser, smoke: Optional[str] = None,
                         help=out_help)
 
 
-def _canonical(data) -> str:
-    """Byte-deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(args, report: str, payload: str,
-          out: Optional[str] = None) -> None:
+def _emit(args, report: str, data, out: Optional[str] = None) -> None:
     """The one campaign output shape.
 
     The report goes to stdout — or to stderr under ``--json`` /
-    ``--smoke``, where stdout carries exactly the canonical ``payload``
-    line and so stays byte-comparable. ``--out`` receives ``out``, by
-    default the payload.
+    ``--smoke``, where stdout carries exactly the canonical JSON of
+    ``data`` (the payload) and so stays byte-comparable. ``--out``
+    receives ``out``, by default the payload.
     """
+    payload = canonical_json(data)
     emit_json = args.json or getattr(args, "smoke", False)
     print(report, file=sys.stderr if emit_json else sys.stdout)
     if emit_json:
@@ -429,15 +426,15 @@ def cmd_profile(args) -> int:
             report.append("per-command stage sums match end-to-end "
                           "latency exactly")
         report.append("")
-    _emit(args, "\n".join(report), _canonical(payload),
+    _emit(args, "\n".join(report), payload,
           out="\n".join(folded_sections))
     return 0 if ok else 1
 
 
 def cmd_perfcheck(args) -> int:
-    from repro.harness.perf import (SUBSTRATE_SHAPES, canonical_json,
-                                    compare_substrate, compare_to_baseline,
-                                    load_baseline, make_substrate_baseline,
+    from repro.harness.perf import (SUBSTRATE_SHAPES, compare_substrate,
+                                    compare_to_baseline, load_baseline,
+                                    make_substrate_baseline,
                                     run_perf_suite, run_substrate_micro)
 
     current = run_perf_suite(seed=args.seed, slowdown=args.slowdown)
@@ -514,7 +511,7 @@ def cmd_fuzz(args) -> int:
         inject_bug=args.inject_bug, shrink=not args.no_shrink,
         artifacts_dir=args.artifacts, supervisor=args.supervisor,
         overload=args.overload, disk=args.disk, parallel=args.parallel)
-    _emit(args, campaign.report(), _canonical(campaign.to_dict()))
+    _emit(args, campaign.report(), campaign.to_dict())
     if args.inject_bug:
         # With a deliberate bug the fuzzer must FIND it; a clean
         # campaign means the fuzzer lost its teeth.
@@ -528,7 +525,7 @@ def cmd_qos(args) -> int:
 
     data = run_overload_campaign(seed=args.seed, smoke=args.smoke,
                                  scheme=args.scheme)
-    _emit(args, format_overload_report(data), _canonical(data))
+    _emit(args, format_overload_report(data), data)
     # The campaign is also a self-check: QoS must beat the baseline
     # beyond saturation (full sweep only; the smoke sweep is a
     # determinism probe, too short to claim the figure's shape).
@@ -547,7 +544,7 @@ def cmd_durability(args) -> int:
                                           run_durability_campaign)
 
     data = run_durability_campaign(seed=args.seed, smoke=args.smoke)
-    _emit(args, format_durability_report(data), _canonical(data))
+    _emit(args, format_durability_report(data), data)
     # The campaign is also a self-check: every section gates.
     return 0 if data["summary"]["ok"] else 1
 
@@ -558,7 +555,7 @@ def cmd_heal(args) -> int:
     campaign = run_heal_campaign(
         num_scenarios=2 if args.smoke else args.scenarios, seed=args.seed,
         num_clients=args.clients, ops_per_client=args.ops)
-    _emit(args, campaign.report(), _canonical(campaign.to_dict()))
+    _emit(args, campaign.report(), campaign.to_dict())
     return 0 if campaign.ok else 1
 
 
@@ -566,7 +563,7 @@ def cmd_parallelexec(args) -> int:
     from repro.harness.parallelexec import format_report, run_campaign
 
     data = run_campaign(seed=args.seed, smoke=args.smoke)
-    _emit(args, format_report(data), _canonical(data))
+    _emit(args, format_report(data), data)
     # The campaign is also a self-check: equivalence + speedup gate.
     return 0 if data["gate"]["passed"] else 1
 
@@ -578,7 +575,7 @@ def cmd_reconfig(args) -> int:
                                   num_clients=args.clients,
                                   ops_per_client=args.ops,
                                   chaos=not args.no_chaos)
-    _emit(args, result.report(), result.metrics_json())
+    _emit(args, result.report(), result.to_dict())
     return 0 if result.ok else 1
 
 

@@ -32,7 +32,7 @@ from repro.ordering import GroupDirectory
 from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
 from repro.sim import Environment, LatencyRecorder
 from repro.smr.client import BaseClient
-from repro.smr.command import Command, CommandType, Reply, ReplyStatus, new_command_id
+from repro.smr.command import Command, CommandType, Reply, ReplyStatus
 from repro.core.oracle import ORACLE_GROUP, PROPHECY_KIND
 from repro.core.prophecy import Prophecy, ProphecyStatus
 
@@ -148,6 +148,7 @@ class DssmrClient(BaseClient):
         Implements the do/while loop of Algorithm 2, including the cache
         fast path and the S-SMR fallback.
         """
+        self.claim_cid(command)
         command.client = self.name
         start = self.env.now
         self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
@@ -347,7 +348,7 @@ class DssmrClient(BaseClient):
 
     def send_hint(self, vertices, edges) -> None:
         """Inform the oracle's workload graph (fire-and-forget, ordered)."""
-        hint_cid = new_command_id(self.name)
+        hint_cid = self.env.ids.new("cmd", self.name)
         self.mcast.multicast([ORACLE_GROUP], {
             "hint": {"vertices": list(vertices),
                      "edges": [list(edge) for edge in edges]},

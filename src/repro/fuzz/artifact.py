@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.canonical import canonical_json
 from repro.fuzz.runner import ScheduleRunResult, run_schedule
 from repro.fuzz.schedule import FaultSchedule
 from repro.fuzz.shrink import ShrinkResult
@@ -105,9 +106,7 @@ def replay_artifact(artifact: dict) -> ReplayOutcome:
     schedule = FaultSchedule.from_dict(artifact["schedule"])
     expected = artifact["expected"]
     result = run_schedule(schedule)
-    fresh = json.dumps(result.to_dict(), sort_keys=True,
-                       separators=(",", ":"))
-    recorded = json.dumps(expected, sort_keys=True, separators=(",", ":"))
     return ReplayOutcome(result=result, expected=expected,
-                         identical=fresh == recorded,
+                         identical=(canonical_json(result.to_dict())
+                                    == canonical_json(expected)),
                          still_violating=bool(result.violations))

@@ -1,9 +1,9 @@
 """Schedule-driven run: build a deployment, apply the faults, check.
 
 ``run_schedule`` is the single execution path behind the fuzzer, the
-replay artifact and (via scenario conversion) the chaos campaign: reset
-the global id counters, build the scheme's deployment, install every
-schedule event against the simulation clock, run the seeded client
+replay artifact and (via scenario conversion) the chaos campaign: build
+the scheme's deployment (its ``Environment`` owns the run's ids), install
+every schedule event against the simulation clock, run the seeded client
 workload to completion, heal at the horizon, settle, then check
 
 * completion — every client op finished before the virtual deadline;

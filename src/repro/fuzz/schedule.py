@@ -46,6 +46,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.canonical import canonical_json
+
 #: Event kinds handled by the injector's declarative API.
 MESSAGE_KINDS = ("drop", "delay", "duplicate", "reorder",
                  "partition", "partition_oneway")
@@ -137,15 +139,10 @@ class FaultSchedule:
                    durability=data.get("durability", False),
                    parallel=data.get("parallel", False))
 
-    def canonical_json(self) -> str:
-        """Canonical serialisation (sorted keys, no whitespace) — the
-        basis of digests and of the replay byte-comparison."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
     def digest(self) -> str:
         """Ten-hex-digit schedule fingerprint for reports and filenames."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:10]
+        return hashlib.sha256(
+            canonical_json(self.to_dict()).encode()).hexdigest()[:10]
 
     def describe(self) -> str:
         """Compact single-line fault summary for reports."""

@@ -192,7 +192,7 @@ def shrink_schedule(schedule: FaultSchedule, first_run: ScheduleRunResult,
     current = normalize_schedule(current)
 
     final_run = prober.last_failure
-    if final_run.schedule.canonical_json() != current.canonical_json():
+    if final_run.schedule.digest() != current.digest():
         # The greedy walk's last failure is always the accepted minimum,
         # but guard against drift: re-run the minimum if they differ.
         final_run = run_schedule(current)

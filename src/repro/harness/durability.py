@@ -36,6 +36,7 @@ from repro.harness.invariants import cluster_invariants
 from repro.harness.kvbed import build_kv_cluster, spawn_wave
 from repro.reconfig.checkpoint import state_checksum
 from repro.store import DurabilityConfig
+from repro.store.wal import RECORD_HEADER, WAL_PREFIX
 
 #: Schemes the replay-equivalence section proves.
 SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
@@ -151,8 +152,15 @@ def _fault_ladder(scheme: str, seed: int, num_clients: int,
     speaker = cluster.directory.speaker(partition)
     victim = next(m for m in members if m != speaker)
     disk = cluster.disks.disk(victim)
-    disk.inject_bitrot()
+    # Tear first, then rot the body of the first WAL record: replay reads
+    # every record up to the first anomaly, so it must meet this CRC
+    # failure. Rot drawn anywhere can land in the record the tear cuts
+    # short, and replay then sees nothing but a clean torn tail.
     disk.tear_tail()
+    first = disk.files(WAL_PREFIX + ".")[0]
+    length = RECORD_HEADER.unpack_from(disk.read(first))[0]
+    disk.inject_bitrot(first, (RECORD_HEADER.size,
+                               RECORD_HEADER.size + length))
     cluster.servers[victim].crash()
     cluster.cold_restart_server(victim)
 

@@ -19,7 +19,6 @@ Two seeded, fully deterministic drivers on top of the chaos machinery:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -74,16 +73,13 @@ class ElasticResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def metrics_json(self) -> str:
-        """Canonical JSON of the scrape — byte-stable across same-seed
+    def to_dict(self) -> dict:
+        """The scrape; its canonical JSON is byte-stable across same-seed
         runs (the determinism artifact the CI smoke compares)."""
-        return json.dumps({"seed": self.seed, "scheme": self.scheme,
-                           "epoch": self.epoch,
-                           "newcomer_keys": self.newcomer_keys,
-                           "ops": self.ops_completed,
-                           "timeline": self.timeline,
-                           "metrics": self.metrics},
-                          sort_keys=True, separators=(",", ":"))
+        return {"seed": self.seed, "scheme": self.scheme,
+                "epoch": self.epoch, "newcomer_keys": self.newcomer_keys,
+                "ops": self.ops_completed, "timeline": self.timeline,
+                "metrics": self.metrics}
 
     def report(self) -> str:
         rows = [["ops", f"{self.ops_completed}/{self.ops_expected}"],

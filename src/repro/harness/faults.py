@@ -23,25 +23,8 @@ and let :func:`select_victim` resolve the concrete node and crash mode.
 
 from __future__ import annotations
 
-import itertools
-
 #: Crash-victim roles a scenario/schedule generator may draw.
 VICTIM_ROLES = ("follower", "speaker", "oracle")
-
-
-def reset_id_counters() -> None:
-    """Reset the module-global id counters commands and multicasts draw
-    from. Run behaviour then depends only on its own seeds, never on what
-    ran earlier in the process — the property behind every harness's
-    run-twice-compare-reports determinism test."""
-    import repro.ordering.atomic_multicast as atomic_multicast
-    import repro.reconfig.manager as reconfig_manager
-    import repro.reconfig.transfer as reconfig_transfer
-    import repro.smr.command as command
-    command._cmd_counter = itertools.count()
-    atomic_multicast._am_counter = itertools.count()
-    reconfig_manager._rid_counter = itertools.count()
-    reconfig_transfer._transfer_counter = itertools.count()
 
 
 def _node_of(cluster, name: str):

@@ -533,8 +533,7 @@ def figure13_multicast_comparison(message_count: int = 300,
                 event = env.event()
                 # Register the waiter before multicasting: a sequencer
                 # member self-delivers synchronously inside multicast().
-                from repro.ordering.atomic_multicast import new_amcast_uid
-                uid = new_amcast_uid(member)
+                uid = env.ids.new("am", member)
                 waiters[uid] = {"origin": member, "event": event}
                 endpoints[member].multicast(dests, i, uid=uid)
                 yield event

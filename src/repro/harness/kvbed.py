@@ -7,9 +7,9 @@ keys ``k0…`` dealt round-robin, resilient clients issuing a get / incr /
 swap / sum mix — stated once, here:
 
 * :func:`kv_command` — the command mix;
-* :func:`build_kv_cluster` — the seeded, preloaded cluster, and the one
-  place the process-global id counters are reset, so a run depends on
-  its own seeds and never on what ran earlier in the process;
+* :func:`build_kv_cluster` — the seeded, preloaded cluster; its
+  ``Environment`` owns the run's ids, so a run depends on its own seeds
+  and never on what ran earlier in the process;
 * :func:`spawn_wave` — the closed-loop "``ops`` commands per client"
   workload and the :class:`Wave` record of what it did.
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.harness.cluster import Cluster, ClusterConfig
-from repro.harness.faults import reset_id_counters
 from repro.resilience import RetryPolicy
 from repro.sim import Event, SeedStream
 from repro.smr import Command, ReplyStatus
@@ -73,7 +72,6 @@ def build_kv_cluster(scheme: str, seed: int, seed_path: tuple,
     defaults to 2 partitions x 2 replicas and ``RetryPolicy()`` clients
     (an explicit ``retry_policy=None`` keeps block-forever clients).
     """
-    reset_id_counters()
     child, stream = seed_path
     config.setdefault("num_partitions", 2)
     config.setdefault("replicas_per_partition", 2)

@@ -96,8 +96,11 @@ def run_overload_point(multiplier: float, qos_on: bool, seed: int = 0,
 
     def one_op(client, key):
         invoked = env.now
+        # Named at arrival, not after the pacing wait: ids are drawn in
+        # arrival order.
         command = Command(op="incr", args={"key": key}, variables=(key,),
-                          writes=(key,), client=client.name)
+                          writes=(key,),
+                          cid=env.ids.new("cmd", client.name))
         try:
             # Open-loop pressure still honours the client's AIMD window:
             # the pacing wait counts against the op's SLO latency.

@@ -30,7 +30,6 @@ and compares the JSON payloads byte for byte.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Optional
 
@@ -264,11 +263,6 @@ def run_campaign(seed: int = 1, smoke: bool = False) -> dict:
         "sweep": sweep,
         "gate": _gate(sweep, equivalence),
     }
-
-
-def to_json(results: dict) -> str:
-    """Canonical byte-deterministic serialisation (CI compares these)."""
-    return json.dumps(results, sort_keys=True, separators=(",", ":"))
 
 
 def format_report(results: dict) -> str:

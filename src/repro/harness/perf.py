@@ -49,11 +49,6 @@ DEFAULT_SUBSTRATE_BASELINE_PATH = \
 SUBSTRATE_HEADROOM = 4.0
 
 
-def canonical_json(obj) -> str:
-    """Byte-deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits)
 

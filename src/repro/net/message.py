@@ -8,12 +8,8 @@ that, e.g., moving a large variable costs more than sending a signal.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-# One id sequence: ``Network.send`` draws from it and passes the id along.
-next_msg_id = itertools.count().__next__
 
 # Default wire size used when a layer does not specify one: roughly a small
 # RPC with headers.
@@ -24,23 +20,26 @@ DEFAULT_MESSAGE_SIZE = 256
 class Message:
     """A message in flight between two simulated processes.
 
+    Only :meth:`Network.send <repro.net.transport.Network.send>` builds
+    one, so every field is given.
+
     Attributes:
         src: name of the sending node.
         dst: name of the receiving node.
         kind: protocol-level message type tag (e.g. ``"paxos/accept"``).
         payload: arbitrary protocol payload.
         size: wire size in bytes (drives the bandwidth latency term).
-        msg_id: globally unique id, useful in logs and tests.
+        msg_id: unique within the run (``env.ids``), useful in logs and tests.
         sent_at: virtual time the message entered the network.
     """
 
     src: str
     dst: str
     kind: str
-    payload: Any = None
-    size: int = DEFAULT_MESSAGE_SIZE
-    msg_id: int = field(default_factory=next_msg_id)
-    sent_at: float = 0.0
+    payload: Any
+    size: int
+    msg_id: int
+    sent_at: float
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Message(#{self.msg_id} {self.src}->{self.dst} "

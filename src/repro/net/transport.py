@@ -28,7 +28,7 @@ import random
 from typing import Any, Callable, Iterable, Optional
 
 from repro.net.latency import FixedLatency, LatencyModel
-from repro.net.message import DEFAULT_MESSAGE_SIZE, Message, next_msg_id
+from repro.net.message import DEFAULT_MESSAGE_SIZE, Message
 from repro.obs.flight import FlightRecorder
 from repro.obs.profile import NULL_PROFILER
 from repro.sim import Channel, Environment, SeedStream
@@ -104,6 +104,7 @@ class Network:
                  latency: Optional[LatencyModel] = None,
                  profiler=None):
         self.env = env
+        self._next_message_id = env.ids.next_message
         self.latency = latency or FixedLatency(0.1)
         # profiler=None keeps cost attribution disabled (NULL_PROFILER):
         # the network is the carrier every component reaches through its
@@ -231,8 +232,8 @@ class Network:
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
             endpoint = self.register(dst)
-        message = Message(src, dst, kind, payload, size, next_msg_id(),
-                          self.env.now)
+        message = Message(src, dst, kind, payload, size,
+                          self._next_message_id(), self.env.now)
         self.messages_sent += 1
         self.bytes_sent += size
         self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + 1

@@ -13,10 +13,10 @@ yields byte-identical JSONL and tables.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
+from repro.canonical import canonical_json
 from repro.obs.registry import Histogram
 from repro.obs.tracing import ROOT_NAME, Span, spans_by_trace
 
@@ -32,7 +32,7 @@ STAGE_ORDER = ("consult", "move", "execute", "retry-wait",
 
 def span_to_json(span: Span) -> str:
     """Canonical one-line JSON encoding of a span (keys sorted)."""
-    return json.dumps({
+    return canonical_json({
         "trace": span.trace,
         "span": span.span_id,
         "parent": span.parent,
@@ -42,7 +42,7 @@ def span_to_json(span: Span) -> str:
         "end": span.end,
         "stage": span.stage,
         "meta": span.meta,
-    }, sort_keys=True, separators=(",", ":"))
+    })
 
 
 def dump_jsonl(spans: Iterable[Span],

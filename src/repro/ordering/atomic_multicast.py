@@ -30,15 +30,12 @@ order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.ordering.group import GroupDirectory
 from repro.ordering.log import GroupLog, LogClient
 from repro.ordering.node import ProtocolNode
-
-_am_counter = itertools.count()
 
 DeliverCallback = Callable[["AmcastDelivery"], None]
 
@@ -73,11 +70,6 @@ class _Pending:
     @property
     def current_ts(self) -> int:
         return self.final_ts if self.final_ts is not None else self.local_ts
-
-
-def new_amcast_uid(origin: str) -> str:
-    """Globally unique multicast message id."""
-    return f"am-{origin}-{next(_am_counter)}"
 
 
 class AtomicMulticast:
@@ -134,7 +126,7 @@ class AtomicMulticast:
         groups = tuple(sorted(set(groups)))
         if not groups:
             raise ValueError("amcast needs at least one destination group")
-        uid = uid or new_amcast_uid(self.node.name)
+        uid = uid or self.node.env.ids.new("am", self.node.name)
         entry = _propose_entry(uid, groups, payload, self.node.name, size)
         for group in groups:
             if group == self.group:
@@ -332,7 +324,7 @@ class MulticastClient:
         groups = tuple(sorted(set(groups)))
         if not groups:
             raise ValueError("amcast needs at least one destination group")
-        uid = uid or new_amcast_uid(self.node.name)
+        uid = uid or self.node.env.ids.new("am", self.node.name)
         entry = _propose_entry(uid, groups, payload, self.node.name, size)
         for group in groups:
             self._log_client.submit(group, entry, size=size + 128)

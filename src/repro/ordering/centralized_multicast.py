@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional
 
 from repro.net import Message
-from repro.ordering.atomic_multicast import AmcastDelivery, new_amcast_uid
+from repro.ordering.atomic_multicast import AmcastDelivery
 from repro.ordering.group import GroupDirectory
 from repro.ordering.node import ProtocolNode
 from repro.sim import Channel, Interrupted
@@ -108,7 +108,7 @@ class CentralizedAtomicMulticast:
         groups = tuple(sorted(set(groups)))
         if not groups:
             raise ValueError("amcast needs at least one destination group")
-        uid = uid or new_amcast_uid(self.node.name)
+        uid = uid or self.node.env.ids.new("am", self.node.name)
         self.node.send(self.sequencer_name, SUBMIT, {
             "uid": uid, "groups": list(groups),
             "payload": payload, "origin": self.node.name,
@@ -152,7 +152,7 @@ class CentralizedMulticastClient:
         groups = tuple(sorted(set(groups)))
         if not groups:
             raise ValueError("amcast needs at least one destination group")
-        uid = uid or new_amcast_uid(self.node.name)
+        uid = uid or self.node.env.ids.new("am", self.node.name)
         self.node.send(self.sequencer_name, SUBMIT, {
             "uid": uid, "groups": list(groups),
             "payload": payload, "origin": self.node.name,

@@ -13,19 +13,16 @@ group. With ``relay=True`` each receiver re-forwards the message to the
 other destinations on first delivery, which covers the case of a sender
 crashing after reaching only a subset (this is the textbook eager-relay
 algorithm). Duplicates are suppressed with a per-node delivered set, keyed
-by a globally unique multicast id.
+by a multicast id unique within the run.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Iterable
 
 from repro.net import Message
 from repro.ordering.group import GroupDirectory
 from repro.ordering.node import ProtocolNode
-
-_rm_counter = itertools.count()
 
 KIND = "rmcast"
 
@@ -59,7 +56,7 @@ class ReliableMulticast:
                   size: int = 256) -> str:
         """rmcast ``payload`` to all members of ``groups``; returns the id."""
         groups = sorted(set(groups))
-        uid = f"rm-{self.node.name}-{next(_rm_counter)}"
+        uid = self.node.env.ids.new("rm", self.node.name)
         envelope = {"uid": uid, "groups": groups, "payload": payload}
         destinations = self.directory.all_members(groups)
         for dst in destinations:

@@ -22,8 +22,7 @@ from repro.reconfig.checkpoint import (FrozenCheckpoint, PartitionCheckpoint,
 from repro.reconfig.manager import ReconfigError, ReconfigurationManager
 from repro.reconfig.recovery import (PartitionRecovery,
                                      recover_partition_server)
-from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
-                                     new_transfer_id)
+from repro.reconfig.transfer import CheckpointHost, StateTransfer
 
 __all__ = [
     "CheckpointHost",
@@ -35,7 +34,6 @@ __all__ = [
     "ReconfigurationManager",
     "StateTransfer",
     "canonical_bytes",
-    "new_transfer_id",
     "recover_partition_server",
     "state_checksum",
 ]

@@ -24,7 +24,6 @@ updates its map — with timeout-driven resends under fresh multicast uids
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional
 
@@ -36,8 +35,6 @@ from repro.sim import Environment
 from repro.smr.command import Command, CommandType, Reply
 from repro.smr.executor import REPLY_KIND
 from repro.core.oracle import ORACLE_GROUP, RECONFIG_ACK_KIND
-
-_rid_counter = itertools.count()
 
 
 class ReconfigError(RuntimeError):
@@ -107,7 +104,7 @@ class ReconfigurationManager:
         Retries under fresh uids; the oracle caches join/leave-begin acks,
         so a re-delivered entry yields the original plan.
         """
-        rid = f"rcfg-{self.node.name}-{next(_rid_counter)}"
+        rid = self.env.ids.new("rcfg", self.node.name)
         spec = {"kind": kind, "partition": partition, "rid": rid,
                 "manager": self.node.name}
         policy = self.retry_policy

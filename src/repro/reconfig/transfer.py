@@ -27,7 +27,6 @@ across same-seed runs.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.net import Message
@@ -40,12 +39,6 @@ XFER_META = "reconfig/xfer-meta"
 XFER_CHUNK_REQ = "reconfig/xfer-chunk-req"
 XFER_CHUNK = "reconfig/xfer-chunk"
 XFER_DONE = "reconfig/xfer-done"
-
-_transfer_counter = itertools.count()
-
-
-def new_transfer_id(name: str) -> str:
-    return f"xf-{name}-{next(_transfer_counter)}"
 
 
 class StateTransferStalled(RuntimeError):
@@ -234,8 +227,7 @@ class StateTransfer:
 
     # -- driver -------------------------------------------------------------
 
-    def fetch(self, peer: str, transfer_id: Optional[str] = None,
-              stall_after_ms: Optional[float] = None):
+    def fetch(self, peer: str, stall_after_ms: Optional[float] = None):
         """Generator: pull one full checkpoint from ``peer``.
 
         With ``stall_after_ms`` set, ``stall_after_ms`` of virtual time
@@ -247,7 +239,7 @@ class StateTransfer:
         if self._transfer_id is not None:
             raise RuntimeError("a transfer is already in progress on "
                                f"{self.node.name}")
-        self._transfer_id = transfer_id or new_transfer_id(self.node.name)
+        self._transfer_id = self.env.ids.new("xf", self.node.name)
         self._meta = None
         self._chunks = {}
         self._outstanding = {}

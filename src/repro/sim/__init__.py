@@ -19,6 +19,7 @@ from repro.sim.core import (
     Event,
     Interrupted,
     Process,
+    RunIds,
     SimulationError,
     Timeout,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "Interrupted",
     "LatencyRecorder",
     "Process",
+    "RunIds",
     "SeedStream",
     "SimulationError",
     "TimeSeries",

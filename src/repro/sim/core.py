@@ -20,8 +20,9 @@ same timestamp fire in scheduling order.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 
 class SimulationError(Exception):
@@ -306,8 +307,37 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
+class RunIds:
+    """Every id one run hands out, counted from zero for that run.
+
+    ``new(kind, origin)`` names commands (``cmd``), multicasts (``am``,
+    ``rm``), reconfiguration entries (``rcfg``) and state transfers
+    (``xf``) as ``{kind}-{origin}-{n}``, one sequence per kind;
+    ``next_message()`` numbers network messages. Ids break ``(timestamp,
+    uid)`` ties in the ordering layer, so they belong to the run: two runs
+    in one process never share a sequence.
+    """
+
+    __slots__ = ("next_message", "_counters")
+
+    def __init__(self):
+        # Bound once: Network.send draws one for every message.
+        self.next_message = itertools.count().__next__
+        self._counters: dict[str, Iterator[int]] = {}
+
+    def new(self, kind: str, origin: str) -> str:
+        """A fresh ``{kind}-{origin}-{n}`` id."""
+        counter = self._counters.get(kind)
+        if counter is None:
+            counter = self._counters[kind] = itertools.count()
+        return f"{kind}-{origin}-{next(counter)}"
+
+
 class Environment:
     """A discrete-event simulation environment with a virtual clock.
+
+    ``ids`` is the run's :class:`RunIds`: every node, client and network
+    reaches it through the environment it was built on.
 
     Typical usage::
 
@@ -328,6 +358,7 @@ class Environment:
         # event), else a bare callback called as fn(*arg).
         self._queue: list[tuple[float, int, Any, Any]] = []
         self._next_seq = 0
+        self.ids = RunIds()
 
     @property
     def now(self) -> float:

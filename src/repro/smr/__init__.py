@@ -11,7 +11,7 @@ and replies, state machines, the execution cost model, the ordered
 executor loop, the worker pool and the client base class.
 """
 
-from repro.smr.command import Command, CommandType, Reply, ReplyStatus, new_command_id
+from repro.smr.command import Command, CommandType, Reply, ReplyStatus
 from repro.smr.state_machine import (
     KeyValueStateMachine,
     StateMachine,
@@ -22,8 +22,6 @@ from repro.smr.parallel import (ConflictScheduler, Dispatch, ExecutionConfig,
                                 ParallelExecutionModel)
 from repro.smr.executor import OrderedExecutor
 from repro.smr.client import BaseClient
-from repro.smr.probject import (ObjectDirectory, ObjectStateMachine,
-                                PRObject, object_key)
 
 __all__ = [
     "BaseClient",
@@ -35,14 +33,9 @@ __all__ = [
     "ExecutionModel",
     "ParallelExecutionModel",
     "KeyValueStateMachine",
-    "ObjectDirectory",
-    "ObjectStateMachine",
     "OrderedExecutor",
-    "PRObject",
     "Reply",
     "ReplyStatus",
     "StateMachine",
     "VariableStore",
-    "new_command_id",
-    "object_key",
 ]

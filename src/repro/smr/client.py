@@ -24,7 +24,7 @@ from repro.obs.tracing import NULL_TRACER, trace_id_of
 from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
 from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
 from repro.sim import Environment, Event, LatencyRecorder
-from repro.smr.command import Reply, ReplyStatus
+from repro.smr.command import Command, Reply, ReplyStatus
 from repro.smr.executor import REPLY_KIND
 
 
@@ -74,6 +74,16 @@ class BaseClient:
     @property
     def name(self) -> str:
         return self.node.name
+
+    def claim_cid(self, command: Command) -> None:
+        """Name a workload command (empty ``cid``) from this run's ids.
+
+        Called first thing in ``run_command``, before the command is
+        stamped with this client's name: a workload command's id reads
+        ``cmd-anon-<n>``.
+        """
+        if not command.cid:
+            command.cid = self.env.ids.new("cmd", command.client or "anon")
 
     def _on_reply(self, message: Message) -> None:
         reply: Reply = message.payload

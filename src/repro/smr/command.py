@@ -10,17 +10,9 @@ the command is submitted (the oracle returns a superset otherwise).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
-
-_cmd_counter = itertools.count()
-
-
-def new_command_id(origin: str) -> str:
-    """Globally unique command id."""
-    return f"cmd-{origin}-{next(_cmd_counter)}"
 
 
 class CommandType(str, Enum):
@@ -49,7 +41,9 @@ class Command:
     ``op`` names the application operation (e.g. ``"post"``); ``args`` are
     its arguments; ``variables`` is the set of state-variable keys the
     command reads or writes. ``writes`` marks which of those are written
-    (used by read-only optimisations and by tests).
+    (used by read-only optimisations and by tests). A workload command
+    leaves ``cid`` empty: the client that submits it names it from its
+    run's ids (:meth:`~repro.smr.client.BaseClient.claim_cid`).
     """
 
     op: str
@@ -63,8 +57,6 @@ class Command:
     def __post_init__(self):
         self.variables = tuple(self.variables)
         self.writes = tuple(self.writes)
-        if not self.cid:
-            self.cid = new_command_id(self.client or "anon")
 
     def payload_size(self) -> int:
         """Approximate wire size: headers plus per-variable footprint."""

@@ -38,6 +38,7 @@ class SsmrClient(BaseClient):
 
     def run_command(self, command: Command):
         """Generator: execute one command; returns the :class:`Reply`."""
+        self.claim_cid(command)
         dests = sorted(self.oracle.partitions_for(command))
         if len(dests) > 1:
             self.multi_partition_commands += 1

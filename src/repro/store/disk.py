@@ -149,14 +149,18 @@ class SimulatedDisk:
                 self.stats.torn_writes += 1
         self._pending.clear()
 
-    def inject_bitrot(self) -> Optional[str]:
-        """Flip one seeded byte in a seeded durable file (or None)."""
-        files = [p for p in sorted(self._durable) if self._durable[p]]
-        if not files:
-            return None
-        path = files[self.rng.randrange(len(files))]
+    def inject_bitrot(self, path: Optional[str] = None,
+                      span: Optional[tuple] = None) -> Optional[str]:
+        """Flip one seeded byte of a durable file (or None): of ``path``
+        (default: a seeded file), within ``span`` = ``(start, end)``
+        (default: anywhere)."""
+        if path is None:
+            files = [p for p in sorted(self._durable) if self._durable[p]]
+            if not files:
+                return None
+            path = files[self.rng.randrange(len(files))]
         data = self._durable[path]
-        offset = self.rng.randrange(len(data))
+        offset = self.rng.randrange(*(span or (len(data),)))
         data[offset] ^= 0x40
         self.stats.bitrot_injected += 1
         return f"{path}@{offset}"

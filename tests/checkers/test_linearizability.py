@@ -182,3 +182,12 @@ class TestHistory:
             ("c", "get", {"key": "x"}, 0, 20, 30),  # after both
         )
         assert history.concurrent_pairs() == 1
+
+    def test_two_histories_number_their_operations_independently(self):
+        first, second = History(), History()
+        first.record("a", "get", {"key": "x"}, 0, 0, 1)
+        first.record("a", "get", {"key": "x"}, 0, 2, 3)
+        second.record("b", "get", {"key": "x"}, 0, 0, 1)
+        first.record("a", "get", {"key": "x"}, 0, 4, 5)
+        assert [op.op_id for op in first] == [0, 1, 2]
+        assert [op.op_id for op in second] == [0]

@@ -13,6 +13,7 @@ counterexample.
 
 import pytest
 
+from repro.canonical import canonical_json
 from repro.fuzz.artifact import (load_artifact, make_artifact,
                                  replay_artifact, save_artifact)
 from repro.fuzz.generate import generate_schedule
@@ -56,14 +57,14 @@ class TestShrink:
         # double execution), not some unrelated residual violation.
         assert any("more than once" in v
                    for v in shrunk.final_run.violations)
-        assert (shrunk.final_run.schedule.canonical_json()
-                == shrunk.minimal.canonical_json())
+        assert (canonical_json(shrunk.final_run.schedule.to_dict())
+                == canonical_json(shrunk.minimal.to_dict()))
 
     def test_shrink_is_deterministic(self, failing_run, shrunk):
         schedule, run = failing_run
         again = shrink_schedule(schedule, run)
-        assert (again.minimal.canonical_json()
-                == shrunk.minimal.canonical_json())
+        assert (canonical_json(again.minimal.to_dict())
+                == canonical_json(shrunk.minimal.to_dict()))
         assert again.probes == shrunk.probes
 
     def test_workload_reduced_too(self, shrunk):

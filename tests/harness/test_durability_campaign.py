@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.durability import (OVERHEAD_BOUND_MS,
+from repro.harness.durability import (OVERHEAD_BOUND_MS, _fault_ladder,
                                       format_durability_report,
                                       run_durability_campaign)
 
@@ -59,3 +59,13 @@ class TestCli:
         assert capsys.readouterr().out == first
         payload = json.loads(first)
         assert payload["summary"]["ok"]
+
+
+class TestFaultLadder:
+    def test_smr_bitrot_is_read_not_torn_off(self):
+        """The full campaign's smr ladder (3 clients x 10 ops): replay
+        must meet the rotted record, so cold start falls back to a peer."""
+        ladder = _fault_ladder("smr", 0, 3, 10)
+        assert ladder["peer_fallbacks"] >= 1
+        assert ladder["corrupt_records"] == 1
+        assert ladder["converged"] and ladder["violations"] == []

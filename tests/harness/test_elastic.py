@@ -2,6 +2,7 @@
 
 import json
 
+from repro.canonical import canonical_json
 from repro.harness import run_elastic_scenario, run_scaleout_timeline
 
 
@@ -26,7 +27,8 @@ class TestElasticScenario:
                                      ops_per_client=24)
         second = run_elastic_scenario(seed=2, num_clients=3,
                                       ops_per_client=24)
-        assert first.metrics_json() == second.metrics_json()
+        assert (canonical_json(first.to_dict())
+                == canonical_json(second.to_dict()))
         assert first.report() == second.report()
         assert first.timeline == second.timeline
 
@@ -36,12 +38,13 @@ class TestElasticScenario:
         second = run_elastic_scenario(seed=1, num_clients=3,
                                       ops_per_client=24)
         assert first.ok and second.ok
-        assert first.metrics_json() != second.metrics_json()
+        assert (canonical_json(first.to_dict())
+                != canonical_json(second.to_dict()))
 
     def test_metrics_json_is_valid_and_sorted(self):
         result = run_elastic_scenario(seed=0, num_clients=2,
                                       ops_per_client=12)
-        payload = json.loads(result.metrics_json())
+        payload = json.loads(canonical_json(result.to_dict()))
         assert payload["epoch"] == 1
         assert payload["scheme"] == "dssmr"
         keys = list(payload["metrics"])

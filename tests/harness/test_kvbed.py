@@ -148,6 +148,26 @@ class TestSpawnWave:
                  for name, server in sorted(cluster.servers.items())}))
         assert images[0] == images[1]
 
+    def test_interleaved_runs_equal_their_solo_runs(self):
+        """Ids belong to the run: building B after A and running B first
+        changes nothing in either run."""
+        def build(scheme, seed):
+            cluster = build_kv_cluster(scheme, seed, (scheme, "wave"))
+            return cluster, spawn_wave(cluster, 3, 5, "kvbed/wave")
+
+        def image(cluster, wave):
+            cluster.run(until=5_000.0)
+            return (wave.completions, wave.latency_ms,
+                    cluster.network.messages_sent,
+                    {name: (server.store.snapshot(), list(server.executed))
+                     for name, server in sorted(cluster.servers.items())})
+
+        solo_a = image(*build("dssmr", 4))
+        solo_b = image(*build("ssmr", 5))
+        a, b = build("dssmr", 4), build("ssmr", 5)
+        assert image(*b) == solo_b
+        assert image(*a) == solo_a
+
     def test_wave_records_what_the_clients_did(self):
         cluster, wave, history, fired = run_wave()
         assert wave.expected == 15

@@ -1,7 +1,8 @@
 """Tests for the parallelexec campaign driver (smoke-sized)."""
 
+from repro.canonical import canonical_json
 from repro.harness.parallelexec import (format_report, run_campaign,
-                                        run_throughput, to_json)
+                                        run_throughput)
 
 
 def test_smoke_campaign_gates_and_is_deterministic():
@@ -12,7 +13,7 @@ def test_smoke_campaign_gates_and_is_deterministic():
     # Byte-determinism: CI runs the smoke campaign twice and compares
     # stdout; the same property must hold in-process.
     second = run_campaign(smoke=True)
-    assert to_json(first) == to_json(second)
+    assert canonical_json(first) == canonical_json(second)
 
 
 def test_smoke_report_renders():

@@ -10,9 +10,10 @@ import json
 
 import pytest
 
+from repro.canonical import canonical_json
 from repro.harness.perf import (BASELINE_FORMAT, PERF_SCHEMES,
-                                canonical_json, compare_to_baseline,
-                                load_baseline, run_perf_suite)
+                                compare_to_baseline, load_baseline,
+                                run_perf_suite)
 
 
 @pytest.fixture(scope="module")

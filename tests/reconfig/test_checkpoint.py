@@ -32,9 +32,6 @@ def run_workload(cluster, count=8, name="c0"):
 
 
 def build_loaded_cluster(seed=3, scheme="dssmr"):
-    from repro.harness.faults import reset_id_counters
-
-    reset_id_counters()
     cluster = build_cluster(scheme=scheme, num_partitions=2,
                             replicas_per_partition=2, seed=seed,
                             initial_assignment={f"k{i}": i % 2
@@ -146,9 +143,6 @@ RING = {u: [(u - 1) % USERS, (u + 1) % USERS] for u in range(USERS)}
 
 def chirper_cluster(scheme, posts_per_client=40, durability=None):
     """A Chirper deployment with three clients posting in closed loop."""
-    from repro.harness.faults import reset_id_counters
-
-    reset_id_counters()
     cluster = Cluster(ClusterConfig(
         scheme=scheme, num_partitions=2, seed=3,
         state_machine_factory=ChirperStateMachine, durability=durability))

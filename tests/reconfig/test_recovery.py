@@ -176,9 +176,7 @@ class TestTerminalRecovery:
         """Three replicas: the primary source dies mid-transfer, but a
         fallback peer completes it — no terminal failure."""
         from repro.harness import build_cluster
-        from repro.harness.faults import reset_id_counters
 
-        reset_id_counters()
         cluster = build_cluster(scheme="dssmr", num_partitions=2,
                                 replicas_per_partition=3, seed=3,
                                 initial_assignment={f"k{i}": i % 2
@@ -223,9 +221,6 @@ class TestTransferredCheckpointIsPrivate:
             "queued": checkpoint.queued})
 
     def recover_under_three_partition_load(self, recover_after):
-        from repro.harness.faults import reset_id_counters
-
-        reset_id_counters()
         cluster = build_cluster(
             scheme="ssmr", num_partitions=3, replicas_per_partition=2,
             seed=3, initial_assignment={f"k{i}": i % 3 for i in range(6)})

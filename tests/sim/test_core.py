@@ -284,3 +284,21 @@ class TestEnvironment:
             return log
 
         assert trace() == trace()
+
+
+class TestRunIds:
+    def test_one_sequence_per_kind(self, env):
+        assert [env.ids.new("cmd", "c0"), env.ids.new("cmd", "c1"),
+                env.ids.new("am", "c0")] == ["cmd-c0-0", "cmd-c1-1",
+                                             "am-c0-0"]
+
+    def test_message_ids_count_from_zero(self, env):
+        assert [env.ids.next_message() for _ in range(3)] == [0, 1, 2]
+
+    def test_two_runs_number_independently(self):
+        first, second = Environment(), Environment()
+        first.ids.new("cmd", "c0")
+        first.ids.next_message()
+        assert second.ids.new("cmd", "c0") == "cmd-c0-0"
+        assert second.ids.next_message() == 0
+        assert first.ids.new("cmd", "c0") == "cmd-c0-1"

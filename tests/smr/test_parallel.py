@@ -128,7 +128,8 @@ class TestParallelExecutionModel:
         env = Environment()
         pool = ParallelExecutionModel(env, ExecutionConfig(workers=4))
         commands = [Command(op="incr", args={"key": k}, variables=(k,),
-                            writes=(k,)) for k in ("a", "b", "c")]
+                            writes=(k,), cid=f"incr-{k}")
+                    for k in ("a", "b", "c")]
         for i, command in enumerate(commands):
             pool.dispatch(command, cost=1.0, delivery=f"d{i}")
         assert pool.inflight_cids() == [c.cid for c in commands]
