@@ -267,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_figure(args) -> int:
     from repro.harness.figures import FIGURES
 
-    figure_fn = FIGURES.get(args.figure_id)
-    if figure_fn is None:
+    entry = FIGURES.get(args.figure_id)
+    if entry is None:
         print(f"unknown figure {args.figure_id!r}; "
               f"try: {', '.join(FIGURES)}", file=sys.stderr)
         return 2
     # Pass a flag only when given, so a bare run reproduces the figure's
     # own defaults; refuse one the figure cannot honour.
-    accepted = inspect.signature(figure_fn).parameters
+    accepted = inspect.signature(entry.function).parameters
     kwargs = {}
     for name in ("seed", "duration_ms"):
         value = getattr(args, name)
@@ -285,15 +285,21 @@ def cmd_figure(args) -> int:
                   f"to set", file=sys.stderr)
             return 2
         kwargs[name] = value
-    print(figure_fn(**kwargs))
-    return 0
+    figure = entry(**kwargs)
+    print(figure)
+    # The claims are checked on the parameters that ran: one verdict line
+    # each on stderr, so stdout stays the figure alone.
+    verdicts = entry.verdicts(figure.data)
+    for _holds, line in verdicts:
+        print(line, file=sys.stderr)
+    return 0 if all(holds for holds, _line in verdicts) else 1
 
 
 def cmd_list_figures(_args) -> int:
     from repro.harness.figures import FIGURES
 
-    for figure_id, figure_fn in FIGURES.items():
-        doc = (figure_fn.__doc__ or "").strip().splitlines()[0]
+    for figure_id, entry in FIGURES.items():
+        doc = (entry.function.__doc__ or "").strip().splitlines()[0]
         print(f"{figure_id:6s} {doc}")
     return 0
 

@@ -18,7 +18,7 @@ and ``cmp``s the outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.fuzz.generate import DEADLINE_MS, HORIZON_MS, shape_nodes
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule

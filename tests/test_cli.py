@@ -198,6 +198,15 @@ class TestQosCommand:
         assert capsys.readouterr().out == first.out
 
 
+class CannedFigure:
+    """What a fake figure function returns: its text and no data."""
+
+    data: dict = {}
+
+    def __str__(self):
+        return "canned figure"
+
+
 class TestFigureFlags:
     """``figure`` passes --seed / --duration-ms through when — and only
     when — they are given and the figure has them (it used to replace
@@ -210,19 +219,20 @@ class TestFigureFlags:
 
         def timeline(seed=5, duration_ms=1_600.0, join_at=600.0):
             calls.append(("fig16", seed, duration_ms))
-            return "canned figure"
+            return CannedFigure()
 
         def scaling(sizes=(), k=4, seed=7):
             calls.append(("fig5", seed))
-            return "canned figure"
+            return CannedFigure()
 
         def overload(seed=0):
             calls.append(("fig19", seed))
-            return "canned figure"
+            return CannedFigure()
 
         for figure_id, fake in [("fig16", timeline), ("fig5", scaling),
                                 ("fig19", overload)]:
-            monkeypatch.setitem(figures.FIGURES, figure_id, fake)
+            monkeypatch.setitem(figures.FIGURES, figure_id,
+                                figures.Figure(fake, ()))
         return calls
 
     def test_duration_reaches_a_figure_that_has_one(self, calls, capsys):
@@ -241,7 +251,7 @@ class TestFigureFlags:
         import inspect
 
         from repro.harness.figures import FIGURES
-        defaults = {figure_id: inspect.signature(FIGURES[figure_id])
+        defaults = {figure_id: inspect.signature(FIGURES[figure_id].function)
                     .parameters["seed"].default
                     for figure_id in ("fig18", "fig19", "fig20", "fig21")}
         assert defaults == {"fig18": 7, "fig19": 0, "fig20": 0, "fig21": 1}
@@ -262,6 +272,57 @@ class TestFigureFlags:
         with pytest.raises(SystemExit):
             main(["figure", "--help"])
         assert f"fig1..fig{len(FIGURES)}" in capsys.readouterr().out
+
+
+class TestFigureClaims:
+    """``figure`` checks the entry's claims on the data that ran: one
+    verdict line per claim on stderr, exit 1 when any fails, and stdout
+    stays the figure alone."""
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        from repro.harness import figures
+        figure = figures.FigureData("fig19", "stub", "canned figure",
+                                    {"tail_ratio": 0.95})
+
+        def register(*claims):
+            monkeypatch.setitem(figures.FIGURES, "fig19", figures.Figure(
+                lambda seed=0: figure, claims))
+            return figure
+        return register
+
+    @staticmethod
+    def claim(name, holds):
+        from repro.harness.figures import Claim
+        return Claim(name, "a sentence the claim pins", holds)
+
+    def test_false_claim_exits_1_and_is_named(self, stub, capsys):
+        figure = stub(
+            self.claim("tail_ratio >= 0.9", lambda d: d["tail_ratio"] >= 0.9),
+            self.claim("tail_ratio <= 0.5", lambda d: d["tail_ratio"] <= 0.5))
+        assert main(["figure", "fig19"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{figure}\n"
+        verdicts = [line for line in captured.err.splitlines()
+                    if line.startswith("claim")]
+        assert len(verdicts) == 2
+        assert "ok" in verdicts[0] and "tail_ratio >= 0.9" in verdicts[0]
+        assert "FAILED" in verdicts[1] and "tail_ratio <= 0.5" in verdicts[1]
+        assert "a sentence the claim pins" in verdicts[1]
+
+    def test_a_claim_that_raises_fails(self, stub, capsys):
+        stub(self.claim("raises", lambda d: d["missing"] > 0))
+        assert main(["figure", "fig19", "--seed", "3"]) == 1
+        assert "FAILED  raises" in capsys.readouterr().err
+
+    def test_all_true_claims_exit_0(self, stub, capsys):
+        figure = stub(self.claim("tail_ratio >= 0.9",
+                                 lambda d: d["tail_ratio"] >= 0.9))
+        assert main(["figure", "fig19"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{figure}\n"
+        assert "claim ok      tail_ratio >= 0.9" in captured.err
+        assert "FAILED" not in captured.err
 
 
 # One result every verb's gate accepts: durability reads summary.ok,

@@ -74,12 +74,20 @@ SMOKES = {
     "parallelexec": repro("parallelexec", "--smoke"),
     "reconfig": repro("reconfig", "--seed", "0", "--json",
                       "--out", "metrics.json"),
-    # Message complexity: messages per command of every scheme.
+    # Figures: stdout is the figure's text, the exit status carries its
+    # claims. Message complexity: messages per command of every scheme.
     "fig11": repro("figure", "fig11", keep=FIGURE_TEXT),
     # The three figures that run on the key-value test bed.
     "fig15": repro("figure", "fig15", keep=FIGURE_TEXT),
     "fig16": repro("figure", "fig16", keep=FIGURE_TEXT),
     "fig17": repro("figure", "fig17", keep=FIGURE_TEXT),
+    # The figures that take under a second: partitioner quality, the
+    # multicast and batching ablations, cost attribution, durability.
+    "fig10": repro("figure", "fig10", keep=FIGURE_TEXT),
+    "fig13": repro("figure", "fig13", keep=FIGURE_TEXT),
+    "fig14": repro("figure", "fig14", keep=FIGURE_TEXT),
+    "fig18": repro("figure", "fig18", keep=FIGURE_TEXT),
+    "fig20": repro("figure", "fig20", keep=FIGURE_TEXT),
     # Host numbers are noise; only the virtual-time digests are compared.
     "e2e-digests": Smoke(["-m", "benchmarks.e2e", "--smoke"], in_tree=True,
                          keep=r"^.*virt_digest [0-9a-f]+"),
