@@ -10,7 +10,9 @@ checks the same guarantees:
 * each variable lives in exactly one partition, the oracle replicas agree
   on the location map, and the map matches the actual placement;
 * every live epoch-aware component (partition servers and oracle replicas)
-  agrees on the configuration epoch — the reconfiguration fence worked.
+  agrees on the configuration epoch — the reconfiguration fence worked;
+* no ordered log was asked for backfill below its floor (the compacted
+  prefix was never needed).
 
 Callers pass ``dead`` for replicas that are legitimately gone (crashed and
 never recovered); those are excluded, everything else must hold.
@@ -105,5 +107,14 @@ def cluster_invariants(cluster, dead: Iterable[str] = ()) -> list[str]:
         detail = ", ".join(f"{name}={epoch}"
                            for name, epoch in sorted(epochs.items()))
         violations.append(f"configuration epochs diverge: {detail}")
+
+    # Log compaction: nobody asked for backfill below a member's floor.
+    owners = ([cluster.servers[name] for name in sorted(cluster.servers)]
+              + list(cluster.oracles))
+    for owner in owners:
+        below = owner.log.below_floor_requests
+        if below:
+            violations.append(f"{owner.node.name} got {below} backfill "
+                              f"request(s) below its log floor")
 
     return violations

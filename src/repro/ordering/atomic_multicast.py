@@ -111,7 +111,6 @@ class AtomicMulticast:
         self._deliver_count = 0
         self.heals = 0
         self.ts_pulls = 0
-        self.delivery_log: list[str] = []  # uids in delivery order (tests)
         log.on_decide(self._apply)
         node.on(AM_TS_PULL, self._on_ts_pull)
 
@@ -286,7 +285,6 @@ class AtomicMulticast:
                 local_seq=self._deliver_count,
             )
             self._deliver_count += 1
-            self.delivery_log.append(muid)
             for callback in list(self._callbacks):
                 callback(delivery)
 

@@ -38,14 +38,25 @@ def submit_kind(group: str) -> str:
 class GroupLog(ABC):
     """One member's endpoint of a group's ordered log.
 
-    Besides ordering, every log retains its decided entries and answers
-    *backfill* requests — the mechanism recovering replicas use to close
-    the gap between an installed checkpoint and live traffic (see
-    :mod:`repro.reconfig.recovery`). A member that detects a hole in its own
-    sequence also requests backfill from the group's speaker.
+    Besides ordering, a log retains the decided entries at or above its
+    :attr:`floor` and answers *backfill* requests from them — the
+    mechanism recovering replicas use to close the gap between an
+    installed checkpoint and live traffic (see
+    :mod:`repro.reconfig.recovery`). A member that detects a hole in its
+    own sequence asks the group's speaker for backfill, and asks again
+    every ``BACKFILL_DELAY_MS`` until the hole closes.
+
+    The floor is the group's *stable position*: the lowest
+    :attr:`stable_position` any member has reported. Every member can
+    resume from at or above it, so no backfill request ever reaches
+    below it. :class:`SequencerLog` raises it from its members' reports;
+    a log that never does (:class:`~repro.ordering.paxos.PaxosLog`)
+    keeps floor 0 and retains every entry.
     """
 
     BACKFILL_DELAY_MS = 50.0
+    #: Applied positions between two stable-position reports.
+    STABLE_EVERY = 64
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  group: str):
@@ -60,6 +71,10 @@ class GroupLog(ABC):
         self._pending_apply: dict[int, dict] = {}
         self._applied_uids: set[str] = set()
         self.decided_entries: dict[int, dict] = {}
+        self._floor = 0
+        # Backfill requests from below the floor: a protocol error, since
+        # every member resumes at or above the floor.
+        self.below_floor_requests = 0
         self._backfill_scheduled = False
         self._backfill_suspended = False
         self._wal = None
@@ -87,10 +102,12 @@ class GroupLog(ABC):
 
     def _learn(self, seq: int, entry: dict) -> None:
         """Record that ``entry`` was decided at ``seq``; apply when gapless."""
-        self.decided_entries.setdefault(seq, entry)
+        if seq >= self._floor:
+            self.decided_entries.setdefault(seq, entry)
         if seq < self._next_apply or seq in self._pending_apply:
             return
         self._pending_apply[seq] = entry
+        start = self._next_apply
         while self._next_apply in self._pending_apply:
             ready = self._pending_apply.pop(self._next_apply)
             seq_now = self._next_apply
@@ -106,6 +123,8 @@ class GroupLog(ABC):
                 continue
             for callback in list(self._decide_callbacks):
                 callback(seq_now, ready)
+        if self._next_apply // self.STABLE_EVERY != start // self.STABLE_EVERY:
+            self._report_stable()
         if self._pending_apply:
             self._schedule_backfill()
 
@@ -113,6 +132,38 @@ class GroupLog(ABC):
     def applied_count(self) -> int:
         """Number of log positions applied so far (including no-ops)."""
         return self._next_apply
+
+    # -- stable position and floor -------------------------------------------
+
+    @property
+    def floor(self) -> int:
+        """Lowest retained position: entries below it are dropped."""
+        return self._floor
+
+    @property
+    def stable_position(self) -> int:
+        """The position this member can resume from after a crash.
+
+        Its applied position — or, with a WAL attached, the one after the
+        highest position fsynced: a power-failed member cold-starts from
+        its own disk to exactly there (:mod:`repro.store.coldstart`) and
+        asks a peer for the rest.
+        """
+        if self._wal is None:
+            return self._next_apply
+        durable = self._wal.durable_seq
+        return 0 if durable is None else durable + 1
+
+    def _report_stable(self) -> None:
+        """Tell the group this member's stable position (no-op here)."""
+
+    def _raise_floor(self, floor: int) -> None:
+        """Drop retained entries below ``floor``; the floor never falls."""
+        if floor <= self._floor:
+            return
+        self._floor = floor
+        for seq in [s for s in self.decided_entries if s < floor]:
+            del self.decided_entries[seq]
 
     # -- recovery support ----------------------------------------------------
 
@@ -138,11 +189,22 @@ class GroupLog(ABC):
         otherwise backfill the whole history from the speaker before the
         state snapshot arrives — wasted traffic, and the early entries
         would be re-applied below the snapshot's fast-forward position.
+
+        The replacement reports its stable position (0) at once, and
+        again every ``BACKFILL_DELAY_MS`` until the window closes. That
+        replaces the crashed incarnation's last report and holds the
+        group's floor where it is until the install: the checkpoint a
+        peer captures meanwhile sits at or above that floor, while the
+        crashed incarnation may have been ahead of the peer.
         """
         self._backfill_suspended = True
+        self._report_stable()
+        self._schedule_backfill()
 
     def resume_backfill(self) -> None:
+        """End the install window and report the installed position."""
         self._backfill_suspended = False
+        self._report_stable()
         if self._pending_apply:
             self._schedule_backfill()
 
@@ -157,19 +219,35 @@ class GroupLog(ABC):
                         "reply_to": self.node.name}, size=96)
 
     def _schedule_backfill(self) -> None:
-        if self._backfill_scheduled or self._backfill_suspended:
+        if self._backfill_scheduled:
             return
         self._backfill_scheduled = True
 
         def fire() -> None:
             self._backfill_scheduled = False
-            if self._pending_apply and not self.node.crashed:
+            if self.node.crashed:
+                return
+            if self._backfill_suspended:
+                # The install-window report is one unacknowledged send:
+                # repeat it until the window closes.
+                self._report_stable()
+                self._schedule_backfill()
+            elif self._pending_apply:
                 self.request_backfill()
+                # A lost request or reply on a log that then goes quiet
+                # would otherwise leave the hole open for good.
+                self._schedule_backfill()
 
         self.node.env.schedule_callback(self.BACKFILL_DELAY_MS, fire)
 
     def _on_backfill_request(self, message: Message) -> None:
         from_seq = message.payload["from_seq"]
+        if from_seq < self._floor:
+            self.below_floor_requests += 1
+            self.node.flight(
+                "log", f"{self.group}: backfill from {from_seq} for "
+                f"{message.payload['reply_to']} is below floor "
+                f"{self._floor}; answering with what is retained")
         entries = {seq: entry
                    for seq, entry in self.decided_entries.items()
                    if seq >= from_seq}
@@ -200,10 +278,22 @@ class SequencerLog(GroupLog):
     batch — each entry still gets its own consecutive sequence number, so
     nothing above the log can tell the difference except the message count
     (benchmark E14 quantifies it) and the added latency.
+
+    **Compaction.** A follower sends the sequencer one ``log/{g}/stable``
+    report of its :attr:`~GroupLog.stable_position` every
+    ``STABLE_EVERY`` applied positions, and a replacement one when its
+    recovery install starts (repeated until it ends) and one when it
+    ends; the sequencer counts its own position the same way, without a
+    message. The floor is the minimum over the group's members (a member
+    that never reported counts as 0), so a crashed follower pins it at
+    its last report until its replacement reports. The sequencer drops
+    entries below the floor and puts it in every decide, and the
+    followers drop the same prefix.
     """
 
     # Wire size of log control traffic (entry payloads ride on top).
     CONTROL_SIZE = 128
+    STABLE_SIZE = 64
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  group: str, batch_window_ms: float = 0.0):
@@ -217,6 +307,7 @@ class SequencerLog(GroupLog):
         self._sequenced_uids: set[str] = set()
         self._batch: list[dict] = []
         self._flush_scheduled = False
+        self._stable: dict[str, int] = {}   # sequencer: member -> report
         self.decisions_sent = 0   # decision messages (for E14)
         # Overload control (repro.qos), attached by the harness; all None
         # by default so the pre-QoS hot path is untouched.
@@ -226,6 +317,7 @@ class SequencerLog(GroupLog):
         self._classify = None
         node.on(submit_kind(group), self._on_submit)
         node.on(f"log/{group}/decide", self._on_decide)
+        node.on(f"log/{group}/stable", self._on_stable)
         # A batch held across a blackout must drain once we are back.
         node.on_reconnect(self.flush_pending)
 
@@ -340,7 +432,8 @@ class SequencerLog(GroupLog):
     def _flush(self, entries: list[dict]) -> None:
         first_seq = self._next_seq
         self._next_seq += len(entries)
-        decision = {"seq": first_seq, "entries": entries}
+        decision = {"seq": first_seq, "entries": entries,
+                    "floor": self._floor}
         size = self.CONTROL_SIZE + sum(e.get("size", 0) for e in entries)
         self.decisions_sent += 1
         if self.node.profiler.enabled:
@@ -360,11 +453,27 @@ class SequencerLog(GroupLog):
 
     def _on_decide(self, message: Message) -> None:
         decision = message.payload
-        entries = decision.get("entries")
-        if entries is None:
-            entries = [decision["entry"]]  # single-entry wire format
-        for offset, entry in enumerate(entries):
+        self._raise_floor(decision["floor"])
+        for offset, entry in enumerate(decision["entries"]):
             self._learn(decision["seq"] + offset, entry)
+
+    # -- compaction ----------------------------------------------------------
+
+    def _report_stable(self) -> None:
+        if self._is_sequencer:
+            self._record_stable(self.node.name, self.stable_position)
+        else:
+            self.node.send(self.sequencer, f"log/{self.group}/stable",
+                           {"position": self.stable_position},
+                           size=self.STABLE_SIZE)
+
+    def _on_stable(self, message: Message) -> None:
+        self._record_stable(message.src, message.payload["position"])
+
+    def _record_stable(self, member: str, position: int) -> None:
+        self._stable[member] = position
+        self._raise_floor(min(self._stable.get(m, 0)
+                              for m in self.directory.members(self.group)))
 
 
 class LogClient:

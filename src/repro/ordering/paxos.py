@@ -34,7 +34,13 @@ Ballot = tuple[int, int]  # (round, member rank); compared lexicographically
 
 
 class PaxosLog(GroupLog):
-    """One member's endpoint of a Multi-Paxos replicated log."""
+    """One member's endpoint of a Multi-Paxos replicated log.
+
+    Sends no stable-position reports and keeps floor 0: ``decided_entries``
+    (like ``decided`` and ``accepted``) retains every entry, and the heal
+    supervisor's lease group, which orders through this log, carries no
+    report traffic.
+    """
 
     # Liveness timers come from the shared profile (repro.heal.timing);
     # the class attributes keep the historical spelling and defaults, and

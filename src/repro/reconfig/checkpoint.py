@@ -179,7 +179,6 @@ class PartitionCheckpointer:
                 "my_ts": amcast._my_ts,
                 "pending": amcast._pending,
                 "deliver_count": amcast._deliver_count,
-                "delivery_log": amcast.delivery_log,
             },
             exchange={
                 "signals": {cid: sorted(senders) for cid, senders

@@ -63,7 +63,6 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     amcast._my_ts = dict(state["my_ts"])
     amcast._pending = dict(state["pending"])
     amcast._deliver_count = state["deliver_count"]
-    amcast.delivery_log = list(state["delivery_log"])
     if amcast.heal_interval_ms:
         for muid, pending in amcast._pending.items():
             if (pending.proposed and pending.final_ts is None

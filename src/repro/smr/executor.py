@@ -185,6 +185,11 @@ class OrderedExecutor:
         if (self.tracer.enabled or self.node.profiler.enabled
                 or self.qos is not None):
             self._enqueue_times[delivery.uid] = self.env.now
+        if self._deliveries.pending_getters:
+            # Handed straight to the waiting executor, whose process only
+            # resumes later in this instant: it is inside this delivery
+            # already, and a checkpoint taken before then must say so.
+            self._current_delivery = delivery
         self._deliveries.put(delivery)
         depth = len(self._deliveries) or 1
         if depth > self.queue_peak:

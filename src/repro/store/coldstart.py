@@ -36,8 +36,9 @@ disk**, without any live peer — the capability peer-transfer recovery
 
 A restarting *sequencer* additionally reconciles its next sequence
 number and sequenced-uid set against the replayed history and any live
-member's decided log (the standard sequencer sync round, collapsed to
-one virtual instant) so it can never hand out a sequence number twice.
+member's log positions and applied uids (the standard sequencer sync
+round, collapsed to one virtual instant) so it can never hand out a
+sequence number twice.
 
 Whole-group power loss (:meth:`Cluster.power_fail` /
 :meth:`Cluster.power_restore`) restores every member of a partition
@@ -98,9 +99,11 @@ def _reconcile_sequencer(cluster, replacement, feed, extra_uids=()):
     """Sequencer sync round: never reuse a handed-out sequence number.
 
     The replayed WAL bounds what this member durably knows; live
-    members' decided logs bound what the group may have seen beyond
-    that (group commit lag). Collapsed to one virtual instant — the
-    real protocol would exchange two messages with each live member.
+    members' positions — applied, and learned but still pending — bound
+    what the group may have seen beyond that (group commit lag), and
+    their applied and pending uids are what it already ordered.
+    Collapsed to one virtual instant — the real protocol would exchange
+    two messages with each live member.
     """
     log = replacement.log
     if not hasattr(log, "restore_sequencer_state"):
@@ -111,10 +114,11 @@ def _reconcile_sequencer(cluster, replacement, feed, extra_uids=()):
     uids.update(extra_uids)
     for member in _live_members(cluster, log.group, replacement.node.name):
         peer_log = cluster.servers[member].log
-        if peer_log.decided_entries:
-            next_seq = max(next_seq, max(peer_log.decided_entries) + 1)
-            uids.update(e.get("uid")
-                        for e in peer_log.decided_entries.values())
+        pending = peer_log._pending_apply
+        next_seq = max([next_seq, peer_log.applied_count]
+                       + [seq + 1 for seq in pending])
+        uids.update(peer_log._applied_uids)
+        uids.update(entry.get("uid") for entry in pending.values())
     uids.discard(None)
     log.restore_sequencer_state(next_seq, uids)
 

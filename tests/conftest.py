@@ -39,6 +39,17 @@ def build_amcast_stack(env: Environment, groups: dict, seed: int = 1,
     return network, directory, endpoints
 
 
+def tap_deliveries(endpoints: dict) -> dict:
+    """{member: [uid, ...]}: each endpoint's delivery order, recorded
+    through ``on_deliver`` as the run goes."""
+    delivered = {}
+    for member, endpoint in endpoints.items():
+        delivered[member] = []
+        endpoint.on_deliver(
+            lambda delivery, uids=delivered[member]: uids.append(delivery.uid))
+    return delivered
+
+
 def drain(env: Environment, until: float = 60_000.0) -> None:
     """Run the simulation until quiescent or the deadline."""
     env.run(until=until)

@@ -65,3 +65,22 @@ class TestCrashVocabulary:
                                  inject_bug="gremlins")
         with pytest.raises(ValueError):
             run_schedule(schedule)
+
+
+class TestBackfillRetry:
+    """Schedules that once ended with one member stuck behind a log hole:
+    its only backfill request, or the reply, was lost and the log then
+    went quiet. A retired partition's follower stayed one fence short
+    (plain), or an oracle replica behind on the location map
+    (supervisor). The member now asks again until the hole closes."""
+
+    @pytest.mark.parametrize("seed, index, supervisor", [
+        (122, 10, False),     # dynastar, retired p2: the reply was lost
+        (188, 13, False),     # dssmr, retired p2: the reply was lost
+        (189, 12, False),     # dssmr, retired p2: the request was lost
+        (196, 39, True),      # dynastar, blacked-out oracle replica
+    ])
+    def test_the_hole_closes(self, seed, index, supervisor):
+        schedule = generate_schedule(seed, index, supervisor=supervisor)
+        result = run_schedule(schedule)
+        assert result.violations == ()

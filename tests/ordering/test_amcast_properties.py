@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim import Environment
 
-from tests.conftest import build_amcast_stack
+from tests.conftest import build_amcast_stack, tap_deliveries
 
 GROUPS = {"g0": ["s00", "s01"], "g1": ["s10", "s11"]}
 
@@ -28,6 +28,7 @@ schedule = st.lists(
 def test_amcast_invariants_hold_for_random_schedules(plan, seed):
     env = Environment()
     _net, directory, endpoints = build_amcast_stack(env, GROUPS, seed=seed)
+    logs = tap_deliveries(endpoints)
     sent = []
 
     def sender(env):
@@ -39,8 +40,6 @@ def test_amcast_invariants_hold_for_random_schedules(plan, seed):
 
     env.process(sender(env))
     env.run(until=120_000)
-
-    logs = {m: endpoints[m].delivery_log for m in endpoints}
 
     # Uniform agreement: members of a group deliver identical sequences.
     assert logs["s00"] == logs["s01"]

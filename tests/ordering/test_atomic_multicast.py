@@ -4,29 +4,29 @@ import pytest
 
 from repro.ordering import MulticastClient, PaxosLog, ProtocolNode, SequencerLog
 
-from tests.conftest import build_amcast_stack
+from tests.conftest import build_amcast_stack, tap_deliveries
 
 
 GROUPS = {"g0": ["s00", "s01"], "g1": ["s10", "s11"], "g2": ["s20", "s21"]}
 
 
-def check_agreement(directory, endpoints):
+def check_agreement(directory, delivered):
     """All members of each group deliver the same sequence."""
     for group in directory.groups():
         members = directory.members(group)
-        reference = endpoints[members[0]].delivery_log
+        reference = delivered[members[0]]
         for member in members[1:]:
-            assert endpoints[member].delivery_log == reference, \
+            assert delivered[member] == reference, \
                 f"group {group} members disagree"
 
 
-def check_prefix_order(directory, endpoints):
+def check_prefix_order(directory, delivered):
     """Any two groups deliver their common messages in the same order."""
     groups = directory.groups()
     for i, ga in enumerate(groups):
         for gb in groups[i + 1:]:
-            a = endpoints[directory.members(ga)[0]].delivery_log
-            b = endpoints[directory.members(gb)[0]].delivery_log
+            a = delivered[directory.members(ga)[0]]
+            b = delivered[directory.members(gb)[0]]
             common = set(a) & set(b)
             assert [u for u in a if u in common] == \
                 [u for u in b if u in common], f"{ga} vs {gb}"
@@ -35,27 +35,30 @@ def check_prefix_order(directory, endpoints):
 class TestBasicDelivery:
     def test_single_group_is_atomic_broadcast(self, env):
         _net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        delivered = tap_deliveries(endpoints)
         for i in range(5):
             endpoints["s00"].multicast(["g0"], i)
         env.run(until=10_000)
-        log = endpoints["s00"].delivery_log
+        log = delivered["s00"]
         assert len(log) == 5
-        check_agreement(directory, endpoints)
+        check_agreement(directory, delivered)
 
     def test_multi_group_delivers_at_all_destinations(self, env):
         _net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        delivered = tap_deliveries(endpoints)
         uid = endpoints["s00"].multicast(["g0", "g2"], "cross")
         env.run(until=10_000)
-        assert uid in endpoints["s00"].delivery_log
-        assert uid in endpoints["s20"].delivery_log
-        assert uid not in endpoints["s10"].delivery_log
+        assert uid in delivered["s00"]
+        assert uid in delivered["s20"]
+        assert uid not in delivered["s10"]
 
     def test_integrity_no_duplicates(self, env):
         _net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        delivered = tap_deliveries(endpoints)
         uids = [endpoints["s00"].multicast(["g0", "g1"], i)
                 for i in range(10)]
         env.run(until=20_000)
-        log = endpoints["s10"].delivery_log
+        log = delivered["s10"]
         assert len(log) == len(set(log)) == 10
         assert set(log) == set(uids)
 
@@ -80,6 +83,7 @@ class TestOrderProperties:
         import random
         _net, directory, endpoints = build_amcast_stack(env, GROUPS,
                                                         seed=seed)
+        delivered = tap_deliveries(endpoints)
         rng = random.Random(seed)
         members = list(endpoints)
         group_choices = [["g0"], ["g1"], ["g2"], ["g0", "g1"],
@@ -94,10 +98,10 @@ class TestOrderProperties:
 
         env.process(traffic(env))
         env.run(until=60_000)
-        check_agreement(directory, endpoints)
-        check_prefix_order(directory, endpoints)
+        check_agreement(directory, delivered)
+        check_prefix_order(directory, delivered)
         # Everything sent must have been delivered somewhere.
-        total = sum(len(endpoints[directory.members(g)[0]].delivery_log)
+        total = sum(len(delivered[directory.members(g)[0]])
                     for g in directory.groups())
         assert total >= 60
 
@@ -116,12 +120,13 @@ class TestOrderProperties:
 class TestClientInitiated:
     def test_multicast_client_non_member(self, env):
         net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        delivered = tap_deliveries(endpoints)
         client_node = ProtocolNode(env, net, "client")
         client = MulticastClient(client_node, directory)
         uid = client.multicast(["g0", "g1"], "from outside")
         env.run(until=20_000)
-        assert uid in endpoints["s00"].delivery_log
-        assert uid in endpoints["s10"].delivery_log
+        assert uid in delivered["s00"]
+        assert uid in delivered["s10"]
 
     def test_client_empty_groups_rejected(self, env):
         net, directory, _endpoints = build_amcast_stack(env, GROUPS)
@@ -138,6 +143,7 @@ class TestOverPaxos:
         _net, directory, endpoints = build_amcast_stack(
             env, self.FT_GROUPS, log_cls=PaxosLog, speaker_only=False,
             seed=23)
+        delivered = tap_deliveries(endpoints)
         nodes = {m: endpoints[m].node for m in endpoints}
         sent = []
 
@@ -158,15 +164,15 @@ class TestOverPaxos:
         env.process(crasher(env))
         env.run(until=240_000)
         # Surviving members of g1 agree with each other.
-        assert endpoints["s11"].delivery_log == endpoints["s12"].delivery_log
+        assert delivered["s11"] == delivered["s12"]
         # Validity: every message was delivered at its destination groups.
         for uid, groups in sent:
             if "g0" in groups:
-                assert uid in endpoints["s00"].delivery_log
+                assert uid in delivered["s00"]
             if "g1" in groups:
-                assert uid in endpoints["s11"].delivery_log
+                assert uid in delivered["s11"]
         # Prefix order across groups among survivors.
-        a = endpoints["s00"].delivery_log
-        b = endpoints["s11"].delivery_log
+        a = delivered["s00"]
+        b = delivered["s11"]
         common = set(a) & set(b)
         assert [u for u in a if u in common] == [u for u in b if u in common]

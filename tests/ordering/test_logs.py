@@ -154,6 +154,29 @@ class TestLogBackfill:
         assert [uid for _seq, uid in logs["m2"].applied] == \
             ["lost", "after"]
 
+    def test_lost_backfill_reply_is_retried(self, env):
+        """The log goes quiet after the hole opens, so only a retry of
+        the backfill request can close it."""
+        net, _directory, logs = build_logs(env, SequencerLog, seed=9)
+        lost = []
+
+        def lose_once(message):
+            if message.dst != "m2" or lost.count(message.kind) >= 1:
+                return False
+            if message.kind in ("log/g/decide", "log/g/backfill"):
+                lost.append(message.kind)
+                return True
+            return False
+
+        net.add_drop_rule(lose_once)
+        logs["m0"].submit({"uid": "lost"})
+        env.run(until=10)
+        logs["m0"].submit({"uid": "after"})
+        env.run(until=10_000)
+        assert lost == ["log/g/decide", "log/g/backfill"]
+        assert [uid for _seq, uid in logs["m2"].applied] == \
+            ["lost", "after"]
+
     def test_fast_forward_validation(self, env):
         _net, _directory, logs = build_logs(env, SequencerLog)
         logs["m0"].submit({"uid": "a"})
@@ -175,3 +198,100 @@ class TestLogBackfill:
         log.fast_forward(2)
         assert log.applied == [(2, "e2"), (3, "e3")]
         assert log.applied_count == 4
+
+
+def submit_stream(env, logs, count, gap_ms=0.2):
+    """Submit ``count`` entries, one every ``gap_ms``, from each member in
+    turn."""
+    members = sorted(logs)
+
+    def proc(env):
+        for index in range(count):
+            yield env.timeout(gap_ms)
+            logs[members[index % len(members)]].submit({"uid": f"e{index}"})
+
+    env.process(proc(env))
+
+
+class TestCompaction:
+    """A member keeps decided entries only at or above the group's floor:
+    the lowest stable position any member has reported."""
+
+    def test_retained_entries_stay_bounded(self, env):
+        net, _dir, logs = build_logs(env, SequencerLog)
+        every = SequencerLog.STABLE_EVERY
+        peak = dict.fromkeys(logs, 0)
+
+        def sample(env):
+            while True:
+                yield env.timeout(1.0)
+                for member, log in logs.items():
+                    peak[member] = max(peak[member], len(log.decided_entries))
+
+        submit_stream(env, logs, 1000)
+        env.process(sample(env))
+        env.run(until=1_000)
+        # One more entry: its decide carries the settled floor.
+        logs["m0"].submit({"uid": "last"})
+        env.run(until=2_000)
+        for member, log in logs.items():
+            assert log.applied_count == 1001
+            assert log.floor == 960          # every member reported 960
+            assert min(log.decided_entries) == log.floor
+            # The report granularity plus the one entry in flight.
+            assert len(log.decided_entries) <= every + 1
+            # Throughout: one report interval behind, plus the interval
+            # the floor needs to move.
+            assert peak[member] <= 2 * every
+            assert log.below_floor_requests == 0
+        # Two followers, one report per STABLE_EVERY applied positions.
+        assert net.sent_by_kind["log/g/stable"] == 2 * (1000 // every)
+
+    def test_dropped_decide_after_compaction_is_backfilled(self, env):
+        net, _dir, logs = build_logs(env, SequencerLog, seed=5)
+        dropped = []
+
+        def drop_one_decide(message):
+            if (dropped or message.dst != "m2"
+                    or message.kind != "log/g/decide"
+                    or logs["m0"].floor == 0):
+                return False
+            dropped.append(message.payload["seq"])
+            return True
+
+        net.add_drop_rule(drop_one_decide)
+        submit_stream(env, logs, 300)
+        env.run(until=5_000)
+        assert dropped and dropped[0] >= SequencerLog.STABLE_EVERY
+        reference = logs["m0"].applied
+        assert len(reference) == 300
+        for log in logs.values():
+            assert log.applied == reference
+            assert log.below_floor_requests == 0
+        assert net.sent_by_kind["log/g/backfill"] >= 1
+
+    def test_late_entries_below_the_floor_are_not_recorded(self, env):
+        """Duplicate decides and backfill replies arrive through _learn:
+        they must not rebuild the dropped prefix."""
+        _net, _dir, logs = build_logs(env, SequencerLog)
+        submit_stream(env, logs, 200)
+        env.run(until=1_000)
+        log = logs["m1"]
+        assert log.floor > 0
+        retained = dict(log.decided_entries)
+        for seq in range(log.floor):
+            log._learn(seq, {"uid": f"e{seq}"})
+        assert log.decided_entries == retained
+        assert log.applied_count == 200
+
+    def test_paxos_log_keeps_floor_zero_and_sends_no_reports(self, env):
+        net, _dir, logs = build_logs(env, PaxosLog)
+        for index in range(2 * PaxosLog.STABLE_EVERY):
+            logs["m1"].submit({"uid": f"p{index}"})
+        env.run(until=30_000)
+        for log in logs.values():
+            assert log.applied_count == 2 * PaxosLog.STABLE_EVERY
+            assert log.floor == 0
+            assert len(log.decided_entries) == log.applied_count
+        assert not [kind for kind in net.sent_by_kind
+                    if kind.endswith("/stable")]

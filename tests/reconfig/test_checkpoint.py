@@ -118,6 +118,21 @@ class TestPartitionCheckpointer:
         assert len(checkpointer.history) == checkpointer.keep
         assert checkpointer.latest() is checkpointer.history[-1]
 
+    def test_delivery_handed_to_an_idle_executor_is_queued_work(self):
+        """A capture in the decide callback chain (the periodic WAL
+        capture) runs after the delivery left the queue for the waiting
+        executor but before the executor resumed: the delivery must count
+        as not yet executed, or a replica installing it never runs it."""
+        cluster = build_loaded_cluster()
+        server = cluster.servers["p0s1"]
+        captured = []
+        server.amcast.on_deliver(lambda delivery: captured.append(
+            (delivery.uid, server.checkpointer.capture("test").thaw())))
+        run_workload(cluster, count=1, name="c1")
+        (uid, checkpoint), = captured
+        assert [delivery.uid for delivery in checkpoint.queued] == [uid]
+        assert checkpoint.executed == server.executed[:-1]
+
     def test_epoch_boundary_auto_captures(self):
         """Join fences trigger a capture on every established server."""
         cluster = build_loaded_cluster()
@@ -193,7 +208,6 @@ def reference_checkpoint(server) -> PartitionCheckpoint:
             "my_ts": dict(amcast._my_ts),
             "pending": copy.deepcopy(amcast._pending),
             "deliver_count": amcast._deliver_count,
-            "delivery_log": list(amcast.delivery_log),
         },
         exchange={
             "signals": {cid: sorted(senders) for cid, senders

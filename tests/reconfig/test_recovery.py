@@ -274,3 +274,101 @@ class TestTransferredCheckpointIsPrivate:
         # multi-partition command mid-flight, so that the replacement
         # kept writing into the objects it installed.
         assert installed_moved_on
+
+
+class TestCompactedLogRecovery:
+    """A crashed follower pins its group's log floor at its last report,
+    so the entries its replacement will backfill stay retained."""
+
+    def test_replacement_backfills_above_the_pinned_floor(self):
+        cluster = build_cluster(scheme="smr", replicas_per_partition=3,
+                                seed=3, initial_assignment={
+                                    f"k{i}": 0 for i in range(4)})
+        cluster.preload({f"k{i}": 0 for i in range(4)})
+        every = cluster.servers["p0s0"].log.STABLE_EVERY
+        speaker = cluster.servers["p0s0"].log
+
+        def run_commands(count, name):
+            replies = continuous_load(cluster, name, count=count, pause=0.0)
+            cluster.run(until=cluster.env.now + 5_000)
+            assert len(replies) == count
+
+        run_commands(100, "before")
+        crashed = cluster.servers["p0s2"]
+        crashed.crash()
+        pinned = crashed.log.stable_position   # >= its last report
+        assert speaker.floor > 0
+        run_commands(3 * every + 10, "during")
+        assert speaker.applied_count - pinned >= 3 * every
+        assert cluster.servers["p0s1"].log.applied_count == \
+            speaker.applied_count
+        assert speaker.floor <= pinned       # the dead member holds it
+        assert len(speaker.decided_entries) >= 3 * every
+
+        replacement = cluster.recover_server("p0s2")
+        run_commands(20, "after")
+        assert replacement.recovery.installed
+        assert replacement.log.applied_count == speaker.applied_count
+        assert replacement.store.snapshot() == \
+            cluster.servers["p0s0"].store.snapshot()
+        assert speaker.floor > pinned        # its replacement reported
+        for name in ("p0s0", "p0s1", "p0s2"):
+            assert cluster.servers[name].log.below_floor_requests == 0
+        assert cluster_invariants(cluster) == []
+
+    def test_lost_install_window_report_is_resent(self):
+        """The transfer peer lags the crashed incarnation's last report.
+        The replacement's install-window report is lost, and the peer
+        crosses that report while the transfer is in flight: only the
+        resent report keeps the floor at or below the checkpoint."""
+        cluster = build_cluster(scheme="smr", replicas_per_partition=3,
+                                seed=3, initial_assignment={
+                                    f"k{i}": 0 for i in range(4)})
+        cluster.preload({f"k{i}": 0 for i in range(4)})
+        net, env = cluster.network, cluster.env
+        speaker = cluster.servers["p0s0"].log
+        peer = cluster.servers["p0s1"]
+        replies = continuous_load(cluster, "warm", count=100, pause=0.0)
+        cluster.run(until=env.now + 5_000)
+        assert len(replies) == 100
+
+        # The peer's decides lag by 200 ms while the crash victim runs on.
+        lag = net.add_delay_rule(
+            lambda m: 200.0 if (m.dst == "p0s1"
+                                and m.kind.endswith("/decide")) else 0.0)
+        replies = continuous_load(cluster, "lagging", count=100, pause=0.0)
+        while len(replies) < 100:
+            cluster.run(until=env.now + 1)
+        lag()
+        crashed = cluster.servers["p0s2"]
+        assert crashed.log.applied_count == 200
+        assert peer.log.applied_count == 100
+        crashed.crash()
+
+        lost = []
+
+        def lose_first_report(message):
+            if lost or message.src != "p0s2" \
+                    or not message.kind.endswith("/stable"):
+                return False
+            lost.append(message.payload["position"])
+            return True
+
+        net.add_drop_rule(lose_first_report)
+        # A slow transfer: the peer catches up and reports past the
+        # checkpoint it froze before the install.
+        net.add_delay_rule(
+            lambda m: 150.0 if (m.src == "p0s1" and m.dst == "p0s2"
+                                and "xfer" in m.kind) else 0.0)
+        replacement = recover_partition_server(crashed, peer)
+        cluster.servers["p0s2"] = replacement
+        cluster.run(until=env.now + 100)
+        assert lost == [0] and not replacement.recovery.installed
+        replies = continuous_load(cluster, "after", count=100, pause=2.0)
+        cluster.run(until=env.now + 5_000)
+        assert len(replies) == 100
+        assert replacement.recovery.checkpoint.applied_count == 100
+        assert replacement.log.applied_count == speaker.applied_count == 300
+        for name in ("p0s0", "p0s1", "p0s2"):
+            assert cluster.servers[name].log.below_floor_requests == 0
+        assert cluster_invariants(cluster) == []

@@ -149,3 +149,39 @@ class TestLadder:
         assert replacement._start_gate.triggered
         # The preloaded base image survived even with the log unreadable.
         assert set(replacement.store.snapshot()) >= {"k0", "k2"}
+
+
+class TestCompactedLogColdStart:
+    def test_lagging_fsync_keeps_the_suffix_at_the_speaker(self):
+        """A WAL-armed member reports the position it can cold-start to
+        from its own disk — the one after its last fsynced entry — not
+        its applied position. With the follower's fsyncs far behind its
+        log, a power failure then loses a long applied suffix, and rung 1
+        must still find every entry of it at the speaker."""
+        # One WAL segment holds the whole un-fsynced suffix, so the power
+        # failure tears its tail (rung 1) instead of gapping the log.
+        cluster = build_durable_cluster(scheme="ssmr", seed=5,
+                                        segment_records=1_024)
+        speaker = cluster.servers["p0s0"].log
+        every = speaker.STABLE_EVERY
+        run_workload(cluster, count=200)
+        disk = cluster.disks.disk("p0s1")
+        disk.slow_factor = 100_000.0   # a 30 s fsync
+        # Half the keys live on p0: 3 * every entries in its log.
+        run_workload(cluster, count=6 * every, name="c1")
+        follower = cluster.servers["p0s1"]
+        assert follower.log.applied_count == speaker.applied_count
+        fsynced = follower.wal.durable_seq + 1
+        assert follower.log.applied_count - fsynced > every
+        assert speaker.floor > 0
+
+        disk.slow_factor = 1.0
+        cluster.servers["p0s1"].crash()
+        replacement = cluster.cold_restart_server("p0s1")
+        run_workload(cluster, count=4, name="c2")
+        assert cluster.disks.stats.peer_fallbacks == 0
+        assert replacement.log.applied_count == speaker.applied_count
+        assert replacement.store.snapshot() == \
+            cluster.servers["p0s0"].store.snapshot()
+        assert speaker.below_floor_requests == 0
+        assert cluster_invariants(cluster) == []

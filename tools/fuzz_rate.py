@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The fuzzer's base rate over a seed range: failing / total schedules.
 
-One fuzz seed is a coin, not a gate (ROADMAP item 4): a few known
-schedules in ten thousand still fail. To judge a change, run the same seed
-range on both trees and compare the numbers and the failing
-``(seed, index, scheme)`` lists. Each seed is one in-process campaign,
+One fuzz seed is a sample; the rate over a fixed seed range is the gate
+(ROADMAP item 4): any failing schedule exits 1, after the failing
+``(seed, index, scheme)`` list is printed. To compare two trees, run the
+same seed range on both. Each seed is one in-process campaign,
 the same as ``python -m repro fuzz --schedules 40 --no-shrink --seed N
 [MODE]``; runs own their ids, so seeds run back to back in one
 interpreter exactly as they would alone.
@@ -15,8 +15,7 @@ interpreter exactly as they would alone.
 
 ``--tree`` runs another checkout's ``src/`` (default: the one this file
 sits in); a checkout whose id counters live at module scope must run its
-own copy of this tool instead. Exit status 0 whatever the rate: this
-reports, it does not gate.
+own copy of this tool instead.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def main(argv=None) -> int:
         print(f"  {scheme:9s} {failed[scheme]} / {total[scheme]}")
     for entry in failing:
         print(f"  failing: seed {entry[0]} #{entry[1]} {entry[2]}")
-    return 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
