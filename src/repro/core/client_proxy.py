@@ -13,9 +13,10 @@ Two retry layers coexist and must not be confused:
   the attempt tag on the command envelope.
 * *network resends* — timeout-driven re-multicasts of the *same* logical
   step under fresh uids (:class:`~repro.resilience.RetryPolicy`); servers
-  deduplicate by command id, so resends are exactly-once. A lost oracle
-  notification for a synchronous move is recovered by re-consulting: the
-  consult is idempotent and reports the post-move locations.
+  deduplicate by the client's session, so resends are exactly-once. A
+  lost oracle notification for a synchronous move is recovered by
+  re-consulting: the consult is idempotent and reports the post-move
+  locations.
 
 Metrics counted per client (and aggregated by the harness): consults, cache
 hits, retries, moves initiated and fallbacks — the quantities behind the
@@ -90,7 +91,8 @@ class DssmrClient(BaseClient):
         consult = Command(op="consult", ctype=CommandType.CONSULT,
                           variables=command.variables,
                           args={"inner_ctype": command.ctype.value},
-                          cid=consult_cid, client=self.name)
+                          cid=consult_cid, client=self.name,
+                          seq=command.seq, acked=command.acked)
         policy = self.retry_policy
         sends = 0
         while True:
@@ -103,7 +105,8 @@ class DssmrClient(BaseClient):
             self.mcast.multicast([ORACLE_GROUP],
                                  {"command": consult},
                                  size=consult.payload_size(),
-                                 uid=self.next_uid(f"am:{consult_cid}"))
+                                 uid=self.next_uid(command,
+                                                   f"am:{consult_cid}"))
             if sends > 1:
                 self.resends += 1
             fired, prophecy = yield from with_timeout(
@@ -148,8 +151,7 @@ class DssmrClient(BaseClient):
         Implements the do/while loop of Algorithm 2, including the cache
         fast path and the S-SMR fallback.
         """
-        self.claim_cid(command)
-        command.client = self.name
+        self.begin_command(command)
         start = self.env.now
         self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
         attempt = 0
@@ -177,6 +179,7 @@ class DssmrClient(BaseClient):
                 break
             self.retry_count += 1
             self._invalidate_cache(command)
+        self.session.finish(command)
         if (reply.status is ReplyStatus.OK
                 and command.ctype is CommandType.ACCESS
                 and not fell_back and reply.partition):
@@ -268,18 +271,20 @@ class DssmrClient(BaseClient):
                        variables=variables,
                        args={"sources": sources, "dest": target,
                              "notify": self.name},
-                       cid=move_cid, client=self.name)
+                       cid=move_cid, client=self.name,
+                       seq=command.seq, acked=command.acked)
         self.moves_initiated += len(variables)
         dests = sorted({ORACLE_GROUP, target, *sources})
 
         def send(_sends: int) -> None:
             self.mcast.multicast(dests, {"command": move, "dests": dests},
                                  size=move.payload_size(),
-                                 uid=self.next_uid(f"am:{move_cid}"))
+                                 uid=self.next_uid(command,
+                                                   f"am:{move_cid}"))
 
         # Destination partition confirms the variables arrived; moves are
-        # deduplicated by command id at every participant, so resends are
-        # exactly-once.
+        # deduplicated by the client's session at every participant, so
+        # resends are exactly-once.
         yield from self.send_with_retries(move_cid, send, stage="move")
         for key in variables:
             self.location_cache[key] = target
@@ -298,7 +303,8 @@ class DssmrClient(BaseClient):
         def send(_sends: int) -> None:
             self.mcast.multicast(groups, envelope,
                                  size=command.payload_size(),
-                                 uid=self.next_uid(f"am:{command.cid}:a{attempt}"))
+                                 uid=self.next_uid(
+                                     command, f"am:{command.cid}:a{attempt}"))
 
         reply: Reply = yield from self.send_with_retries(
             command.cid, send, expected_attempt=attempt)
@@ -314,7 +320,8 @@ class DssmrClient(BaseClient):
         def send(_sends: int) -> None:
             self.mcast.multicast(dests, envelope,
                                  size=command.payload_size(),
-                                 uid=self.next_uid(f"am:{command.cid}:a{attempt}"))
+                                 uid=self.next_uid(
+                                     command, f"am:{command.cid}:a{attempt}"))
 
         reply: Reply = yield from self.send_with_retries(
             command.cid, send, expected_attempt=attempt)

@@ -14,7 +14,7 @@ dynamic variable→partition mapping and answers consults:
   commands, specialised to {oracle, partition}).
 * **Task 3 — move.** Update the mapping; no coordination needed — a move
   cannot interleave with a create, and racing moves merely cause client
-  retries.
+  retries. Each move is followed once (``followed_moves``).
 * **Tasks 5/6 — hints & repartitioning.** Ingest workload hints and
   periodically recompute an ideal partitioning (policy; deterministic on
   every replica because hints arrive through the ordered log).
@@ -32,6 +32,7 @@ from repro.net import Network
 from repro.obs.tracing import trace_id_of
 from repro.ordering import (AmcastDelivery, GroupDirectory, ReliableMulticast,
                             SequencerLog)
+from repro.resilience import STALE
 from repro.sim import BusyTracker, Counter, Environment
 from repro.smr.command import Command, CommandType, ReplyStatus
 from repro.smr.executor import OrderedExecutor, delivery_attempt
@@ -98,6 +99,12 @@ class OracleReplica(OrderedExecutor):
         # that delays one consult until a concurrent client has moved one
         # of its variables away again.
         self.map_version = 0
+        # Move cids already followed (see _follow_move). Replicated map
+        # state, not a reply cache: a move's first copy can reach the
+        # oracle after its issuer's next command, so no session watermark
+        # may retire it. It grows by one cid per move over the run;
+        # cold start rebuilds it by replaying the log.
+        self.followed_moves: set[str] = set()
 
         # Elastic reconfiguration state (repro.reconfig): the configuration
         # epoch (bumped per ordered join/leave-begin entry), partitions
@@ -226,6 +233,8 @@ class OracleReplica(OrderedExecutor):
     # -- Task 1: consult ----------------------------------------------------
 
     def _task_consult(self, command: Command) -> None:
+        if self.replies.classify(command) is STALE:
+            return      # its command finished: nobody awaits the prophecy
         self.consults.increment(self.env.now)
         inner_ctype = command.args["inner_ctype"]
         if inner_ctype == "create":
@@ -272,14 +281,24 @@ class OracleReplica(OrderedExecutor):
 
     def _issue_move(self, command: Command, tuples: dict, target: str,
                     move_cid: str) -> None:
-        """Oracle-issued move (graph-partitioned mode, Algorithm 4 Task 1)."""
+        """Oracle-issued move (graph-partitioned mode, Algorithm 4 Task 1).
+
+        The move has no issuer session (``client`` is empty; the
+        consulting client is only notified). It needs none: every oracle
+        replica multicasts it under one uid, so the ordered logs deliver
+        it once. And it must have none: a client that times out waiting
+        for the acknowledgement re-consults and may finish its command
+        elsewhere while this move is still undelivered at a source, so a
+        watermark could turn the source's first copy stale while the
+        destination waits for its shipment.
+        """
         variables = tuple(v for v, p in tuples.items() if p != target)
         sources = sorted({p for v, p in tuples.items() if p != target})
         move = Command(op="move", ctype=CommandType.MOVE,
                        variables=variables,
                        args={"sources": sources, "dest": target,
                              "notify": command.client},
-                       cid=move_cid, client=command.client)
+                       cid=move_cid)
         dests = [ORACLE_GROUP, target] + sources
         envelope = {"command": move, "dests": sorted(set(dests))}
         if self.tracer.enabled and self.tracer.sent_at(move_cid) is None:
@@ -298,8 +317,10 @@ class OracleReplica(OrderedExecutor):
     def _task_create(self, command: Command, attempt: int = 1):
         # A re-delivered create/delete (client resend) must not re-run
         # Task 2 — the verdict would flip ("exists"/"missing") and race
-        # the partition's cached reply — so the oracle caches replies too.
-        if self._resend_cached(command, attempt):
+        # the partition's cached reply — so the oracle keeps sessions too.
+        # A stale copy is safe to skip: the partition it pairs with waited
+        # for this replica group's verdict before its client could finish.
+        if self._answered(command, attempt):
             return
         key = command.variables[0]
         partition = command.args["partition"]
@@ -321,7 +342,7 @@ class OracleReplica(OrderedExecutor):
             self._reply(command, ReplyStatus.NOK, "exists", attempt)
 
     def _task_delete(self, command: Command, attempt: int = 1):
-        if self._resend_cached(command, attempt):
+        if self._answered(command, attempt):
             return
         key = command.variables[0]
         partition = command.args["partition"]
@@ -358,10 +379,18 @@ class OracleReplica(OrderedExecutor):
         move under a fresh uid, and by then the variable may have come
         back — relocating it again would point the map at a partition
         that ignores the stale copy and never installs the value.
+
+        The partitions tell copies apart by the issuer's session; the
+        oracle cannot. It follows a move but takes no part in its
+        exchange, so the issuer's acknowledgement says nothing about the
+        oracle, and Skeen order need not respect the client's real-time
+        order across groups: its next consult can reach the oracle
+        *before* the move's first copy. Classifying that copy stale would
+        strand the map, so the oracle keeps ``followed_moves`` instead.
         """
-        if command.cid in self.replies:
+        if command.cid in self.followed_moves:
             return []
-        self._cache_reply(command, ReplyStatus.OK, "moved", 1)
+        self.followed_moves.add(command.cid)
         dest = command.args["dest"]
         sources = set(command.args.get("sources", ()))
         moved = []
@@ -537,7 +566,9 @@ class OracleReplica(OrderedExecutor):
         least-loaded live one (deterministic supplementary move).
 
         Every replica issues the move with the same uid, so the ordered
-        logs deduplicate — the same trick as :meth:`_issue_move`.
+        logs deduplicate — the same trick as :meth:`_issue_move`. That
+        makes it exactly-once without an issuer session: it has no
+        ``client``, and no partition keeps a session entry for it.
         """
         if partition in self.partitions and partition not in self.draining \
                 and partition not in self.retired:
@@ -622,7 +653,7 @@ class OracleReplica(OrderedExecutor):
         """Mark delivery uids as replayed history (WAL cold start).
 
         Replayed deliveries re-apply their effect on the variable map,
-        the policy and the reply cache, but send nothing: the original
+        the policy and the session table, but send nothing: the original
         execution already answered the client, issued the move, or
         acknowledged the reconfiguration. A marked uid that only arrives
         later (a post-restore heal round finalising old history) is
@@ -635,8 +666,10 @@ class OracleReplica(OrderedExecutor):
 
         Mirrors :meth:`_handle_delivery` task by task; consults are pure
         reads of the map and have nothing to re-apply. Verdict-bearing
-        replies are re-cached so post-restore client resends
-        deduplicate exactly as they would have against the lost cache.
+        replies are re-stored, and every command's session stamp is
+        re-classified in log order, so the session table is rebuilt and
+        post-restore client resends deduplicate exactly as they would
+        have against the lost one.
         """
         envelope = delivery.payload
         if not isinstance(envelope, dict):
@@ -667,6 +700,11 @@ class OracleReplica(OrderedExecutor):
         if command is None:
             return
         attempt = envelope.get("attempt", 1)
+        if command.ctype is CommandType.MOVE:
+            self._follow_move(command)
+            return
+        if self.replies.classify(command, attempt) is not None:
+            return      # stale, or a duplicate: the original changed nothing
         if command.ctype is CommandType.CREATE:
             key = command.variables[0]
             partition = command.args["partition"]
@@ -689,13 +727,11 @@ class OracleReplica(OrderedExecutor):
             else:
                 self._cache_reply(command, ReplyStatus.NOK, "missing",
                                   attempt)
-        elif command.ctype is CommandType.MOVE:
-            self._follow_move(command)
         # CONSULT: pure read of the map — nothing to re-apply.
 
     def _cache_reply(self, command: Command, status: ReplyStatus,
                      value, attempt: int) -> None:
-        self.replies.store(command.cid, self._make_reply(
+        self.replies.store(command, self._make_reply(
             command, status, value, attempt))
 
     # -- replies -------------------------------------------------------------
@@ -710,5 +746,5 @@ class OracleReplica(OrderedExecutor):
     def _reply(self, command: Command, status: ReplyStatus,
                value, attempt: int = 1) -> None:
         reply = self._make_reply(command, status, value, attempt)
-        self.replies.store(command.cid, reply)
+        self.replies.store(command, reply)
         self._send_reply(command, reply)

@@ -19,6 +19,7 @@ Extends the S-SMR server with the dynamic-partitioning behaviours:
 from __future__ import annotations
 
 from repro.ordering import AmcastDelivery
+from repro.resilience import STALE
 from repro.sim import Counter
 from repro.smr.command import Command, CommandType, ReplyStatus
 from repro.smr.executor import REPLY_KIND, delivery_attempt
@@ -44,7 +45,7 @@ class DssmrServer(SsmrServer):
         if ctype is CommandType.ACCESS and envelope.get("mode") != "fallback":
             # The single-partition fast path (inline, like S-SMR's).
             attempt = delivery_attempt(envelope)
-            if (self._resend_cached(command, attempt)
+            if (self._answered(command, attempt)
                     or self._retry_if_moved(command, attempt)):
                 return None
             start = self.env.now
@@ -68,16 +69,11 @@ class DssmrServer(SsmrServer):
         return (command.ctype is CommandType.ACCESS
                 and envelope.get("mode") != "fallback")
 
-    def _dispatch_parallel(self, command: Command, attempt: int,
-                           delivery: AmcastDelivery) -> None:
+    def _declined(self, command: Command, attempt: int) -> bool:
         # Sound at dispatch time: moves (and creates/deletes) barrier on a
         # drained pool, so the store key-set cannot change while work is
         # in flight.
-        if (self.parallel.inflight_slot(command.cid) is None
-                and command.cid not in self.replies
-                and self._retry_if_moved(command, attempt)):
-            return
-        super()._dispatch_parallel(command, attempt, delivery)
+        return self._retry_if_moved(command, attempt)
 
     # -- access (single-partition fast path) ---------------------------------
 
@@ -97,18 +93,26 @@ class DssmrServer(SsmrServer):
         sources = set(command.args["sources"])
         dest = command.args["dest"]
         notify = command.args.get("notify")
+        cached = self.replies.classify(command)
+        if cached is STALE:
+            # Its issuer has the destination's acknowledgement, so every
+            # participant already ran the move.
+            return
         if self.partition in sources:
             # Ship whatever we still hold (possibly nothing, if an earlier
-            # move already took these variables) and forget it — once. A
-            # re-delivery (the client re-multicast the move after a
-            # timeout) only repeats the cached transfer: the destination
-            # ignores it, so a variable that has come back since would be
-            # popped here and installed nowhere.
+            # move already took these variables) and forget it — once,
+            # recorded in the issuer's session. A re-delivery (the issuer
+            # re-multicast the move after a timeout) only repeats the
+            # cached transfer: the destination ignores it, so a variable
+            # that has come back since would be popped here and installed
+            # nowhere.
             shipped = {}
-            if not self.exchange.has_sent(command.cid):
+            if cached is None:
                 for key in command.variables:
                     if key in self.store:
                         shipped[key] = self.store.pop(key)
+                self.replies.store(command, self._make_reply(
+                    command, ReplyStatus.OK, {"shipped": len(shipped)}))
             self.moves_out.increment(self.env.now, len(shipped))
             self.exchange.send([dest], command.cid, shipped)
             start = self.env.now
@@ -118,7 +122,6 @@ class DssmrServer(SsmrServer):
             self.node.flight("move",
                              f"shipped {len(shipped)} var(s) to {dest}")
         elif self.partition == dest:
-            cached = self.replies.lookup(command.cid)
             if cached is None:
                 start = self.env.now
                 yield from self.exchange.wait(command.cid, sources)
@@ -133,7 +136,7 @@ class DssmrServer(SsmrServer):
                                  f"installed {len(received)} var(s)")
                 cached = self._make_reply(command, ReplyStatus.OK,
                                           {"moved": len(received)})
-                self.replies.store(command.cid, cached)
+                self.replies.store(command, cached)
             if notify:
                 self.node.send(notify, REPLY_KIND, cached, size=128)
 

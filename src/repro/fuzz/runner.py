@@ -48,7 +48,7 @@ from repro.store import DurabilityConfig
 SETTLE_MS = 400.0
 
 #: Test-only deliberate protocol bugs the runner can arm.  ``no_dedup``
-#: disables the server reply caches, so a client resend under loss
+#: disables the server session tables, so a client resend under loss
 #: double-executes its command — the fuzzer must find and shrink it.
 INJECTABLE_BUGS = ("no_dedup",)
 

@@ -82,7 +82,7 @@ class FaultSchedule:
     ops_per_client: int = 8
     num_keys: int = 6
     # Test-only deliberate protocol bug (e.g. "no_dedup" disables the
-    # server reply caches, so client resends double-execute). Lives in
+    # server session tables, so client resends double-execute). Lives in
     # the schedule so a repro artifact replays the identical build.
     inject_bug: Optional[str] = None
     # Autonomous recovery: attach a ClusterHealer (repro.heal) and let

@@ -72,7 +72,7 @@ class ClusterConfig:
     # Client-side timeout/retry/backoff (see repro.resilience); None keeps
     # the legacy block-forever clients. The chaos campaign sets a policy.
     retry_policy: Optional[RetryPolicy] = None
-    # Server-side request deduplication (reply caches). Disabling it is a
+    # Server-side request deduplication (session tables). Disabling it is a
     # test-only switch for the chaos sentinel: with dedup off, client
     # resends execute twice and the checkers must catch it.
     dedup: bool = True

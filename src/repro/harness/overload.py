@@ -7,7 +7,7 @@ through a pool of client proxies. Offered load is *open loop* — arrivals
 do not wait for earlier commands to finish — so beyond saturation the
 uncontrolled system accumulates queueing without bound and its *goodput*
 (completions within the latency SLO) collapses, while raw completions
-stay near capacity (reply caches make resends cheap). With
+stay near capacity (session tables make resends cheap). With
 :class:`~repro.qos.QosConfig` armed, sequencer-side CoDel shedding plus
 the clients' AIMD windows and retry budgets bound the queues, so goodput
 plateaus at capacity instead.

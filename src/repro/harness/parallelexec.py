@@ -70,7 +70,7 @@ def run_equivalence_case(scheme: str, seed: int,
 
     The fingerprint covers everything the P-SMR argument promises is
     invariant under parallel execution: per-replica stores, execution
-    histories, reply caches, and the reply values each client observed.
+    histories, session tables, and the reply values each client observed.
     Reply *times* are deliberately excluded — finishing earlier is the
     entire point of the engine.
     """
@@ -103,10 +103,11 @@ def run_equivalence_case(scheme: str, seed: int,
                    for name, server in servers},
         "executed": {name: list(server.executed)
                      for name, server in servers},
-        "replies": {name: {cid: (reply.status.value, repr(reply.value))
-                           for cid, reply
-                           in sorted(server.replies._replies.items())}
-                    for name, server in servers},
+        "replies": {name: {client: (acked, {
+            cid: (seq, reply.status.value, repr(reply.value))
+            for cid, (seq, reply) in replies.items()})
+            for client, (acked, replies) in server.replies.sessions.items()}
+            for name, server in servers},
         "observed": sorted(observed),
     }
     return {

@@ -257,7 +257,8 @@ def run_substrate_micro(events: int = 200_000,
     destination node's kind handler), and the checkpoint a durable
     deployment takes every ``checkpoint_every`` entries (``captures``:
     ``PartitionCheckpointer.capture`` on one dssmr Chirper server holding
-    100 users, 200 cached replies and 200 outbound exchange payloads).
+    100 users, 200 cached replies — one per client session, 200 sessions —
+    and 200 outbound exchange payloads).
     Rates are per wall-clock second — machine-dependent, so they live in
     their own baseline file and never touch the canonical perf payload.
     """
@@ -266,7 +267,7 @@ def run_substrate_micro(events: int = 200_000,
     from repro.net import FixedLatency, Network
     from repro.ordering import ProtocolNode
     from repro.sim import Environment, SeedStream
-    from repro.smr.command import Reply, ReplyStatus
+    from repro.smr.command import Command, Reply, ReplyStatus
 
     env = Environment()
     state = {"left": events}
@@ -317,7 +318,9 @@ def run_substrate_micro(events: int = 200_000,
             "timeline": [(f"post{n}", user, "x" * 40) for n in range(10)]})
     for index in range(200):
         cid, key = f"c{index}", user_key(index % 100)
-        server.replies.store(cid, Reply(
+        command = Command(op="post", cid=cid, client=f"client{index}",
+                          seq=1, acked=1)
+        server.replies.store(command, Reply(
             cid, ReplyStatus.OK, {"delivered": 3}, server.node.name,
             server.partition))
         server.exchange.send([peer], cid, {key: server.store.read(key)})

@@ -3,11 +3,12 @@
 A partition replica's state is *not* a pure function of its delivered
 command sequence (unlike classic SMR): multi-partition execution couples it
 to in-flight signal/variable exchanges, the Skeen multicast keeps pending
-timestamp state, and the reply cache carries exactly-once obligations. A
+timestamp state, and the session table carries exactly-once obligations. A
 checkpoint therefore captures everything a replacement replica needs to be
 *behaviourally* identical from the capture point onward:
 
-* the variable store and the execution history (ids + reply cache);
+* the variable store and the execution history (ids + the session
+  table: per client, its watermark and unacknowledged replies);
 * the atomic-multicast endpoint state (logical clock, delivered uids,
   own timestamps, pending multi-group messages);
 * the exchange buffer (received signals/variables, done flags and the
@@ -20,7 +21,7 @@ checkpoint therefore captures everything a replacement replica needs to be
 
 Captures are synchronous in virtual time, hence consistent — and that
 is also what makes a capture cheap. ``capture`` assembles the checkpoint
-**by reference** from the live server (store, reply cache, multicast
+**by reference** from the live server (store, session table, multicast
 pendings, exchange buffers, queue) and serialises it in **one**
 :func:`~repro.store.checkpoints.freeze` pass. Nothing runs between the
 assembly and the serialisation (``capture`` has no yields), so the bytes
@@ -87,7 +88,7 @@ class PartitionCheckpoint:
     taken_at: float                  # virtual ms
     store: dict
     executed: list
-    replies: dict                    # cid -> cached Reply
+    replies: dict                    # ReplyCache.sessions
     applied_count: int               # ordered-log apply position
     amcast: dict                     # clock / delivered / my_ts / pending
     exchange: dict                   # signals / vars / done / sent
@@ -171,7 +172,7 @@ class PartitionCheckpointer:
             taken_at=server.env.now,
             store=store._data,
             executed=server.settled_history(),
-            replies=server.replies._replies,
+            replies=server.replies.sessions,
             applied_count=server.log.applied_count,
             amcast={
                 "clock": amcast._clock,

@@ -9,8 +9,12 @@ oracle replicas apply the entry deterministically and acknowledge with a
 migration plan (batched moves); the manager then issues those moves one
 by one through the ordinary DS-SMR move machinery — sources ship values
 over reliable multicast, destinations install and acknowledge, the oracle
-updates its map — with timeout-driven resends under fresh multicast uids
-(participants deduplicate by move id, so resends are exactly-once).
+updates its map — with timeout-driven resends under fresh multicast uids.
+The manager is the moves' issuer: it numbers them like a client numbers
+its commands (:class:`~repro.resilience.SessionIssuer`), and participants
+deduplicate by that session, so resends are exactly-once. A join and a
+leave may run at once, so the watermark is the oldest open move, not the
+newest.
 
 * **join**: the new partition's group must already exist (empty servers,
   held or running); the entry adds it to the oracle's membership, bumps
@@ -30,7 +34,8 @@ from typing import Optional
 from repro.net import Message, Network
 from repro.obs.tracing import NULL_TRACER
 from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
-from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
+from repro.resilience import (RequestTimeout, RetryPolicy, SessionIssuer,
+                              with_timeout)
 from repro.sim import Environment
 from repro.smr.command import Command, CommandType, Reply
 from repro.smr.executor import REPLY_KIND
@@ -62,6 +67,7 @@ class ReconfigurationManager:
         self._ack_waits: dict[str, object] = {}
         self._reply_waits: dict[str, object] = {}
         self._uid_counts: dict[str, int] = {}
+        self.session = SessionIssuer()
         # Metrics (scraped by the harness into the reconfig gauges).
         self.joins = 0
         self.leaves = 0
@@ -144,6 +150,7 @@ class ReconfigurationManager:
                              "dest": batch["dest"],
                              "notify": self.node.name},
                        cid=batch["cid"], client=self.node.name)
+        self.session.begin(move)
         dests = sorted({ORACLE_GROUP, batch["source"], batch["dest"]})
         envelope = {"command": move, "dests": dests}
         policy = self.retry_policy
@@ -165,6 +172,7 @@ class ReconfigurationManager:
             if policy.gives_up(sends):
                 raise RequestTimeout(move.cid, sends)
             yield self.env.timeout(policy.backoff_ms(sends, self._rng))
+        self.session.finish(move)
         self.batches_sent += 1
         self.keys_migrated += len(batch["variables"])
 

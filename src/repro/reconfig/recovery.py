@@ -2,7 +2,7 @@
 
 A partitioned replica's state is not a pure function of its delivered
 commands — it is coupled to in-flight signal/variable exchanges, the
-multicast's timestamp state and the reply cache — so classic
+multicast's timestamp state and the session table — so classic
 snapshot-and-replay is not enough, and a classic-SMR group is simply the
 one-partition case with nothing in flight. The recovery here installs a
 peer's full :class:`~repro.reconfig.checkpoint.PartitionCheckpoint`
@@ -16,7 +16,7 @@ position:
    would pointlessly backfill history the checkpoint covers).
 2. The transfer pulls a frozen checkpoint from the chosen peer; ordered
    traffic arriving meanwhile parks in the log's pending map.
-3. Install: store, execution history, reply cache, epoch, multicast
+3. Install: store, execution history, session table, epoch, multicast
    state (clock, delivered uids, pendings — unfinalised multi-group
    pendings re-arm their self-heal timers), exchange buffers and the
    checkpoint's queued deliveries. Delivered-uid install is what stops
@@ -52,7 +52,7 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     for key, value in checkpoint.store.items():
         server.store.write(key, value)
     server.executed = list(checkpoint.executed)
-    server.replies._replies.update(checkpoint.replies)
+    server.replies.sessions = checkpoint.replies
     server.epoch = checkpoint.epoch
     server.applied_reconfigs = set(
         getattr(checkpoint, "applied_reconfigs", ()))

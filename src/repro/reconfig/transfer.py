@@ -12,7 +12,7 @@ bootstrapping replica):
    captures).
 2. The receiver pulls chunks with a sliding window of at most ``window``
    outstanding requests (flow control); chunk 0 carries the control state
-   (execution history, reply cache, multicast/exchange state, queued
+   (execution history, session table, multicast/exchange state, queued
    deliveries), chunks 1..N carry sorted slices of the variable store.
 3. Every chunk carries a checksum over its canonical serialisation;
    corrupt or lost chunks are simply re-requested (per-chunk timers), and

@@ -1,7 +1,7 @@
 """Request-level resilience: timeouts, retry/backoff and reply dedup.
 
 The protocols in this repository are safe under message loss (ordered logs
-and servers deduplicate by uid/command id), but a client that never resends
+deduplicate by uid, servers by client session), but a client that never resends
 a lost request — or never re-elicits a lost reply — blocks forever. This
 module holds the pieces every client/server stack shares:
 
@@ -10,10 +10,12 @@ module holds the pieces every client/server stack shares:
   so chaos campaigns stay bit-for-bit reproducible.
 * :func:`with_timeout` — generator helper racing a reply event against a
   timeout, the building block of every resilient wait.
-* :class:`ReplyCache` — server-side request deduplication: replies are
-  cached per command id and re-sent (re-tagged with the caller's current
-  attempt) when a retry re-delivers an already-executed command, which is
-  what makes client resends exactly-once.
+* :class:`SessionIssuer` and :class:`ReplyCache` — the two halves of an
+  exactly-once *session* per issuer (RIFL-style): the issuer numbers its
+  commands and tells every server the oldest one it has not finished;
+  a server keeps only the replies of unfinished commands, re-sends them
+  (re-tagged with the caller's current attempt) when a retry re-delivers
+  an executed command, and ignores copies of finished ones.
 
 Clients tag every resend with an attempt number and servers echo it, so a
 straggling reply from an abandoned attempt can never answer a newer one
@@ -159,36 +161,136 @@ def with_timeout(env: Environment, event: Event,
     return False, None
 
 
-class ReplyCache:
-    """Per-server reply cache keyed by command id.
+class SessionIssuer:
+    """The issuer half of exactly-once sessions.
 
-    ``lookup`` returns the cached reply re-tagged with the retry's attempt
-    number (so the client's stale-attempt filter accepts it), or None when
-    the command has not executed here. ``enabled=False`` turns the cache
-    into a no-op — a **test-only** switch that lets the chaos campaign
-    prove its checkers catch duplicate execution.
+    :meth:`begin` stamps a root command with the next sequence number
+    (from 1) and with ``acked``, the lowest sequence number not finished
+    yet: the command's own for a closed-loop issuer, the oldest in flight
+    for an open-loop one. :meth:`finish` is called on the command's
+    final reply, and only then. A command abandoned any other way (a
+    :class:`RequestTimeout`) stays open and pins the watermark, because a
+    copy of it may still execute.
+
+    ``open`` maps each open sequence number to a scratch dict the caller
+    may use for per-command state (the clients keep their fresh-uid
+    counters there), so that state lives exactly as long as the command.
+    Sequence numbers are handed out in increasing order and a dict keeps
+    insertion order, so the first key is the lowest open one.
+    """
+
+    def __init__(self):
+        self.last = 0
+        self.open: dict[int, dict] = {}
+
+    def begin(self, command) -> None:
+        self.last += 1
+        command.seq = self.last
+        self.open[self.last] = {}
+        command.acked = next(iter(self.open))
+
+    def finish(self, command) -> None:
+        del self.open[command.seq]
+
+
+#: :meth:`ReplyCache.classify`'s verdict on a copy of a finished command.
+STALE = "stale"
+
+
+class ReplyCache:
+    """Per-server exactly-once session table: one session per issuer.
+
+    ``sessions`` maps an issuer to ``[acked, {cid: (seq, reply)}]``: its
+    watermark and the replies of its commands at or above it. A session
+    is a two-item list, not an object, because every checkpoint pickles
+    the whole table and plain lists pickle at about the cost of the
+    replies alone.
+
+    Every command with an issuer (``Command.client``) carries the issuer's
+    sequence number ``seq`` and watermark ``acked`` (see
+    :class:`SessionIssuer`). :meth:`classify` runs once per delivery, in
+    log order: it raises the issuer's watermark to the command's
+    ``acked``, drops the replies below it, then answers
+
+    * :data:`STALE` when ``seq < acked``: the issuer already holds the
+      final reply, so nothing runs, replies or joins an exchange;
+    * the cached reply, re-tagged with the delivery's attempt number (so
+      the client's stale-attempt filter accepts it), for a duplicate;
+    * None for a fresh command, which the caller executes.
+
+    :meth:`store` drops a reply below the watermark: a pooled command can
+    finish after its issuer moved on. The table is O(issuers × commands
+    each has in flight), not O(commands executed).
+
+    **Why stale is safe at partitions.** An issuer finishes command ``s``
+    only on a final reply, and by then every partition that is a
+    destination of ``s`` has delivered a copy of it: a multi-partition
+    access replies only after every peer's exchange, and a peer sends its
+    exchange when it executes; a client move's destination replies only
+    after every source has shipped; a partition's create or delete waits
+    for the oracle's verdict; and a DS-SMR attempt is left only on a
+    reply to that attempt. Replicas follow their group's log, so every
+    later command of that issuer follows ``s`` there, and no replica ever
+    waits on a group that classified the same delivery as stale. The
+    oracle follows moves without taking part in their exchange, so it
+    tracks moves in its own ``followed_moves`` instead (see
+    :class:`~repro.core.oracle.OracleReplica`).
+
+    A command without an issuer (the oracle's own moves) is always fresh:
+    it is multicast under one uid and the ordered logs deliver it once.
+    ``enabled=False`` makes the whole table inert, stale test included —
+    a **test-only** switch that lets the chaos campaign prove its
+    checkers catch duplicate execution.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._replies: dict = {}
+        self.sessions: dict[str, list] = {}
         self.hits = 0
+        self.stale = 0
 
-    def lookup(self, cid: str, attempt: int = 1):
-        if not self.enabled:
+    def _session(self, command) -> list:
+        """The issuer's session, its watermark raised to ``command.acked``."""
+        if not command.seq:
+            raise ValueError(f"{command.cid!r} from {command.client!r} "
+                             "carries no session sequence number")
+        session = self.sessions.get(command.client)
+        if session is None:
+            session = self.sessions[command.client] = [0, {}]
+        acked = command.acked
+        if acked > session[0]:
+            session[0] = acked
+            if session[1]:
+                session[1] = {cid: entry for cid, entry in session[1].items()
+                              if entry[0] >= acked}
+        return session
+
+    def classify(self, command, attempt: int = 1):
+        """:data:`STALE`, the re-tagged cached reply, or None (fresh)."""
+        if not self.enabled or not command.client:
             return None
-        cached = self._replies.get(cid)
-        if cached is None:
+        acked, replies = self._session(command)
+        if command.seq < acked:
+            self.stale += 1
+            return STALE
+        entry = replies.get(command.cid)
+        if entry is None:
             return None
         self.hits += 1
-        return replace(cached, attempt=attempt)
+        return replace(entry[1], attempt=attempt)
 
-    def store(self, cid: str, reply) -> None:
-        if self.enabled:
-            self._replies[cid] = reply
+    def store(self, command, reply) -> None:
+        if not self.enabled or not command.client:
+            return
+        acked, replies = self._session(command)
+        if command.seq >= acked:
+            replies[command.cid] = (command.seq, reply)
 
-    def __contains__(self, cid: str) -> bool:
-        return self.enabled and cid in self._replies
+    def __contains__(self, command) -> bool:
+        session = self.sessions.get(command.client)
+        return (self.enabled and session is not None
+                and command.cid in session[1])
 
     def __len__(self) -> int:
-        return len(self._replies)
+        """Retained replies, over every session."""
+        return sum(len(replies) for _, replies in self.sessions.values())

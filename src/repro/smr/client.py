@@ -9,9 +9,12 @@ replicas of a partition reply), attempt-tagged retry with timeout/backoff
 
 Retry semantics: a resend must use a *fresh* multicast uid — the ordered
 logs deduplicate by uid, so re-sending the original uid can never re-elicit
-a lost reply. Servers deduplicate by command id instead (reply caches), so
-a resent command is executed at most once and its cached reply is re-sent,
-re-tagged with the attempt number the client is currently waiting for.
+a lost reply. Servers deduplicate by the client's exactly-once session
+instead: every command carries the client's sequence number and
+acknowledged watermark (:class:`~repro.resilience.SessionIssuer`), so a
+resent command is executed at most once, its cached reply is re-sent,
+re-tagged with the attempt number the client is currently waiting for,
+and a copy of a command the client already finished is ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Callable, Optional
 from repro.net import Message, Network
 from repro.obs.tracing import NULL_TRACER, trace_id_of
 from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
-from repro.resilience import RequestTimeout, RetryPolicy, with_timeout
+from repro.resilience import (RequestTimeout, RetryPolicy, SessionIssuer,
+                              with_timeout)
 from repro.sim import Environment, Event, LatencyRecorder
 from repro.smr.command import Command, Reply, ReplyStatus
 from repro.smr.executor import REPLY_KIND
@@ -64,9 +68,9 @@ class BaseClient:
         self.overload_replies = 0
         self._rng = rng if rng is not None else random.Random(0)
         self._waiting: dict[str, tuple[Event, Optional[int]]] = {}
-        self._done: set[str] = set()
-        # Fresh-uid suffix counters, one per logical request.
-        self._uid_seq: dict[str, int] = {}
+        # Sequence numbers and the watermark; each open command's scratch
+        # dict holds its fresh-uid counters (see next_uid).
+        self.session = SessionIssuer()
         self.timeouts = 0
         self.resends = 0
         self.node.on(REPLY_KIND, self._on_reply)
@@ -78,12 +82,19 @@ class BaseClient:
     def claim_cid(self, command: Command) -> None:
         """Name a workload command (empty ``cid``) from this run's ids.
 
-        Called first thing in ``run_command``, before the command is
-        stamped with this client's name: a workload command's id reads
+        Called by :meth:`begin_command`, before the command is stamped
+        with this client's name: a workload command's id reads
         ``cmd-anon-<n>``.
         """
         if not command.cid:
             command.cid = self.env.ids.new("cmd", command.client or "anon")
+
+    def begin_command(self, command: Command) -> None:
+        """Name ``command``, make this client its issuer and open its
+        session stamp (first thing in every ``run_command``)."""
+        self.claim_cid(command)
+        command.client = self.name
+        self.session.begin(command)
 
     def _on_reply(self, message: Message) -> None:
         reply: Reply = message.payload
@@ -195,16 +206,20 @@ class BaseClient:
 
     # -- resilient requests --------------------------------------------------
 
-    def next_uid(self, base: str) -> str:
+    def next_uid(self, command: Command, base: str) -> str:
         """Fresh multicast uid for a resend of the request behind ``base``.
 
         The first send keeps ``base`` itself (byte-compatible with the
         non-resilient protocol); resends append ``:r{n}`` so the ordered
         logs treat them as new entries while servers still deduplicate by
-        command id.
+        session. The counters live with ``command``'s open session entry
+        (a consult or move shares its command's ``seq``), so a base reused
+        across send loops of one command (DS-SMR re-consults) keeps
+        counting, and they are gone once the command finishes.
         """
-        n = self._uid_seq.get(base, 0) + 1
-        self._uid_seq[base] = n
+        counters = self.session.open[command.seq]
+        n = counters.get(base, 0) + 1
+        counters[base] = n
         return base if n == 1 else f"{base}:r{n}"
 
     def resilient_request(self, cid: str,

@@ -44,6 +44,13 @@ class Command:
     (used by read-only optimisations and by tests). A workload command
     leaves ``cid`` empty: the client that submits it names it from its
     run's ids (:meth:`~repro.smr.client.BaseClient.claim_cid`).
+
+    ``seq`` and ``acked`` are the issuer's exactly-once session stamp
+    (:class:`~repro.resilience.SessionIssuer`): the command's sequence
+    number and the lowest one its issuer has not finished. A consult or
+    move run on a command's behalf carries the command's stamp. A command
+    with a ``client`` must have ``seq >= 1``; one without (the oracle's own
+    moves) has no session.
     """
 
     op: str
@@ -53,13 +60,16 @@ class Command:
     ctype: CommandType = CommandType.ACCESS
     cid: str = ""
     client: str = ""
+    seq: int = 0
+    acked: int = 0
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
         self.writes = tuple(self.writes)
 
     def payload_size(self) -> int:
-        """Approximate wire size: headers plus per-variable footprint."""
+        """Approximate wire size: headers plus per-variable footprint (the
+        session stamp rides in the header)."""
         return 128 + 32 * len(self.variables)
 
 

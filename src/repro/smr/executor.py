@@ -17,7 +17,7 @@ from repro.net import Network
 from repro.obs.tracing import NULL_TRACER, trace_id_of
 from repro.ordering import (AmcastDelivery, AtomicMulticast, GroupDirectory,
                             ProtocolNode, SequencerLog)
-from repro.resilience import ReplyCache
+from repro.resilience import STALE, ReplyCache
 from repro.sim import Channel, Environment, Interrupted
 from repro.smr.command import Command, Reply, ReplyStatus
 from repro.smr.execution import ExecutionModel
@@ -50,7 +50,8 @@ class OrderedExecutor:
     """One replica of one group: ordered intake, sequential execution.
 
     Owns the node, the group's ordered log and atomic-multicast endpoint,
-    the delivery queue, the reply cache and the executor process. Each
+    the delivery queue, the session table (``replies``, a
+    :class:`~repro.resilience.ReplyCache`) and the executor process. Each
     delivery passes the stages in this order:
 
     1. **intake** (:meth:`_enqueue`, in the delivery event): *order* span,
@@ -64,9 +65,11 @@ class OrderedExecutor:
     5. **schedule** (``parallel``): a pool-eligible command takes a slot
        on a worker core and the loop moves on; anything else waits for
        the pool to drain.
-    6. **apply**: :meth:`_handle_delivery`, the role's algorithm.
-    7. **reply cache -> reply**: a returned reply is cached, recorded in
-       ``executed`` and sent.
+    6. **apply**: :meth:`_handle_delivery`, the role's algorithm, which
+       first classifies the command against its issuer's session (stale,
+       duplicate or fresh).
+    7. **session -> reply**: a returned reply is stored in the issuer's
+       session, recorded in ``executed`` and sent.
 
     ``qos``, ``wal`` and ``parallel`` are ``None`` until the harness
     attaches them; an absent subsystem costs one ``None`` check.
@@ -83,8 +86,8 @@ class OrderedExecutor:
       and the *queue* span see queueing only, never group-commit wait.
     * A pooled command gets the loop's *queue* span up to its dequeue; the
       wait for a core is profiled as ``exec.queue`` (S-SMR's shape).
-    * Duplicates are detected by the reply cache alone; the checkpoint a
-      replacement installs carries ``executed`` and the replies.
+    * Duplicates are detected by the session table alone; the checkpoint
+      a replacement installs carries ``executed`` and the table.
     * A barriered command charges ``execution.cost`` to the scheduler's
       serial account before it is handled (S-SMR's accounting).
     * A pooled command finishing stores its reply, frees its slot, then
@@ -111,8 +114,9 @@ class OrderedExecutor:
         self.execution = execution or ExecutionModel()
         self.store = VariableStore()
         self.executed: list[str] = []  # command ids, in execution order
-        # dedup=False (test-only) disables exactly-once retry filtering so
-        # the chaos sentinel can prove the checkers catch double execution.
+        # The exactly-once session table. dedup=False (test-only) disables
+        # it so the chaos sentinel can prove the checkers catch double
+        # execution.
         self.replies = ReplyCache(enabled=dedup)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.queue_peak = 0
@@ -285,10 +289,13 @@ class OrderedExecutor:
         appended now, in log order, keeping the cross-replica
         execution-order invariant independent of finish interleavings;
         a state capture before the finish filters the cid back out (see
-        :meth:`settled_history`).
+        :meth:`settled_history`). The session is classified now too, in
+        log order; the reply is stored at the finish.
         """
         env = self.env
         pool = self.parallel
+        if self._answered(command, attempt):
+            return
         running = self.replies.enabled and pool.inflight_slot(command.cid)
         if running:
             # A client resend raced the original, which is still on a
@@ -297,7 +304,7 @@ class OrderedExecutor:
             env.schedule_callback(running.finish - env.now,
                                   self._resend_landed, command, attempt)
             return
-        if self._resend_cached(command, attempt):
+        if self._declined(command, attempt):
             return
         slot = pool.dispatch(command, self.execution.cost(command),
                              delivery=delivery)
@@ -322,13 +329,18 @@ class OrderedExecutor:
         if self.node.profiler.enabled:
             self.node.profiler.account(self.node.name,
                                        f"exec.run.c{slot.core}", slot.cost)
-        self.replies.store(command.cid, reply)
+        self.replies.store(command, reply)
         self.parallel.complete(command.cid)
         self._send_reply(command, reply)
 
     def _resend_landed(self, command: Command, attempt: int) -> None:
         if not self.node.crashed:
-            self._resend_cached(command, attempt)
+            self._answered(command, attempt)
+
+    def _declined(self, command: Command, attempt: int) -> bool:
+        """Answer a fresh pool-eligible command without running it?
+        (DS-SMR's ``retry`` when its variables moved away.)"""
+        return False
 
     # -- executor -------------------------------------------------------------
 
@@ -383,8 +395,9 @@ class OrderedExecutor:
         """Generator: execute one delivery (the role's algorithm).
 
         Returns the reply of a command executed here for the loop to
-        cache and send, or None when there is nothing to commit (a
-        control entry, a duplicate answered from the cache, a retry).
+        store and send, or None when there is nothing to commit (a
+        control entry, a stale copy, a duplicate answered from the
+        session, a retry).
         """
         raise NotImplementedError
 
@@ -411,18 +424,21 @@ class OrderedExecutor:
                      attempt=attempt)
 
     def _commit(self, command: Command, reply: Reply, attempt: int) -> None:
-        """Cache, record and send the reply of a command executed here."""
+        """Store, record and send the reply of a command executed here."""
         reply.attempt = attempt
-        self.replies.store(command.cid, reply)
+        self.replies.store(command, reply)
         self.executed.append(command.cid)
         self._send_reply(command, reply)
 
-    def _resend_cached(self, command: Command, attempt: int) -> bool:
-        """Answer a duplicate from the reply cache, tagged ``attempt``."""
-        cached = self.replies.lookup(command.cid, attempt)
-        if cached is None:
+    def _answered(self, command: Command, attempt: int) -> bool:
+        """Classify ``command`` against its issuer's session: True when
+        it needs nothing more, being stale (ignored) or a duplicate (the
+        stored reply is re-sent, tagged ``attempt``)."""
+        verdict = self.replies.classify(command, attempt)
+        if verdict is None:
             return False
-        self._send_reply(command, cached)
+        if verdict is not STALE:
+            self._send_reply(command, verdict)
         return True
 
     def _send_reply(self, command: Command, reply: Reply) -> None:

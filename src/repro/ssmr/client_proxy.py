@@ -5,7 +5,7 @@ accesses and atomically multicasts the command to them. The command travels
 inside an envelope carrying ``dests`` so every receiving partition knows who
 else is involved (needed for the signal exchange of Algorithm 1). With a
 :class:`~repro.resilience.RetryPolicy`, lost requests/replies are resent
-under fresh multicast uids; servers deduplicate by command id.
+under fresh multicast uids; servers deduplicate by the client's session.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ class SsmrClient(BaseClient):
 
     def run_command(self, command: Command):
         """Generator: execute one command; returns the :class:`Reply`."""
-        self.claim_cid(command)
+        self.begin_command(command)
         dests = sorted(self.oracle.partitions_for(command))
         if len(dests) > 1:
             self.multi_partition_commands += 1
-        command.client = self.name
         start = self.env.now
         self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
 
@@ -51,9 +50,11 @@ class SsmrClient(BaseClient):
                         "attempt": attempt}
             self.mcast.multicast(dests, envelope,
                                  size=command.payload_size(),
-                                 uid=self.next_uid(f"am:{command.cid}"))
+                                 uid=self.next_uid(command,
+                                                   f"am:{command.cid}"))
 
         reply: Reply = yield from self.resilient_request(command.cid, send)
+        self.session.finish(command)
         self.latency.record(self.env.now, self.env.now - start)
         self.tracer.end_trace(command.cid, self.env.now,
                               status=reply.status.value,

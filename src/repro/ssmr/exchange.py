@@ -49,10 +49,8 @@ class ExchangeBuffer:
         self._vars: dict[str, dict] = {}
         self._done: set[str] = set()
         self._waiters: dict[str, object] = {}
-        # Outbound cache for pull-based retransmission, cid -> payload.
-        # Never pruned, and must not be without a replacement: ``has_sent``
-        # is also how a DS-SMR source tells a move's first delivery from a
-        # re-delivery (``DssmrServer._exec_move``).
+        # Outbound cid -> payload: the pull/resend cache; pruning waits
+        # for destination checkpoint watermarks.
         self._sent: dict[str, dict] = {}
         self.pulls_sent = 0
         self.pulls_served = 0
@@ -89,10 +87,6 @@ class ExchangeBuffer:
         self._sent[cid] = payload
         if self.transmits():
             self._transmit(groups, payload)
-
-    def has_sent(self, cid: str) -> bool:
-        """True once this member has sent (at least cached) for ``cid``."""
-        return cid in self._sent
 
     def _transmit(self, groups: Iterable[str], payload: dict) -> None:
         self.rmcast.multicast(groups, payload,

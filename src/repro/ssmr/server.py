@@ -20,8 +20,9 @@ Implementation notes:
 * Ownership is determined by *store contents* rather than the static map,
   which lets the exact same execution path serve as DS-SMR's fallback mode
   (where variables migrate between partitions).
-* Replies are cached per command id, giving exactly-once execution when a
-  client re-multicasts a command (DS-SMR retries).
+* Replies are kept per client session (:class:`~repro.resilience.ReplyCache`)
+  until the client acknowledges them, giving exactly-once execution when
+  a client re-multicasts a command (DS-SMR retries).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Optional
 from repro.net import Network
 from repro.ordering import (AmcastDelivery, GroupDirectory, ReliableMulticast,
                             SequencerLog)
+from repro.resilience import STALE
 from repro.sim import Environment
 from repro.smr.command import Command, CommandType, Reply, ReplyStatus
 from repro.smr.execution import ExecutionModel
@@ -93,7 +95,11 @@ class SsmrServer(OrderedExecutor):
             return None
         command: Command = envelope["command"]
         dests = envelope["dests"]
-        cached = self.replies.lookup(command.cid, delivery_attempt(envelope))
+        cached = self.replies.classify(command, delivery_attempt(envelope))
+        if cached is STALE:
+            # The client finished this command: every peer destination
+            # delivered it already and waits for nothing from us.
+            return None
         if cached is not None:
             # Already executed here (the client re-multicast after a lost
             # race). We must still take part in the signal exchange — with
@@ -168,14 +174,14 @@ class SsmrServer(OrderedExecutor):
         # A done-marked exchange (peer cache hit on a client resend)
         # carries the peer's merged original variables, so execution
         # proceeds with the same inputs either way. Whether *we*
-        # execute is decided only by our own reply cache above —
+        # execute is decided only by our own session check above —
         # replicas of a partition see exchange messages at different
         # times under faults, so a decision based on `any_done` here
         # diverges between them (found by fuzzing: a one-way
         # partition made one p0 replica defer a command to its
         # resend slot while the other executed it at the original
         # slot). Exactly-once is already local: the executor is
-        # sequential and the per-cid cache catches re-deliveries.
+        # sequential and the client's session catches re-deliveries.
         return self._apply_local(command, self.exchange.collect(command.cid))
 
     def _apply_local(self, command: Command, remote_vars=()) -> Reply:

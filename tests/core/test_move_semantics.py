@@ -85,34 +85,56 @@ class TestMoveMechanics:
             values.append(stack.servers[member].store.read(key))
         assert sorted(values) == [10, 20, 30]
 
-    def test_redelivered_move_does_not_take_the_variable_again(self, stack):
-        """A client that times out re-multicasts its move under a fresh
-        uid. If the variable has come back to the source in between, the
-        stale copy must be a no-op at all three participants: the
-        destination ignores it (reply cache), so a source that shipped
-        again would lose the value and an oracle that relocated again
-        would point at a partition that never installs it. (Found by
-        ``fuzz --disk``: "oracle maps k5 to p0 but no partition stores
-        it".)"""
+    @staticmethod
+    def _move_back_and_forth(stack, second_issuer):
+        """Move v p1 -> p0 (c0's command 1), back p0 -> p1 (command 2 of
+        ``second_issuer``), then deliver a resend of the first move."""
         stack.preload({"v": 42}, {"v": "p1"})
         client = stack.client()
 
-        def move(cid, source, dest, uid):
+        def move(cid, issuer, seq, source, dest, uid):
             command = Command(op="move", ctype=CommandType.MOVE,
-                              variables=("v",), cid=cid, client=client.name,
+                              variables=("v",), cid=cid, client=issuer,
+                              seq=seq, acked=seq,
                               args={"sources": [source], "dest": dest})
             dests = sorted({ORACLE_GROUP, source, dest})
             client.mcast.multicast(dests, {"command": command,
                                            "dests": dests}, uid=uid)
             stack.run(until=stack.env.now + 1_000)
 
-        move("c1:m1", "p1", "p0", "am:c1:m1")
+        move("c1:m1", "c0", 1, "p1", "p0", "am:c1:m1")
         assert stack.var_locations() == {"v": "p0"}
-        move("c2:m1", "p0", "p1", "am:c2:m1")
+        move("c2:m1", second_issuer, 2, "p0", "p1", "am:c2:m1")
         assert stack.var_locations() == {"v": "p1"}
-        move("c1:m1", "p1", "p0", "am:c1:m1:r2")       # the stale resend
+        move("c1:m1", "c0", 1, "p1", "p0", "am:c1:m1:r2")   # the resend
         assert stack.var_locations() == {"v": "p1"}
         assert stack.stores_consistent()
         assert stack.servers["p1s1"].store.read("v") == 42
         assert [oracle.location["v"] for oracle in stack.oracles] \
             == ["p1", "p1"]
+
+    def test_redelivered_move_does_not_take_the_variable_again(self, stack):
+        """A client that times out re-multicasts its move under a fresh
+        uid. If the variable has come back to the source in between, the
+        stale copy must be a no-op at all three participants: a source
+        that shipped again would lose the value and an oracle that
+        relocated again would point at a partition that never installs
+        it. (Found by ``fuzz --disk``: "oracle maps k5 to p0 but no
+        partition stores it".) Here the move back is the issuer's next
+        command, so both partitions classify the resend stale and the
+        source pops nothing; the oracle skips it by ``followed_moves``."""
+        self._move_back_and_forth(stack, second_issuer="c0")
+        for name in ("p0s0", "p1s0"):
+            assert stack.servers[name].replies.stale == 1
+            assert stack.servers[name].replies.hits == 0
+
+    def test_duplicate_move_resends_the_cached_transfer(self, stack):
+        """The same resend while its issuer's session is still open (the
+        move back came from another client): both partitions classify it
+        a duplicate; the source re-sends its cached transfer from the
+        exchange buffer without popping, the destination re-acknowledges
+        from the session."""
+        self._move_back_and_forth(stack, second_issuer="c9")
+        for name in ("p0s0", "p1s0"):
+            assert stack.servers[name].replies.stale == 0
+            assert stack.servers[name].replies.hits == 1

@@ -200,7 +200,7 @@ def reference_checkpoint(server) -> PartitionCheckpoint:
         taken_at=server.env.now,
         store=copy.deepcopy(server.store._data),
         executed=server.settled_history(),
-        replies=copy.deepcopy(server.replies._replies),
+        replies=copy.deepcopy(server.replies.sessions),
         applied_count=server.log.applied_count,
         amcast={
             "clock": amcast._clock,
@@ -254,7 +254,7 @@ def mutable_ids(obj, seen=None) -> set:
 
 
 def live_state(server) -> list:
-    return [server.store._data, server.replies._replies,
+    return [server.store._data, server.replies.sessions,
             server.amcast._pending, server.amcast._my_ts,
             server.exchange._vars, server.exchange._sent,
             server.pending_deliveries()]

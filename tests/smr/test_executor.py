@@ -98,15 +98,21 @@ class Rig:
 
     # -- commands ---------------------------------------------------------
 
-    def command(self, cid="c0:1") -> Command:
-        """A command whose application is visible in the replica state."""
+    def command(self, cid="c0:1", acked=1) -> Command:
+        """A command whose application is visible in the replica state.
+
+        Client ``c0`` numbers its commands by the cid suffix; with the
+        default ``acked`` it has all of them open at once (open loop).
+        """
+        seq = int(cid.rsplit(":", 1)[1])
         if self.role is OracleReplica:
             self.partition.send([ORACLE_GROUP], cid, {})  # our signal
             return Command(op="create", ctype=CommandType.CREATE,
-                           variables=("k",), args={"partition": "p0"},
-                           cid=cid, client="c0")
+                           variables=(f"k{seq}",), args={"partition": "p0"},
+                           cid=cid, client="c0", seq=seq, acked=acked)
         return Command(op="incr", args={"key": "x"}, variables=("x",),
-                       writes=("x",), cid=cid, client="c0")
+                       writes=("x",), cid=cid, client="c0", seq=seq,
+                       acked=acked)
 
     def applications(self) -> int:
         """How many times ``command()`` has been applied."""
@@ -199,7 +205,7 @@ def test_shed_consult_is_answered_with_an_overload_prophecy(env):
                             classify=classify_entry)
     consult = Command(op="consult", ctype=CommandType.CONSULT,
                       variables=("x",), args={"inner_ctype": "access"},
-                      cid="c0:1", client="c0")
+                      cid="c0:1", client="c0", seq=1, acked=1)
     MulticastClient(rig.client, rig.directory).multicast(
         [rig.group], rig.envelope(consult))
     env.run(until=100.0)
@@ -221,6 +227,47 @@ def test_duplicate_delivery_resends_the_cached_reply(rig):
     assert first.value == second.value
     assert rig.applications() == 1
     assert rig.executor.replies.hits == 1
+
+
+def test_open_loop_commands_delivered_out_of_order_each_execute_once(rig):
+    """Seq 5 and 6 in flight together (watermark 5), delivered 6 then 5,
+    then resent: both are fresh once and duplicates after."""
+    sixth, fifth = rig.command("c0:6", acked=5), rig.command("c0:5", acked=5)
+    for command in (sixth, fifth):
+        rig.deliver(command)
+    rig.env.run(until=50.0)
+    for command in (sixth, fifth):
+        rig.deliver(command, attempt=2)
+    rig.env.run(until=100.0)
+    assert rig.applications() == 2
+    assert [(r.cid, r.attempt) for r in rig.replies()] == \
+        [("c0:6", 1), ("c0:5", 1), ("c0:6", 2), ("c0:5", 2)]
+    assert (rig.executor.replies.hits, rig.executor.replies.stale) == (2, 0)
+
+
+def test_a_resend_after_the_clients_next_command_is_stale(rig):
+    """Before the client's next command a resend is a duplicate answered
+    from the session; after it, the resend is stale: no execution, no
+    reply, no exchange — nothing leaves the replica."""
+    executor, network = rig.executor, rig.network
+    first = rig.command("c0:1")
+    rig.deliver(first)
+    rig.env.run(until=50.0)
+    rig.deliver(first, attempt=2)
+    rig.env.run(until=100.0)
+    assert len(rig.replies()) == 2 and executor.replies.hits == 1
+    rig.deliver(rig.command("c0:2", acked=2))
+    rig.env.run(until=150.0)
+    assert rig.applications() == 2 and len(rig.replies()) == 3
+    sent = network.messages_sent
+    rig.deliver(first, attempt=3)
+    rig.env.run(until=200.0)
+    assert network.messages_sent == sent
+    assert rig.applications() == 2 and len(rig.replies()) == 3
+    assert (executor.replies.hits, executor.replies.stale) == (1, 1)
+    assert executor.executed == ([] if rig.role is OracleReplica
+                                 else ["c0:1", "c0:2"])
+    assert len(executor.replies) == 1     # only c0:2 is retained
 
 
 def test_duplicate_of_a_command_on_a_worker_core_resends_at_its_finish(
@@ -272,7 +319,7 @@ def test_pending_deliveries_lists_cores_then_current_then_queue(store_rig):
     pooled = rig.command("c0:1")
     serial = Command(op="create", ctype=CommandType.CREATE, variables=("k",),
                      args={"value": 1, "partition": "g"}, cid="c0:2",
-                     client="c0")
+                     client="c0", seq=2, acked=1)
     rig.deliver(pooled)
     rig.deliver(serial)
     rig.deliver(rig.command("c0:3"))

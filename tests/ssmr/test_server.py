@@ -3,8 +3,9 @@ signal/variable exchange."""
 
 import pytest
 
-from repro.ordering import GroupDirectory, PaxosLog
+from repro.ordering import AmcastDelivery, GroupDirectory, PaxosLog, ProtocolNode
 from repro.smr import Command, ExecutionModel, KeyValueStateMachine, ReplyStatus
+from repro.smr.executor import REPLY_KIND
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
 
 from tests.conftest import make_network
@@ -254,3 +255,62 @@ class TestOneVoice:
         assert results[0].value == 1
         assert senders == set(servers)
         assert kinds(network)["rmcast"] == 8   # 4 members x 2 peer members
+
+
+class TestSessions:
+    """Two one-replica partitions fed ordered deliveries directly, so each
+    group's view of client c0's session can be set up on its own."""
+
+    def test_stale_at_one_group_and_duplicate_at_the_other_both_proceed(
+            self, env):
+        network = make_network(env)
+        directory = GroupDirectory({"a": ["a0"], "b": ["b0"]})
+        servers = {g: SsmrServer(env, network, directory, g, f"{g}0",
+                                 KeyValueStateMachine(),
+                                 execution=ExecutionModel(base_ms=0.05))
+                   for g in ("a", "b")}
+        servers["a"].load_state({"x": 1})
+        servers["b"].load_state({"y": 2})
+        replies = []
+        ProtocolNode(env, network, "c0").on(
+            REPLY_KIND, lambda message: replies.append(
+                (message.payload.sender, message.payload.cid,
+                 message.payload.attempt)))
+        uids = iter(range(1, 100))
+
+        def deliver(dests, command, groups=None, attempt=1):
+            for group in groups or dests:
+                n = next(uids)
+                servers[group]._enqueue(AmcastDelivery(
+                    uid=f"u{n}", payload={"command": command,
+                                          "dests": dests,
+                                          "attempt": attempt},
+                    groups=tuple(dests), origin="c0", timestamp=(n, ""),
+                    local_seq=n))
+            env.run(until=env.now + 50.0)
+
+        def command(seq, op, args, variables):
+            return Command(op=op, args=args, variables=variables,
+                           writes=variables if op == "swap" else (),
+                           cid=f"c0:{seq}", client="c0", seq=seq, acked=seq)
+
+        first = command(1, "sum", {"keys": ["x", "y"]}, ("x", "y"))
+        deliver(["a", "b"], first)
+        # c0's next command reaches group a only.
+        deliver(["a"], command(2, "get", {"key": "x"}, ("x",)))
+        # A resend of the first: stale at a, a duplicate at b, which
+        # joins the exchange with the done flag and re-sends its reply.
+        deliver(["a", "b"], first, attempt=2)
+        assert servers["a"].replies.stale == 1
+        assert servers["b"].replies.hits == 1
+        # Neither executor waits on the other: the next two-partition
+        # command runs on both.
+        deliver(["a", "b"], command(3, "swap", {"a": "x", "b": "y"},
+                                    ("x", "y")))
+        assert servers["a"].executed == ["c0:1", "c0:2", "c0:3"]
+        assert servers["b"].executed == ["c0:1", "c0:3"]
+        assert (servers["a"].store.read("x"),
+                servers["b"].store.read("y")) == (2, 1)
+        assert sorted(replies) == [
+            ("a0", "c0:1", 1), ("a0", "c0:2", 1), ("a0", "c0:3", 1),
+            ("b0", "c0:1", 1), ("b0", "c0:1", 2), ("b0", "c0:3", 1)]
