@@ -156,12 +156,23 @@ class DssmrClient(BaseClient):
         self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
         attempt = 0
         fell_back = False
+        reconsult = False
         while True:
             attempt += 1
-            if attempt > self.max_retries + 1:
+            if attempt > self.max_retries + 1 and not reconsult:
                 reply = yield from self._fallback(command, attempt)
-                fell_back = True
-                break
+                if reply.status is not ReplyStatus.RETRY:
+                    fell_back = True
+                    break
+                # The variables left every partition of our view (a
+                # concurrent join or move): consult once more before the
+                # next fallback, which also ends the command if they are
+                # gone for good.
+                self.retry_count += 1
+                self._invalidate_cache(command)
+                reconsult = True
+                continue
+            reconsult = False
             route = yield from self._route(command, attempt)
             if route is None:
                 # Routing could not converge (concurrent moves kept the

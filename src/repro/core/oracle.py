@@ -591,7 +591,7 @@ class OracleReplica(OrderedExecutor):
 
     def _send_reconfig_ack(self, manager, rid, kind: str, partition: str,
                            body: dict) -> None:
-        if not manager:
+        if not manager or not self.amcast.announcing:
             return
         payload = dict(body, rid=rid, kind=kind, partition=partition)
         size = 256 + 32 * sum(len(b["variables"])
@@ -738,7 +738,7 @@ class OracleReplica(OrderedExecutor):
 
     def _send_prophecy(self, command: Command, prophecy: Prophecy) -> None:
         prophecy.epoch = self.epoch
-        if command.client:
+        if command.client and self.amcast.announcing:
             self.node.send(command.client, PROPHECY_KIND,
                            {"cid": command.cid, "prophecy": prophecy},
                            size=128 + 32 * len(prophecy.tuples))

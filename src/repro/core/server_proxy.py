@@ -6,7 +6,9 @@ Extends the S-SMR server with the dynamic-partitioning behaviours:
   locally; otherwise replies ``retry`` (the variables moved away since the
   client consulted). Commands arriving with ``mode="fallback"`` take the
   S-SMR multi-partition path instead, which is how termination is
-  guaranteed after repeated retries.
+  guaranteed after repeated retries; a variable that none of the
+  fallback's partitions holds (a concurrent move or join took it
+  elsewhere) gets ``retry`` too.
 * **move** — a source partition ships its share of the moved variables to
   the destination partition via reliable multicast and forgets them; the
   destination waits for one transfer message per source, installs the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from repro.ordering import AmcastDelivery
 from repro.resilience import STALE
 from repro.sim import Counter
-from repro.smr.command import Command, CommandType, ReplyStatus
+from repro.smr.command import Command, CommandType, Reply, ReplyStatus
 from repro.smr.executor import REPLY_KIND, delivery_attempt
 from repro.ssmr.server import SsmrServer
 from repro.core.oracle import ORACLE_GROUP
@@ -55,7 +57,13 @@ class DssmrServer(SsmrServer):
         # Reconfig fences, create/delete and fallback accesses reuse the
         # S-SMR machinery, with the oracle joining the signal exchange for
         # create/delete.
-        return (yield from super()._handle_delivery(delivery))
+        reply = yield from super()._handle_delivery(delivery)
+        if reply is not None and reply.status is ReplyStatus.RETRY:
+            # A fallback that executed nothing: not recorded as executed.
+            reply.attempt = delivery_attempt(envelope)
+            self._answer_retry(command, reply)
+            return None
+        return reply
 
     # -- parallel execution (repro.smr.parallel) ------------------------------
 
@@ -83,9 +91,26 @@ class DssmrServer(SsmrServer):
         missing = self.store.missing(command.variables)
         if missing:
             self.retries_sent.increment(self.env.now)
-            self._send_reply(command, self._make_reply(
+            self._answer_retry(command, self._make_reply(
                 command, ReplyStatus.RETRY, {"missing": missing}, attempt))
         return bool(missing)
+
+    def _answer_retry(self, command: Command, reply: Reply) -> None:
+        """Send a ``retry`` verdict and keep it in the issuer's session:
+        a later copy of the same attempt is then its duplicate, and
+        never runs here should the variables come back."""
+        self.replies.store(command, reply)
+        self._send_reply(command, reply)
+
+    # -- access (fallback) -------------------------------------------------------
+
+    def _missing_reply(self, command: Command, missing: list) -> Reply:
+        # Only a fallback gets here (the fast path checked first): every
+        # destination took part, so the variables live on a partition
+        # outside the client's view.
+        self.retries_sent.increment(self.env.now)
+        return self._make_reply(command, ReplyStatus.RETRY,
+                                {"missing": missing})
 
     # -- move --------------------------------------------------------------------
 
@@ -137,7 +162,7 @@ class DssmrServer(SsmrServer):
                 cached = self._make_reply(command, ReplyStatus.OK,
                                           {"moved": len(received)})
                 self.replies.store(command, cached)
-            if notify:
+            if notify and self.amcast.announcing:
                 self.node.send(notify, REPLY_KIND, cached, size=128)
 
     # -- create / delete (coordinated with the oracle) -----------------------

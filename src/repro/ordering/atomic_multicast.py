@@ -9,7 +9,9 @@ Skeen-style timestamp protocol layered on per-group ordered logs:
    the log of every *other* destination group; its own members recorded it
    when they applied the propose, so a k-group message costs k(k−1)
    timestamp entries. Applying a timestamp entry bumps the local clock to
-   at least that value, which is what makes the final order acyclic.
+   at least that value, which is what makes the final order acyclic. With
+   a write-ahead log the speaker announces only once the propose is
+   durable on its disk (:meth:`GroupLog.when_durable`).
 3. *Finalise & deliver* — once timestamps from all destination groups are
    known, the final timestamp is their maximum. A group member delivers the
    pending message with the smallest ``(timestamp, uid)`` key once that
@@ -180,19 +182,27 @@ class AtomicMulticast:
     def _announce_ts(self, muid: str, state: _Pending) -> None:
         if not self.announcing:
             return
-        for group in state.groups:
-            if group != self.group:
-                self._submit_ts(group, muid, state.local_ts)
+        groups = [group for group in state.groups if group != self.group]
+        ts = state.local_ts
+        self.log.when_durable(lambda: self._submit_ts(groups, muid, ts))
 
-    def _submit_ts(self, group: str, muid: str, ts: int) -> None:
-        """Order this group's timestamp for ``muid`` in ``group``'s log."""
-        self._log_client.submit(group, {
-            "uid": f"ts:{muid}:{self.group}:{group}",
-            "kind": "am-ts",
-            "muid": muid,
-            "from_group": self.group,
-            "ts": ts,
-        }, size=self.TS_SIZE)
+    def _submit_ts(self, groups, muid: str, ts: int) -> None:
+        """Order this group's timestamp for ``muid`` in ``groups``' logs.
+
+        Called only once the propose is durable here: a timestamp that
+        other groups finalise on must survive a power cycle of this one,
+        or they deliver a message this group never saw proposed.
+        """
+        if self.node.crashed:
+            return
+        for group in groups:
+            self._log_client.submit(group, {
+                "uid": f"ts:{muid}:{self.group}:{group}",
+                "kind": "am-ts",
+                "muid": muid,
+                "from_group": self.group,
+                "ts": ts,
+            }, size=self.TS_SIZE)
 
     def _apply_ts(self, entry: dict) -> None:
         muid = entry["muid"]
@@ -249,7 +259,8 @@ class AtomicMulticast:
         if ts is None:
             return  # never saw the propose; the puller's re-propose fixes that
         # Pulls come from other groups only: _heal skips its own.
-        self._submit_ts(message.payload["reply_group"], muid, ts)
+        groups = [message.payload["reply_group"]]
+        self.log.when_durable(lambda: self._submit_ts(groups, muid, ts))
 
     # -- logical clock ----------------------------------------------------
 

@@ -43,8 +43,9 @@ class GroupLog(ABC):
     mechanism recovering replicas use to close the gap between an
     installed checkpoint and live traffic (see
     :mod:`repro.reconfig.recovery`). A member that detects a hole in its
-    own sequence asks the group's speaker for backfill, and asks again
-    every ``BACKFILL_DELAY_MS`` until the hole closes.
+    own sequence — entries pending past it, or a tail announced beyond
+    it — asks the group's speaker for backfill, and asks again every
+    ``BACKFILL_DELAY_MS`` until the hole closes.
 
     The floor is the group's *stable position*: the lowest
     :attr:`stable_position` any member has reported. Every member can
@@ -52,6 +53,13 @@ class GroupLog(ABC):
     below it. :class:`SequencerLog` raises it from its members' reports;
     a log that never does (:class:`~repro.ordering.paxos.PaxosLog`)
     keeps floor 0 and retains every entry.
+
+    A member's reports and backfill requests are taken latest-first: one
+    that arrives after a later one from the same member (by message id,
+    which orders a member's sends across its incarnations) is dropped. A
+    request overtaken by its sender's next report asks for entries that
+    sender has since applied, and only that reordering could land a
+    request below a floor the report raised.
     """
 
     BACKFILL_DELAY_MS = 50.0
@@ -77,6 +85,11 @@ class GroupLog(ABC):
         self.below_floor_requests = 0
         self._backfill_scheduled = False
         self._backfill_suspended = False
+        # The end of the log as last announced by the speaker: a member
+        # behind it has a hole no later decide may reveal.
+        self._known_tail = 0
+        # Per member: id of the newest report or backfill request taken.
+        self._control_seen: dict[str, int] = {}
         self._wal = None
         node.on(f"log/{group}/backfill-req", self._on_backfill_request)
         node.on(f"log/{group}/backfill", self._on_backfill)
@@ -93,6 +106,22 @@ class GroupLog(ABC):
         long as what the state machine has seen.
         """
         self._wal = wal
+
+    def when_durable(self, action: Callable[[], None]) -> None:
+        """Run ``action()`` once every applied position is durable.
+
+        At once without a WAL; with one, after a flush that starts now
+        rather than at the end of the group-commit window. The wait
+        never ends if the member dies first (its WAL is closed).
+        """
+        if self._wal is None:
+            action()
+            return
+        barrier = self._wal.sync_barrier(urgent=True)
+        if barrier.triggered:
+            action()
+        else:
+            barrier.callbacks.append(lambda _event: action())
 
     @abstractmethod
     def submit(self, entry: dict) -> None:
@@ -127,6 +156,12 @@ class GroupLog(ABC):
             self._report_stable()
         if self._pending_apply:
             self._schedule_backfill()
+
+    @property
+    def _behind(self) -> bool:
+        """Whether a known hole separates this member from the log's end:
+        entries pending past it, or an announced tail beyond it."""
+        return bool(self._pending_apply) or self._next_apply < self._known_tail
 
     @property
     def applied_count(self) -> int:
@@ -205,7 +240,7 @@ class GroupLog(ABC):
         """End the install window and report the installed position."""
         self._backfill_suspended = False
         self._report_stable()
-        if self._pending_apply:
+        if self._behind:
             self._schedule_backfill()
 
     def request_backfill(self, provider: Optional[str] = None) -> None:
@@ -232,7 +267,7 @@ class GroupLog(ABC):
                 # repeat it until the window closes.
                 self._report_stable()
                 self._schedule_backfill()
-            elif self._pending_apply:
+            elif self._behind:
                 self.request_backfill()
                 # A lost request or reply on a log that then goes quiet
                 # would otherwise leave the hole open for good.
@@ -240,7 +275,17 @@ class GroupLog(ABC):
 
         self.node.env.schedule_callback(self.BACKFILL_DELAY_MS, fire)
 
+    def _latest(self, message: Message) -> bool:
+        """Take ``message`` (a report or backfill request) only if no later
+        one from its sender was taken already."""
+        if message.msg_id < self._control_seen.get(message.src, -1):
+            return False
+        self._control_seen[message.src] = message.msg_id
+        return True
+
     def _on_backfill_request(self, message: Message) -> None:
+        if not self._latest(message):
+            return
         from_seq = message.payload["from_seq"]
         if from_seq < self._floor:
             self.below_floor_requests += 1
@@ -289,11 +334,26 @@ class SequencerLog(GroupLog):
     its last report until its replacement reports. The sequencer drops
     entries below the floor and puts it in every decide, and the
     followers drop the same prefix.
+
+    **Quiet tail.** A follower that missed the last decides of a log
+    that then goes quiet sees no later decide, so nothing reveals its
+    hole. Once no decide has left for a whole ``TAIL_QUIET_MS`` period,
+    the sequencer sends ``log/{g}/tail`` (its next sequence number) to
+    every follower that has not acknowledged that tail, and repeats
+    every period while the log stays quiet. A follower at the tail
+    answers ``log/{g}/tail-ack``; one behind it backfills. One timer per
+    group, and no message while decides flow. The acknowledgement is
+    not a stable report: the floor still rises only on those, so no
+    backfill request in flight can find itself below a floor the
+    handshake raised.
     """
 
     # Wire size of log control traffic (entry payloads ride on top).
     CONTROL_SIZE = 128
     STABLE_SIZE = 64
+    TAIL_SIZE = 64
+    #: Decide-free time after which the sequencer announces its tail.
+    TAIL_QUIET_MS = GroupLog.BACKFILL_DELAY_MS
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  group: str, batch_window_ms: float = 0.0):
@@ -308,6 +368,9 @@ class SequencerLog(GroupLog):
         self._batch: list[dict] = []
         self._flush_scheduled = False
         self._stable: dict[str, int] = {}   # sequencer: member -> report
+        self._tail_acked: dict[str, int] = {}   # sequencer: member -> tail
+        self._tail_armed = False
+        self._tail_mark = 0   # decisions_sent when the tail timer was armed
         self.decisions_sent = 0   # decision messages (for E14)
         # Overload control (repro.qos), attached by the harness; all None
         # by default so the pre-QoS hot path is untouched.
@@ -318,6 +381,8 @@ class SequencerLog(GroupLog):
         node.on(submit_kind(group), self._on_submit)
         node.on(f"log/{group}/decide", self._on_decide)
         node.on(f"log/{group}/stable", self._on_stable)
+        node.on(f"log/{group}/tail", self._on_tail)
+        node.on(f"log/{group}/tail-ack", self._on_tail_ack)
         # A batch held across a blackout must drain once we are back.
         node.on_reconnect(self.flush_pending)
 
@@ -448,6 +513,7 @@ class SequencerLog(GroupLog):
                 continue
             self.node.send(member, f"log/{self.group}/decide", decision,
                            size=size)
+        self._arm_tail()
         for offset, entry in enumerate(entries):
             self._learn(first_seq + offset, entry)
 
@@ -456,6 +522,46 @@ class SequencerLog(GroupLog):
         self._raise_floor(decision["floor"])
         for offset, entry in enumerate(decision["entries"]):
             self._learn(decision["seq"] + offset, entry)
+
+    # -- quiet tail ------------------------------------------------------------
+
+    def _arm_tail(self) -> None:
+        if not self._tail_armed:
+            self._tail_armed = True
+            self._tail_mark = self.decisions_sent
+            self.node.env.schedule_callback(self.TAIL_QUIET_MS,
+                                            self._tail_due)
+
+    def _tail_due(self) -> None:
+        self._tail_armed = False
+        if self.node.crashed:
+            return
+        if self.decisions_sent != self._tail_mark:
+            self._arm_tail()    # busy: look again one quiet period later
+            return
+        tail = self._next_seq
+        behind = [member for member in self.directory.members(self.group)
+                  if member != self.node.name
+                  and self._tail_acked.get(member, 0) < tail]
+        for member in behind:
+            self.node.send(member, f"log/{self.group}/tail", {"tail": tail},
+                           size=self.TAIL_SIZE)
+        if behind:
+            self._arm_tail()
+
+    def _on_tail(self, message: Message) -> None:
+        tail = message.payload["tail"]
+        if self._next_apply >= tail:
+            self.node.send(message.src, f"log/{self.group}/tail-ack",
+                           {"tail": tail}, size=self.TAIL_SIZE)
+        else:
+            self._known_tail = max(self._known_tail, tail)
+            self._schedule_backfill()
+
+    def _on_tail_ack(self, message: Message) -> None:
+        tail = message.payload["tail"]
+        if tail > self._tail_acked.get(message.src, 0):
+            self._tail_acked[message.src] = tail
 
     # -- compaction ----------------------------------------------------------
 
@@ -468,7 +574,8 @@ class SequencerLog(GroupLog):
                            size=self.STABLE_SIZE)
 
     def _on_stable(self, message: Message) -> None:
-        self._record_stable(message.src, message.payload["position"])
+        if self._latest(message):
+            self._record_stable(message.src, message.payload["position"])
 
     def _record_stable(self, member: str, position: int) -> None:
         self._stable[member] = position

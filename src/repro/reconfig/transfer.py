@@ -65,7 +65,8 @@ class CheckpointHost:
     Attach one to every server that should be able to seed recovering
     peers (the harness attaches one per partitioned server). Requires a
     :class:`~repro.reconfig.checkpoint.PartitionCheckpointer` on the
-    server.
+    server. A replacement server serves nothing until its own recovery
+    has installed state.
     """
 
     def __init__(self, server, chunk_keys: int = 8):
@@ -129,6 +130,12 @@ class CheckpointHost:
         self.transfers_started += 1
 
     def _on_meta_request(self, message: Message) -> None:
+        if not self.server.started:
+            # A replacement that has not installed its own state would
+            # capture an empty store at position 0. Stay silent: the
+            # requester's meta retry finds it installed, or its stall
+            # rule moves it on to a fallback peer.
+            return
         transfer_id = message.payload["transfer_id"]
         self._freeze(transfer_id)
         self.server.node.send(message.payload["reply_to"], XFER_META,

@@ -218,6 +218,11 @@ class ReplyCache:
       the client's stale-attempt filter accepts it), for a duplicate;
     * None for a fresh command, which the caller executes.
 
+    A cached ``retry`` verdict (DS-SMR: the variables were not here)
+    answers the attempt it was given to and earlier ones, so a late or
+    resent copy of an abandoned attempt never executes once the
+    variables come back; a later attempt is fresh.
+
     :meth:`store` drops a reply below the watermark: a pooled command can
     finish after its issuer moved on. The table is O(issuers × commands
     each has in flight), not O(commands executed).
@@ -276,8 +281,11 @@ class ReplyCache:
         entry = replies.get(command.cid)
         if entry is None:
             return None
+        reply = entry[1]
+        if reply.status == "retry" and attempt > reply.attempt:
+            return None
         self.hits += 1
-        return replace(entry[1], attempt=attempt)
+        return replace(reply, attempt=attempt)
 
     def store(self, command, reply) -> None:
         if not self.enabled or not command.client:

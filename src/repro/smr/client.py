@@ -100,11 +100,14 @@ class BaseClient:
         reply: Reply = message.payload
         waiting = self._waiting.get(reply.cid)
         if waiting is None:
-            return  # duplicate from another replica; drop
+            # Answered already: another partition's reply to a
+            # multi-partition command, the answer to a resend, or (with
+            # speaker_only=False) another replica's copy. Drop it.
+            return
         event, expected_attempt = waiting
         if expected_attempt is not None and reply.attempt != expected_attempt:
-            # A straggler from a previous attempt (e.g. a second replica's
-            # late retry verdict): it must not answer the current attempt.
+            # A straggler from a previous attempt (e.g. a late copy's
+            # retry verdict): it must not answer the current attempt.
             return
         del self._waiting[reply.cid]
         event.succeed(reply)

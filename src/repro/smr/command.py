@@ -79,8 +79,8 @@ class Reply:
 
     ``attempt`` echoes the client's attempt number for the command: a
     client that has moved on to attempt *n* must ignore stragglers from
-    attempt *n-1* (e.g. the second replica's duplicate ``retry``), or a
-    stale failure verdict could mask the new attempt's outcome.
+    attempt *n-1* (e.g. a late copy's ``retry``), or a stale failure
+    verdict could mask the new attempt's outcome.
     """
 
     cid: str

@@ -142,6 +142,12 @@ class OrderedExecutor:
         self.node.crash()
         self._executor.interrupt("crash")
 
+    @property
+    def started(self) -> bool:
+        """Whether the executor runs: built without a start gate, or the
+        gate opened (a replacement replica's state is installed)."""
+        return self._start_gate is None or self._start_gate.triggered
+
     def load_state(self, contents: dict) -> None:
         """Install this replica's share of the initial service state."""
         for key, value in contents.items():
@@ -442,5 +448,10 @@ class OrderedExecutor:
         return True
 
     def _send_reply(self, command: Command, reply: Reply) -> None:
-        if command.client:
+        """Answer the issuer, if this replica speaks for its group.
+
+        Every member executes and keeps the reply in the session; only
+        the speaker sends it (``AtomicMulticast.announcing``), as it
+        alone sends the group's timestamps and exchanges."""
+        if command.client and self.amcast.announcing:
             self.node.send(command.client, REPLY_KIND, reply, size=128)

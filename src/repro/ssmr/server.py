@@ -189,8 +189,7 @@ class SsmrServer(OrderedExecutor):
         both access paths, and what a worker core runs at its finish."""
         missing = self.store.missing(command.variables, remote_vars)
         if missing:
-            return self._make_reply(command, ReplyStatus.NOK,
-                                    f"missing variables: {missing[:3]}")
+            return self._missing_reply(command, missing)
         view = ExecutionView(self.store, remote_vars)
         try:
             value = self.state_machine.apply(command, view)
@@ -202,6 +201,11 @@ class SsmrServer(OrderedExecutor):
             return self._make_reply(command, ReplyStatus.NOK,
                                     f"undeclared variable access: {error}")
         return self._make_reply(command, ReplyStatus.OK, value)
+
+    def _missing_reply(self, command: Command, missing: list) -> Reply:
+        """The answer to an access of variables no destination holds."""
+        return self._make_reply(command, ReplyStatus.NOK,
+                                f"missing variables: {missing[:3]}")
 
     def _exec_create(self, command: Command):
         """Static S-SMR create: the owning partition installs the variable."""

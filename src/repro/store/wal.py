@@ -12,7 +12,10 @@ simulated disk and schedules one flush ``group_commit_ms`` later; the
 flush fsyncs every dirty segment and fires the ``sync_barrier`` events
 of all appends it made durable. Executors yield a barrier before
 executing (and therefore before replying), so an acknowledged command
-is always fsynced somewhere.
+is always fsynced somewhere. An *urgent* barrier (a group speaker about
+to announce a timestamp to other groups) pulls the pending group commit
+forward to now, or to the end of the flush already in flight; it never
+starts a second flush beside one.
 
 Replay implements the torn-vs-corrupt distinction the recovery ladder
 depends on: a *truncated* record at the tail of the **last** segment is
@@ -147,7 +150,11 @@ class WriteAheadLog:
         self._segment_count = 0
         self._dirty: Dict[str, bool] = {}
         self._barriers: List[Tuple[int, Event]] = []
-        self._flush_scheduled = False
+        # Token of the scheduled group commit (None: none scheduled); a
+        # pulled-forward flush clears it, so the timer finds it stale.
+        self._flush_timer: Optional[object] = None
+        self._in_flight = 0
+        self._urgent = False
 
     # -- append / barrier ----------------------------------------------------
 
@@ -170,8 +177,12 @@ class WriteAheadLog:
         self._schedule_flush()
         return True
 
-    def sync_barrier(self) -> Event:
-        """An event that fires once everything appended so far is durable."""
+    def sync_barrier(self, urgent: bool = False) -> Event:
+        """An event that fires once everything appended so far is durable.
+
+        ``urgent`` flushes now instead of waiting out ``group_commit_ms``
+        (after the flush in flight, if there is one).
+        """
         event = self.env.event()
         if self._appended_seq is None or (
                 self._durable_seq is not None
@@ -180,6 +191,10 @@ class WriteAheadLog:
             return event
         self._barriers.append((self._appended_seq, event))
         self._schedule_flush()
+        if urgent:
+            self._urgent = True
+            if not self._in_flight:
+                self._launch_flush()
         return event
 
     @property
@@ -189,16 +204,23 @@ class WriteAheadLog:
     # -- group commit --------------------------------------------------------
 
     def _schedule_flush(self) -> None:
-        if self._flush_scheduled or self.closed:
+        if self._flush_timer is not None or self.closed:
             return
-        self._flush_scheduled = True
-        self.env.schedule_callback(
-            self.group_commit_ms,
-            lambda: self.env.process(
-                self._flush(), name=f"wal/{self.disk.name}/flush"))
+        token = self._flush_timer = object()
+
+        def due() -> None:
+            if token is self._flush_timer:   # else it was pulled forward
+                self._launch_flush()
+
+        self.env.schedule_callback(self.group_commit_ms, due)
+
+    def _launch_flush(self) -> None:
+        self._in_flight += 1
+        self.env.process(self._flush(), name=f"wal/{self.disk.name}/flush")
 
     def _flush(self):
-        self._flush_scheduled = False
+        self._flush_timer = None
+        self._urgent = False
         if self.closed:
             return
         target = self._appended_seq
@@ -219,8 +241,11 @@ class WriteAheadLog:
             else:
                 still_waiting.append((seq, event))
         self._barriers = still_waiting
+        self._in_flight -= 1
         if self._dirty or self._barriers:
             self._schedule_flush()
+            if self._urgent and not self._in_flight:
+                self._launch_flush()
 
     # -- maintenance ---------------------------------------------------------
 

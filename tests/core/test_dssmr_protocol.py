@@ -1,5 +1,6 @@
 """Integration tests for the DS-SMR protocol (Algorithms 2–4)."""
 
+from repro.core import DssmrClient
 from repro.smr import Command, CommandType, ReplyStatus
 
 from tests.core.conftest import (DssmrStack, create, delete, get, ksum, put,
@@ -215,6 +216,36 @@ class TestRetryAndFallback:
         stack.env.process(proc(stack.env))
         stack.run(until=60_000)
         assert counts[0] >= 0  # metric exists and is non-negative
+
+
+    def test_fallback_missing_everywhere_is_retried(self, env):
+        """x lives on p2, outside the client's view (a join the client
+        has not heard of), and the client's cache still says p0. p0
+        answers ``retry``; the fallback to [p0, p1] finds x on neither,
+        and both answer ``retry`` instead of NOK "missing variables",
+        execute nothing and keep the verdict in the session. The client
+        consults again and runs the command where x is."""
+        stack = DssmrStack(env, seed=3, partitions=("p0", "p1", "p2"))
+        stack.preload({"x": 5}, {"x": "p2"})
+        client = DssmrClient(env, stack.network, stack.directory, "c0",
+                             ("p0", "p1"), max_retries=0)
+        client.location_cache["x"] = "p0"
+        replies = []
+
+        def proc(env):
+            replies.append((yield from client.run_command(get("x"))))
+
+        stack.env.process(proc(stack.env))
+        stack.run(until=10_000)
+        (reply,) = replies
+        assert (reply.status, reply.value, reply.partition) == \
+            (ReplyStatus.OK, 5, "p2")
+        assert (client.fallback_count, client.retry_count) == (1, 2)
+        for name in ("p0s0", "p0s1", "p1s0", "p1s1"):
+            server = stack.servers[name]
+            assert server.executed == []
+            (_seq, retry), = server.replies.sessions["c0"][1].values()
+            assert retry.status is ReplyStatus.RETRY
 
 
 class TestExactlyOnce:

@@ -75,6 +75,9 @@ def session_view(server) -> dict:
 class TestSessionsSurviveRecovery:
     def assert_replacement_answers_from_the_installed_session(
             self, cluster, last):
+        """The follower replacement finds a duplicate in its installed
+        session and runs nothing; it sends nothing either, since only
+        the group's speaker answers, and the speaker does."""
         replacement, peer = cluster.servers["p0s1"], cluster.servers["p0s0"]
         assert session_view(replacement) == session_view(peer)
         assert last in replacement.replies
@@ -84,9 +87,14 @@ class TestSessionsSurviveRecovery:
         deliver_duplicate(replacement, last, "p0")
         cluster.run(until=cluster.env.now + 100)
         assert replacement.replies.hits == 1
-        assert cluster.network.sent_by_kind["reply"] == replies + 1
+        assert cluster.network.sent_by_kind["reply"] == replies
         assert (replacement.executed, replacement.store.read("k0")) == \
             (executed, value)
+        hits = peer.replies.hits
+        deliver_duplicate(peer, last, "p0")
+        cluster.run(until=cluster.env.now + 100)
+        assert peer.replies.hits == hits + 1
+        assert cluster.network.sent_by_kind["reply"] == replies + 1
 
     def test_peer_transfer_installs_the_session_table(self):
         cluster = build_loaded_cluster()
@@ -113,20 +121,23 @@ class TestSessionsSurviveRecovery:
 
 class TestLateCopyOfAnAbandonedAttempt:
     """DS-SMR attempt 1 of ``incr x`` goes to p1 and its first copy is
-    held up for 2 s. The resend finds x moved to p0 and gets ``retry``;
-    attempt 2 runs on p0; then x is moved back to p1. Per-command dedup
-    cannot stop the late copy there: p1 only ever answered ``retry``, so
-    it has no reply for the command and x is local again — it ran twice.
-    Once the client's next command has reached p1, the copy is stale."""
+    held up. The resend finds x moved to p0 and gets ``retry``; attempt
+    2 runs on p0; then x is moved back to p1. Per-command dedup cannot
+    stop the late copy there: p1 only ever answered ``retry``, so it has
+    no reply for the command and x is local again — it ran twice. Once
+    the client's next command has reached p1, the copy is stale; before
+    that, it is a duplicate of the ``retry`` p1 keeps in the session."""
 
-    def test_the_late_copy_is_stale_after_the_clients_next_command(
-            self, env):
+    def run(self, env, delay_ms):
+        """The schedule above, the first copy held ``delay_ms``; the
+        client's next command (``get x``, on p1) is issued at 1 000 ms.
+        Returns the stack and both replies."""
         stack = DssmrStack(env)
         stack.preload({"x": 0}, {"x": "p1"})
         client = DssmrClient(env, stack.network, stack.directory, "c0",
                              stack.partitions, retry_policy=RetryPolicy())
         stack.network.add_delay_rule(
-            lambda message: 2_000.0
+            lambda message: delay_ms
             if message.kind == "log/p1/submit"
             and message.payload.get("muid") == "am:inc:a1" else 0.0)
         mover = MulticastClient(ProtocolNode(env, stack.network, "mv"),
@@ -165,4 +176,19 @@ class TestLateCopyOfAnAbandonedAttempt:
             server = stack.servers[name]
             assert server.store.read("x") == 1
             assert "inc" not in server.executed
-            assert server.replies.stale == 1
+        return stack
+
+    def test_the_late_copy_is_stale_after_the_clients_next_command(
+            self, env):
+        stack = self.run(env, 2_000.0)
+        for name in ("p1s0", "p1s1"):
+            assert stack.servers[name].replies.stale == 1
+
+    def test_an_earlier_late_copy_is_a_duplicate_of_the_retry(self, env):
+        """The copy lands at 800 ms: x is back on p1 and the client's
+        next command has not reached it yet."""
+        stack = self.run(env, 800.0)
+        for name in ("p1s0", "p1s1"):
+            server = stack.servers[name]
+            assert server.replies.stale == 0
+            assert server.replies.hits >= 1

@@ -176,3 +176,39 @@ class TestOverPaxos:
         b = delivered["s11"]
         common = set(a) & set(b)
         assert [u for u in a if u in common] == [u for u in b if u in common]
+
+
+class TestDurableAnnouncement:
+    """With a write-ahead log, the speaker announces its group's
+    timestamp only once the propose is durable on its own disk, and the
+    wait is one immediate fsync, not a group-commit window."""
+
+    def test_timestamp_waits_for_the_propose_to_be_durable(self, env):
+        import random
+
+        from repro.store import DurabilityConfig, WriteAheadLog
+        from repro.store.disk import SimulatedDisk, StoreStats
+
+        network, _directory, endpoints = build_amcast_stack(
+            env, {"g0": ["s00", "s01"], "g1": ["s10", "s11"]},
+            latency=(0.1, 0.1))
+        disk = SimulatedDisk(env, "s00", random.Random(1),
+                             DurabilityConfig(), StoreStats())
+        wal = WriteAheadLog(env, disk, disk.stats, group_commit_ms=5.0)
+        endpoints["s00"].log.attach_wal(wal)
+        durable_at, announced_at = [], []
+        endpoints["s00"].log.on_decide(
+            lambda seq, entry: wal.sync_barrier().callbacks.append(
+                lambda _event: durable_at.append(env.now))
+            if entry["kind"] == "am-propose" else None)
+        network.add_drop_rule(
+            lambda message: announced_at.append(env.now)
+            if message.kind == "log/g1/submit"
+            and message.payload.get("kind") == "am-ts" else None)
+        delivered = tap_deliveries(endpoints)
+        endpoints["s01"].multicast(["g0", "g1"], "payload", uid="m")
+        env.run(until=100)
+        assert delivered["s10"] == ["m"] and delivered["s00"] == ["m"]
+        (durable,), (announced,) = durable_at, announced_at
+        assert announced >= durable
+        assert announced < 1.0          # well inside the 5 ms window

@@ -177,6 +177,31 @@ class TestLogBackfill:
         assert [uid for _seq, uid in logs["m2"].applied] == \
             ["lost", "after"]
 
+    def test_trailing_hole_on_a_quiet_log_is_backfilled(self, env):
+        """m2 misses the last decide and nothing follows it: only the
+        speaker's tail announcement reveals the hole."""
+        net, _directory, logs = build_logs(env, SequencerLog, seed=9)
+        net.add_drop_rule(lambda m: m.dst == "m2" and m.kind == "log/g/decide"
+                          and m.payload["entries"][0]["uid"] == "last")
+        logs["m0"].submit({"uid": "first"})
+        env.run(until=10)
+        logs["m0"].submit({"uid": "last"})
+        env.run(until=10_000)
+        assert [uid for _seq, uid in logs["m2"].applied] == ["first", "last"]
+        assert net.sent_by_kind["log/g/backfill"] == 1
+
+    def test_tail_is_announced_only_on_a_quiet_log(self, env):
+        """No tail while decides flow; once quiet, one announcement and
+        one acknowledgement per follower, and then silence."""
+        net, _directory, logs = build_logs(env, SequencerLog)
+        quiet = SequencerLog.TAIL_QUIET_MS
+        submit_stream(env, logs, 100, gap_ms=quiet / 4)   # 25 periods
+        env.run(until=25 * quiet)
+        assert "log/g/tail" not in net.sent_by_kind
+        env.run(until=100 * quiet)
+        assert net.sent_by_kind["log/g/tail"] == 2
+        assert net.sent_by_kind["log/g/tail-ack"] == 2
+
     def test_fast_forward_validation(self, env):
         _net, _directory, logs = build_logs(env, SequencerLog)
         logs["m0"].submit({"uid": "a"})
@@ -269,6 +294,35 @@ class TestCompaction:
             assert log.applied == reference
             assert log.below_floor_requests == 0
         assert net.sent_by_kind["log/g/backfill"] >= 1
+
+    def test_request_overtaken_by_its_senders_report_is_dropped(self, env):
+        """m2's decide for position 70 is late, so m2 asks for backfill
+        from 70; the request is later still. The late decide closes the
+        hole, m2 moves on and reports, and the floor passes 70 before the
+        request lands. The request asks for entries m2 has applied: the
+        speaker drops it instead of finding it below the floor."""
+        net, _dir, logs = build_logs(env, SequencerLog, seed=5,
+                                     latency=(0.1, 0.1))
+        net.add_delay_rule(
+            lambda m: 60.0 if m.dst == "m2" and m.kind == "log/g/decide"
+            and m.payload["seq"] == 70 else 0.0)
+        requests = []
+
+        def hold_request(message):
+            if message.kind != "log/g/backfill-req":
+                return 0.0
+            requests.append(message.payload["from_seq"])
+            return 500.0
+
+        net.add_delay_rule(hold_request)
+        submit_stream(env, logs, 300)
+        env.run(until=5_000)
+        assert requests == [70]
+        assert logs["m0"].floor > 70
+        for log in logs.values():
+            assert log.applied_count == 300
+            assert log.below_floor_requests == 0
+        assert "log/g/backfill" not in net.sent_by_kind
 
     def test_late_entries_below_the_floor_are_not_recorded(self, env):
         """Duplicate decides and backfill replies arrive through _learn:

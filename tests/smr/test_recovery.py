@@ -335,14 +335,10 @@ class TestRecoveryUnderLoad:
         assert survivor.executed == replicas[0].executed
         assert len(survivor.executed) == len(set(survivor.executed))
 
-    def test_snapshot_served_by_peer_mid_catchup(self, env):
-        """A replica that is itself still catching up serves a checkpoint.
-
-        r2 recovers from r0, and while its log suffix is still being
-        backfilled, r1 crashes and recovers *from r2*. The partial
-        checkpoint is consistent (store matches its executed prefix), and
-        the log's gap/backfill machinery delivers the rest to both.
-        """
+    def _recover_from_the_recovering(self, env, pause):
+        """r2 recovers from r0; r1 crashes and, ``pause`` ms later,
+        recovers from r2. Returns the replies, r0 and both
+        replacements."""
         net, directory, replicas = self._setup(env, seed=11)
         replies = self._pipelined_load(env, net, directory, count=25)
         holder = {}
@@ -353,18 +349,44 @@ class TestRecoveryUnderLoad:
             yield env.timeout(15)       # r2 misses a chunk of the log
             second = recover_partition_server(replicas[2], replicas[0])
             holder["r2"] = second
-            # Immediately crash r1 and point its recovery at the replica
-            # that is still mid-catch-up.
+            # Crash r1 and point its recovery at the replica that is
+            # still mid-catch-up.
             replicas[1].crash()
-            yield env.timeout(1)
+            if pause:
+                yield env.timeout(pause)
             holder["r1"] = recover_partition_server(replicas[1], second)
 
         env.process(chaos(env))
         env.run(until=60_000)
+        return replies, replicas[0], holder
+
+    def test_snapshot_served_by_peer_mid_catchup(self, env):
+        """A replica that is itself still catching up serves a checkpoint.
+
+        r2 recovers from r0, and while its log suffix is still being
+        backfilled, r1 crashes and recovers *from r2*. The partial
+        checkpoint is consistent (store matches its executed prefix), and
+        the log's gap/backfill machinery delivers the rest to both.
+        """
+        replies, r0, holder = self._recover_from_the_recovering(env, 1)
+        self._assert_both_caught_up(replies, r0, holder)
+
+    def test_peer_serves_no_snapshot_before_its_own_install(self, env):
+        """r1 asks r2 before r2 has installed anything. r2 used to
+        answer with its empty pre-install store at position 0, and r1
+        replayed the whole log onto it, without the preload: it ended
+        with store {} while r0 held {'x': 50, 'y': 25}. An uninstalled
+        host stays silent until it has installed, and r1 asks again."""
+        replies, r0, holder = self._recover_from_the_recovering(env, 0)
+        self._assert_both_caught_up(replies, r0, holder)
+        assert holder["r1"].recovery.peers_tried == ["r2"]
+        assert holder["r1"].recovery.transfer.meta_retries >= 1
+
+    @staticmethod
+    def _assert_both_caught_up(replies, r0, holder):
         assert len(replies) == 75
         for name in ("r1", "r2"):
             recovered = holder[name]
-            assert recovered.store.snapshot() == \
-                replicas[0].store.snapshot(), name
-            assert recovered.executed == replicas[0].executed, name
+            assert recovered.store.snapshot() == r0.store.snapshot(), name
+            assert recovered.executed == r0.executed, name
             assert len(recovered.executed) == len(set(recovered.executed))

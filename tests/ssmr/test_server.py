@@ -3,7 +3,8 @@ signal/variable exchange."""
 
 import pytest
 
-from repro.ordering import AmcastDelivery, GroupDirectory, PaxosLog, ProtocolNode
+from repro.ordering import (AmcastDelivery, GroupDirectory, PaxosLog,
+                            ProtocolNode, SequencerLog)
 from repro.smr import Command, ExecutionModel, KeyValueStateMachine, ReplyStatus
 from repro.smr.executor import REPLY_KIND
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
@@ -192,22 +193,32 @@ def kinds(network) -> dict:
 
 class TestOneVoice:
     """Each group speaks once per multi-partition command: its speaker
-    announces the timestamp and transmits the exchange, every member
-    caches the exchange, any member answers a pull."""
+    announces the timestamp, transmits the exchange and answers the
+    client, every member caches the exchange and the reply, any member
+    answers a pull."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_message_budget_of_one_access(self, env, k):
         network, servers, client, command = build_wide(env, k)
         results = []
         run_commands(env, client, [command], results)
-        env.run(until=10_000)
+        # Before the logs have been quiet for a tail announcement.
+        env.run(until=SequencerLog.TAIL_QUIET_MS - 10)
         assert results[0].value == sum(range(k))
         assert kinds(network) == {
             "submit": k + k * (k - 1),    # client proposes + timestamps
             "decide": k * k,              # k entries per group, 1 follower
             "rmcast": 2 * k * (k - 1),    # speaker -> both peer members
-            "reply": 2 * k,
+            "reply": k,                   # one per group: the speaker's
         }
+        assert sum(kinds(network).values()) == 4 * k * k - k
+        for server in servers.values():
+            assert server.replies.sessions, server.node.name
+        # Then each quiet log announces its tail once to its follower,
+        # which is there and says so.
+        env.run(until=10_000)
+        assert {kind: count for kind, count in kinds(network).items()
+                if kind.startswith("tail")} == {"tail": k, "tail-ack": k}
         for server in servers.values():
             uids = [entry["uid"]
                     for entry in server.log.decided_entries.values()]
@@ -255,6 +266,7 @@ class TestOneVoice:
         assert results[0].value == 1
         assert senders == set(servers)
         assert kinds(network)["rmcast"] == 8   # 4 members x 2 peer members
+        assert kinds(network)["reply"] == 4    # every member answers
 
 
 class TestSessions:

@@ -86,6 +86,44 @@ class TestGroupCommit:
         assert disk.stats.group_commits == 1
         assert wal.durable_seq == 7
 
+    def test_urgent_barrier_pulls_the_group_commit_forward(self, env):
+        disk, wal = make_wal(env, group_commit_ms=5.0, segment_records=32)
+        wal.append(0, {"uid": "a"})
+        fired = []
+        wal.sync_barrier(urgent=True).callbacks.append(
+            lambda _event: fired.append(env.now))
+        env.run(until=100)
+        # One fsync from now, not after the 5 ms window; the scheduled
+        # commit it replaced never runs.
+        assert fired and fired[0] < 1.0
+        assert disk.stats.group_commits == 1
+
+    def test_urgent_barrier_never_starts_a_second_flush(self, env):
+        disk, wal = make_wal(env, group_commit_ms=1.0, segment_records=32)
+        active, peak = [0], [0]
+        fsync = disk.fsync
+
+        def counted_fsync(path):
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            yield from fsync(path)
+            active[0] -= 1
+
+        disk.fsync = counted_fsync
+        wal.append(0, {"uid": "a"})
+        env.run(until=1.1)              # the group commit is fsyncing
+        assert active[0] == 1
+        wal.append(1, {"uid": "b"})
+        fired = []
+        wal.sync_barrier(urgent=True).callbacks.append(
+            lambda _event: fired.append(env.now))
+        env.run(until=100)
+        assert peak[0] == 1
+        # The next flush started as the first ended, not a window later.
+        assert fired and fired[0] < 2.0
+        assert disk.stats.group_commits == 2
+        assert wal.durable_seq == 1
+
     def test_closed_wal_ignores_appends(self, env):
         disk, wal = make_wal(env)
         wal.close()

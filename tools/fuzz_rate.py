@@ -9,9 +9,9 @@ the same as ``python -m repro fuzz --schedules 40 --no-shrink --seed N
 [MODE]``; runs own their ids, so seeds run back to back in one
 interpreter exactly as they would alone.
 
-    python tools/fuzz_rate.py --seeds 100..199
-    python tools/fuzz_rate.py --seeds 100..199 --supervisor
-    python tools/fuzz_rate.py --seeds 100..199 --disk --tree ../other-checkout
+    python tools/fuzz_rate.py --seeds 100..299
+    python tools/fuzz_rate.py --seeds 100..299 --supervisor
+    python tools/fuzz_rate.py --seeds 100..299 --disk --tree ../other-checkout
 
 ``--tree`` runs another checkout's ``src/`` (default: the one this file
 sits in); a checkout whose id counters live at module scope must run its
