@@ -1,20 +1,26 @@
 #!/usr/bin/env python
 """Parameter sweep: explore scaling beyond the paper's configurations.
 
-Uses the harness's sweep utility to run a factorial grid (scheme ×
-partition count) over a weak-locality Chirper workload, print the table,
-and export ``sweep_results.csv`` for external plotting.
+Runs a factorial grid (scheme × partition count) over a weak-locality
+Chirper workload, prints one row per configuration, and exports
+``sweep_results.csv`` for external plotting.
 
 Run:  python examples/sweep_scaling.py        (~2-3 minutes)
 """
 
+import csv
+import itertools
+from dataclasses import asdict
+
 from repro.harness.experiment import (run_chirper_experiment,
                                       static_assignment_for)
 from repro.harness.figures import FIGURE_EXECUTION
-from repro.harness.sweep import sweep
+from repro.harness.metrics import ExperimentMetrics
+from repro.harness.report import format_table
 from repro.workload import clustered_graph
 
 EDGE_CUT = 0.01
+GRID = {"scheme": ["ssmr", "dssmr", "dynastar"], "num_partitions": [2, 4]}
 
 
 def run_config(scheme, num_partitions):
@@ -34,18 +40,24 @@ def run_config(scheme, num_partitions):
 
 def main():
     print(f"sweeping scheme x partitions at {EDGE_CUT:.0%} edge-cut ...")
-    result = sweep(
-        run_config,
-        {"scheme": ["ssmr", "dssmr", "dynastar"],
-         "num_partitions": [2, 4]},
-        on_row=lambda row: print(f"  done: {row['scheme']} "
-                                 f"x{row['num_partitions']} -> "
-                                 f"{row['throughput']:.0f} ops/s"))
+    rows, metrics = [], []
+    for values in itertools.product(*GRID.values()):
+        config = dict(zip(GRID, values))
+        result = run_config(**config)
+        columns = asdict(result)
+        del columns["extra"]    # a dict, not a column
+        rows.append({**config, **columns})
+        metrics.append(result.row())
+        print(f"  done: {config['scheme']} x{config['num_partitions']} "
+              f"-> {result.throughput:.0f} ops/s")
     print()
-    print(result.to_table())
-    result.to_csv("sweep_results.csv")
+    print(format_table(ExperimentMetrics.ROW_HEADERS, metrics))
+    with open("sweep_results.csv", "w", newline="") as sink:
+        writer = csv.DictWriter(sink, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     print("\nwrote sweep_results.csv")
-    best = result.best("throughput")
+    best = max(rows, key=lambda row: row["throughput"])
     print(f"best configuration: {best['scheme']} with "
           f"{best['num_partitions']} partitions "
           f"({best['throughput']:.0f} ops/s)")

@@ -349,12 +349,13 @@ def cmd_partition(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.harness.chaos import run_campaign
+    from repro.fuzz import CHAOS_SCHEMES, chaos_schedule, run_campaign
 
-    campaign = run_campaign(num_scenarios=args.scenarios, seed=args.seed,
-                            num_clients=args.clients,
-                            ops_per_client=args.ops)
-    print(campaign.report())
+    campaign = run_campaign(args.seed, (
+        chaos_schedule(args.seed, index, scheme, num_clients=args.clients,
+                       ops_per_client=args.ops)
+        for index in range(args.scenarios) for scheme in CHAOS_SCHEMES))
+    print(campaign.report("chaos"))
     return 0 if campaign.ok else 1
 
 
@@ -501,8 +502,8 @@ def cmd_perfcheck(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from repro.fuzz import (load_artifact, replay_artifact,
-                            run_fuzz_campaign)
+    from repro.fuzz import (generate_schedule, load_artifact,
+                            replay_artifact, run_campaign)
 
     if args.replay:
         outcome = replay_artifact(load_artifact(args.replay))
@@ -511,12 +512,15 @@ def cmd_fuzz(args) -> int:
         # drift — even "still violating, different signature" — as news.
         return 0 if outcome.identical else 1
 
-    campaign = run_fuzz_campaign(
-        num_schedules=6 if args.smoke else args.schedules, seed=args.seed,
-        num_clients=args.clients, ops_per_client=args.ops,
-        inject_bug=args.inject_bug, shrink=not args.no_shrink,
-        artifacts_dir=args.artifacts, supervisor=args.supervisor,
-        overload=args.overload, disk=args.disk, parallel=args.parallel)
+    campaign = run_campaign(args.seed, (
+        generate_schedule(args.seed, index, num_clients=args.clients,
+                          ops_per_client=args.ops,
+                          inject_bug=args.inject_bug,
+                          supervisor=args.supervisor,
+                          overload=args.overload, disk=args.disk,
+                          parallel=args.parallel)
+        for index in range(6 if args.smoke else args.schedules)),
+        shrink=not args.no_shrink, artifacts_dir=args.artifacts)
     _emit(args, campaign.report(), campaign.to_dict())
     if args.inject_bug:
         # With a deliberate bug the fuzzer must FIND it; a clean
@@ -556,12 +560,15 @@ def cmd_durability(args) -> int:
 
 
 def cmd_heal(args) -> int:
-    from repro.heal import run_heal_campaign
+    from repro.fuzz import HEAL_SCHEMES, generate_heal_schedule, run_campaign
 
-    campaign = run_heal_campaign(
-        num_scenarios=2 if args.smoke else args.scenarios, seed=args.seed,
-        num_clients=args.clients, ops_per_client=args.ops)
-    _emit(args, campaign.report(), campaign.to_dict())
+    campaign = run_campaign(args.seed, (
+        generate_heal_schedule(args.seed, index, scheme,
+                               num_clients=args.clients,
+                               ops_per_client=args.ops)
+        for index in range(2 if args.smoke else args.scenarios)
+        for scheme in HEAL_SCHEMES))
+    _emit(args, campaign.report("self-healing"), campaign.to_dict())
     return 0 if campaign.ok else 1
 
 

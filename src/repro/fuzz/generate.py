@@ -1,15 +1,24 @@
-"""Seeded schedule generation over the full fault vocabulary.
+"""Seeded schedule generation: the three campaigns' fault vocabularies.
 
-``generate_schedule(seed, index)`` is a pure function: schedule ``index``
-of campaign ``seed`` is always the same object, whatever ran before —
-the property that lets a campaign be re-run, resumed or replayed from
-just ``(seed, index)``.
+Every generator is a pure function of ``(seed, index[, scheme])``:
+schedule ``index`` of campaign ``seed`` is always the same object,
+whatever ran before — the property that lets a campaign be re-run,
+resumed or replayed from just ``(seed, index)``. A campaign is a seed
+plus the schedules one of them yields (:func:`repro.fuzz.campaign.
+run_campaign`):
 
-Unlike the chaos campaign's hand-shaped scenarios, nothing here is
-exempt: sequencers, Paxos leaders and oracle replicas are crash victims
-(blackout + reconnect — their in-memory ordering state cannot be rebuilt
-from a checkpoint), partitions may be asymmetric (one-way reachability),
-and reconfiguration join/leave events interleave with the faults.
+* :func:`generate_schedule` (``repro fuzz``) draws over the FULL
+  vocabulary: nothing is exempt, so sequencers, Paxos leaders and oracle
+  replicas are crash victims (blackout + reconnect — their in-memory
+  ordering state cannot be rebuilt from a checkpoint), partitions may be
+  asymmetric (one-way reachability), and reconfiguration join/leave
+  events interleave with the faults.
+* :func:`chaos_schedule` (``repro chaos``) draws one hand-shaped fault
+  mix per index — whole-phase drop/delay/duplicate/reorder, a fixed
+  two-island partition window and one crash whose victim is drawn by
+  *role* — and runs it against every scheme of :data:`CHAOS_SCHEMES`.
+* :func:`generate_heal_schedule` (``repro heal``) crashes one node of
+  every role with no harness recovery, so the supervisor must heal.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule
+from repro.harness.faults import VICTIM_ROLES
+from repro.harness.kvbed import KEYS
 from repro.sim import SeedStream
 
 #: Schemes the generator draws from.
@@ -249,3 +260,120 @@ def generate_schedule(seed: int, index: int,
         num_clients=num_clients, ops_per_client=ops_per_client,
         num_keys=num_keys, inject_bug=inject_bug, supervisor=supervisor,
         qos=overload, durability=disk, parallel=parallel))
+
+
+#: Schemes every chaos index is run against.
+CHAOS_SCHEMES = ("smr", "ssmr", "dssmr")
+
+#: Virtual-time bound of one chaos run (ms).
+CHAOS_DEADLINE_MS = 8_000.0
+
+
+def chaos_schedule(seed: int, index: int, scheme: str,
+                   num_clients: int = 3, ops_per_client: int = 8,
+                   inject_bug: Optional[str] = None) -> FaultSchedule:
+    """Draw chaos index ``index`` of campaign ``seed`` for ``scheme``.
+
+    The fault mix depends on ``(seed, index)`` only, so every scheme of
+    one index rides the same faults: message faults span the whole fault
+    phase, the partition window cuts partition 0 from partition 1 (on
+    classic SMR, the sequencer from its follower), and the crash victim
+    is drawn by role — a *follower* dies with amnesia and recovers, a
+    *speaker* or *oracle* replica is blacked out and reconnects (the
+    oracle role falls back to speaker on schemes without oracles).
+    """
+    rng = SeedStream(seed).child("scenario").stream(f"s{index}")
+    shape = shape_nodes(scheme)
+    events: list[dict] = [{"kind": "drop", "at": 0.0, "end": HORIZON_MS,
+                           "fraction": round(rng.uniform(0.005, 0.025), 4)}]
+    if rng.random() < 0.5:
+        events.append({"kind": "delay", "at": 0.0, "end": HORIZON_MS,
+                       "fraction": round(rng.uniform(0.05, 0.20), 3),
+                       "spike_ms": round(rng.uniform(5.0, 20.0), 2)})
+    if rng.random() < 0.5:
+        events.append({"kind": "duplicate", "at": 0.0, "end": HORIZON_MS,
+                       "fraction": round(rng.uniform(0.05, 0.20), 3),
+                       "copies": 1})
+    if rng.random() < 0.5:
+        events.append({"kind": "reorder", "at": 0.0, "end": HORIZON_MS,
+                       "fraction": round(rng.uniform(0.10, 0.30), 3),
+                       "window_ms": round(rng.uniform(1.0, 4.0), 2)})
+    if rng.random() < 0.4:
+        start = round(rng.uniform(40.0, 180.0), 1)
+        end = round(start + rng.uniform(30.0, 60.0), 1)
+        first = shape["servers"][shape["partitions"][0]]
+        if len(shape["partitions"]) > 1:
+            island_a = list(first)
+            island_b = list(shape["servers"][shape["partitions"][1]])
+        else:
+            island_a, island_b = [first[0]], list(first[1:])
+        events.append({"kind": "partition", "at": start, "end": end,
+                       "island_a": island_a, "island_b": island_b})
+    if rng.random() < 0.4:
+        at = round(rng.uniform(40.0, 150.0), 1)
+        partition_index = rng.randrange(2)
+        recover = round(at + rng.uniform(50.0, 100.0), 1)
+        role = VICTIM_ROLES[rng.randrange(len(VICTIM_ROLES))]
+        if role == "oracle" and not shape["oracles"]:
+            role = "speaker"
+        pool, mode = {"follower": (shape["followers"], "restart"),
+                      "speaker": (shape["speakers"], "blackout"),
+                      "oracle": (shape["oracles"], "blackout")}[role]
+        events.append({"kind": "crash", "at": at,
+                       "node": pool[partition_index % len(pool)],
+                       "mode": mode, "duration": recover - at})
+    return FaultSchedule(
+        seed=seed, index=index, scheme=scheme, events=tuple(events),
+        horizon_ms=HORIZON_MS, deadline_ms=CHAOS_DEADLINE_MS,
+        num_clients=num_clients, ops_per_client=ops_per_client,
+        num_keys=len(KEYS), inject_bug=inject_bug)
+
+
+#: Schemes the heal campaign exercises (both partitioned deployments;
+#: dssmr adds the oracle role to the crash rota).
+HEAL_SCHEMES = ("ssmr", "dssmr")
+
+#: Crash windows per role (ms): staggered so the supervisor handles one
+#: failure at a time, each with room to detect + repair before the next.
+_ROLE_WINDOWS = {
+    "follower": (30.0, 60.0),
+    "speaker": (95.0, 130.0),
+    "oracle": (160.0, 195.0),
+}
+
+
+def generate_heal_schedule(seed: int, index: int, scheme: str,
+                           num_clients: int = 3,
+                           ops_per_client: int = 8) -> FaultSchedule:
+    """Draw heal scenario ``index`` for ``scheme`` (pure function).
+
+    Every schedule crashes one node of *each* role the scheme has —
+    follower by object-crash (amnesia), speaker and oracle by network
+    blackout — plus light background loss, with ``supervisor=True`` so
+    the runner performs no harness-driven recovery.
+    """
+    rng = SeedStream(seed).child("heal-gen").stream(f"{scheme}/s{index}")
+    shape = shape_nodes(scheme)
+    events: list[dict] = [{
+        "kind": "drop", "at": 0.0, "end": HORIZON_MS,
+        "fraction": round(rng.uniform(0.002, 0.01), 4),
+    }]
+    # Victims rotate with the scenario index and are drawn from distinct
+    # partitions, so consecutive failures never gut one majority.
+    rota = [("follower", shape["followers"], "restart"),
+            ("speaker", shape["speakers"], "blackout")]
+    if shape["oracles"]:
+        rota.append(("oracle", shape["oracles"], "blackout"))
+    for offset, (role, pool, mode) in enumerate(rota):
+        node = pool[(index + offset) % len(pool)]
+        lo, hi = _ROLE_WINDOWS[role]
+        events.append({"kind": "crash", "at": round(rng.uniform(lo, hi), 1),
+                       "node": node, "mode": mode,
+                       # Unused under supervisor=True (the healer, not a
+                       # timer, ends the outage); kept for replay tools.
+                       "duration": 50.0})
+    return normalize_schedule(FaultSchedule(
+        seed=seed, index=index, scheme=scheme, events=tuple(events),
+        horizon_ms=HORIZON_MS, deadline_ms=DEADLINE_MS,
+        num_clients=num_clients, ops_per_client=ops_per_client,
+        supervisor=True))

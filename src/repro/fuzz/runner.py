@@ -1,7 +1,7 @@
 """Schedule-driven run: build a deployment, apply the faults, check.
 
-``run_schedule`` is the single execution path behind the fuzzer, the
-replay artifact and (via scenario conversion) the chaos campaign: build
+``run_schedule`` is the single execution path behind every fault
+campaign (fuzz, chaos, heal) and the replay artifact: build
 the scheme's deployment (its ``Environment`` owns the run's ids), install
 every schedule event against the simulation clock, run the seeded client
 workload to completion, heal at the horizon, settle, then check
@@ -9,7 +9,8 @@ workload to completion, heal at the horizon, settle, then check
 * completion — every client op finished before the virtual deadline;
 * linearizability — the bounded Wing–Gong checker over the recorded
   history (an ``inconclusive`` verdict is reported but is *not* a
-  violation, so the shrinker never chases checker-budget artifacts);
+  violation, so the shrinker never chases checker-budget artifacts; a
+  campaign counts it as a gap, not a pass);
 * the end-state invariant suite (:mod:`repro.harness.invariants`).
 
 Runs are deterministic: the same schedule produces a byte-identical

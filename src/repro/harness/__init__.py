@@ -7,14 +7,6 @@ behind every figure of the paper: throughput and latency, move counts over
 time, retry/consult rates, and oracle CPU load.
 """
 
-from repro.harness.chaos import (
-    CampaignResult,
-    ChaosScenario,
-    ScenarioResult,
-    generate_scenario,
-    run_campaign,
-    run_scenario,
-)
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
 from repro.harness.elastic import (
     ElasticResult,
@@ -29,31 +21,22 @@ from repro.harness.experiment import (
     run_chirper_experiment,
 )
 from repro.harness.report import format_series, format_table
-from repro.harness.sweep import SweepResult, sweep
 from repro.harness.tracerun import TraceRun, run_traced_workload
 
 __all__ = [
-    "CampaignResult",
-    "ChaosScenario",
     "ChirperDeployment",
     "Cluster",
     "ClusterConfig",
     "ElasticResult",
     "ExperimentMetrics",
     "ExperimentResult",
-    "ScenarioResult",
-    "SweepResult",
     "TraceRun",
     "build_cluster",
     "cluster_invariants",
     "format_series",
     "format_table",
-    "generate_scenario",
-    "run_campaign",
     "run_chirper_experiment",
     "run_elastic_scenario",
     "run_scaleout_timeline",
-    "run_scenario",
     "run_traced_workload",
-    "sweep",
 ]

@@ -31,6 +31,8 @@ two same-seed runs in CI):
 
 from __future__ import annotations
 
+from repro.fuzz.runner import run_schedule
+from repro.fuzz.schedule import FaultSchedule
 from repro.harness.cluster import Cluster
 from repro.harness.invariants import cluster_invariants
 from repro.harness.kvbed import build_kv_cluster, spawn_wave
@@ -115,9 +117,6 @@ def _replay_equivalence(scheme: str, seed: int, num_clients: int,
 
 def _power_under_load(scheme: str, seed: int, num_clients: int,
                       ops: int) -> dict:
-    from repro.fuzz.runner import run_schedule
-    from repro.fuzz.schedule import FaultSchedule
-
     schedule = FaultSchedule(
         seed=seed, index=0, scheme=scheme,
         events=(

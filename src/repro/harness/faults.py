@@ -1,9 +1,9 @@
 """Shared fault-victim helpers: who can crash, and how they come back.
 
-Both fault harnesses — the chaos campaign (:mod:`repro.harness.chaos`)
-and the schedule fuzzer (:mod:`repro.fuzz`) — need the same two closure
-pairs for :meth:`~repro.net.failure.FailureInjector.crash_restart_at`,
-previously duplicated per harness:
+Every fault harness — the schedule runner behind the fuzz, chaos and heal
+campaigns (:mod:`repro.fuzz`), the elastic scenario and fig17 — needs the
+same two closure pairs for
+:meth:`~repro.net.failure.FailureInjector.crash_restart_at`:
 
 * **restart** (amnesia) — the victim object dies and a replacement is
   rebuilt under the same name through checkpoint-install recovery
@@ -17,8 +17,10 @@ previously duplicated per harness:
   which is exactly the fault class the chaos campaign used to exempt.
 
 Victim *roles* name the interesting positions in a deployment
-independently of scheme and shape, so seeded generators can draw a role
-and let :func:`select_victim` resolve the concrete node and crash mode.
+independently of scheme and shape: :func:`select_victim` resolves a role
+to the concrete node and crash mode of a live cluster (the chaos
+generator resolves its drawn role on the static shape instead, before
+any cluster exists).
 """
 
 from __future__ import annotations

@@ -923,6 +923,34 @@ def figure14_batching(entry_count: int = 400, submitters: int = 8,
     return FigureData("fig14", "Sequencer batching ablation", report, data)
 
 
+def _overhead_point(scheme: str, drop_fraction: float, seed: int,
+                    num_clients: int, ops_per_client: int) -> dict:
+    """Throughput/latency of the resilience layer at one drop rate."""
+    from repro.harness.kvbed import build_kv_cluster, spawn_wave
+    from repro.net import FailureInjector
+
+    cluster = build_kv_cluster(scheme, seed,
+                               (scheme, f"overhead{drop_fraction}"))
+    if drop_fraction:
+        injector = FailureInjector(cluster.env, cluster.network,
+                                   cluster.seeds.child("overhead"))
+        injector.drop_fraction(drop_fraction)
+    wave = spawn_wave(cluster, num_clients, ops_per_client,
+                      f"{seed}/{scheme}/overhead/{drop_fraction}")
+    cluster.run(until=32_000.0)
+    elapsed = wave.done_at or cluster.env.now
+    return {
+        "completed": wave.completed,
+        "total": wave.expected,
+        "throughput": (wave.expected / (elapsed / 1000.0)
+                       if elapsed else 0.0),
+        "mean_ms": cluster.latency.mean(),
+        "p95_ms": cluster.latency.percentile(95),
+        "timeouts": sum(c.timeouts for c in cluster.clients),
+        "resends": sum(c.resends for c in cluster.clients),
+    }
+
+
 @claims(
     Claim("every request completes at every drop rate",
           "The retry/dedup layer keeps exactly-once semantics under loss: "
@@ -966,15 +994,12 @@ def figure15_chaos_overhead(seed: int = 5,
     Higher rates show the recovery cost — timeouts, resent requests, and
     the latency tail they produce.
     """
-    from repro.harness.chaos import run_overhead_point
-
     rows = []
     data: dict = {}
     for scheme in schemes:
         for rate in drop_rates:
-            outcome = run_overhead_point(scheme, rate, seed,
-                                         num_clients=num_clients,
-                                         ops_per_client=ops_per_client)
+            outcome = _overhead_point(scheme, rate, seed, num_clients,
+                                      ops_per_client)
             data[(scheme, rate)] = outcome
             rows.append([scheme, f"{rate:.2f}",
                          f"{outcome['completed']}/{outcome['total']}",

@@ -11,8 +11,11 @@ the harnesses used to script by hand:
   ordering lease claims and recovery actions through their own Paxos log.
 * :mod:`repro.heal.healer` — per-cluster wiring, exactly-once action
   execution, and the MTTR ledger.
-* :mod:`repro.heal.campaign` — the autonomous-recovery chaos campaign
-  behind ``python -m repro heal``.
+
+The autonomous-recovery campaign behind ``python -m repro heal`` is a
+fault campaign like any other: :func:`repro.fuzz.generate.
+generate_heal_schedule` schedules run through
+:func:`repro.fuzz.campaign.run_campaign`.
 
 Import note: :mod:`repro.ordering.paxos` sources its timer defaults from
 :mod:`repro.heal.timing`, so this ``__init__`` must not import anything
@@ -28,15 +31,12 @@ __all__ = [
     "PHI_MAX", "PhiAccrualDetector", "HEARTBEAT_KIND", "HeartbeatEmitter",
     "DEFAULT_TIMING", "FAST_TIMING", "TimingProfile",
     "HEAL_GROUP", "RecoverySupervisor", "ClusterHealer",
-    "run_heal_campaign", "HealCampaignResult",
 ]
 
 _LAZY = {
     "HEAL_GROUP": ("repro.heal.supervisor", "HEAL_GROUP"),
     "RecoverySupervisor": ("repro.heal.supervisor", "RecoverySupervisor"),
     "ClusterHealer": ("repro.heal.healer", "ClusterHealer"),
-    "run_heal_campaign": ("repro.heal.campaign", "run_heal_campaign"),
-    "HealCampaignResult": ("repro.heal.campaign", "HealCampaignResult"),
 }
 
 

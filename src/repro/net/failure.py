@@ -4,7 +4,7 @@ Built on the :class:`~repro.net.transport.Network` hooks: crash/recover
 nodes at given times, drop/delay/duplicate a random fraction of messages,
 reorder traffic within bounded windows, or partition the network into
 isolated islands for a time window. Used by the fault-tolerance tests and
-by the chaos campaign (:mod:`repro.harness.chaos`) to check that the
+by the fault campaigns (:mod:`repro.fuzz`) to check that the
 protocols keep their guarantees under failures.
 
 Every rule installer returns a remover, accepts an optional

@@ -7,7 +7,9 @@ victims of every role including sequencers and oracle replicas.
 """
 
 from repro.canonical import canonical_json
-from repro.fuzz.generate import (GENERATOR_SCHEMES, generate_schedule,
+from repro.fuzz.generate import (CHAOS_SCHEMES, GENERATOR_SCHEMES,
+                                 HEAL_SCHEMES, chaos_schedule,
+                                 generate_heal_schedule, generate_schedule,
                                  shape_nodes)
 from repro.fuzz.schedule import normalize_schedule
 
@@ -99,3 +101,28 @@ class TestVocabularyCoverage:
         assert oneways
         for event in oneways:
             assert set(event["srcs"]).isdisjoint(event["dsts"])
+
+
+class TestPinnedSchedules:
+    """The chaos and heal generators draw exactly the schedules the
+    campaigns ran before they became plain schedule generators: a digest
+    covers every event, the workload shape and the run's budget."""
+
+    # chaos seed 0, index 0..4, per scheme in CHAOS_SCHEMES order.
+    CHAOS = [("f858acff65", "99cc0c6de0", "dac09eed4a"),
+             ("a91a589234", "0505dec80b", "782026c0ad"),
+             ("0d5c472d5d", "e50f41d5a3", "68e51eda70"),
+             ("24f00b7bee", "76708d5501", "b886d2590e"),
+             ("6375151150", "4d677c2d1f", "5546fae8fa")]
+    # ``repro heal --smoke``: seed 0, index 0..1 x HEAL_SCHEMES.
+    HEAL = ["e11639c3b8", "218c246668", "b3342c3ddf", "db3a1587fc"]
+
+    def test_chaos_schedules_are_pinned(self):
+        assert [tuple(chaos_schedule(0, index, scheme).digest()
+                      for scheme in CHAOS_SCHEMES)
+                for index in range(5)] == self.CHAOS
+
+    def test_heal_schedules_are_pinned(self):
+        assert [generate_heal_schedule(0, index, scheme).digest()
+                for index in range(2)
+                for scheme in HEAL_SCHEMES] == self.HEAL

@@ -13,11 +13,18 @@ import json
 
 import pytest
 
+from repro.fuzz.campaign import heal_totals, run_campaign
+from repro.fuzz.generate import HEAL_SCHEMES, generate_heal_schedule
 from repro.fuzz.runner import run_schedule
 from repro.fuzz.schedule import FaultSchedule
 from repro.harness.kvbed import build_kv_cluster
 from repro.heal import FAST_TIMING, ClusterHealer
-from repro.heal.campaign import generate_heal_schedule, run_heal_campaign
+
+
+def heal_campaign(num_scenarios, seed):
+    return run_campaign(seed, [generate_heal_schedule(seed, index, scheme)
+                               for index in range(num_scenarios)
+                               for scheme in HEAL_SCHEMES])
 
 
 def heal_schedule(events, scheme="dssmr", seed=0, index=0):
@@ -53,19 +60,18 @@ class TestAutonomousRecovery:
             assert 0.0 < span < 200.0
 
     def test_campaign_converges_clean(self):
-        campaign = run_heal_campaign(num_scenarios=2, seed=0)
+        campaign = heal_campaign(2, 0)
         assert campaign.ok
-        totals = campaign.totals()
+        totals = heal_totals(campaign.runs)
+        assert campaign.to_dict()["totals"] == totals
         assert totals["detections"] == 10   # (2+3) roles x 2 scenarios
         assert totals["false_suspicions"] == 0
         assert totals["mttr_samples"] == 10
         assert totals["mttr_mean_ms"] > 0
 
     def test_campaign_is_byte_deterministic(self):
-        one = json.dumps(run_heal_campaign(1, 3).to_dict(),
-                         sort_keys=True)
-        two = json.dumps(run_heal_campaign(1, 3).to_dict(),
-                         sort_keys=True)
+        one = json.dumps(heal_campaign(1, 3).to_dict(), sort_keys=True)
+        two = json.dumps(heal_campaign(1, 3).to_dict(), sort_keys=True)
         assert one == two
 
 

@@ -335,7 +335,7 @@ CANNED = {"seed": 0, "rows": [1.5, "é", None], "gate": {"passed": True},
 class CannedCampaign:
     ok = True
 
-    def report(self):
+    def report(self, title="fuzz"):
         return "canned report"
 
     def to_dict(self):
@@ -345,10 +345,10 @@ class CannedCampaign:
 # verb -> (module, attribute, canned stand-in) for the campaign runner
 # and, where the report is a function of the result dict, its formatter.
 CAMPAIGN_VERBS = {
-    "fuzz": [("repro.fuzz", "run_fuzz_campaign",
-              lambda **_: CannedCampaign())],
-    "heal": [("repro.heal", "run_heal_campaign",
-              lambda **_: CannedCampaign())],
+    "fuzz": [("repro.fuzz", "run_campaign",
+              lambda *_, **__: CannedCampaign())],
+    "heal": [("repro.fuzz", "run_campaign",
+              lambda *_, **__: CannedCampaign())],
     "qos": [("repro.harness.overload", "run_overload_campaign",
              lambda **_: CANNED),
             ("repro.harness.overload", "format_overload_report",

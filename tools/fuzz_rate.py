@@ -2,12 +2,15 @@
 """The fuzzer's base rate over a seed range: failing / total schedules.
 
 One fuzz seed is a sample; the rate over a fixed seed range is the gate
-(ROADMAP item 4): any failing schedule exits 1, after the failing
-``(seed, index, scheme)`` list is printed. To compare two trees, run the
-same seed range on both. Each seed is one in-process campaign,
-the same as ``python -m repro fuzz --schedules 40 --no-shrink --seed N
-[MODE]``; runs own their ids, so seeds run back to back in one
-interpreter exactly as they would alone.
+(ROADMAP item 3): any failing schedule exits 1, after the failing
+``(seed, index, scheme)`` list is printed. A schedule fails when its run
+violates an invariant or when its linearizability verdict is
+``inconclusive`` (the checker's budget ran out): a verdict that proves
+nothing is a gap, not a pass. To compare two trees, run the same seed
+range on both. Each seed runs the schedules of
+``python -m repro fuzz --schedules 40 --no-shrink --seed N [MODE]``, one
+``generate_schedule`` + ``run_schedule`` each; runs own their ids, so
+seeds run back to back in one interpreter exactly as they would alone.
 
     python tools/fuzz_rate.py --seeds 100..299
     python tools/fuzz_rate.py --seeds 100..299 --supervisor
@@ -47,29 +50,32 @@ def main(argv=None) -> int:
     flags = [flag for flag in ("supervisor", "disk") if getattr(args, flag)]
 
     sys.path.insert(0, str(args.tree.resolve() / "src"))
-    from repro.fuzz import run_fuzz_campaign
+    from repro.checkers import INCONCLUSIVE
+    from repro.fuzz import generate_schedule, run_schedule
 
     total: Counter = Counter()
     failed: Counter = Counter()
     failing = []
     for seed in args.seeds:
-        campaign = run_fuzz_campaign(SCHEDULES, seed, shrink=False,
-                                     **{flag: True for flag in flags})
-        for run in campaign.runs:
+        for index in range(SCHEDULES):
+            run = run_schedule(generate_schedule(
+                seed, index, **{flag: True for flag in flags}))
             scheme = run.schedule.scheme
             total[scheme] += 1
-            if run.violations:
+            if run.violations or run.linearizability == INCONCLUSIVE:
                 failed[scheme] += 1
-                failing.append((seed, run.schedule.index, scheme))
+                failing.append((seed, index, scheme, run.ok))
 
     label = flags[0] if flags else "plain"
+    inconclusive = sum(ok for *_, ok in failing)
     print(f"{label}: {sum(failed.values())} / {sum(total.values())} "
-          f"schedules fail (seeds {args.seeds[0]}..{args.seeds[-1]}, "
-          f"{SCHEDULES} schedules each)")
+          f"schedules fail, {inconclusive} of them inconclusive (seeds "
+          f"{args.seeds[0]}..{args.seeds[-1]}, {SCHEDULES} schedules each)")
     for scheme in sorted(total):
         print(f"  {scheme:9s} {failed[scheme]} / {total[scheme]}")
-    for entry in failing:
-        print(f"  failing: seed {entry[0]} #{entry[1]} {entry[2]}")
+    for seed, index, scheme, ok in failing:
+        print(f"  failing: seed {seed} #{index} {scheme}"
+              f"{' (inconclusive)' if ok else ''}")
     return 1 if failing else 0
 
 

@@ -64,6 +64,9 @@ SMOKES = {
     "chaos": repro("chaos", "--scenarios", "5", "--seed", "0"),
     "fuzz": repro("fuzz", "--smoke"),
     "fuzz-parallel": repro("fuzz", "--smoke", "--parallel"),
+    # The nightly fuzz modes no other smoke covers.
+    "fuzz-supervisor": repro("fuzz", "--smoke", "--supervisor"),
+    "fuzz-disk": repro("fuzz", "--smoke", "--disk"),
     "heal": repro("heal", "--smoke"),
     "trace": repro("trace", "--scheme", "dssmr", "--seed", "7",
                    "--out", "spans.jsonl"),
