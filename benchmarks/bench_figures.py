@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.figures import FIGURES
+from repro.harness.figures import FIGURES, verdicts
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -29,6 +29,6 @@ def test_figure(benchmark, figure_id):
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{figure_id}.txt").write_text(text + "\n")
-    failed = [line for holds, line in entry.verdicts(figure.data)
+    failed = [line for holds, line in verdicts(entry.claims, figure.data)
               if not holds]
     assert not failed, "\n".join(failed)

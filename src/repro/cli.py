@@ -75,6 +75,18 @@ def _emit(args, report: str, data, out: Optional[str] = None) -> None:
         print(f"wrote {args.out}", file=sys.stderr)
 
 
+def _exit_on_claims(claims, data) -> int:
+    """Check ``claims`` on ``data``, the data of whatever parameters ran:
+    one verdict line each on stderr, so stdout stays the figure or the
+    canonical JSON. Exit status 1 if any claim fails."""
+    from repro.harness.figures import verdicts
+
+    checked = verdicts(claims, data)
+    for _holds, line in checked:
+        print(line, file=sys.stderr)
+    return 0 if all(holds for holds, _line in checked) else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -287,12 +299,7 @@ def cmd_figure(args) -> int:
         kwargs[name] = value
     figure = entry(**kwargs)
     print(figure)
-    # The claims are checked on the parameters that ran: one verdict line
-    # each on stderr, so stdout stays the figure alone.
-    verdicts = entry.verdicts(figure.data)
-    for _holds, line in verdicts:
-        print(line, file=sys.stderr)
-    return 0 if all(holds for holds, _line in verdicts) else 1
+    return _exit_on_claims(entry.claims, figure.data)
 
 
 def cmd_list_figures(_args) -> int:
@@ -530,33 +537,24 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_qos(args) -> int:
+    from repro.harness.figures import FIGURES
     from repro.harness.overload import (format_overload_report,
                                         run_overload_campaign)
 
     data = run_overload_campaign(seed=args.seed, smoke=args.smoke,
                                  scheme=args.scheme)
     _emit(args, format_overload_report(data), data)
-    # The campaign is also a self-check: QoS must beat the baseline
-    # beyond saturation (full sweep only; the smoke sweep is a
-    # determinism probe, too short to claim the figure's shape).
-    if not args.smoke:
-        collapse = data["summary"]["qos_off"]["tail_ratio"]
-        plateau = data["summary"]["qos_on"]["tail_ratio"]
-        if plateau <= collapse:
-            print("QOS GATE FAILED: qos_on tail ratio "
-                  f"{plateau} <= qos_off {collapse}", file=sys.stderr)
-            return 1
-    return 0
+    return _exit_on_claims(FIGURES["fig19"].claims, data)
 
 
 def cmd_durability(args) -> int:
     from repro.harness.durability import (format_durability_report,
                                           run_durability_campaign)
+    from repro.harness.figures import FIGURES
 
     data = run_durability_campaign(seed=args.seed, smoke=args.smoke)
     _emit(args, format_durability_report(data), data)
-    # The campaign is also a self-check: every section gates.
-    return 0 if data["summary"]["ok"] else 1
+    return _exit_on_claims(FIGURES["fig20"].claims, data)
 
 
 def cmd_heal(args) -> int:
@@ -573,23 +571,25 @@ def cmd_heal(args) -> int:
 
 
 def cmd_parallelexec(args) -> int:
+    from repro.harness.figures import FIGURES
     from repro.harness.parallelexec import format_report, run_campaign
 
     data = run_campaign(seed=args.seed, smoke=args.smoke)
     _emit(args, format_report(data), data)
-    # The campaign is also a self-check: equivalence + speedup gate.
-    return 0 if data["gate"]["passed"] else 1
+    return _exit_on_claims(FIGURES["fig21"].claims, data)
 
 
 def cmd_reconfig(args) -> int:
-    from repro.harness.elastic import run_elastic_scenario
+    from repro.harness.elastic import (format_elastic_report,
+                                       run_elastic_scenario)
+    from repro.harness.figures import ELASTIC_CLAIMS
 
-    result = run_elastic_scenario(seed=args.seed, scheme=args.scheme,
-                                  num_clients=args.clients,
-                                  ops_per_client=args.ops,
-                                  chaos=not args.no_chaos)
-    _emit(args, result.report(), result.to_dict())
-    return 0 if result.ok else 1
+    data = run_elastic_scenario(seed=args.seed, scheme=args.scheme,
+                                num_clients=args.clients,
+                                ops_per_client=args.ops,
+                                chaos=not args.no_chaos)
+    _emit(args, format_elastic_report(data), data)
+    return _exit_on_claims(ELASTIC_CLAIMS, data)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

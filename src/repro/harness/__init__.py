@@ -9,7 +9,7 @@ time, retry/consult rates, and oracle CPU load.
 
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
 from repro.harness.elastic import (
-    ElasticResult,
+    format_elastic_report,
     run_elastic_scenario,
     run_scaleout_timeline,
 )
@@ -27,12 +27,12 @@ __all__ = [
     "ChirperDeployment",
     "Cluster",
     "ClusterConfig",
-    "ElasticResult",
     "ExperimentMetrics",
     "ExperimentResult",
     "TraceRun",
     "build_cluster",
     "cluster_invariants",
+    "format_elastic_report",
     "format_series",
     "format_table",
     "run_chirper_experiment",

@@ -174,15 +174,7 @@ class Cluster:
         # by construction).
         self.qos_admission: dict[str, AdmissionController] = {}
         self.qos_batchers: dict[str, AdaptiveBatcher] = {}
-        if config.qos is not None:
-            for partition in self.partitions:
-                speaker = self.directory.speaker(partition)
-                self._attach_qos(partition, self.servers[speaker])
-            if self._dynamic:
-                speaker = self.directory.speaker(ORACLE_GROUP)
-                for oracle in self.oracles:
-                    if oracle.node.name == speaker:
-                        self._attach_qos(ORACLE_GROUP, oracle)
+        self._arm_qos()
 
         # Elastic reconfiguration (repro.reconfig): every partitioned
         # server gets a checkpointer + checkpoint host (pure handler
@@ -240,6 +232,25 @@ class Cluster:
             server.attach_parallel(
                 ParallelExecutionModel(self.env, config.parallel))
         return server
+
+    def _arm_qos(self, *groups: str) -> None:
+        """Arm overload control on the current speaker of each of
+        ``groups``, by default every group, the oracle's included (a
+        no-op without ``ClusterConfig.qos``). Every path that builds or
+        replaces a speaker calls this."""
+        if self.config.qos is None:
+            return
+        if not groups:
+            groups = (*self.partitions,
+                      *((ORACLE_GROUP,) if self._dynamic else ()))
+        for group in groups:
+            speaker = self.directory.speaker(group)
+            if group == ORACLE_GROUP:
+                owner = next(oracle for oracle in self.oracles
+                             if oracle.node.name == speaker)
+            else:
+                owner = self.servers[speaker]
+            self._attach_qos(group, owner)
 
     def _attach_qos(self, group: str, owner) -> None:
         """Arm one group's overload control on its speaker replica."""
@@ -467,9 +478,7 @@ class Cluster:
             # they only deliver fences ordered after their creation.
             server.epoch = self.reconfig.epoch
             self.servers[name] = server
-        if self.config.qos is not None:
-            speaker = self.directory.speaker(partition)
-            self._attach_qos(partition, self.servers[speaker])
+        self._arm_qos(partition)
         ack = yield from self.reconfig.join(partition)
         self.partitions = tuple(list(self.partitions) + [partition])
         for client in self.clients:
@@ -534,9 +543,8 @@ class Cluster:
             wipe_wal(self.disks.disk(name))
             attach_durability(replacement, self.disks)
         self.servers[name] = replacement
-        if (self.config.qos is not None
-                and name == self.directory.speaker(partition)):
-            self._attach_qos(partition, replacement)
+        if name == self.directory.speaker(partition):
+            self._arm_qos(partition)
         return replacement
 
     def _on_recovery_failure(self, recovery) -> None:
@@ -560,9 +568,8 @@ class Cluster:
         from repro.store.coldstart import cold_start_member
         replacement = cold_start_member(self, name)
         group = replacement.log.group
-        if (self.config.qos is not None
-                and name == self.directory.speaker(group)):
-            self._attach_qos(group, replacement)
+        if name == self.directory.speaker(group):
+            self._arm_qos(group)
         return replacement
 
     def power_fail(self) -> None:
@@ -599,15 +606,7 @@ class Cluster:
             cold_start_partition(self, partition)
         if self._dynamic:
             cold_start_oracles(self)
-        if self.config.qos is not None:
-            for partition in self.partitions:
-                speaker = self.directory.speaker(partition)
-                self._attach_qos(partition, self.servers[speaker])
-            if self._dynamic:
-                speaker = self.directory.speaker(ORACLE_GROUP)
-                for oracle in self.oracles:
-                    if oracle.node.name == speaker:
-                        self._attach_qos(ORACLE_GROUP, oracle)
+        self._arm_qos()
 
     # -- metrics access ------------------------------------------------------------
 

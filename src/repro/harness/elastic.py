@@ -20,7 +20,6 @@ Two seeded, fully deterministic drivers on top of the chaos machinery:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.checkers import History, KvSequentialSpec, check_linearizable
 from repro.harness.faults import make_crash_restart
@@ -53,55 +52,28 @@ def _timeline(completions, end: float, bucket_ms: float = BUCKET_MS):
     return buckets
 
 
-@dataclass
-class ElasticResult:
-    """Outcome of one elastic reconfiguration scenario."""
-
-    seed: int
-    scheme: str
-    ops_completed: int
-    ops_expected: int
-    finished_at: float | None
-    epoch: int
-    newcomer_keys: int
-    recovery_installed: bool
-    violations: tuple[str, ...]
-    metrics: dict = field(default_factory=dict)
-    timeline: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        """The scrape; its canonical JSON is byte-stable across same-seed
-        runs (the determinism artifact the CI smoke compares)."""
-        return {"seed": self.seed, "scheme": self.scheme,
-                "epoch": self.epoch, "newcomer_keys": self.newcomer_keys,
-                "ops": self.ops_completed, "timeline": self.timeline,
-                "metrics": self.metrics}
-
-    def report(self) -> str:
-        rows = [["ops", f"{self.ops_completed}/{self.ops_expected}"],
-                ["finished-ms", (f"{self.finished_at:.0f}"
-                                 if self.finished_at is not None
-                                 else "stuck")],
-                ["epoch", self.epoch],
-                ["newcomer-keys", self.newcomer_keys],
-                ["recovery", "installed" if self.recovery_installed
-                 else "MISSING"],
-                ["keys-migrated",
-                 self.metrics.get("reconfig.keys_migrated", 0)],
-                ["checkpoints",
-                 self.metrics.get("reconfig.checkpoints", 0)],
-                ["verdict", "ok" if self.ok else "FAIL"]]
-        lines = [f"elastic scenario: seed={self.seed} scheme={self.scheme}",
-                 "", format_table(["metric", "value"], rows)]
-        if self.violations:
-            lines.append("")
-            lines.extend(f"  - {violation}"
-                         for violation in self.violations)
-        return "\n".join(lines)
+def format_elastic_report(data: dict) -> str:
+    """The scenario's table; ``data`` is what
+    :func:`run_elastic_scenario` returns."""
+    metrics = data["metrics"]
+    rows = [["ops", f"{data['ops']}/{data['ops_expected']}"],
+            ["finished-ms", (f"{data['finished_at']:.0f}"
+                             if data["finished_at"] is not None
+                             else "stuck")],
+            ["epoch", data["epoch"]],
+            ["newcomer-keys", data["newcomer_keys"]],
+            ["recovery", "installed" if metrics["reconfig.recoveries"]
+             else "MISSING"],
+            ["keys-migrated", metrics["reconfig.keys_migrated"]],
+            ["checkpoints", metrics["reconfig.checkpoints"]],
+            ["verdict", "FAIL" if data["violations"] else "ok"]]
+    lines = [f"elastic scenario: seed={data['seed']} "
+             f"scheme={data['scheme']}",
+             "", format_table(["metric", "value"], rows)]
+    if data["violations"]:
+        lines.append("")
+        lines.extend(f"  - {violation}" for violation in data["violations"])
+    return "\n".join(lines)
 
 
 def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
@@ -110,8 +82,13 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
                          crash_at: float = 60.0,
                          recover_after: float = 80.0,
                          join_at: float = 220.0,
-                         fault_end: float = 340.0) -> ElasticResult:
-    """One full elastic scenario: crash-restart + live join under chaos."""
+                         fault_end: float = 340.0) -> dict:
+    """One full elastic scenario: crash-restart + live join under chaos.
+
+    Returns the scrape; its canonical JSON is byte-stable across same-seed
+    runs (the determinism artifact the CI smoke compares).
+    ``figures.ELASTIC_CLAIMS`` are its verdict.
+    """
     cluster = build_kv_cluster(scheme, seed, ("elastic", scheme),
                                ELASTIC_KEYS, tracer=CommandTracer())
     env = cluster.env
@@ -173,34 +150,21 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
         violations.append("history is not linearizable")
     violations.extend(cluster_invariants(cluster))
 
-    newcomer_keys = 0
-    if "p2" in cluster.partitions:
-        newcomer_keys = len(
-            cluster.servers["p2s0"].store.snapshot())
-        if newcomer_keys == 0:
-            violations.append("join rebalanced no keys onto p2")
-    else:
-        violations.append("partition p2 never joined")
-    recovered = cluster.servers[victim]
-    recovery_installed = bool(getattr(recovered, "recovery", None)
-                              and recovered.recovery.installed)
-    if not recovery_installed:
-        violations.append(f"{victim} never finished recovery")
-
     metrics = cluster.registry.scrape()
     wanted = [name for name in metrics
               if name.startswith(("reconfig.", "clients.", "oracle."))]
     end = end_marker["at"] or env.now
-    return ElasticResult(
-        seed=seed, scheme=scheme,
-        ops_completed=wave.completed, ops_expected=wave.expected,
-        finished_at=end_marker["at"],
-        epoch=cluster.oracles[0].epoch if cluster.oracles else 0,
-        newcomer_keys=newcomer_keys,
-        recovery_installed=recovery_installed,
-        violations=tuple(violations),
-        metrics={name: metrics[name] for name in sorted(wanted)},
-        timeline=_timeline(wave.completions, end))
+    return {
+        "seed": seed, "scheme": scheme,
+        "epoch": cluster.oracles[0].epoch if cluster.oracles else 0,
+        "newcomer_keys": (len(cluster.servers["p2s0"].store.snapshot())
+                          if "p2" in cluster.partitions else 0),
+        "ops": wave.completed, "ops_expected": wave.expected,
+        "finished_at": end_marker["at"],
+        "timeline": _timeline(wave.completions, end),
+        "metrics": {name: metrics[name] for name in sorted(wanted)},
+        "violations": violations,
+    }
 
 
 def run_scaleout_timeline(seed: int = 7, elastic: bool = True,

@@ -23,6 +23,7 @@ import math
 import random
 from typing import Optional
 
+from repro.harness.cluster import ClusterConfig
 from repro.harness.kvbed import build_kv_cluster
 from repro.qos import QosConfig
 from repro.resilience import RequestTimeout, RetryPolicy
@@ -31,8 +32,8 @@ from repro.smr import Command, ExecutionModel
 #: Keys preloaded into every cluster, spread over both partitions.
 KEYS = tuple(f"k{i}" for i in range(8))
 
-#: Per-command simulated execution cost (ms). With two partitions the
-#: nominal cluster capacity is ``2 * 1000 / EXEC_MS`` commands/s.
+#: Per-command simulated execution cost (ms). A cluster of N partitions
+#: has a nominal capacity of ``N * 1000 / EXEC_MS`` commands/s.
 EXEC_MS = 1.0
 
 #: Latency SLO (ms) defining goodput: a completion slower than this is
@@ -50,7 +51,7 @@ def _round(value: float, digits: int = 3) -> float:
     return round(value, digits)
 
 
-def nominal_capacity_per_s(num_partitions: int = 2) -> float:
+def nominal_capacity_per_s(num_partitions: int) -> float:
     """Commands/s the partitioned executors can sustain, pre-coordination."""
     return num_partitions * 1000.0 / EXEC_MS
 
@@ -83,7 +84,8 @@ def run_overload_point(multiplier: float, qos_on: bool, seed: int = 0,
 
     env = cluster.env
     proxies = [cluster.new_client(f"c{i}") for i in range(num_proxies)]
-    offered_per_s = multiplier * nominal_capacity_per_s()
+    offered_per_s = multiplier * nominal_capacity_per_s(
+        cluster.config.num_partitions)
     mean_gap_ms = 1000.0 / offered_per_s
     rng = random.Random(f"overload/{seed}/{tag}")
     stats = {"arrivals": 0, "completed": 0, "good": 0, "gave_up": 0}
@@ -202,7 +204,9 @@ def run_overload_campaign(seed: int = 0, smoke: bool = False,
         "scheme": scheme,
         "seed": seed,
         "smoke": smoke,
-        "capacity_per_s": _round(nominal_capacity_per_s()),
+        # Classic SMR runs one partition (ClusterConfig forces it).
+        "capacity_per_s": _round(nominal_capacity_per_s(
+            ClusterConfig(scheme=scheme).num_partitions)),
         "slo_ms": SLO_MS,
         "duration_ms": duration_ms,
         "points": points,

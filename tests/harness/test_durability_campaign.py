@@ -7,10 +7,16 @@ import pytest
 from repro.harness.durability import (OVERHEAD_BOUND_MS, _fault_ladder,
                                       format_durability_report,
                                       run_durability_campaign)
+from repro.harness.figures import FIGURES, verdicts
 
 
 def canonical(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def failed_claims(data):
+    return [line for holds, line in verdicts(FIGURES["fig20"].claims, data)
+            if not holds]
 
 
 @pytest.fixture(scope="module")
@@ -19,12 +25,8 @@ def smoke():
 
 
 class TestSmokeCampaign:
-    def test_summary_is_green(self, smoke):
-        summary = smoke["summary"]
-        assert summary["ok"], summary
-        assert summary["replay_ok"] and summary["power_ok"]
-        assert summary["ladder_ok"] and summary["overhead_ok"]
-        assert summary["recovery_ok"]
+    def test_every_claim_holds(self, smoke):
+        assert not failed_claims(smoke)
 
     def test_replay_hashes_match(self, smoke):
         for result in smoke["replay_equivalence"]:
@@ -57,8 +59,7 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(["durability", "--smoke"]) == 0
         assert capsys.readouterr().out == first
-        payload = json.loads(first)
-        assert payload["summary"]["ok"]
+        assert not failed_claims(json.loads(first))
 
 
 class TestFaultLadder:

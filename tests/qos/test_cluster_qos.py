@@ -170,3 +170,70 @@ class TestCampaignDeterminism:
                                    num_proxies=4)
         assert point["qos"] is False
         assert point["shed"] == 0 and point["overload_replies"] == 0
+
+
+class TestOverloadCapacity:
+    def test_smr_capacity_counts_its_one_partition(self):
+        """Classic SMR runs one partition, so its nominal capacity is one
+        executor's: the multiplier scales 1000 cmd/s, not 2000."""
+        from repro.harness.overload import run_overload_point
+
+        point = run_overload_point(multiplier=1.5, qos_on=False, seed=1,
+                                   scheme="smr", duration_ms=50.0,
+                                   drain_ms=50.0, num_proxies=4)
+        assert point["offered_per_s"] == 1.5 * 1000
+
+
+class TestSpeakerQos:
+    """Every path that builds or replaces a speaker arms it with its
+    group's admission controller: construction, peer recovery, cold
+    restart, whole-cluster power restore and a live join."""
+
+    @staticmethod
+    def assert_speakers_armed(cluster):
+        from repro.core import ORACLE_GROUP
+
+        for group in (*cluster.partitions, ORACLE_GROUP):
+            speaker = cluster.directory.speaker(group)
+            owner = (cluster.servers[speaker] if group != ORACLE_GROUP
+                     else next(oracle for oracle in cluster.oracles
+                               if oracle.node.name == speaker))
+            assert owner.qos is cluster.qos_admission[group], group
+
+    def test_every_speaker_path_arms_qos(self):
+        from repro.store import DurabilityConfig
+
+        cluster = build_cluster(
+            scheme="dssmr", num_partitions=2, seed=3,
+            initial_assignment={"a": 0, "b": 1},
+            qos=QosConfig(rate_per_s=500.0),
+            durability=DurabilityConfig())
+        cluster.preload({"a": 0, "b": 0})
+        replies = []
+        _spawn_ops(cluster, cluster.new_client("c"), ("a", "b"), 6, replies)
+        cluster.run(until=200.0)
+        self.assert_speakers_armed(cluster)
+
+        # A peer recovery cannot replace a speaker (its ordered log dies
+        # with it); a cold restart from its own disk can.
+        follower = next(name for name in cluster.directory.members("p0")
+                        if name != cluster.directory.speaker("p0"))
+        speaker = cluster.directory.speaker("p1")
+        for victim, restart in ((follower, cluster.recover_server),
+                                (speaker, cluster.cold_restart_server)):
+            cluster.servers[victim].crash()
+            replacement = restart(victim)
+            assert cluster.servers[victim] is replacement
+            cluster.run(until=cluster.env.now + 200.0)
+            self.assert_speakers_armed(cluster)
+
+        cluster.power_fail()
+        cluster.run(until=cluster.env.now + 50.0)
+        cluster.power_restore()
+        cluster.run(until=cluster.env.now + 200.0)
+        self.assert_speakers_armed(cluster)
+
+        cluster.env.process(cluster.grow("p2"))
+        cluster.run(until=cluster.env.now + 1_000.0)
+        assert "p2" in cluster.partitions
+        self.assert_speakers_armed(cluster)

@@ -325,11 +325,8 @@ class TestFigureClaims:
         assert "FAILED" not in captured.err
 
 
-# One result every verb's gate accepts: durability reads summary.ok,
-# parallelexec gate.passed, the full qos sweep the two tail ratios.
-CANNED = {"seed": 0, "rows": [1.5, "é", None], "gate": {"passed": True},
-          "summary": {"ok": True, "qos_off": {"tail_ratio": 0.1},
-                      "qos_on": {"tail_ratio": 0.9}}}
+# A canned campaign result; the claims the verbs check on it are stubbed.
+CANNED = {"seed": 0, "rows": [1.5, "é", None]}
 
 
 class CannedCampaign:
@@ -361,10 +358,39 @@ CAMPAIGN_VERBS = {
                       lambda **_: CANNED),
                      ("repro.harness.parallelexec", "format_report",
                       lambda _data: "canned report")],
+    "reconfig": [("repro.harness.elastic", "run_elastic_scenario",
+                  lambda **_: CANNED),
+                 ("repro.harness.elastic", "format_elastic_report",
+                  lambda _data: "canned report")],
 }
 
+# The verbs that exit on claims -> the FIGURES entry whose claims they
+# check, or None for the elastic scenario's own ``ELASTIC_CLAIMS``.
+CLAIM_VERBS = {"qos": "fig19", "durability": "fig20",
+               "parallelexec": "fig21", "reconfig": None}
 
-@pytest.mark.parametrize("verb", sorted(CAMPAIGN_VERBS))
+
+def stub_campaign(monkeypatch, verb, *claims):
+    """Replace ``verb``'s campaign with the canned one, checked by
+    ``claims`` alone."""
+    import importlib
+
+    from repro.harness import figures
+    for module, attribute, stand_in in CAMPAIGN_VERBS[verb]:
+        monkeypatch.setattr(importlib.import_module(module), attribute,
+                            stand_in, raising=False)
+    if verb not in CLAIM_VERBS:
+        return
+    figure_id = CLAIM_VERBS[verb]
+    if figure_id is None:
+        monkeypatch.setattr(figures, "ELASTIC_CLAIMS", claims)
+    else:
+        monkeypatch.setitem(figures.FIGURES, figure_id, figures.Figure(
+            figures.FIGURES[figure_id].function, claims))
+
+
+# reconfig has no --smoke: it is checked by TestCampaignClaims only.
+@pytest.mark.parametrize("verb", sorted(set(CAMPAIGN_VERBS) - {"reconfig"}))
 class TestCampaignShape:
     """Every campaign verb emits through one shape: --smoke / --json put
     exactly one canonical JSON line on stdout and the report on stderr;
@@ -372,10 +398,7 @@ class TestCampaignShape:
 
     @pytest.fixture(autouse=True)
     def canned(self, verb, monkeypatch):
-        import importlib
-        for module, attribute, stand_in in CAMPAIGN_VERBS[verb]:
-            monkeypatch.setattr(importlib.import_module(module), attribute,
-                                stand_in, raising=False)
+        stub_campaign(monkeypatch, verb)
 
     def test_smoke_stdout_is_one_canonical_line(self, verb, capsys,
                                                 tmp_path):
@@ -403,3 +426,37 @@ class TestCampaignShape:
         captured = capsys.readouterr()
         assert captured.out == "canned report\n"
         assert "wall time" in captured.err
+
+
+@pytest.mark.parametrize("verb", sorted(CLAIM_VERBS))
+class TestCampaignClaims:
+    """qos, durability, parallelexec and reconfig exit on their figure's
+    claims, checked on the data that ran, like ``figure`` does."""
+
+    def test_failing_claim_exits_1_beside_the_json(self, verb, monkeypatch,
+                                                   capsys):
+        from repro.canonical import canonical_json
+        from repro.harness.figures import Claim
+        stub_campaign(
+            monkeypatch, verb,
+            Claim("seed == 0", "a sentence", lambda d: d["seed"] == 0),
+            Claim("seed == 1", "a sentence the claim pins",
+                  lambda d: d["seed"] == 1))
+        assert main([verb, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == canonical_json(CANNED) + "\n"
+        verdicts = [line for line in captured.err.splitlines()
+                    if line.startswith("claim")]
+        assert verdicts == [
+            "claim ok      seed == 0",
+            "claim FAILED  seed == 1 — a sentence the claim pins"]
+
+    def test_holding_claims_exit_0(self, verb, monkeypatch, capsys):
+        from repro.harness.figures import Claim
+        stub_campaign(monkeypatch, verb,
+                      Claim("seed == 0", "a sentence",
+                            lambda d: d["seed"] == 0))
+        assert main([verb]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "canned report\n"
+        assert "claim ok      seed == 0" in captured.err

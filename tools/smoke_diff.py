@@ -91,6 +91,9 @@ SMOKES = {
     "fig14": repro("figure", "fig14", keep=FIGURE_TEXT),
     "fig18": repro("figure", "fig18", keep=FIGURE_TEXT),
     "fig20": repro("figure", "fig20", keep=FIGURE_TEXT),
+    # Parallel execution (about 20 s): the full sweep behind the
+    # parallelexec smoke's claims.
+    "fig21": repro("figure", "fig21", keep=FIGURE_TEXT),
     # Host numbers are noise; only the virtual-time digests are compared.
     "e2e-digests": Smoke(["-m", "benchmarks.e2e", "--smoke"], in_tree=True,
                          keep=r"^.*virt_digest [0-9a-f]+"),
