@@ -69,9 +69,8 @@ class OracleReplica(OrderedExecutor):
                          dedup=dedup, tracer=tracer)
         self.partitions = tuple(partitions)
         self.rmcast = ReliableMulticast(self.node, directory)
-        self.exchange = ExchangeBuffer(
-            env, self.rmcast, ORACLE_GROUP,
-            transmits=lambda: self.amcast.announcing)
+        self.exchange = ExchangeBuffer(env, self.rmcast, ORACLE_GROUP,
+                                       amcast=self.amcast)
         self.policy = policy or MajorityTargetPolicy()
         self.oracle_issues_moves = oracle_issues_moves
         # Asynchronous repartitioning (paper, implementation section): the

@@ -61,7 +61,7 @@ class DssmrServer(SsmrServer):
         if reply is not None and reply.status is ReplyStatus.RETRY:
             # A fallback that executed nothing: not recorded as executed.
             reply.attempt = delivery_attempt(envelope)
-            self._answer_retry(command, reply)
+            self._answer_retry(command, reply, self._answers(envelope))
             return None
         return reply
 
@@ -95,12 +95,14 @@ class DssmrServer(SsmrServer):
                 command, ReplyStatus.RETRY, {"missing": missing}, attempt))
         return bool(missing)
 
-    def _answer_retry(self, command: Command, reply: Reply) -> None:
-        """Send a ``retry`` verdict and keep it in the issuer's session:
-        a later copy of the same attempt is then its duplicate, and
-        never runs here should the variables come back."""
+    def _answer_retry(self, command: Command, reply: Reply,
+                      answer: bool = True) -> None:
+        """Keep a ``retry`` verdict in the issuer's session, and send it
+        when ``answer``: a later copy of the same attempt is then its
+        duplicate, and never runs here should the variables come back."""
         self.replies.store(command, reply)
-        self._send_reply(command, reply)
+        if answer:
+            self._send_reply(command, reply)
 
     # -- access (fallback) -------------------------------------------------------
 

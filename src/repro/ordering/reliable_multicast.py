@@ -18,7 +18,7 @@ by a multicast id unique within the run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net import Message
 from repro.ordering.group import GroupDirectory
@@ -53,12 +53,15 @@ class ReliableMulticast:
         self._callbacks.append(callback)
 
     def multicast(self, groups: Iterable[str], payload: Any,
-                  size: int = 256) -> str:
-        """rmcast ``payload`` to all members of ``groups``; returns the id."""
+                  size: int = 256,
+                  to: Optional[Iterable[str]] = None) -> str:
+        """rmcast ``payload`` to all members of ``groups``, or only to the
+        members listed in ``to``; returns the id."""
         groups = sorted(set(groups))
         uid = self.node.env.ids.new("rm", self.node.name)
         envelope = {"uid": uid, "groups": groups, "payload": payload}
-        destinations = self.directory.all_members(groups)
+        destinations = (self.directory.all_members(groups) if to is None
+                        else to)
         for dst in destinations:
             self.node.send(dst, KIND, envelope, size=size)
         return uid

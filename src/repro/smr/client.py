@@ -1,8 +1,9 @@
 """Clients: submit commands and wait for replies.
 
 :class:`BaseClient` holds the machinery shared by every protocol's client
-proxy — reply matching by command id, first-reply-wins deduplication (all
-replicas of a partition reply), attempt-tagged retry with timeout/backoff
+proxy — reply matching by command id, first-reply-wins deduplication
+(every destination answers a resend, and with ``speaker_only=False``
+every replica answers), attempt-tagged retry with timeout/backoff
 (:mod:`repro.resilience`), and latency recording. The scheme clients
 (:class:`~repro.ssmr.SsmrClient`, which also serves classic SMR, and
 :class:`~repro.core.DssmrClient`) add routing on top.
@@ -100,9 +101,9 @@ class BaseClient:
         reply: Reply = message.payload
         waiting = self._waiting.get(reply.cid)
         if waiting is None:
-            # Answered already: another partition's reply to a
-            # multi-partition command, the answer to a resend, or (with
-            # speaker_only=False) another replica's copy. Drop it.
+            # Answered already: another destination's answer to a
+            # resend, or (with speaker_only=False) another partition's or
+            # replica's copy. Drop it.
             return
         event, expected_attempt = waiting
         if expected_attempt is not None and reply.attempt != expected_attempt:

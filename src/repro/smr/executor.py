@@ -388,7 +388,7 @@ class OrderedExecutor:
                             self.execution.cost(command))
                 reply = yield from self._handle_delivery(delivery)
                 if reply is not None:
-                    self._commit(command, reply, delivery_attempt(payload))
+                    self._commit(command, reply, payload)
                 self._current_delivery = None
         except Interrupted:
             return
@@ -429,12 +429,18 @@ class OrderedExecutor:
                      sender=self.node.name, partition=self.group,
                      attempt=attempt)
 
-    def _commit(self, command: Command, reply: Reply, attempt: int) -> None:
+    def _commit(self, command: Command, reply: Reply, envelope) -> None:
         """Store, record and send the reply of a command executed here."""
-        reply.attempt = attempt
+        reply.attempt = delivery_attempt(envelope)
         self.replies.store(command, reply)
         self.executed.append(command.cid)
-        self._send_reply(command, reply)
+        if self._answers(envelope):
+            self._send_reply(command, reply)
+
+    def _answers(self, envelope) -> bool:
+        """Does this group send the fresh reply of ``envelope``'s command?
+        (Every group that executes one, unless a role says otherwise.)"""
+        return True
 
     def _answered(self, command: Command, attempt: int) -> bool:
         """Classify ``command`` against its issuer's session: True when

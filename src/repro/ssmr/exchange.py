@@ -4,28 +4,40 @@ Implements the ``rcvd_signals`` / ``rcvd_variables`` bookkeeping of
 Algorithms 1–4: participants in a multi-partition step reliably multicast
 one message carrying their signal and their share of the variables, and
 wait until every expected peer's signal has arrived. Used by S-SMR
-multi-partition execution, DS-SMR moves, and create/delete coordination
-with the oracle.
+multi-partition execution, the DS-SMR fallback and move transfers, and
+create/delete coordination with the oracle.
 
-A group speaks once: every member of the sending group *caches* its
-outbound exchange, but only the member for which ``transmits()`` is true —
-the owners wire it to ``AtomicMulticast.announcing``, i.e. the group's
-speaker unless the stack was built with ``speaker_only=False`` —
-*transmits* it. (The paper's Algorithm 1 has every server multicast its
-signal and receivers drop the copies; see DESIGN.md.)
+A group speaks once and listens once when its stack is built speaker-only
+(``AtomicMulticast.speaker_only``, the default; the owners pass their
+``amcast`` endpoint in):
+
+* every member of the sending group *caches* its outbound exchange, but
+  only its speaker (the member whose ``announcing`` is true) *transmits*
+  it, and only to the speaker of each destination group;
+* a speaker whose :meth:`ExchangeBuffer.wait` ends *relays* one bundle to
+  its group's other members: the expected groups, listed in ``from``, and
+  the variables merged from all of them. A follower takes a bundle as one
+  signal from each group it lists.
+
+An exchange among k groups of r members thus costs k(k−1) + k(r−1)
+messages where the speaker transmitting to every member cost r·k(k−1).
+With ``speaker_only=False`` every member transmits to every member of the
+destination groups, as the paper's Algorithm 1 has every server do, and
+nothing is relayed (see DESIGN.md).
 
 Loss recovery is pull-based: a waiter that has not heard from an expected
 peer within ``retry_ms`` multicasts a pull request to that peer's group,
 and *any* member holding the cached message — the followers that never
-transmitted included — re-sends it (receivers deduplicate by sending
-group, so redundant copies are harmless). Without this, one dropped
-signal, or a speaker that crashed before sending, blocks a partition's
-executor forever.
+transmitted included — re-sends it to every member of the puller's group,
+because the puller may be a follower whose bundle was lost (receivers
+deduplicate by sending group, so redundant copies are harmless). Without
+this, one dropped signal or bundle, or a speaker that crashed before
+sending, blocks a partition's executor forever.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.ordering import ReliableMulticast
 from repro.sim import Environment
@@ -35,16 +47,21 @@ EXCHANGE_PULL = "ssmr-exchange-pull"
 
 
 class ExchangeBuffer:
-    """Per-node buffer of exchange messages, keyed by command id."""
+    """Per-node buffer of exchange messages, keyed by command id.
+
+    ``amcast`` is the group's atomic multicast endpoint, or anything with
+    its two attributes: ``speaker_only`` picks the routing above and
+    ``announcing`` says whether this member speaks for the group.
+    """
 
     def __init__(self, env: Environment, rmcast: ReliableMulticast,
                  local_name: str, retry_ms: Optional[float] = 60.0, *,
-                 transmits: Callable[[], bool]):
+                 amcast):
         self.env = env
         self.rmcast = rmcast
         self.local_name = local_name  # partition (or "oracle") we speak for
         self.retry_ms = retry_ms      # None: legacy block-forever waits
-        self.transmits = transmits    # does this member speak for the group?
+        self.amcast = amcast
         self._signals: dict[str, set[str]] = {}
         self._vars: dict[str, dict] = {}
         self._done: set[str] = set()
@@ -67,7 +84,7 @@ class ExchangeBuffer:
         command (reply-cache hit): receivers must not re-execute it, which
         would double-apply its writes.
         """
-        groups = list(groups)
+        groups = sorted(set(groups))
         if not groups:
             return
         payload = {
@@ -85,12 +102,17 @@ class ExchangeBuffer:
             payload["vars"] = {**cached["vars"], **variables}
             payload["done"] = done or cached["done"]
         self._sent[cid] = payload
-        if self.transmits():
-            self._transmit(groups, payload)
+        if not self.amcast.announcing:
+            return
+        to = None
+        if self.amcast.speaker_only:
+            to = [self.rmcast.directory.speaker(group) for group in groups]
+        self._transmit(groups, payload, to)
 
-    def _transmit(self, groups: Iterable[str], payload: dict) -> None:
+    def _transmit(self, groups: Iterable[str], payload: dict,
+                  to: Optional[list] = None) -> None:
         self.rmcast.multicast(groups, payload,
-                              size=128 + 64 * len(payload["vars"]))
+                              size=128 + 64 * len(payload["vars"]), to=to)
 
     def _on_rmcast(self, payload, message) -> None:
         if not isinstance(payload, dict):
@@ -101,13 +123,16 @@ class ExchangeBuffer:
         if payload.get("kind") != EXCHANGE:
             return
         cid = payload["cid"]
-        sender = payload["from"]
+        senders = payload["from"]
+        if isinstance(senders, str):
+            senders = (senders,)    # one group's own exchange, not a bundle
         signals = self._signals.setdefault(cid, set())
-        if sender in signals:
+        if signals.issuperset(senders):
             # Duplicate: several members answered a pull, a client-retry
-            # resend, or (speaker_only=False) the sender's other replicas.
+            # resend, a bundle after a pulled copy, or (speaker_only=False)
+            # the sender's other replicas.
             return
-        signals.add(sender)
+        signals.update(senders)
         self._vars.setdefault(cid, {}).update(payload["vars"])
         if payload.get("done"):
             self._done.add(cid)
@@ -126,7 +151,8 @@ class ExchangeBuffer:
         """Generator: block until signals from all ``expected`` arrived.
 
         With ``retry_ms`` set, a lost peer message is recovered by pulling
-        the peer's cached exchange for ``cid``.
+        the peer's cached exchange for ``cid``. A speaker-only speaker
+        then relays what it heard to its followers.
         """
         while not expected.issubset(self._signals.get(cid, set())):
             if cid in self._waiters:
@@ -148,6 +174,23 @@ class ExchangeBuffer:
                         "cid": cid,
                         "reply_to": self.local_name,
                     }, size=96)
+        if self.amcast.speaker_only and self.amcast.announcing:
+            self._relay(cid, expected)
+
+    def _relay(self, cid: str, expected: set[str]) -> None:
+        """Bundle what the speaker heard for ``cid`` to its followers."""
+        me = self.rmcast.node.name
+        followers = [member for member
+                     in self.rmcast.directory.members(self.local_name)
+                     if member != me]
+        if followers:
+            self._transmit([self.local_name], {
+                "kind": EXCHANGE,
+                "cid": cid,
+                "from": sorted(expected),
+                "vars": self._vars.get(cid, {}),
+                "done": cid in self._done,
+            }, followers)
 
     def any_done(self, cid: str) -> bool:
         """True if any participant reported it already executed ``cid``."""

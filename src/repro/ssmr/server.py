@@ -13,10 +13,17 @@ Implementation notes:
 * Signals and variable values travel in one reliable-multicast message per
   (command, partition) pair — same semantics as sending them separately,
   half the messages.
-* A partition speaks once: every replica caches that message, only the
-  replica whose ``amcast.announcing`` is true (the speaker, unless built
-  with ``speaker_only=False``) transmits it, and any replica answers a
-  peer's pull from its cache (see :mod:`repro.ssmr.exchange`).
+* A partition speaks and listens once: every replica caches that
+  message, only the replica whose ``amcast.announcing`` is true (the
+  speaker, unless built with ``speaker_only=False``) transmits it, to
+  the peer partitions' speakers, each of which relays one bundle of what
+  it heard to its followers; any replica answers a pull from its cache
+  (see :mod:`repro.ssmr.exchange`).
+* One destination answers: every destination of a fresh multi-partition
+  access executes it and keeps the reply in the client's session, but
+  on a speaker-only stack only the lowest destination sends it
+  (:meth:`SsmrServer._answers`); a duplicate is answered by every
+  destination.
 * Ownership is determined by *store contents* rather than the static map,
   which lets the exact same execution path serve as DS-SMR's fallback mode
   (where variables migrate between partitions).
@@ -59,9 +66,8 @@ class SsmrServer(OrderedExecutor):
                          dedup=dedup, start_gate=start_gate, tracer=tracer)
         self.partition = partition
         self.rmcast = ReliableMulticast(self.node, directory)
-        self.exchange = ExchangeBuffer(
-            env, self.rmcast, partition,
-            transmits=lambda: self.amcast.announcing)
+        self.exchange = ExchangeBuffer(env, self.rmcast, partition,
+                                       amcast=self.amcast)
         self.multi_partition_count = 0
         # Configuration epoch: bumped by every ordered reconfiguration
         # entry (partition join / leave-begin); see repro.reconfig.
@@ -77,6 +83,19 @@ class SsmrServer(OrderedExecutor):
 
     def _respawn_options(self) -> dict:
         return {"speaker_only": self.amcast.speaker_only}
+
+    def _answers(self, envelope) -> bool:
+        """One destination answers a fresh multi-partition access.
+
+        Every destination computes the same reply (OK, NOK or a
+        fallback's ``retry``) from the same merged variables, so on a
+        speaker-only stack only the lowest one sends it; the others keep
+        it in the session. A duplicate is answered from the session by
+        every destination, so a resend never depends on one group.
+        """
+        dests = envelope["dests"]
+        return (len(dests) == 1 or not self.amcast.speaker_only
+                or min(dests) == self.partition)
 
     # -- parallel execution (repro.smr.parallel) ------------------------------
 

@@ -9,6 +9,8 @@ is pinned on ``SsmrServer`` (which also serves classic SMR),
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import ORACLE_GROUP, DssmrServer, OracleReplica
@@ -83,7 +85,7 @@ class Rig:
             peer = ProtocolNode(env, self.network, "p0s0")
             self.partition = ExchangeBuffer(
                 env, ReliableMulticast(peer, self.directory), "p0",
-                transmits=lambda: True)
+                amcast=SimpleNamespace(speaker_only=True, announcing=True))
         else:
             self.executor = role(env, self.network, self.directory, self.group,
                                  "x0", KeyValueStateMachine(),

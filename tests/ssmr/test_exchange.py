@@ -1,5 +1,7 @@
 """Unit tests for the signal/variable exchange buffer."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.ordering import GroupDirectory, ProtocolNode, ReliableMulticast
@@ -9,8 +11,10 @@ from tests.conftest import make_network
 
 
 def build_pair(env, speakers=None):
-    """Two partitions of two members; only ``speakers`` transmit (servers
-    wire that to ``AtomicMulticast.announcing``), everyone if ``None``."""
+    """Two partitions of two members. With ``speakers`` the stack is
+    speaker-only and only they transmit (servers pass their
+    ``AtomicMulticast``); with ``None`` every member transmits to every
+    member, as with ``speaker_only=False``."""
     network = make_network(env)
     directory = GroupDirectory({"p0": ["a0", "a1"], "p1": ["b0", "b1"]})
     buffers = {}
@@ -19,8 +23,9 @@ def build_pair(env, speakers=None):
         node = ProtocolNode(env, network, member)
         rmcast = ReliableMulticast(node, directory)
         buffers[member] = ExchangeBuffer(
-            env, rmcast, partition,
-            transmits=lambda m=member: speakers is None or m in speakers)
+            env, rmcast, partition, amcast=SimpleNamespace(
+                speaker_only=speakers is not None,
+                announcing=speakers is None or member in speakers))
     return buffers
 
 
@@ -125,8 +130,9 @@ class TestExchangeBuffer:
 
 
 class TestOneVoice:
-    """A group speaks once: every member caches, the speaker transmits,
-    any member answers a pull."""
+    """A group speaks and listens once: every member caches, the speaker
+    transmits to the peer speakers and relays to its followers, any
+    member answers a pull to every member of the puller's group."""
 
     def test_follower_caches_but_does_not_transmit(self, env):
         buffers = build_pair(env, speakers={"a0", "b0"})
@@ -136,8 +142,38 @@ class TestOneVoice:
         assert buffers["a1"]._sent["c1"]["vars"] == {"x": 1}
         buffers["a0"].send(["p1"], "c1", {"x": 1})
         env.run(until=200)
-        assert network_of(buffers).sent_by_kind == {"rmcast": 2}
-        assert buffers["b1"].collect("c1") == {"x": 1}
+        # Speaker to speaker: p1's follower hears it only from b0's relay.
+        assert network_of(buffers).sent_by_kind == {"rmcast": 1}
+        assert buffers["b0"].collect("c1") == {"x": 1}
+        assert buffers["b1"].collect("c1") == {}
+
+    def test_speaker_relays_one_bundle_to_its_followers(self, env):
+        buffers = build_pair(env, speakers={"a0", "b0"})
+        wire = []   # (src, dst, from) of every exchange message
+
+        def tap(message):
+            payload = message.payload["payload"]
+            wire.append((message.src, message.dst, payload["from"]))
+
+        network_of(buffers).add_drop_rule(tap)
+        received = {}
+
+        def waiter(member):
+            yield from buffers[member].wait("c1", {"p0"})
+            received[member] = (env.now, buffers[member].any_done("c1"),
+                                buffers[member].collect("c1"))
+
+        for member in ("b0", "b1"):
+            env.process(waiter(member))
+        for member in ("a0", "a1"):
+            buffers[member].send(["p1"], "c1", {"x": 1}, done=True)
+        env.run(until=100)
+        assert wire == [("a0", "b0", "p0"), ("b0", "b1", ["p0"])]
+        # The bundle carries the merged variables and the done flag.
+        assert received["b0"][1:] == received["b1"][1:] == (True, {"x": 1})
+        assert received["b0"][0] < received["b1"][0]   # one hop later
+        assert [buffer.pulls_sent for buffer in buffers.values()] == \
+            [0, 0, 0, 0]
 
     def test_pull_is_served_by_a_follower_that_never_transmitted(self, env):
         buffers = build_pair(env, speakers={"b0"})   # p0 has no voice left

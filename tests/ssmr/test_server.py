@@ -5,6 +5,7 @@ import pytest
 
 from repro.ordering import (AmcastDelivery, GroupDirectory, PaxosLog,
                             ProtocolNode, SequencerLog)
+from repro.resilience import RetryPolicy
 from repro.smr import Command, ExecutionModel, KeyValueStateMachine, ReplyStatus
 from repro.smr.executor import REPLY_KIND
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
@@ -192,10 +193,11 @@ def kinds(network) -> dict:
 
 
 class TestOneVoice:
-    """Each group speaks once per multi-partition command: its speaker
-    announces the timestamp, transmits the exchange and answers the
-    client, every member caches the exchange and the reply, any member
-    answers a pull."""
+    """Each group speaks and listens once per multi-partition command: its
+    speaker announces the timestamp, transmits the exchange to the peer
+    speakers and relays one bundle of what it heard to its followers;
+    every member caches the exchange and the reply, the lowest destination
+    answers the client, any member answers a pull."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_message_budget_of_one_access(self, env, k):
@@ -208,10 +210,11 @@ class TestOneVoice:
         assert kinds(network) == {
             "submit": k + k * (k - 1),    # client proposes + timestamps
             "decide": k * k,              # k entries per group, 1 follower
-            "rmcast": 2 * k * (k - 1),    # speaker -> both peer members
-            "reply": k,                   # one per group: the speaker's
+            "rmcast": k * (k - 1) + k,    # speaker -> peer speakers, and
+                                          # one bundle to its follower
+            "reply": 1,                   # the lowest destination's
         }
-        assert sum(kinds(network).values()) == 4 * k * k - k
+        assert sum(kinds(network).values()) == 3 * k * k + 1
         for server in servers.values():
             assert server.replies.sessions, server.node.name
         # Then each quiet log announces its tail once to its follower,
@@ -229,30 +232,84 @@ class TestOneVoice:
 
     def test_dropped_speaker_exchange_is_pulled_from_any_member(self, env):
         network, servers, client, command = build_wide(env, 2)
-        transmitted = set()
+        transmitted = []
 
-        def lose_p0_to_p1s1(message):
+        def lose_p0s0_to_p1s0(message):
             if message.kind != "rmcast":
                 return False
             if message.payload["payload"]["kind"] != "ssmr-exchange":
                 return False
             if message.sent_at < 50:
-                transmitted.add(message.src)
-            return (message.src, message.dst) == ("p0s0", "p1s1")
+                transmitted.append((message.src, message.dst))
+            return (message.src, message.dst) == ("p0s0", "p1s0")
 
-        remove = network.add_drop_rule(lose_p0_to_p1s1)
+        remove = network.add_drop_rule(lose_p0s0_to_p1s0)
         run_commands(env, client, [command], [])
         env.run(until=50)
-        assert transmitted == {"p0s0", "p1s0"}        # followers are silent
+        # Speaker to speaker, then p0's speaker relays to its follower;
+        # p1's speaker heard nothing, so it relays nothing either.
+        assert sorted(transmitted) == [("p0s0", "p0s1"), ("p0s0", "p1s0"),
+                                       ("p1s0", "p0s0")]
+        assert [len(s.executed) for s in servers.values()] == [1, 1, 0, 0]
+        remove()
+        env.run(until=70)            # retry_ms (60) + a round trip (<= 2)
+        assert [len(s.executed) for s in servers.values()] == [1, 1, 1, 1]
+        # Both members of p1 pulled: the follower's bundle never came
+        # either, and its timer fires before the answer to the speaker's
+        # pull reaches it.
+        assert [s.exchange.pulls_sent for s in servers.values()] == \
+            [0, 0, 1, 1]
+        # Each pull went to the group; the follower, which never
+        # transmitted, answered from its cache beside the speaker.
+        assert servers["p0s1"].exchange.pulls_served == 2
+        assert servers["p0s0"].exchange.pulls_served == 2
+
+    def test_lost_bundle_is_pulled_by_the_follower(self, env):
+        network, servers, client, command = build_wide(env, 2)
+        results = []
+        remove = network.add_drop_rule(
+            lambda message: message.kind == "rmcast"
+            and (message.src, message.dst) == ("p1s0", "p1s1"))
+        run_commands(env, client, [command], results)
+        env.run(until=50)
+        assert results[0].value == 1    # the follower is not on the path
         assert [len(s.executed) for s in servers.values()] == [1, 1, 1, 0]
         remove()
         env.run(until=70)            # retry_ms (60) + a round trip (<= 2)
         assert len(servers["p1s1"].executed) == 1
-        assert servers["p1s1"].exchange.pulls_sent == 1
-        # The pull went to the group; the follower, which never
-        # transmitted, answered from its cache beside the speaker.
-        assert servers["p0s1"].exchange.pulls_served == 1
+        assert servers["p1s1"].store.snapshot() == \
+            servers["p1s0"].store.snapshot()
+        assert [s.exchange.pulls_sent for s in servers.values()] == \
+            [0, 0, 0, 1]
+        # Both members of p0 answered, to every member of p1.
         assert servers["p0s0"].exchange.pulls_served == 1
+        assert servers["p0s1"].exchange.pulls_served == 1
+
+    def test_lowest_destination_answers_and_every_speaker_answers_a_resend(
+            self, env):
+        network, servers, client, command = build_wide(env, 3)
+        client.retry_policy = RetryPolicy(timeout_ms=20.0, jitter=0.0)
+        answers = []               # (sender, attempt) of every reply sent
+
+        def first_answer_lost(message):
+            if message.kind != REPLY_KIND:
+                return False
+            answers.append((message.src, message.payload.attempt))
+            return message.payload.attempt == 1
+
+        network.add_drop_rule(first_answer_lost)
+        results = []
+        run_commands(env, client, [command], results)
+        env.run(until=1_000)
+        assert results[0].value == 0 + 1 + 2
+        assert answers[0] == ("p0s0", 1)
+        assert sorted(answers[1:]) == [("p0s0", 2), ("p1s0", 2),
+                                       ("p2s0", 2)]
+        # Every member of every destination executed once and keeps the
+        # reply in the client's session.
+        for server in servers.values():
+            assert server.executed == [command.cid], server.node.name
+            assert server.replies.sessions, server.node.name
 
     def test_every_member_transmits_without_speaker_only(self, env):
         network, servers, client, command = build_wide(
@@ -323,6 +380,8 @@ class TestSessions:
         assert servers["b"].executed == ["c0:1", "c0:3"]
         assert (servers["a"].store.read("x"),
                 servers["b"].store.read("y")) == (2, 1)
+        # Fresh two-partition commands are answered by a alone, the
+        # lowest destination; the duplicate by b.
         assert sorted(replies) == [
             ("a0", "c0:1", 1), ("a0", "c0:2", 1), ("a0", "c0:3", 1),
-            ("b0", "c0:1", 1), ("b0", "c0:1", 2), ("b0", "c0:3", 1)]
+            ("b0", "c0:1", 2)]
