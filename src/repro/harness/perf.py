@@ -11,9 +11,10 @@ in the metrics is a change in protocol behaviour, never scheduler noise.
 
 Baselines live in ``benchmarks/baselines/*.json`` (format
 ``repro-perf-baseline/1``). The gate checks throughput (lower is a
-regression) and p95 latency (higher is a regression) against a relative
-tolerance; ``slowdown`` scales the execution cost model to prove the
-gate trips (CI injects a 20% synthetic slowdown and requires failure).
+regression), p95 latency and messages sent (higher is a regression)
+against a relative tolerance; ``slowdown`` scales the execution cost
+model to prove the gate trips (CI injects a 20% synthetic slowdown and
+requires failure).
 
 The suite also carries a ``durability`` section: one extra dssmr run
 with the write-ahead log armed. The regular (WAL-off) scheme sections
@@ -154,9 +155,10 @@ def compare_to_baseline(current: dict, baseline: dict,
                         tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
     """Gate check: list of regression descriptions (empty == pass).
 
-    Throughput may not drop, and p95 latency may not rise, by more than
-    ``tolerance`` (relative) against the baseline. Incomplete runs
-    (``ops_completed < ops_expected``) always fail.
+    Throughput may not drop, and p95 latency and messages sent may not
+    rise, by more than ``tolerance`` (relative) against the baseline, in
+    every scheme section and in the durability section's WAL-on run.
+    Incomplete runs (``ops_completed < ops_expected``) always fail.
     """
     failures: list[str] = []
     if baseline.get("format") != BASELINE_FORMAT:
@@ -185,6 +187,7 @@ def compare_to_baseline(current: dict, baseline: dict,
                 f"above ceiling {ceiling:.3f}ms "
                 f"(baseline {base['latency_p95_ms']:.3f}ms, "
                 f"tolerance {tolerance:.0%})")
+        failures.extend(_message_growth(scheme, cur, base, tolerance))
     base_dur = baseline.get("durability")
     if base_dur is not None:
         cur_dur = current.get("durability")
@@ -210,6 +213,8 @@ def compare_to_baseline(current: dict, baseline: dict,
                     f"{ceiling:.3f}ms (baseline "
                     f"{base_dur['wal_on']['latency_p95_ms']:.3f}ms, "
                     f"tolerance {tolerance:.0%})")
+            failures.extend(_message_growth(
+                "durability: WAL-on", on, base_dur["wal_on"], tolerance))
     base_par = baseline.get("parallel")
     if base_par is not None:
         cur_par = current.get("parallel")
@@ -235,6 +240,17 @@ def compare_to_baseline(current: dict, baseline: dict,
                     f"{base_par['seq_throughput_kcps']:.4f}, tolerance "
                     f"{tolerance:.0%})")
     return failures
+
+
+def _message_growth(label: str, cur: dict, base: dict,
+                    tolerance: float) -> list[str]:
+    """A failure if ``cur`` sent more messages than ``base`` allows."""
+    ceiling = base["messages_sent"] * (1.0 + tolerance)
+    if cur["messages_sent"] <= ceiling:
+        return []
+    return [f"{label}: {cur['messages_sent']} messages sent above ceiling "
+            f"{ceiling:.1f} (baseline {base['messages_sent']}, "
+            f"tolerance {tolerance:.0%})"]
 
 
 # -- wall-clock substrate gate ---------------------------------------------

@@ -5,19 +5,22 @@ Skeen-style timestamp protocol layered on per-group ordered logs:
 1. *Propose* — the initiator submits the message to the ordered log of every
    destination group. When a group applies the propose entry it advances its
    logical clock and assigns the message a local timestamp.
-2. *Timestamp exchange* — the group's speaker submits the local timestamp to
-   the log of every *other* destination group; its own members recorded it
-   when they applied the propose, so a k-group message costs k(k−1)
-   timestamp entries. Applying a timestamp entry bumps the local clock to
-   at least that value, which is what makes the final order acyclic. With
-   a write-ahead log the speaker announces only once the propose is
-   durable on its disk (:meth:`GroupLog.when_durable`).
-3. *Finalise & deliver* — once timestamps from all destination groups are
-   known, the final timestamp is their maximum. A group member delivers the
-   pending message with the smallest ``(timestamp, uid)`` key once that
-   message is final; a pending non-final message with a smaller provisional
-   key blocks delivery (its final timestamp can only grow, never shrink
-   below the provisional one).
+2. *Timestamp exchange* — the group's speaker sends the local timestamp
+   straight to the speaker of every *other* destination group as one
+   ``am-ts`` message, so a k-group message costs k(k−1) messages and no
+   log entry. The receiving speaker keeps what it hears in a local
+   ``_heard`` table, neither replicated nor checkpointed. With a
+   write-ahead log the speaker announces only once the propose is durable
+   on its disk (:meth:`GroupLog.when_durable`).
+3. *Finalise & deliver* — once a speaker has applied the propose and heard
+   from every other destination group, it orders one ``am-final`` entry
+   carrying the maximum of the timestamps in its own group's log. Applying
+   it bumps the local clock to at least that value, which is what makes
+   the final order acyclic, and makes the message final. A group member
+   delivers the pending message with the smallest ``(timestamp, uid)`` key
+   once that message is final; a pending non-final message with a smaller
+   provisional key blocks delivery (its final timestamp can only grow,
+   never shrink below the provisional one).
 
 Because every step is driven by applying ordered-log entries, all members of
 a group make identical delivery decisions — the group behaves as one logical
@@ -32,7 +35,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from repro.ordering.group import GroupDirectory
@@ -41,6 +44,8 @@ from repro.ordering.node import ProtocolNode
 
 DeliverCallback = Callable[["AmcastDelivery"], None]
 
+# One group's timestamp for a multi-group message, sent speaker to speaker.
+AM_TS = "am-ts"
 # Self-heal pull request: a group stuck on a non-final message asks another
 # destination group's speaker for its missing timestamp announcement.
 AM_TS_PULL = "am-ts-pull"
@@ -61,12 +66,10 @@ class AmcastDelivery:
 @dataclass
 class _Pending:
     groups: tuple[str, ...]
-    payload: Any = None
-    origin: str = ""
-    size: int = 0
-    proposed: bool = False
-    local_ts: int = 0
-    group_ts: dict = field(default_factory=dict)   # group -> ts
+    payload: Any
+    origin: str
+    size: int
+    local_ts: int
     final_ts: Optional[int] = None
 
     @property
@@ -78,12 +81,13 @@ class AtomicMulticast:
     """One group member's endpoint of the atomic multicast protocol.
 
     Construct with the member's ordered log. ``speaker_only=True`` (default)
-    makes the group speak with one voice: only its designated speaker emits
-    timestamp announcements, and the layers above read :attr:`announcing`
-    to let only that member transmit the group's signal/variable exchanges
+    makes the group speak with one voice: only its designated speaker
+    announces the group's timestamps, hears the other groups' and orders
+    the final one, and the layers above read :attr:`announcing` to let only
+    that member transmit the group's signal/variable exchanges
     (``repro.ssmr.exchange``). Set it to False when the speaker may crash,
-    in which case every member announces and transmits, and the logs and
-    receivers deduplicate.
+    in which case every member announces, hears, orders and transmits, and
+    the logs and receivers deduplicate.
     """
 
     TS_SIZE = 96  # wire size of a timestamp announcement
@@ -109,11 +113,15 @@ class AtomicMulticast:
         # Own group's timestamp per multi-group muid, kept past delivery so
         # other groups can pull a lost announcement at any time.
         self._my_ts: dict[str, int] = {}
+        # Announcing member only: muid -> {other group: its timestamp},
+        # until the message's final entry is applied here.
+        self._heard: dict[str, dict[str, int]] = {}
         self._callbacks: list[DeliverCallback] = []
         self._deliver_count = 0
         self.heals = 0
         self.ts_pulls = 0
         log.on_decide(self._apply)
+        node.on(AM_TS, self._on_ts)
         node.on(AM_TS_PULL, self._on_ts_pull)
 
     # -- API ------------------------------------------------------------------
@@ -142,8 +150,8 @@ class AtomicMulticast:
         kind = entry["kind"]
         if kind == "am-propose":
             self._apply_propose(entry)
-        elif kind == "am-ts":
-            self._apply_ts(entry)
+        elif kind == "am-final":
+            self._apply_final(entry)
         else:
             raise ValueError(f"unknown amcast log entry kind: {kind!r}")
 
@@ -151,26 +159,32 @@ class AtomicMulticast:
         muid = entry["muid"]
         if muid in self._delivered_uids:
             return
-        state = self._pending.setdefault(muid, _Pending(groups=()))
-        # The pending record may predate the propose (a timestamp from a
-        # faster remote group can be applied first), so fill it in fully.
-        state.groups = tuple(entry["groups"])
-        state.payload = entry["payload"]
-        state.origin = entry["origin"]
-        state.size = entry["size"]
-        state.proposed = True
         self._clock_tick()
-        state.local_ts = self._clock
+        state = self._pending[muid] = _Pending(
+            groups=tuple(entry["groups"]), payload=entry["payload"],
+            origin=entry["origin"], size=entry["size"],
+            local_ts=self._clock)
         if len(state.groups) == 1:
             state.final_ts = state.local_ts
         else:
-            state.group_ts[self.group] = state.local_ts
             self._my_ts[muid] = state.local_ts
             self._announce_ts(muid, state)
-            self._maybe_finalize(state)
             if self.heal_interval_ms:
                 self.node.env.schedule_callback(
                     self.heal_interval_ms, lambda: self._heal(muid))
+            # Every other group may have been heard from already.
+            self._submit_final(muid, state)
+        self._try_deliver()
+
+    def _apply_final(self, entry: dict) -> None:
+        muid = entry["muid"]
+        ts = entry["ts"]
+        self._clock_bump(ts)
+        self._heard.pop(muid, None)
+        state = self._pending.get(muid)
+        if state is None:
+            return   # delivered already
+        state.final_ts = ts
         self._try_deliver()
 
     @property
@@ -184,10 +198,10 @@ class AtomicMulticast:
             return
         groups = [group for group in state.groups if group != self.group]
         ts = state.local_ts
-        self.log.when_durable(lambda: self._submit_ts(groups, muid, ts))
+        self.log.when_durable(lambda: self._send_ts(groups, muid, ts))
 
-    def _submit_ts(self, groups, muid: str, ts: int) -> None:
-        """Order this group's timestamp for ``muid`` in ``groups``' logs.
+    def _send_ts(self, groups, muid: str, ts: int) -> None:
+        """Send this group's timestamp for ``muid`` to ``groups``.
 
         Called only once the propose is durable here: a timestamp that
         other groups finalise on must survive a power cycle of this one,
@@ -195,59 +209,76 @@ class AtomicMulticast:
         """
         if self.node.crashed:
             return
+        payload = {"muid": muid, "from_group": self.group, "ts": ts}
         for group in groups:
-            self._log_client.submit(group, {
-                "uid": f"ts:{muid}:{self.group}:{group}",
-                "kind": "am-ts",
-                "muid": muid,
-                "from_group": self.group,
-                "ts": ts,
-            }, size=self.TS_SIZE)
+            targets = ((self.directory.speaker(group),) if self.speaker_only
+                       else self.directory.members(group))
+            for target in targets:
+                self.node.send(target, AM_TS, payload, size=self.TS_SIZE)
 
-    def _apply_ts(self, entry: dict) -> None:
-        muid = entry["muid"]
-        ts = entry["ts"]
-        self._clock_bump(ts)
+    def _on_ts(self, message) -> None:
+        muid = message.payload["muid"]
         if muid in self._delivered_uids:
             return
-        state = self._pending.setdefault(muid, _Pending(groups=()))
-        state.group_ts[entry["from_group"]] = ts
-        self._maybe_finalize(state)
-        self._try_deliver()
+        state = self._pending.get(muid)
+        if state is not None and state.final_ts is not None:
+            return   # late or duplicate: the final entry is applied
+        heard = self._heard.setdefault(muid, {})
+        heard[message.payload["from_group"]] = message.payload["ts"]
+        if state is not None:
+            self._submit_final(muid, state)
 
-    def _maybe_finalize(self, state: _Pending) -> None:
-        if not state.proposed or state.final_ts is not None:
+    def _submit_final(self, muid: str, state: _Pending) -> None:
+        """Order ``muid``'s final timestamp in this group's log once every
+        other destination group has been heard from.
+
+        Every member that submits it submits the same entry under the
+        same uid, so the log keeps one copy. A crashed member submits
+        nothing: on the sequencer a submit is applied in place.
+        """
+        if self.node.crashed:
             return
-        if all(group in state.group_ts for group in state.groups):
-            state.final_ts = max(state.group_ts.values())
+        heard = self._heard.get(muid, {})
+        others = [group for group in state.groups if group != self.group]
+        if any(group not in heard for group in others):
+            return
+        ts = max(state.local_ts, *(heard[group] for group in others))
+        self.log.submit({"uid": f"fin:{muid}:{self.group}",
+                         "kind": "am-final", "muid": muid, "ts": ts})
 
     # -- self-heal under message loss --------------------------------------
     #
     # A multi-group message wedges a destination group if (a) the propose to
     # some other group was lost — that group never announces, the message
-    # never finalises, and it blocks every later delivery here — or (b) a
-    # timestamp announcement to *us* was lost. The announcing member
-    # periodically (i) re-proposes the full entry to the other groups and
-    # (ii) pulls missing timestamps from their speakers. Log entries keep
+    # never finalises, and it blocks every later delivery here — (b) a
+    # timestamp announcement to *us* was lost, or (c) our own final entry
+    # was lost on its way to the log. The announcing member periodically
+    # (i) re-proposes the full entry to the groups it has not heard from
+    # and pulls their timestamps from their speakers, or, once it has heard
+    # from all of them, (ii) resubmits the final entry. Log entries keep
     # their original uids, so every redundant copy deduplicates and the
     # heal is idempotent.
 
     def _heal(self, muid: str) -> None:
         state = self._pending.get(muid)
         if (state is None or state.final_ts is not None
-                or not state.proposed or not self.announcing):
+                or not self.announcing):
             return
         self.heals += 1
-        entry = _propose_entry(muid, state.groups, state.payload,
-                               state.origin, state.size)
-        for group in state.groups:
-            if group == self.group or group in state.group_ts:
-                continue  # its announcement arrived, so it has the propose
-            self._log_client.submit(group, entry, size=state.size + 128)
-            self.ts_pulls += 1
-            self.node.send(self.directory.speaker(group), AM_TS_PULL,
-                           {"muid": muid, "reply_group": self.group},
-                           size=64)
+        heard = self._heard.get(muid, {})
+        missing = [group for group in state.groups
+                   if group != self.group and group not in heard]
+        if not missing:
+            self._submit_final(muid, state)   # lost on its way to the log
+        else:
+            entry = _propose_entry(muid, state.groups, state.payload,
+                                   state.origin, state.size)
+            for group in missing:
+                self._log_client.submit(group, entry, size=state.size + 128)
+                self.ts_pulls += 1
+                self.node.send(self.directory.speaker(group), AM_TS_PULL,
+                               {"muid": muid, "reply_group": self.group},
+                               size=64)
         self.node.env.schedule_callback(self.heal_interval_ms,
                                         lambda: self._heal(muid))
 
@@ -260,7 +291,7 @@ class AtomicMulticast:
             return  # never saw the propose; the puller's re-propose fixes that
         # Pulls come from other groups only: _heal skips its own.
         groups = [message.payload["reply_group"]]
-        self.log.when_durable(lambda: self._submit_ts(groups, muid, ts))
+        self.log.when_durable(lambda: self._send_ts(groups, muid, ts))
 
     # -- logical clock ----------------------------------------------------
 
@@ -274,12 +305,11 @@ class AtomicMulticast:
 
     def _try_deliver(self) -> None:
         while True:
-            head = None   # smallest (current_ts, muid) among proposed
+            head = None   # smallest (current_ts, muid) among pending
             for muid, state in self._pending.items():
-                if state.proposed:
-                    key = (state.current_ts, muid)
-                    if head is None or key < head[0]:
-                        head = (key, state)
+                key = (state.current_ts, muid)
+                if head is None or key < head[0]:
+                    head = (key, state)
             if head is None:
                 return
             (_, muid), state = head

@@ -19,7 +19,7 @@ campaign layer):
   multiplicatively on ``OVERLOAD``/timeout and grows additively on
   success, pacing both fresh sends and retry backoff.
 * :func:`classify_entry` — priority classes: control traffic (moves,
-  reconfiguration fences, timestamp announcements, hints) is never
+  reconfiguration fences, final timestamps, hints) is never
   shed and sorts ahead of client commands inside a batch window.
 
 The package is mechanism only — it imports no protocol layers above

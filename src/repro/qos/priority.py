@@ -1,7 +1,7 @@
 """Priority classes for ordered-log entries.
 
 Two classes are enough: *control* traffic (whatever keeps the system
-reconfigurable and consistent — Skeen timestamp announcements,
+reconfigurable and consistent — Skeen final-timestamp entries,
 reconfiguration fences, repartitioning activations, oracle hints and
 MOVE commands) and *client* traffic (ACCESS / CREATE / DELETE /
 CONSULT). During overload the sequencer never sheds control entries and
@@ -28,7 +28,7 @@ PRIO_CLIENT = 1
 def classify_entry(entry: dict) -> tuple[int, bool]:
     """Return ``(priority, sheddable)`` for one ordered-log entry."""
     if entry.get("kind") != "am-propose":
-        # Timestamp announcements and anything else the protocol layers
+        # Final-timestamp entries and anything else the protocol layers
         # put on the log directly: ordering machinery, never shed.
         return PRIO_CONTROL, False
     command = delivery_command(entry.get("payload"))

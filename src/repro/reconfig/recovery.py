@@ -65,8 +65,7 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     amcast._deliver_count = state["deliver_count"]
     if amcast.heal_interval_ms:
         for muid, pending in amcast._pending.items():
-            if (pending.proposed and pending.final_ts is None
-                    and len(pending.groups) > 1):
+            if pending.final_ts is None and len(pending.groups) > 1:
                 server.env.schedule_callback(
                     amcast.heal_interval_ms,
                     lambda m=muid: amcast._heal(m))

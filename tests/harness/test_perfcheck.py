@@ -63,6 +63,23 @@ class TestGate:
         assert any("incomplete" in f for f in failures)
         assert any("ssmr" in f and "missing" in f for f in failures)
 
+    def test_message_growth_beyond_tolerance_fails(self, suite):
+        grown = json.loads(canonical_json(suite))
+        base = suite["schemes"]["ssmr"]["messages_sent"]
+        grown["schemes"]["ssmr"]["messages_sent"] = int(base * 1.04)
+        assert compare_to_baseline(grown, suite) == []
+        grown["schemes"]["ssmr"]["messages_sent"] = int(base * 1.06) + 1
+        wal_base = suite["durability"]["wal_on"]["messages_sent"]
+        grown["durability"]["wal_on"]["messages_sent"] = wal_base * 2
+        failures = compare_to_baseline(grown, suite)
+        assert len(failures) == 2
+        assert failures[0].startswith("ssmr:") and "messages" in failures[0]
+        assert failures[1].startswith("durability: WAL-on:")
+        # Fewer messages than the baseline is never a regression.
+        grown["schemes"]["ssmr"]["messages_sent"] = 0
+        grown["durability"]["wal_on"]["messages_sent"] = 0
+        assert compare_to_baseline(grown, suite) == []
+
     def test_foreign_baseline_format_rejected(self, suite):
         failures = compare_to_baseline(suite, {"format": "other/9"})
         assert failures and "format" in failures[0]

@@ -203,8 +203,8 @@ class TestDurableAnnouncement:
             if entry["kind"] == "am-propose" else None)
         network.add_drop_rule(
             lambda message: announced_at.append(env.now)
-            if message.kind == "log/g1/submit"
-            and message.payload.get("kind") == "am-ts" else None)
+            if message.kind == "am-ts"
+            and message.payload["from_group"] == "g0" else None)
         delivered = tap_deliveries(endpoints)
         endpoints["s01"].multicast(["g0", "g1"], "payload", uid="m")
         env.run(until=100)
@@ -212,3 +212,155 @@ class TestDurableAnnouncement:
         (durable,), (announced,) = durable_at, announced_at
         assert announced >= durable
         assert announced < 1.0          # well inside the 5 ms window
+
+
+class TestTimestampOrderedOnce:
+    """A group's timestamp goes speaker to speaker as one ``am-ts``
+    message; each destination orders one ``am-final`` entry carrying the
+    maximum, and applying it bumps the clock and releases delivery."""
+
+    TWO = {"g0": ["s00", "s01"], "g1": ["s10", "s11"]}
+
+    def test_final_is_ordered_right_after_a_propose_heard_late(self, env):
+        network, _directory, endpoints = build_amcast_stack(env, self.TWO)
+        delivered = tap_deliveries(endpoints)
+        # The client's propose to g0 is lost: g1's timestamp reaches g0's
+        # speaker first, and g1's heal re-proposes 40 ms later.
+        network.add_drop_rule(
+            lambda message: message.kind == "log/g0/submit"
+            and message.src == "client")
+        client = MulticastClient(ProtocolNode(env, network, "client"),
+                                 endpoints["s00"].directory)
+        client.multicast(["g0", "g1"], "payload", uid="m")
+        env.run(until=20)
+        assert endpoints["s00"]._heard == {"m": {"g1": 1}}
+        assert delivered["s10"] == delivered["s00"] == []
+        env.run(until=1_000)
+        for member in ("s00", "s01"):
+            log = endpoints[member].log.decided_entries
+            assert [log[seq]["kind"] for seq in sorted(log)] == \
+                ["am-propose", "am-final"]
+        assert all(uids == ["m"] for uids in delivered.values())
+        assert endpoints["s00"]._heard == {}
+
+    def test_dropped_timestamp_is_recovered_by_the_heal_pull(self, env):
+        network, _directory, endpoints = build_amcast_stack(env, self.TWO)
+        delivered = tap_deliveries(endpoints)
+        dropped = []
+
+        def drop_first_timestamp_to_g0(message):
+            if message.kind == "am-ts" and message.dst == "s00" \
+                    and not dropped:
+                dropped.append(message.payload)
+                return True
+            return False
+
+        network.add_drop_rule(drop_first_timestamp_to_g0)
+        endpoints["s01"].multicast(["g0", "g1"], "payload", uid="m")
+        env.run(until=30)
+        assert dropped and delivered["s00"] == [] and delivered["s10"] == ["m"]
+        env.run(until=1_000)
+        assert all(uids == ["m"] for uids in delivered.values())
+        assert endpoints["s00"].ts_pulls == 1
+        assert network.sent_by_kind["am-ts-pull"] == 1
+
+    def test_dropped_follower_final_is_resubmitted(self, env):
+        network, _directory, endpoints = build_amcast_stack(
+            env, self.TWO, speaker_only=False)
+        delivered = tap_deliveries(endpoints)
+        finals = []
+
+        def drop(message):
+            # g0's speaker never hears g1 and no pull gets through, so
+            # only its follower's final entry can finish the message; the
+            # copies it submits on hearing g1's members are lost.
+            if (message.kind == "am-ts" and message.dst == "s00"
+                    or message.kind == "am-ts-pull"):
+                return True
+            if (message.kind == "log/g0/submit" and message.src == "s01"
+                    and message.payload["kind"] == "am-final"):
+                finals.append(env.now)
+                return env.now < 30
+            return False
+
+        network.add_drop_rule(drop)
+        endpoints["s10"].multicast(["g0", "g1"], "payload", uid="m")
+        env.run(until=30)
+        assert delivered["s00"] == delivered["s01"] == []
+        assert finals and max(finals) < 30
+        env.run(until=1_000)
+        assert all(uids == ["m"] for uids in delivered.values())
+        assert max(finals) >= endpoints["s01"].heal_interval_ms
+        log = endpoints["s00"].log.decided_entries
+        assert [log[seq]["kind"] for seq in sorted(log)] == \
+            ["am-propose", "am-final"]
+
+    @pytest.mark.parametrize("speaker_only", [True, False])
+    def test_a_propose_after_a_final_gets_a_larger_timestamp(
+            self, env, speaker_only):
+        import random
+        _net, _directory, endpoints = build_amcast_stack(
+            env, GROUPS, seed=4, speaker_only=speaker_only)
+        applied = {member: [] for member in endpoints}
+        stamps = {member: {} for member in endpoints}
+        for member, endpoint in endpoints.items():
+            endpoint.log.on_decide(
+                lambda seq, entry, log=applied[member]:
+                log.append((seq, entry)))
+            endpoint.on_deliver(
+                lambda delivery, own=stamps[member]:
+                own.__setitem__(delivery.uid, delivery.timestamp[0]))
+        rng = random.Random(4)
+        members = list(endpoints)
+        choices = [["g0"], ["g1"], ["g0", "g1"], ["g1", "g2"],
+                   ["g0", "g1", "g2"]]
+
+        def traffic(env):
+            for _ in range(80):
+                yield env.timeout(rng.uniform(0, 0.8))
+                endpoints[rng.choice(members)].multicast(
+                    rng.choice(choices), "payload")
+
+        env.process(traffic(env))
+        env.run(until=60_000)
+        finals = 0
+        for member, endpoint in endpoints.items():
+            highest_final = 0
+            for _seq, entry in sorted(applied[member], key=lambda e: e[0]):
+                if entry["kind"] == "am-final":
+                    finals += 1
+                    highest_final = max(highest_final, entry["ts"])
+                    continue
+                muid = entry["muid"]
+                local = (endpoint._my_ts[muid] if len(entry["groups"]) > 1
+                         else stamps[member][muid])
+                assert local > highest_final, (member, muid)
+            assert endpoint._heard == {}
+        assert finals > 0
+
+    def test_late_timestamp_for_a_final_message_is_dropped(self, env):
+        network, _directory, endpoints = build_amcast_stack(
+            env, GROUPS, latency=(0.1, 0.1))
+        delivered = tap_deliveries(endpoints)
+        # g2's timestamp for "first" is late, so "first" (g0 timestamp 1)
+        # holds up "second" (final timestamp 2) at g0.
+        network.add_drop_rule(
+            lambda message: message.kind == "am-ts" and message.src == "s20"
+            and env.now < 30)
+        endpoints["s01"].multicast(["g0", "g2"], "payload", uid="first")
+        endpoints["s01"].multicast(["g0", "g1"], "payload", uid="second")
+        env.run(until=20)
+        speaker = endpoints["s00"]
+        assert speaker._pending["second"].final_ts == 2
+        assert delivered["s00"] == [] and delivered["s10"] == ["second"]
+        # g1's speaker repeats its timestamp for the final message.
+        endpoints["s10"]._send_ts(["g0"], "second",
+                                  endpoints["s10"]._my_ts["second"])
+        env.run(until=25)
+        assert "second" not in speaker._heard
+        env.run(until=1_000)
+        assert delivered["s00"] == ["first", "second"]
+        # And once it is delivered.
+        endpoints["s10"]._send_ts(["g0"], "second", 1)
+        env.run(until=1_100)
+        assert speaker._heard == {}

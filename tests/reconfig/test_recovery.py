@@ -210,7 +210,7 @@ def run_workload_terminal(cluster, count=8, name="c0"):
 
 class TestTransferredCheckpointIsPrivate:
     """The checkpoint a replacement installs becomes its live state (its
-    ``_Pending.group_ts`` and ``_vars[cid]`` dicts keep changing), so it
+    ``_Pending`` records and ``_vars[cid]`` dicts keep changing), so it
     must share nothing with the record the donor retains."""
 
     @staticmethod

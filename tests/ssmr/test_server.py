@@ -194,8 +194,9 @@ def kinds(network) -> dict:
 
 class TestOneVoice:
     """Each group speaks and listens once per multi-partition command: its
-    speaker announces the timestamp, transmits the exchange to the peer
-    speakers and relays one bundle of what it heard to its followers;
+    speaker sends the timestamp and transmits the exchange to the peer
+    speakers, orders one final timestamp in its own log and relays one
+    bundle of what it heard to its followers;
     every member caches the exchange and the reply, the lowest destination
     answers the client, any member answers a pull."""
 
@@ -208,13 +209,14 @@ class TestOneVoice:
         env.run(until=SequencerLog.TAIL_QUIET_MS - 10)
         assert results[0].value == sum(range(k))
         assert kinds(network) == {
-            "submit": k + k * (k - 1),    # client proposes + timestamps
-            "decide": k * k,              # k entries per group, 1 follower
+            "submit": k,                  # the client's proposes
+            "am-ts": k * (k - 1),         # speaker -> peer speakers
+            "decide": 2 * k,              # propose + final, 1 follower
             "rmcast": k * (k - 1) + k,    # speaker -> peer speakers, and
                                           # one bundle to its follower
             "reply": 1,                   # the lowest destination's
         }
-        assert sum(kinds(network).values()) == 3 * k * k + 1
+        assert sum(kinds(network).values()) == 2 * k * k + 2 * k + 1
         for server in servers.values():
             assert server.replies.sessions, server.node.name
         # Then each quiet log announces its tail once to its follower,
@@ -223,12 +225,10 @@ class TestOneVoice:
         assert {kind: count for kind, count in kinds(network).items()
                 if kind.startswith("tail")} == {"tail": k, "tail-ack": k}
         for server in servers.values():
-            uids = [entry["uid"]
-                    for entry in server.log.decided_entries.values()]
-            assert len(uids) == k         # one propose, k-1 timestamps
-            own = f":{server.partition}:{server.partition}"
-            assert not [uid for uid in uids
-                        if uid.startswith("ts:") and uid.endswith(own)]
+            kinds_logged = [entry["kind"] for entry
+                            in server.log.decided_entries.values()]
+            assert kinds_logged == ["am-propose", "am-final"]
+            assert not server.amcast._heard
 
     def test_dropped_speaker_exchange_is_pulled_from_any_member(self, env):
         network, servers, client, command = build_wide(env, 2)
