@@ -49,11 +49,10 @@ class DssmrClient(BaseClient):
                  latency: Optional[LatencyRecorder] = None,
                  broadcast_submit: bool = False,
                  retry_policy: Optional[RetryPolicy] = None,
-                 rng: Optional[random.Random] = None,
-                 tracer=None):
+                 rng: Optional[random.Random] = None):
         super().__init__(env, network, directory, name, latency,
                          broadcast_submit=broadcast_submit,
-                         retry_policy=retry_policy, rng=rng, tracer=tracer)
+                         retry_policy=retry_policy, rng=rng)
         self.partitions = tuple(partitions)
         self.max_retries = max_retries
         self.use_cache = use_cache
@@ -151,9 +150,7 @@ class DssmrClient(BaseClient):
         Implements the do/while loop of Algorithm 2, including the cache
         fast path and the S-SMR fallback.
         """
-        self.begin_command(command)
-        start = self.env.now
-        self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
+        start = self.begin_command(command)
         attempt = 0
         fell_back = False
         reconsult = False
@@ -190,7 +187,6 @@ class DssmrClient(BaseClient):
                 break
             self.retry_count += 1
             self._invalidate_cache(command)
-        self.session.finish(command)
         if (reply.status is ReplyStatus.OK
                 and command.ctype is CommandType.ACCESS
                 and not fell_back and reply.partition):
@@ -198,11 +194,8 @@ class DssmrClient(BaseClient):
             # partitions, so its reply must not populate the cache.
             for key in command.variables:
                 self.location_cache[key] = reply.partition
-        self.latency.record(self.env.now, self.env.now - start)
-        self.tracer.end_trace(command.cid, self.env.now,
-                              status=reply.status.value, attempts=attempt,
-                              fallback=fell_back)
-        self.profile_command(command.cid, start)
+        self.end_command(command, start, reply, attempts=attempt,
+                         fallback=fell_back)
         return reply
 
     # -- routing: cache or oracle ------------------------------------------------

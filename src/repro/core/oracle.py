@@ -62,11 +62,10 @@ class OracleReplica(OrderedExecutor):
                  async_repartition: bool = False,
                  log_factory=SequencerLog,
                  speaker_only: bool = True,
-                 dedup: bool = True,
-                 tracer=None):
+                 dedup: bool = True):
         super().__init__(env, network, directory, ORACLE_GROUP, name,
                          log_factory=log_factory, speaker_only=speaker_only,
-                         dedup=dedup, tracer=tracer)
+                         dedup=dedup)
         self.partitions = tuple(partitions)
         self.rmcast = ReliableMulticast(self.node, directory)
         self.exchange = ExchangeBuffer(env, self.rmcast, ORACLE_GROUP,

@@ -27,7 +27,6 @@ from repro.core import (DssmrClient, DssmrServer, MajorityTargetPolicy,
 from repro.dynastar import GraphTargetPolicy
 from repro.net import Network, SwitchedClusterLatency, paper_cluster_topology
 from repro.obs import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER
 from repro.ordering import GroupDirectory
 from repro.qos import (AdaptiveBatcher, AdmissionController, AimdWindow,
                        QosConfig, classify_entry)
@@ -70,7 +69,8 @@ class ClusterConfig:
     # variable key -> partition index. Unmapped keys fall back to hashing.
     initial_assignment: Optional[dict] = None
     # Client-side timeout/retry/backoff (see repro.resilience); None keeps
-    # the legacy block-forever clients. The chaos campaign sets a policy.
+    # the legacy block-forever clients. The fuzz runner sets a policy on
+    # every schedule it runs, chaos_schedule's included.
     retry_policy: Optional[RetryPolicy] = None
     # Server-side request deduplication (session tables). Disabling it is a
     # test-only switch for the chaos sentinel: with dedup off, client
@@ -113,12 +113,6 @@ class Cluster:
         self.config = config
         self.env = Environment()
         self.seeds = SeedStream(config.seed)
-        # tracer=None keeps span collection disabled (NULL_TRACER): every
-        # emission site no-ops, so tracing is strictly opt-in and the
-        # disabled path adds no bookkeeping. The profiler follows the same
-        # null-object pattern; the Network carries it to every node.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler
         self.partitions = tuple(f"p{i}"
                                 for i in range(config.num_partitions))
         self._client_counter = itertools.count()
@@ -139,9 +133,10 @@ class Cluster:
         oracle_names = (self.directory.members(ORACLE_GROUP)
                         if self._dynamic else ())
         self.topology = paper_cluster_topology(server_names, oracle_names)
+        # The network carries the observers to every node (see repro.obs).
         self.network = Network(self.env, self.seeds.child("net"),
                                SwitchedClusterLatency(self.topology),
-                               profiler=profiler)
+                               tracer=tracer, profiler=profiler)
 
         self.partition_map = StaticPartitionMap(
             self.partitions, assignment=config.initial_assignment)
@@ -186,8 +181,7 @@ class Cluster:
             self.reconfig = ReconfigurationManager(
                 self.env, self.network, self.directory, "rm0",
                 retry_policy=config.retry_policy,
-                rng=self.seeds.child("reconfig").stream("rm0"),
-                tracer=self.tracer)
+                rng=self.seeds.child("reconfig").stream("rm0"))
 
         # Shared measurement: virtual time is global and monotonic, so one
         # recorder serves every client.
@@ -211,7 +205,7 @@ class Cluster:
                     self.partitions, policy=policy_factory(),
                     oracle_issues_moves=config.scheme == "dynastar",
                     async_repartition=config.async_repartition,
-                    dedup=config.dedup, tracer=self.tracer)
+                    dedup=config.dedup)
                 if self.disks is not None:
                     attach_durability(oracle, self.disks)
                 self.oracles.append(oracle)
@@ -223,7 +217,7 @@ class Cluster:
         server = server_class(self.env, self.network, self.directory,
                               partition, name, state_machine,
                               execution=config.execution,
-                              dedup=config.dedup, tracer=self.tracer)
+                              dedup=config.dedup)
         PartitionCheckpointer(server)
         CheckpointHost(server)
         if self.disks is not None:
@@ -427,16 +421,14 @@ class Cluster:
             client = SsmrClient(self.env, self.network, self.directory, name,
                                 StaticOracle(self.partition_map),
                                 latency=self.latency,
-                                retry_policy=config.retry_policy, rng=rng,
-                                tracer=self.tracer)
+                                retry_policy=config.retry_policy, rng=rng)
         else:
             client = DssmrClient(self.env, self.network, self.directory,
                                  name, self.partitions,
                                  max_retries=config.max_retries,
                                  use_cache=config.use_cache,
                                  latency=self.latency,
-                                 retry_policy=config.retry_policy, rng=rng,
-                                 tracer=self.tracer)
+                                 retry_policy=config.retry_policy, rng=rng)
         if config.qos is not None:
             qcfg = config.qos
             client.congestion = AimdWindow(

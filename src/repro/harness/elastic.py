@@ -27,7 +27,6 @@ from repro.harness.invariants import cluster_invariants
 from repro.harness.kvbed import build_kv_cluster, kv_command, spawn_wave
 from repro.harness.report import format_table
 from repro.net import FailureInjector
-from repro.obs import CommandTracer
 from repro.smr import Command, ExecutionModel
 
 #: Preloaded keys (spread over the two initial partitions).
@@ -90,7 +89,7 @@ def run_elastic_scenario(seed: int = 0, scheme: str = "dssmr",
     ``figures.ELASTIC_CLAIMS`` are its verdict.
     """
     cluster = build_kv_cluster(scheme, seed, ("elastic", scheme),
-                               ELASTIC_KEYS, tracer=CommandTracer())
+                               ELASTIC_KEYS)
     env = cluster.env
 
     injector = FailureInjector(env, cluster.network,

@@ -17,7 +17,6 @@ from repro.net.latency import (
 from repro.net.topology import ClusterTopology, paper_cluster_topology
 from repro.net.transport import Endpoint, Network
 from repro.net.failure import FailureInjector
-from repro.net.trace import NetworkTracer, TraceRecord, format_trace
 
 __all__ = [
     "ClusterTopology",
@@ -27,10 +26,7 @@ __all__ = [
     "LatencyModel",
     "Message",
     "Network",
-    "NetworkTracer",
     "SwitchedClusterLatency",
-    "TraceRecord",
     "UniformLatency",
-    "format_trace",
     "paper_cluster_topology",
 ]

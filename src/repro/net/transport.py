@@ -31,6 +31,7 @@ from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import DEFAULT_MESSAGE_SIZE, Message
 from repro.obs.flight import FlightRecorder
 from repro.obs.profile import NULL_PROFILER
+from repro.obs.tracing import NULL_TRACER
 from repro.sim import Channel, Environment, SeedStream
 
 DropRule = Callable[[Message], bool]
@@ -102,14 +103,17 @@ class Network:
 
     def __init__(self, env: Environment, seeds: SeedStream,
                  latency: Optional[LatencyModel] = None,
-                 profiler=None):
+                 tracer=None, profiler=None):
         self.env = env
         self._next_message_id = env.ids.next_message
         self.latency = latency or FixedLatency(0.1)
-        # profiler=None keeps cost attribution disabled (NULL_PROFILER):
-        # the network is the carrier every component reaches through its
-        # ProtocolNode, so threading happens here once instead of through
-        # every constructor. See repro.obs.profile.
+        # The network carries the deployment's observers; every component
+        # reaches them through its ProtocolNode, so threading happens here
+        # once instead of through every constructor. tracer=None keeps
+        # span collection disabled (NULL_TRACER, see repro.obs.tracing);
+        # profiler=None keeps cost attribution disabled (NULL_PROFILER,
+        # see repro.obs.profile).
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         # The flight recorder is *always on* (bounded rings, virtual
         # timestamps only — it cannot perturb results): every delivery,
@@ -132,19 +136,6 @@ class Network:
         # the message-complexity experiment.
         self.sent_by_kind: dict[str, int] = {}
         self.bytes_by_kind: dict[str, int] = {}
-        self._tracer = None
-
-    # -- observability ------------------------------------------------------
-
-    def attach_tracer(self, tracer) -> None:
-        """Record every send/delivery/drop into ``tracer`` (see
-        :mod:`repro.net.trace`). Pass None to detach."""
-        self._tracer = tracer
-
-    def _trace(self, event: str, message: Message) -> None:
-        """Record into the attached tracer; call sites check there is one."""
-        self._tracer.record(self.env.now, event, message.src, message.dst,
-                            message.kind, message.size, message.msg_id)
 
     # -- membership -------------------------------------------------------
 
@@ -238,17 +229,12 @@ class Network:
         self.bytes_sent += size
         self.sent_by_kind[kind] = self.sent_by_kind.get(kind, 0) + 1
         self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
-        traced = self._tracer is not None
         # Fault rules are the exception, not the rule: guard each class
         # so a fault-free send never pays for generator/loop setup.
         if src in self._crashed or (
                 self._drop_rules and any(rule(message)
                                          for rule in self._drop_rules)):
-            if traced:
-                self._trace("dropped", message)
             return None
-        if traced:
-            self._trace("sent", message)
         extra = 0.0
         if self._delay_rules:
             for rule in self._delay_rules:
@@ -262,9 +248,7 @@ class Network:
             for rule in self._duplicate_rules:
                 copies += int(rule(message) or 0)
             self.messages_duplicated += copies - 1
-        for copy_index in range(copies):
-            if copy_index and traced:
-                self._trace("duplicated", message)
+        for _ in range(copies):
             delay = self.latency.delay(src, dst, size, self._rng) + extra
             if self.profiler.enabled:
                 self.profiler.net(kind, delay, size)
@@ -293,8 +277,6 @@ class Network:
     def _deliver(self, endpoint: Endpoint, message: Message) -> None:
         # Crash may have happened while the message was in flight.
         crashed = endpoint.name in self._crashed
-        if self._tracer is not None:
-            self._trace("dropped" if crashed else "delivered", message)
         self.flight.record(endpoint.name, "drop" if crashed else "deliver",
                            message)
         if crashed:

@@ -28,6 +28,14 @@ Five pieces:
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, the always-on
   bounded per-node ring of recent protocol events that chaos/fuzz/heal
   dump alongside invariant violations and MTTR episodes.
+
+How each instrument reaches a component: the tracer, the profiler and
+the flight recorder ride the :class:`~repro.net.Network` (``Cluster``
+hands it the first two; it holds the null object for one it does not
+get), and every component reads them from its ``ProtocolNode`` as
+``node.tracer``, ``node.profiler`` and ``node.flight(...)`` — so a node
+built late (recovered, cold-restarted, grown) reports like the rest.
+Metrics are registered once on ``Cluster.registry`` and read at scrape.
 """
 
 from repro.obs.flight import FlightRecorder

@@ -33,10 +33,11 @@ class ProtocolNode:
         self.env = env
         self.network = network
         self.name = name
-        # Cost-attribution hooks (repro.obs.profile): the network carries
-        # the deployment's profiler, so every protocol layer reaches it
-        # through its node with no constructor threading. NULL_PROFILER
-        # when disabled — hook sites guard on ``profiler.enabled``.
+        # Observers (repro.obs): the network carries the deployment's
+        # command tracer and profiler, so every protocol layer reaches
+        # them through its node with no constructor threading. Null
+        # objects when disabled — hook sites guard on ``.enabled``.
+        self.tracer = network.tracer
         self.profiler = network.profiler
         self.endpoint = network.register(name)
         self._handlers: dict[str, Handler] = {}

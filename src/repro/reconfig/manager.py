@@ -32,7 +32,6 @@ import random
 from typing import Optional
 
 from repro.net import Message, Network
-from repro.obs.tracing import NULL_TRACER
 from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
 from repro.resilience import (RequestTimeout, RetryPolicy, SessionIssuer,
                               with_timeout)
@@ -55,15 +54,14 @@ class ReconfigurationManager:
     def __init__(self, env: Environment, network: Network,
                  directory: GroupDirectory, name: str = "rm0",
                  retry_policy: Optional[RetryPolicy] = None,
-                 rng: Optional[random.Random] = None,
-                 tracer=None):
+                 rng: Optional[random.Random] = None):
         self.env = env
         self.directory = directory
         self.node = ProtocolNode(env, network, name)
         self.mcast = MulticastClient(self.node, directory)
         self.retry_policy = retry_policy or RetryPolicy()
         self._rng = rng or random.Random(0)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = self.node.tracer
         self._ack_waits: dict[str, object] = {}
         self._reply_waits: dict[str, object] = {}
         self._uid_counts: dict[str, int] = {}

@@ -106,7 +106,7 @@ class PartitionRecovery:
                                     if p != peer_name]
         self.stall_after_ms = stall_after_ms
         self.on_failure = on_failure
-        self.transfer = StateTransfer(server.node, tracer=server.tracer)
+        self.transfer = StateTransfer(server.node)
         self.installed = False
         self.failed = False
         self.peers_tried: list[str] = []

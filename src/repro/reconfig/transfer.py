@@ -172,8 +172,7 @@ class StateTransfer:
 
     def __init__(self, node, window: int = 4,
                  chunk_timeout_ms: float = 40.0,
-                 meta_timeout_ms: float = 40.0,
-                 tracer=None):
+                 meta_timeout_ms: float = 40.0):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.node = node
@@ -181,7 +180,7 @@ class StateTransfer:
         self.window = window
         self.chunk_timeout_ms = chunk_timeout_ms
         self.meta_timeout_ms = meta_timeout_ms
-        self.tracer = tracer
+        self.tracer = node.tracer
         self._transfer_id: Optional[str] = None
         self._meta: Optional[dict] = None
         self._meta_event = None
@@ -289,7 +288,7 @@ class StateTransfer:
         checkpoint = self._assemble()
         self.node.send(peer, XFER_DONE,
                        {"transfer_id": self._transfer_id}, size=64)
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.span(f"xfer:{self._transfer_id}", "state-transfer",
                              self.node.name, started, self.env.now,
                              chunks=num_chunks, retries=self.retries,

@@ -24,7 +24,7 @@ import random
 from typing import Callable, Optional
 
 from repro.net import Message, Network
-from repro.obs.tracing import NULL_TRACER, trace_id_of
+from repro.obs.tracing import trace_id_of
 from repro.ordering import GroupDirectory, MulticastClient, ProtocolNode
 from repro.resilience import (RequestTimeout, RetryPolicy, SessionIssuer,
                               with_timeout)
@@ -41,8 +41,7 @@ class BaseClient:
                  latency: Optional[LatencyRecorder] = None,
                  broadcast_submit: bool = False,
                  retry_policy: Optional[RetryPolicy] = None,
-                 rng: Optional[random.Random] = None,
-                 tracer=None):
+                 rng: Optional[random.Random] = None):
         self.env = env
         self.directory = directory
         self.node = ProtocolNode(env, network, name)
@@ -52,11 +51,10 @@ class BaseClient:
         self.mcast = MulticastClient(self.node, directory,
                                      broadcast_submit=broadcast_submit)
         self.latency = latency if latency is not None else LatencyRecorder(name)
-        # tracer=None disables span collection (see repro.obs.tracing);
-        # every emission site guards on tracer.enabled, so the disabled
-        # path does no bookkeeping at all. The profiler rides on the
-        # network (see repro.obs.profile) under the same guard idiom.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # Both observers ride on the network (see repro.obs); every
+        # emission site guards on ``.enabled``, so a disabled one does no
+        # bookkeeping at all.
+        self.tracer = self.node.tracer
         self.profiler = self.node.profiler
         # retry_policy=None keeps the legacy block-forever behaviour.
         self.retry_policy = retry_policy
@@ -90,12 +88,32 @@ class BaseClient:
         if not command.cid:
             command.cid = self.env.ids.new("cmd", command.client or "anon")
 
-    def begin_command(self, command: Command) -> None:
-        """Name ``command``, make this client its issuer and open its
-        session stamp (first thing in every ``run_command``)."""
+    def begin_command(self, command: Command) -> float:
+        """Name ``command``, make this client its issuer, open its session
+        stamp and its trace; returns the start time (first thing in every
+        ``run_command``)."""
         self.claim_cid(command)
         command.client = self.name
         self.session.begin(command)
+        start = self.env.now
+        self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
+        return start
+
+    def end_command(self, command: Command, start: float, reply: Reply,
+                    **outcome) -> None:
+        """Close what :meth:`begin_command` opened (last thing in every
+        ``run_command``): the session stamp, the latency sample, the
+        trace's root span (``outcome`` is the scheme's own fields beside
+        the reply status) and the profiler's end-to-end latency — the
+        reconciliation target the stage costs recorded through
+        :meth:`trace_stage` must add up to."""
+        self.session.finish(command)
+        now = self.env.now
+        self.latency.record(now, now - start)
+        self.tracer.end_trace(command.cid, now, status=reply.status.value,
+                              **outcome)
+        if self.profiler.enabled:
+            self.profiler.command(trace_id_of(command.cid), now - start)
 
     def _on_reply(self, message: Message) -> None:
         reply: Reply = message.payload
@@ -145,16 +163,6 @@ class BaseClient:
         if self.profiler.enabled:
             self.profiler.stage(trace_id_of(cid), name,
                                 self.env.now - start)
-
-    def profile_command(self, cid: str, start: float) -> None:
-        """Record a finished command's end-to-end latency (profiler tap).
-
-        Called by every scheme's ``run_command`` next to its
-        ``end_trace`` — the reconciliation target the stage costs
-        recorded through :meth:`trace_stage` must add up to.
-        """
-        if self.profiler.enabled:
-            self.profiler.command(trace_id_of(cid), self.env.now - start)
 
     # -- overload control (repro.qos) ----------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net import Network
-from repro.obs.tracing import NULL_TRACER, trace_id_of
+from repro.obs.tracing import trace_id_of
 from repro.ordering import (AmcastDelivery, AtomicMulticast, GroupDirectory,
                             ProtocolNode, SequencerLog)
 from repro.resilience import STALE, ReplyCache
@@ -101,8 +101,7 @@ class OrderedExecutor:
                  log_factory=SequencerLog,
                  speaker_only: bool = True,
                  dedup: bool = True,
-                 start_gate=None,
-                 tracer=None):
+                 start_gate=None):
         self.env = env
         self.group = group
         self.directory = directory
@@ -118,7 +117,7 @@ class OrderedExecutor:
         # it so the chaos sentinel can prove the checkers catch double
         # execution.
         self.replies = ReplyCache(enabled=dedup)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = self.node.tracer
         self.queue_peak = 0
         # Opt-in subsystems, attached by the harness: overload control
         # (repro.qos), write-ahead log (repro.store), worker pool
@@ -167,7 +166,7 @@ class OrderedExecutor:
             self.env, network, self.directory, self.group, self.node.name,
             self.state_machine, execution=self.execution,
             log_factory=type(self.log), dedup=self.replies.enabled,
-            start_gate=start_gate, tracer=self.tracer,
+            start_gate=start_gate,
             **self._respawn_options())
         if self.parallel is not None:
             replacement.attach_parallel(

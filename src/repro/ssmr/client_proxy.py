@@ -29,21 +29,18 @@ class SsmrClient(BaseClient):
                  directory: GroupDirectory, name: str, oracle: StaticOracle,
                  latency: Optional[LatencyRecorder] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 rng: Optional[random.Random] = None,
-                 tracer=None):
+                 rng: Optional[random.Random] = None):
         super().__init__(env, network, directory, name, latency,
-                         retry_policy=retry_policy, rng=rng, tracer=tracer)
+                         retry_policy=retry_policy, rng=rng)
         self.oracle = oracle
         self.multi_partition_commands = 0
 
     def run_command(self, command: Command):
         """Generator: execute one command; returns the :class:`Reply`."""
-        self.begin_command(command)
+        start = self.begin_command(command)
         dests = sorted(self.oracle.partitions_for(command))
         if len(dests) > 1:
             self.multi_partition_commands += 1
-        start = self.env.now
-        self.tracer.begin_trace(command.cid, self.name, start, op=command.op)
 
         def send(attempt: int) -> None:
             envelope = {"command": command, "dests": dests,
@@ -54,10 +51,5 @@ class SsmrClient(BaseClient):
                                                    f"am:{command.cid}"))
 
         reply: Reply = yield from self.resilient_request(command.cid, send)
-        self.session.finish(command)
-        self.latency.record(self.env.now, self.env.now - start)
-        self.tracer.end_trace(command.cid, self.env.now,
-                              status=reply.status.value,
-                              partitions=len(dests))
-        self.profile_command(command.cid, start)
+        self.end_command(command, start, reply, partitions=len(dests))
         return reply

@@ -58,12 +58,11 @@ class SsmrServer(OrderedExecutor):
                  log_factory=SequencerLog,
                  speaker_only: bool = True,
                  dedup: bool = True,
-                 start_gate=None,
-                 tracer=None):
+                 start_gate=None):
         super().__init__(env, network, directory, partition, name,
                          state_machine, execution=execution,
                          log_factory=log_factory, speaker_only=speaker_only,
-                         dedup=dedup, start_gate=start_gate, tracer=tracer)
+                         dedup=dedup, start_gate=start_gate)
         self.partition = partition
         self.rmcast = ReliableMulticast(self.node, directory)
         self.exchange = ExchangeBuffer(env, self.rmcast, partition,

@@ -283,7 +283,7 @@ def cold_start_oracles(cluster):
             cluster.partitions, policy=policy_factory(),
             oracle_issues_moves=config.scheme == "dynastar",
             async_repartition=config.async_repartition,
-            dedup=config.dedup, tracer=cluster.tracer)
+            dedup=config.dedup)
         oracle.preload_locations(cluster._initial_locations)
         wipe_wal(farm.disk(name))
         attach_durability(oracle, farm)

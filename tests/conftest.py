@@ -16,9 +16,12 @@ def env() -> Environment:
 
 
 def make_network(env: Environment, seed: int = 1,
-                 low_ms: float = 0.05, high_ms: float = 1.0) -> Network:
-    """A network with uniformly random latency (message reordering)."""
-    return Network(env, SeedStream(seed), UniformLatency(low_ms, high_ms))
+                 low_ms: float = 0.05, high_ms: float = 1.0,
+                 tracer=None) -> Network:
+    """A network with uniformly random latency (message reordering),
+    carrying ``tracer`` to every node built on it."""
+    return Network(env, SeedStream(seed), UniformLatency(low_ms, high_ms),
+                   tracer=tracer)
 
 
 def build_amcast_stack(env: Environment, groups: dict, seed: int = 1,

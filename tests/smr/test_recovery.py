@@ -1,13 +1,18 @@
 """Crash recovery of a classic-SMR group: the one-partition case of
 checkpoint-install recovery (:mod:`repro.reconfig.recovery`)."""
 
+import pytest
+
+from repro.harness import build_cluster
 from repro.obs.tracing import CommandTracer
 from repro.reconfig import (CheckpointHost, PartitionCheckpointer,
                             recover_partition_server)
 from repro.reconfig.transfer import (XFER_CHUNK, XFER_CHUNK_REQ, XFER_META,
                                      XFER_META_REQ)
 from repro.smr import Command
+from repro.store import DurabilityConfig
 
+from tests.conftest import make_network
 from tests.smr.test_replica import build_smr, smr_client
 
 
@@ -24,10 +29,10 @@ def run_commands(env, client, count, replies, pause=5.0):
     env.process(proc(env))
 
 
-def build_group(env, seed=1, contents=None, **server_options):
+def build_group(env, seed=1, contents=None, network=None, **server_options):
     """Three replicas (``r0`` is the speaker), each able to seed a peer."""
     net, directory, replicas = build_smr(env, replicas=3, seed=seed,
-                                         **server_options)
+                                         network=network, **server_options)
     hosts = []
     for replica in replicas:
         replica.load_state(contents or {"x": 0})
@@ -65,12 +70,13 @@ class TestRecovery:
         assert replacement.store.snapshot() == replicas[0].store.snapshot()
 
     def test_replacement_keeps_the_tracer_and_the_dedup_switch(self, env):
-        """The rebuild used to drop ``tracer=`` and ``dedup=``: a recovered
+        """The rebuild used to drop the tracer and ``dedup=``: a recovered
         replica went dark in traces and re-enabled dedup under the
         ``no_dedup`` sentinel."""
         tracer = CommandTracer()
         net, directory, replicas, _hosts = build_group(
-            env, dedup=False, tracer=tracer)
+            env, network=make_network(env, seed=1, tracer=tracer),
+            dedup=False)
         client = smr_client(env, net, directory, "c0")
         replies = []
         run_commands(env, client, 12, replies)
@@ -390,3 +396,69 @@ class TestRecoveryUnderLoad:
             assert recovered.store.snapshot() == r0.store.snapshot(), name
             assert recovered.executed == r0.executed, name
             assert len(recovered.executed) == len(set(recovered.executed))
+
+
+def run_keys(cluster, keys, client_name):
+    """One increment per key from a fresh client (cold location cache)."""
+    client = cluster.new_client(client_name)
+
+    def proc(env):
+        for key in keys:
+            yield from client.run_command(incr(key))
+
+    cluster.env.process(proc(cluster.env))
+    cluster.run(until=cluster.env.now + 5_000)
+
+
+def _recovered_replica(cluster):
+    cluster.servers["p0s1"].crash()
+    return [cluster.recover_server("p0s1")]
+
+
+def _cold_restarted_replica(cluster):
+    cluster.servers["p0s1"].crash()
+    return [cluster.cold_restart_server("p0s1")]
+
+
+def _cold_started_oracles(cluster):
+    cluster.power_fail()
+    cluster.run(until=cluster.env.now + 50)
+    cluster.power_restore()
+    return list(cluster.oracles)
+
+
+def _grown_partition(cluster):
+    cluster.env.process(cluster.grow("p2"))
+    cluster.run(until=cluster.env.now + 1)      # the members are built
+    return [cluster.servers[name]
+            for name in cluster.directory.members("p2")]
+
+
+class TestLateNodesReportToTheTracer:
+    """Every node built after the deployment reaches the cluster's tracer
+    through the network, with nothing to hand over at rebuild time."""
+
+    @pytest.mark.parametrize("rebuild", [
+        _recovered_replica, _cold_restarted_replica, _cold_started_oracles,
+        _grown_partition], ids=["recover", "cold-restart", "power-cycle",
+                                "grow"])
+    def test_new_node_emits_spans(self, rebuild):
+        tracer = CommandTracer()
+        keys = [f"k{i}" for i in range(8)]
+        cluster = build_cluster(
+            tracer=tracer, scheme="dssmr", num_partitions=2,
+            replicas_per_partition=2, seed=3,
+            initial_assignment={key: i % 2 for i, key in enumerate(keys)},
+            durability=DurabilityConfig())
+        cluster.preload({key: 0 for key in keys})
+        run_keys(cluster, keys, "c0")
+        built_at = cluster.env.now
+        nodes = rebuild(cluster)
+        cluster.run(until=cluster.env.now + 2_000)
+        run_keys(cluster, keys, "c1")
+        for node in nodes:
+            name = node.node.name
+            assert node.tracer is tracer, name
+            assert [span for span in tracer.spans
+                    if span.node == name and span.start >= built_at], name
+

@@ -10,8 +10,8 @@ from repro.ssmr import (SsmrClient, SsmrServer, StaticOracle,
 from tests.conftest import make_network
 
 
-def build_smr(env, replicas=3, seed=1, **server_options):
-    network = make_network(env, seed=seed)
+def build_smr(env, replicas=3, seed=1, network=None, **server_options):
+    network = network or make_network(env, seed=seed)
     directory = GroupDirectory({"smr": [f"r{i}" for i in range(replicas)]})
     nodes = [SsmrServer(env, network, directory, "smr", f"r{i}",
                         KeyValueStateMachine(),

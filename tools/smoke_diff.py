@@ -67,6 +67,7 @@ SMOKES = {
     # The nightly fuzz modes no other smoke covers.
     "fuzz-supervisor": repro("fuzz", "--smoke", "--supervisor"),
     "fuzz-disk": repro("fuzz", "--smoke", "--disk"),
+    "fuzz-overload": repro("fuzz", "--smoke", "--overload"),
     "heal": repro("heal", "--smoke"),
     "trace": repro("trace", "--scheme", "dssmr", "--seed", "7",
                    "--out", "spans.jsonl"),
