@@ -110,14 +110,14 @@ class GroupLog(ABC):
     def when_durable(self, action: Callable[[], None]) -> None:
         """Run ``action()`` once every applied position is durable.
 
-        At once without a WAL; with one, after a flush that starts now
-        rather than at the end of the group-commit window. The wait
-        never ends if the member dies first (its WAL is closed).
+        At once without a WAL; with one, after the flush that covers the
+        newest append (the one in flight, or the one right behind it).
+        The wait never ends if the member dies first (its WAL is closed).
         """
         if self._wal is None:
             action()
             return
-        barrier = self._wal.sync_barrier(urgent=True)
+        barrier = self._wal.sync_barrier()
         if barrier.triggered:
             action()
         else:

@@ -28,9 +28,9 @@ assembly and the serialisation (``capture`` has no yields), so the bytes
 are a point-in-time copy; no deep copy precedes them. The result is a
 small :class:`FrozenCheckpoint` — the header fields plus ``payload`` —
 and that payload *is* the snapshot: the durable store CRC-frames it
-verbatim, ``history`` retains it, and a consumer that needs fields calls
-``thaw()`` for a private :class:`PartitionCheckpoint` that shares no
-object with the donor or with any other thaw.
+verbatim, and a consumer that needs fields calls ``thaw()`` for a
+private :class:`PartitionCheckpoint` that shares no object with the
+donor or with any other thaw.
 
 Objects reachable twice (a store value that is also in the exchange's
 outbound cache) thaw to the sharing the live donor already has. That is
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.store.checkpoints import freeze, thaw
 
@@ -140,14 +139,13 @@ class PartitionCheckpointer:
     Attach one per server (``PartitionCheckpointer(server)`` registers
     itself as ``server.checkpointer``); the server then auto-captures on
     every ordered reconfiguration entry (epoch boundary), and the
-    state-transfer host captures on demand for recovering peers. The last
-    ``keep`` frozen checkpoints are retained for inspection.
+    state-transfer host captures on demand for recovering peers. The
+    checkpointer keeps no record itself: ``capture`` hands it to its
+    caller and, when durability is armed, to the durable store.
     """
 
-    def __init__(self, server, keep: int = 4):
+    def __init__(self, server):
         self.server = server
-        self.keep = keep
-        self.history: list[FrozenCheckpoint] = []
         self.captures = 0
         # Durable persistence (repro.store), attached by the harness when
         # durability is armed; None keeps checkpoints memory-only.
@@ -199,8 +197,6 @@ class PartitionCheckpointer:
             applied_count=state.applied_count, num_keys=len(store),
             payload=freeze(state))
         self.captures += 1
-        self.history.append(checkpoint)
-        del self.history[:-self.keep]
         if self.store is not None:
             self.store.save(checkpoint)
         if server.tracer.enabled:
@@ -210,6 +206,3 @@ class PartitionCheckpointer:
                 epoch=checkpoint.epoch, keys=checkpoint.num_keys,
                 reason=reason)
         return checkpoint
-
-    def latest(self) -> Optional[FrozenCheckpoint]:
-        return self.history[-1] if self.history else None

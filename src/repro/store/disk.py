@@ -35,16 +35,15 @@ class DurabilityConfig:
     """Tuning knobs for the durable-storage layer.
 
     ``fsync_ms`` is the fixed cost of one fsync; ``bytes_per_ms`` adds a
-    throughput term. ``group_commit_ms`` is how long the WAL batches
-    appends before flushing (the latency/durability trade-off — see
-    DESIGN.md). ``checkpoint_every`` bounds replay: partitions persist a
-    checkpoint every that many applied entries and truncate WAL
-    segments behind it, keeping ``keep_checkpoints`` generations.
+    throughput term; the WAL batches whatever arrives during one fsync
+    into the next (see DESIGN.md). ``checkpoint_every`` bounds replay:
+    partitions persist a checkpoint every that many applied entries and
+    truncate WAL segments behind it, keeping ``keep_checkpoints``
+    generations.
     """
 
     fsync_ms: float = 0.3
     bytes_per_ms: float = 4096.0
-    group_commit_ms: float = 1.0
     segment_records: int = 32
     checkpoint_every: int = 48
     keep_checkpoints: int = 2

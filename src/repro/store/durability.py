@@ -8,6 +8,8 @@ applied position is appended before execution, and the shared executor
 loop yields ``owner.wal.sync_barrier()`` after measuring the delivery's
 queue sojourn and before scheduling or executing it (and therefore
 before replying), so acknowledged commands are always durable somewhere.
+The WAL flushes as soon as its disk is idle and batches whatever arrives
+during a flush into the next one, so that wait is one or two fsyncs.
 
 Owners that carry a ``PartitionCheckpointer`` (every partition server,
 classic SMR's single group included) also
@@ -31,7 +33,6 @@ def attach_durability(owner, farm: DiskFarm) -> None:
     config = farm.config
     disk = farm.disk(owner.node.name)
     wal = WriteAheadLog(owner.node.env, disk, farm.stats,
-                        group_commit_ms=config.group_commit_ms,
                         segment_records=config.segment_records)
     owner.wal = wal
     owner.log.attach_wal(wal)

@@ -7,15 +7,15 @@ is detected. Records append into segment files named
 ``wal.<start_seq>``; a new segment opens every ``segment_records``
 appends so checkpoints can truncate whole durable segments behind them.
 
-Durability is group-committed: ``append`` buffers the record on the
-simulated disk and schedules one flush ``group_commit_ms`` later; the
-flush fsyncs every dirty segment and fires the ``sync_barrier`` events
-of all appends it made durable. Executors yield a barrier before
-executing (and therefore before replying), so an acknowledged command
-is always fsynced somewhere. An *urgent* barrier (a group speaker about
-to announce a timestamp to other groups) pulls the pending group commit
-forward to now, or to the end of the flush already in flight; it never
-starts a second flush beside one.
+Durability is group-committed without a timer: ``append`` buffers the
+record on the simulated disk and starts a flush at once unless one is
+already in flight. A flush fsyncs every dirty segment and fires the
+``sync_barrier`` events of all appends it made durable; whatever was
+appended while it ran rides the next flush, which starts the instant
+this one ends. So the batch is whatever arrived during the previous
+fsync, and there are never two flushes at once. Executors yield a
+barrier before executing (and therefore before replying), so an
+acknowledged command is always fsynced somewhere.
 
 Replay implements the torn-vs-corrupt distinction the recovery ladder
 depends on: a *truncated* record at the tail of the **last** segment is
@@ -132,15 +132,14 @@ def wipe_wal(disk: SimulatedDisk, prefix: str = WAL_PREFIX) -> None:
 
 
 class WriteAheadLog:
-    """Group-committed segmented WAL on one simulated disk."""
+    """Eagerly group-committed segmented WAL on one simulated disk."""
 
     def __init__(self, env: Environment, disk: SimulatedDisk,
-                 stats: StoreStats, group_commit_ms: float = 1.0,
-                 segment_records: int = 32, prefix: str = WAL_PREFIX):
+                 stats: StoreStats, segment_records: int = 32,
+                 prefix: str = WAL_PREFIX):
         self.env = env
         self.disk = disk
         self.stats = stats
-        self.group_commit_ms = group_commit_ms
         self.segment_records = segment_records
         self.prefix = prefix
         self.closed = False
@@ -150,11 +149,7 @@ class WriteAheadLog:
         self._segment_count = 0
         self._dirty: Dict[str, bool] = {}
         self._barriers: List[Tuple[int, Event]] = []
-        # Token of the scheduled group commit (None: none scheduled); a
-        # pulled-forward flush clears it, so the timer finds it stale.
-        self._flush_timer: Optional[object] = None
-        self._in_flight = 0
-        self._urgent = False
+        self._flushing = False
 
     # -- append / barrier ----------------------------------------------------
 
@@ -174,15 +169,11 @@ class WriteAheadLog:
         self._segment_count += 1
         if self._segment_count >= self.segment_records:
             self._segment = None
-        self._schedule_flush()
+        self._start_flush()
         return True
 
-    def sync_barrier(self, urgent: bool = False) -> Event:
-        """An event that fires once everything appended so far is durable.
-
-        ``urgent`` flushes now instead of waiting out ``group_commit_ms``
-        (after the flush in flight, if there is one).
-        """
+    def sync_barrier(self) -> Event:
+        """An event that fires once everything appended so far is durable."""
         event = self.env.event()
         if self._appended_seq is None or (
                 self._durable_seq is not None
@@ -190,11 +181,7 @@ class WriteAheadLog:
             event.succeed(None)
             return event
         self._barriers.append((self._appended_seq, event))
-        self._schedule_flush()
-        if urgent:
-            self._urgent = True
-            if not self._in_flight:
-                self._launch_flush()
+        self._start_flush()
         return event
 
     @property
@@ -203,49 +190,34 @@ class WriteAheadLog:
 
     # -- group commit --------------------------------------------------------
 
-    def _schedule_flush(self) -> None:
-        if self._flush_timer is not None or self.closed:
-            return
-        token = self._flush_timer = object()
-
-        def due() -> None:
-            if token is self._flush_timer:   # else it was pulled forward
-                self._launch_flush()
-
-        self.env.schedule_callback(self.group_commit_ms, due)
-
-    def _launch_flush(self) -> None:
-        self._in_flight += 1
-        self.env.process(self._flush(), name=f"wal/{self.disk.name}/flush")
+    def _start_flush(self) -> None:
+        if not self._flushing and not self.closed:
+            self._flushing = True
+            self.env.process(self._flush(),
+                             name=f"wal/{self.disk.name}/flush")
 
     def _flush(self):
-        self._flush_timer = None
-        self._urgent = False
-        if self.closed:
-            return
-        target = self._appended_seq
-        dirty = list(self._dirty)
-        self._dirty = {}
-        for path in dirty:
-            yield from self.disk.fsync(path)
-            if self.closed:
-                return
-        if target is not None:
-            self._durable_seq = (target if self._durable_seq is None
-                                 else max(self._durable_seq, target))
-        self.stats.group_commits += 1
-        still_waiting = []
-        for seq, event in self._barriers:
-            if self._durable_seq is not None and seq <= self._durable_seq:
-                event.succeed(None)
-            else:
-                still_waiting.append((seq, event))
-        self._barriers = still_waiting
-        self._in_flight -= 1
-        if self._dirty or self._barriers:
-            self._schedule_flush()
-            if self._urgent and not self._in_flight:
-                self._launch_flush()
+        # One flush per pass; a pass that ends with dirty segments or
+        # waiting barriers goes straight into the next. Both imply an
+        # append, so ``target`` is set and only grows pass to pass.
+        while not self.closed and (self._dirty or self._barriers):
+            target = self._appended_seq
+            dirty = list(self._dirty)
+            self._dirty = {}
+            for path in dirty:
+                yield from self.disk.fsync(path)
+                if self.closed:
+                    return
+            self._durable_seq = target
+            self.stats.group_commits += 1
+            still_waiting = []
+            for seq, event in self._barriers:
+                if seq <= target:
+                    event.succeed(None)
+                else:
+                    still_waiting.append((seq, event))
+            self._barriers = still_waiting
+        self._flushing = False
 
     # -- maintenance ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import enum
+import gc
 import pickle
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.apps.chirper import ChirperClient, ChirperStateMachine, user_key
 from repro.harness import Cluster, ClusterConfig, build_cluster
 from repro.reconfig import canonical_bytes, state_checksum
-from repro.reconfig.checkpoint import PartitionCheckpoint
+from repro.reconfig.checkpoint import FrozenCheckpoint, PartitionCheckpoint
 from repro.smr import Command
 from repro.smr.state_machine import (ExecutionView, KeyValueStateMachine,
                                      VariableStore)
@@ -109,15 +110,6 @@ class TestPartitionCheckpointer:
                              .capture("d").thaw().checksum)
         assert checksums[0] == checksums[1]
 
-    def test_history_trimmed_to_keep(self):
-        cluster = build_loaded_cluster()
-        checkpointer = cluster.servers["p0s0"].checkpointer
-        for index in range(7):
-            checkpointer.capture(f"c{index}")
-        assert checkpointer.captures == 7
-        assert len(checkpointer.history) == checkpointer.keep
-        assert checkpointer.latest() is checkpointer.history[-1]
-
     def test_delivery_handed_to_an_idle_executor_is_queued_work(self):
         """A capture in the decide callback chain (the periodic WAL
         capture) runs after the delivery left the queue for the waiting
@@ -138,6 +130,18 @@ class TestPartitionCheckpointer:
         cluster = build_loaded_cluster()
         before = {name: cluster.servers[name].checkpointer.captures
                   for name in ("p0s0", "p0s1", "p1s0", "p1s1")}
+        epochs = {name: [] for name in before}
+        for name in before:
+            checkpointer = cluster.servers[name].checkpointer
+            capture = checkpointer.capture
+
+            def recording_capture(reason="manual", capture=capture,
+                                  seen=epochs[name]):
+                record = capture(reason)
+                seen.append(record.epoch)
+                return record
+
+            checkpointer.capture = recording_capture
 
         def driver(env):
             yield from cluster.grow("p2")
@@ -147,7 +151,7 @@ class TestPartitionCheckpointer:
         for name, count in before.items():
             checkpointer = cluster.servers[name].checkpointer
             assert checkpointer.captures > count, name
-            assert checkpointer.latest().epoch == 1
+            assert epochs[name][-1] == 1
 
 
 # -- serialise-once capture: equivalence, isolation, the periodic path ------
@@ -331,8 +335,27 @@ def test_periodic_wal_captures_never_thaw_or_checksum(monkeypatch):
         assert cluster.disks.stats.checkpoints_saved > 0
         assert calls == {"loads": 0, "checksum": 0}, scheme
     # ...and the counters do see a thaw when one happens.
-    cluster.servers["p0s0"].checkpointer.latest().thaw()
+    cluster.servers["p0s0"].checkpointer.capture("probe").thaw()
     assert calls == {"loads": 1, "checksum": 1}
+
+
+def test_durable_checkpointer_keeps_no_frozen_record():
+    """Periodic captures go to the durable store and to disk; once
+    their saves have fsynced, no frozen record is left in memory."""
+    def live_records():
+        return sum(isinstance(obj, FrozenCheckpoint)
+                   for obj in gc.get_objects())
+
+    before = live_records()
+    cluster, clients = chirper_cluster(
+        "ssmr", posts_per_client=30,
+        durability=DurabilityConfig(checkpoint_every=16))
+    run_until_completed(cluster, clients, 90)
+    cluster.run(until=cluster.env.now + 50)   # let the saves fsync
+    for name, server in cluster.servers.items():
+        assert server.checkpointer.captures >= 2, name
+        assert server.ckpt_store.load_latest()[0] is not None, name
+    assert live_records() == before
 
 
 class TestValueImmutabilityContract:

@@ -211,7 +211,7 @@ def run_workload_terminal(cluster, count=8, name="c0"):
 class TestTransferredCheckpointIsPrivate:
     """The checkpoint a replacement installs becomes its live state (its
     ``_Pending`` records and ``_vars[cid]`` dicts keep changing), so it
-    must share nothing with the record the donor retains."""
+    must share nothing with the record the donor captured."""
 
     @staticmethod
     def image(checkpoint):
@@ -260,7 +260,7 @@ class TestTransferredCheckpointIsPrivate:
         assert recovery.installed
         assert cluster_invariants(cluster) == []
         (record, at_capture), = captured
-        assert donor.checkpointer.latest() is record
+        assert record.replica == donor.node.name
         return record, at_capture, recovery.checkpoint
 
     def test_replacement_progress_leaves_the_donor_record_alone(self):

@@ -15,11 +15,10 @@ def env():
     return Environment()
 
 
-def make_wal(env, seed=1, group_commit_ms=1.0, segment_records=4):
+def make_wal(env, seed=1, segment_records=4):
     disk = SimulatedDisk(env, "d0", random.Random(seed),
                          DurabilityConfig(), StoreStats())
     wal = WriteAheadLog(env, disk, disk.stats,
-                        group_commit_ms=group_commit_ms,
                         segment_records=segment_records)
     return disk, wal
 
@@ -64,8 +63,28 @@ class TestAppendReplay:
 
 
 class TestGroupCommit:
+    @staticmethod
+    def fsync_cost(*records):
+        config = DurabilityConfig()
+        return config.fsync_ms + sum(map(len, records)) / config.bytes_per_ms
+
+    @staticmethod
+    def counted_fsyncs(disk):
+        """Wrap ``disk.fsync``; returns [in flight now, peak in flight]."""
+        active = [0, 0]
+        fsync = disk.fsync
+
+        def counted_fsync(path):
+            active[0] += 1
+            active[1] = max(active[1], active[0])
+            yield from fsync(path)
+            active[0] -= 1
+
+        disk.fsync = counted_fsync
+        return active
+
     def test_barrier_fires_only_after_fsync(self, env):
-        _disk, wal = make_wal(env, group_commit_ms=1.0)
+        _disk, wal = make_wal(env)
         wal.append(0, {"uid": "a"})
         barrier = wal.sync_barrier()
         assert not barrier.triggered
@@ -78,51 +97,70 @@ class TestGroupCommit:
         assert wal.sync_barrier().triggered
 
     def test_one_flush_covers_a_batch(self, env):
-        disk, wal = make_wal(env, group_commit_ms=1.0, segment_records=32)
+        disk, wal = make_wal(env, segment_records=32)
         for seq in range(8):
             wal.append(seq, {"uid": f"u{seq}"})
         env.run(until=100)
-        # All eight records buffered inside one commit window: one fsync.
+        # All eight records buffered before the flush began: one fsync.
         assert disk.stats.group_commits == 1
         assert wal.durable_seq == 7
 
-    def test_urgent_barrier_pulls_the_group_commit_forward(self, env):
-        disk, wal = make_wal(env, group_commit_ms=5.0, segment_records=32)
+    def test_barrier_on_an_idle_disk_fires_after_one_fsync(self, env):
+        disk, wal = make_wal(env, segment_records=32)
         wal.append(0, {"uid": "a"})
         fired = []
-        wal.sync_barrier(urgent=True).callbacks.append(
+        wal.sync_barrier().callbacks.append(
             lambda _event: fired.append(env.now))
         env.run(until=100)
-        # One fsync from now, not after the 5 ms window; the scheduled
-        # commit it replaced never runs.
-        assert fired and fired[0] < 1.0
-        assert disk.stats.group_commits == 1
+        # The flush starts at once: no window, just the buffered bytes.
+        assert fired == [pytest.approx(
+            self.fsync_cost(encode_record(0, {"uid": "a"})))]
+        assert disk.stats.fsyncs == disk.stats.group_commits == 1
 
-    def test_urgent_barrier_never_starts_a_second_flush(self, env):
-        disk, wal = make_wal(env, group_commit_ms=1.0, segment_records=32)
-        active, peak = [0], [0]
-        fsync = disk.fsync
-
-        def counted_fsync(path):
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-            yield from fsync(path)
-            active[0] -= 1
-
-        disk.fsync = counted_fsync
+    def test_append_during_a_flush_rides_the_next_one(self, env):
+        disk, wal = make_wal(env, segment_records=32)
+        first = self.fsync_cost(encode_record(0, {"uid": "a"}))
+        second = self.fsync_cost(encode_record(1, {"uid": "b"}))
+        fired = {}
         wal.append(0, {"uid": "a"})
-        env.run(until=1.1)              # the group commit is fsyncing
-        assert active[0] == 1
+        wal.sync_barrier().callbacks.append(
+            lambda _event: fired.setdefault("a", env.now))
+        env.run(until=first / 2)           # the first flush is fsyncing
         wal.append(1, {"uid": "b"})
-        fired = []
-        wal.sync_barrier(urgent=True).callbacks.append(
-            lambda _event: fired.append(env.now))
+        wal.sync_barrier().callbacks.append(
+            lambda _event: fired.setdefault("b", env.now))
+        env.run(until=first)
+        assert wal.durable_seq == 0        # the first fsync missed "b"
         env.run(until=100)
-        assert peak[0] == 1
-        # The next flush started as the first ended, not a window later.
-        assert fired and fired[0] < 2.0
+        assert fired == {"a": pytest.approx(first),
+                         "b": pytest.approx(first + second)}
         assert disk.stats.group_commits == 2
         assert wal.durable_seq == 1
+
+    def test_never_two_flushes_in_flight(self, env):
+        disk, wal = make_wal(env, segment_records=1)
+        active = self.counted_fsyncs(disk)
+        wal.append(0, {"uid": "a"})
+        env.run(until=0.1)                 # the first flush is fsyncing
+        assert active[0] == 1
+        for seq in range(1, 4):            # one new segment each
+            wal.append(seq, {"uid": f"u{seq}"})
+            wal.sync_barrier()
+        env.run(until=100)
+        assert active[1] == 1
+        # One flush for "a", one for the three segments behind it.
+        assert disk.stats.group_commits == 2
+        assert disk.stats.fsyncs == 4
+        assert wal.durable_seq == 3
+
+    def test_unwaited_append_still_becomes_durable(self, env):
+        # The log's stable position and compaction floor read
+        # durable_seq, so it must advance with no barrier asking.
+        disk, wal = make_wal(env)
+        wal.append(0, {"uid": "a"})
+        env.run(until=100)
+        assert wal.durable_seq == 0
+        assert [seq for seq, _ in replay_wal(disk).entries] == [0]
 
     def test_closed_wal_ignores_appends(self, env):
         disk, wal = make_wal(env)
@@ -130,6 +168,18 @@ class TestGroupCommit:
         assert not wal.append(0, {"uid": "a"})
         env.run(until=100)
         assert replay_wal(disk).entries == []
+
+    def test_closed_wal_starts_no_flush(self, env):
+        disk, wal = make_wal(env)
+        wal.append(0, {"uid": "a"})
+        env.run(until=0.1)                 # the first flush is fsyncing
+        wal.append(1, {"uid": "b"})
+        wal.close()
+        env.run(until=100)
+        # The fsync in flight ends; no commit and no second flush follow.
+        assert disk.stats.fsyncs == 1
+        assert disk.stats.group_commits == 0
+        assert wal.durable_seq is None
 
 
 class TestTornVsCorrupt:
