@@ -326,7 +326,8 @@ class OracleReplica(OrderedExecutor):
         # against another create must still unblock the waiting partition,
         # which only installs the variable on an "ok" verdict.
         verdict = "nok" if key in self.location else "ok"
-        self.exchange.send([partition], command.cid, {"verdict": verdict})
+        self.exchange.send([partition], command.cid, {"verdict": verdict},
+                           key=self.delivery_key)
         yield from self.exchange.wait(command.cid, {partition})
         self.exchange.collect(command.cid)
         if verdict == "ok":
@@ -346,7 +347,8 @@ class OracleReplica(OrderedExecutor):
         partition = command.args["partition"]
         current = self.location.get(key)
         verdict = "ok" if current == partition else "nok"
-        self.exchange.send([partition], command.cid, {"verdict": verdict})
+        self.exchange.send([partition], command.cid, {"verdict": verdict},
+                           key=self.delivery_key)
         yield from self.exchange.wait(command.cid, {partition})
         self.exchange.collect(command.cid)
         if verdict == "ok":

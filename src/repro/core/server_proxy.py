@@ -141,7 +141,8 @@ class DssmrServer(SsmrServer):
                 self.replies.store(command, self._make_reply(
                     command, ReplyStatus.OK, {"shipped": len(shipped)}))
             self.moves_out.increment(self.env.now, len(shipped))
-            self.exchange.send([dest], command.cid, shipped)
+            self.exchange.send([dest], command.cid, shipped,
+                               key=self.delivery_key)
             start = self.env.now
             yield self.env.timeout(self.execution.base_ms)
             self._account(command, "move", start, role="source",
@@ -173,7 +174,8 @@ class DssmrServer(SsmrServer):
         """Signal exchange with the oracle (both sides send, then wait);
         the oracle's signal carries the verdict of the create/create or
         create/delete race."""
-        self.exchange.send([ORACLE_GROUP], command.cid, {})
+        self.exchange.send([ORACLE_GROUP], command.cid, {},
+                           key=self.delivery_key)
         start = self.env.now
         yield from self.exchange.wait(command.cid, {ORACLE_GROUP})
         self._account(command, "exchange", start, peers=1)

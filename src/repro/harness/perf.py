@@ -339,7 +339,8 @@ def run_substrate_micro(events: int = 200_000,
         server.replies.store(command, Reply(
             cid, ReplyStatus.OK, {"delivered": 3}, server.node.name,
             server.partition))
-        server.exchange.send([peer], cid, {key: server.store.read(key)})
+        server.exchange.send([peer], cid, {key: server.store.read(key)},
+                             key=(index, cid))
     started = time.perf_counter()
     for _ in range(captures):
         server.checkpointer.capture("micro")

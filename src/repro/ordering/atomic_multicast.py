@@ -22,6 +22,14 @@ Skeen-style timestamp protocol layered on per-group ordered logs:
    provisional key blocks delivery (its final timestamp can only grow,
    never shrink below the provisional one).
 
+Delivery floors (:mod:`repro.ordering.floor`) ride the same two steps: a
+speaker puts its group's floor in every ``am-ts`` it sends, and the
+receiving speaker writes the floors it has heard into the next ``am-final``
+entry it orders, so every member of its group learns them at one log
+position. A member keeps its own timestamp for a message, to answer
+``am-ts-pull``, until every other destination's floor is past the
+message's delivery key.
+
 Because every step is driven by applying ordered-log entries, all members of
 a group make identical delivery decisions — the group behaves as one logical
 process, which is exactly the abstraction the SMR layers above need.
@@ -38,11 +46,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
+from repro.ordering.floor import Retention, past
 from repro.ordering.group import GroupDirectory
 from repro.ordering.log import GroupLog, LogClient
 from repro.ordering.node import ProtocolNode
 
 DeliverCallback = Callable[["AmcastDelivery"], None]
+# ``callback(group, floor)``: this group learned that ``group`` rose to
+# ``floor``.
+FloorCallback = Callable[[str, tuple], None]
 
 # One group's timestamp for a multi-group message, sent speaker to speaker.
 AM_TS = "am-ts"
@@ -110,13 +122,22 @@ class AtomicMulticast:
         self._pending: dict[str, _Pending] = {}
         self._clock = 0
         self._delivered_uids: set[str] = set()
-        # Own group's timestamp per multi-group muid, kept past delivery so
-        # other groups can pull a lost announcement at any time.
+        # Own group's timestamp per multi-group muid, kept past delivery
+        # until every other destination's floor passes the delivery key
+        # (``_ts_kept``): until then another group may pull it.
         self._my_ts: dict[str, int] = {}
+        self._ts_kept = Retention()
+        # The other groups' delivery floors, as this group's log ordered
+        # them (replicated and checkpointed).
+        self.floors: dict[str, tuple] = {}
         # Announcing member only: muid -> {other group: its timestamp},
-        # until the message's final entry is applied here.
+        # until the message's final entry is applied here; and the floors
+        # heard above those this group's log ordered, for the next final
+        # entry to carry.
         self._heard: dict[str, dict[str, int]] = {}
+        self._floors_heard: dict[str, tuple] = {}
         self._callbacks: list[DeliverCallback] = []
+        self._floor_callbacks: list[FloorCallback] = []
         self._deliver_count = 0
         self.heals = 0
         self.ts_pulls = 0
@@ -128,6 +149,11 @@ class AtomicMulticast:
 
     def on_deliver(self, callback: DeliverCallback) -> None:
         self._callbacks.append(callback)
+
+    def on_floor(self, callback: FloorCallback) -> None:
+        """Register ``callback(group, floor)``, called as this group's log
+        raises another group's floor."""
+        self._floor_callbacks.append(callback)
 
     def multicast(self, groups: Iterable[str], payload: Any,
                   size: int = 256, uid: Optional[str] = None) -> str:
@@ -177,6 +203,11 @@ class AtomicMulticast:
         self._try_deliver()
 
     def _apply_final(self, entry: dict) -> None:
+        floors = entry.get("floors")
+        if floors:
+            for group, floor in floors.items():
+                if not past(self.floors.get(group), floor):
+                    self._raise_floor(group, floor)
         muid = entry["muid"]
         ts = entry["ts"]
         self._clock_bump(ts)
@@ -209,7 +240,8 @@ class AtomicMulticast:
         """
         if self.node.crashed:
             return
-        payload = {"muid": muid, "from_group": self.group, "ts": ts}
+        payload = {"muid": muid, "from_group": self.group, "ts": ts,
+                   "floor": self.log.key_floor}
         for group in groups:
             targets = ((self.directory.speaker(group),) if self.speaker_only
                        else self.directory.members(group))
@@ -217,6 +249,10 @@ class AtomicMulticast:
                 self.node.send(target, AM_TS, payload, size=self.TS_SIZE)
 
     def _on_ts(self, message) -> None:
+        group, floor = message.payload["from_group"], message.payload["floor"]
+        if floor is not None and not past(
+                self._floors_heard.get(group, self.floors.get(group)), floor):
+            self._floors_heard[group] = floor
         muid = message.payload["muid"]
         if muid in self._delivered_uids:
             return
@@ -232,9 +268,10 @@ class AtomicMulticast:
         """Order ``muid``'s final timestamp in this group's log once every
         other destination group has been heard from.
 
-        Every member that submits it submits the same entry under the
-        same uid, so the log keeps one copy. A crashed member submits
-        nothing: on the sequencer a submit is applied in place.
+        Every member that submits it submits it under the same uid, so
+        the log keeps one copy. The entry also carries the floors heard
+        that this group's log has not ordered yet. A crashed member
+        submits nothing: on the sequencer a submit is applied in place.
         """
         if self.node.crashed:
             return
@@ -243,8 +280,11 @@ class AtomicMulticast:
         if any(group not in heard for group in others):
             return
         ts = max(state.local_ts, *(heard[group] for group in others))
-        self.log.submit({"uid": f"fin:{muid}:{self.group}",
-                         "kind": "am-final", "muid": muid, "ts": ts})
+        entry = {"uid": f"fin:{muid}:{self.group}", "kind": "am-final",
+                 "muid": muid, "ts": ts}
+        if self._floors_heard:
+            entry["floors"] = dict(self._floors_heard)
+        self.log.submit(entry)
 
     # -- self-heal under message loss --------------------------------------
     #
@@ -293,6 +333,18 @@ class AtomicMulticast:
         groups = [message.payload["reply_group"]]
         self.log.when_durable(lambda: self._send_ts(groups, muid, ts))
 
+    # -- delivery floors ------------------------------------------------------
+
+    def _raise_floor(self, group: str, floor: tuple) -> None:
+        self.floors[group] = floor
+        heard = self._floors_heard.get(group)
+        if heard is not None and past(floor, heard):
+            del self._floors_heard[group]   # ordered now
+        for muid in self._ts_kept.release(group, floor):
+            self._my_ts.pop(muid, None)
+        for callback in self._floor_callbacks:
+            callback(group, floor)
+
     # -- logical clock ----------------------------------------------------
 
     def _clock_tick(self) -> None:
@@ -317,12 +369,17 @@ class AtomicMulticast:
                 return  # the head of the queue is not final yet
             del self._pending[muid]
             self._delivered_uids.add(muid)
+            key = (state.final_ts, muid)
+            if len(state.groups) > 1 and not self._ts_kept.keep(
+                    muid, key, [group for group in state.groups
+                                if group != self.group], self.floors):
+                self._my_ts.pop(muid, None)
             delivery = AmcastDelivery(
                 uid=muid,
                 payload=state.payload,
                 groups=state.groups,
                 origin=state.origin,
-                timestamp=(state.final_ts, muid),
+                timestamp=key,
                 local_seq=self._deliver_count,
             )
             self._deliver_count += 1

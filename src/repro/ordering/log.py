@@ -54,6 +54,10 @@ class GroupLog(ABC):
     a log that never does (:class:`~repro.ordering.paxos.PaxosLog`)
     keeps floor 0 and retains every entry.
 
+    The same reports carry each member's *restore key*, and
+    :attr:`key_floor` is their minimum: the group's delivery floor (see
+    :mod:`repro.ordering.floor`). A log without reports leaves it unset.
+
     A member's reports and backfill requests are taken latest-first: one
     that arrives after a later one from the same member (by message id,
     which orders a member's sends across its incarnations) is dropped. A
@@ -91,6 +95,8 @@ class GroupLog(ABC):
         # Per member: id of the newest report or backfill request taken.
         self._control_seen: dict[str, int] = {}
         self._wal = None
+        self._key_floor = None
+        self._restore_key: Callable[[], Optional[tuple]] = lambda: None
         node.on(f"log/{group}/backfill-req", self._on_backfill_request)
         node.on(f"log/{group}/backfill", self._on_backfill)
 
@@ -106,6 +112,12 @@ class GroupLog(ABC):
         long as what the state machine has seen.
         """
         self._wal = wal
+
+    def report_restore_key(self, source: Callable[[], Optional[tuple]]
+                           ) -> None:
+        """Send ``source()``, the owner's restore key, with every report
+        of this member's stable position."""
+        self._restore_key = source
 
     def when_durable(self, action: Callable[[], None]) -> None:
         """Run ``action()`` once every applied position is durable.
@@ -189,8 +201,15 @@ class GroupLog(ABC):
         durable = self._wal.durable_seq
         return 0 if durable is None else durable + 1
 
+    @property
+    def key_floor(self) -> Optional[tuple]:
+        """The group's delivery floor, where this member keeps it (the
+        sequencer of a :class:`SequencerLog`); None when unset."""
+        return self._key_floor
+
     def _report_stable(self) -> None:
-        """Tell the group this member's stable position (no-op here)."""
+        """Tell the group this member's stable position and restore key
+        (no-op here)."""
 
     def _raise_floor(self, floor: int) -> None:
         """Drop retained entries below ``floor``; the floor never falls."""
@@ -325,7 +344,7 @@ class SequencerLog(GroupLog):
     (benchmark E14 quantifies it) and the added latency.
 
     **Compaction.** A follower sends the sequencer one ``log/{g}/stable``
-    report of its :attr:`~GroupLog.stable_position` every
+    report of its :attr:`~GroupLog.stable_position` (and restore key) every
     ``STABLE_EVERY`` applied positions, and a replacement one when its
     recovery install starts (repeated until it ends) and one when it
     ends; the sequencer counts its own position the same way, without a
@@ -333,7 +352,10 @@ class SequencerLog(GroupLog):
     that never reported counts as 0), so a crashed follower pins it at
     its last report until its replacement reports. The sequencer drops
     entries below the floor and puts it in every decide, and the
-    followers drop the same prefix.
+    followers drop the same prefix. It keeps the delivery floor the same
+    way, over the reported restore keys: a member whose report carries
+    none (it never reported, or is a replacement still installing) holds
+    the floor where it is.
 
     **Quiet tail.** A follower that missed the last decides of a log
     that then goes quiet sees no later decide, so nothing reveals its
@@ -368,6 +390,7 @@ class SequencerLog(GroupLog):
         self._batch: list[dict] = []
         self._flush_scheduled = False
         self._stable: dict[str, int] = {}   # sequencer: member -> report
+        self._restore_keys: dict[str, Optional[tuple]] = {}   # the same
         self._tail_acked: dict[str, int] = {}   # sequencer: member -> tail
         self._tail_armed = False
         self._tail_mark = 0   # decisions_sent when the tail timer was armed
@@ -567,20 +590,30 @@ class SequencerLog(GroupLog):
 
     def _report_stable(self) -> None:
         if self._is_sequencer:
-            self._record_stable(self.node.name, self.stable_position)
+            self._record_stable(self.node.name, self.stable_position,
+                                self._restore_key())
         else:
             self.node.send(self.sequencer, f"log/{self.group}/stable",
-                           {"position": self.stable_position},
+                           {"position": self.stable_position,
+                            "key": self._restore_key()},
                            size=self.STABLE_SIZE)
 
     def _on_stable(self, message: Message) -> None:
         if self._latest(message):
-            self._record_stable(message.src, message.payload["position"])
+            self._record_stable(message.src, message.payload["position"],
+                                message.payload["key"])
 
-    def _record_stable(self, member: str, position: int) -> None:
+    def _record_stable(self, member: str, position: int,
+                       key: Optional[tuple]) -> None:
+        members = self.directory.members(self.group)
         self._stable[member] = position
-        self._raise_floor(min(self._stable.get(m, 0)
-                              for m in self.directory.members(self.group)))
+        self._raise_floor(min(self._stable.get(m, 0) for m in members))
+        self._restore_keys[member] = key
+        keys = [self._restore_keys.get(m) for m in members]
+        if None not in keys:
+            lowest = min(keys)
+            if self._key_floor is None or lowest > self._key_floor:
+                self._key_floor = lowest
 
 
 class LogClient:

@@ -8,11 +8,17 @@ checkpoint therefore captures everything a replacement replica needs to be
 *behaviourally* identical from the capture point onward:
 
 * the variable store and the execution history (ids + the session
-  table: per client, its watermark and unacknowledged replies);
+  table: per client, its watermark and unacknowledged replies), and the
+  settled key: the delivery key (see :mod:`repro.ordering.floor`) the
+  store is complete up to, which the installing replica reports for its
+  group's delivery floor (the durable store reports it once fsynced);
 * the atomic-multicast endpoint state (logical clock, delivered uids,
-  own timestamps, pending multi-group messages);
+  own timestamps and the keys they are kept under, pending multi-group
+  messages, and the other groups' delivery floors as this group's log
+  ordered them, so that an install matches a replay);
 * the exchange buffer (received signals/variables, done flags and the
-  outbound cache that serves peers' pull requests);
+  outbound cache that serves peers' pull requests, with the key each
+  message is kept under);
 * the delivery queue, including the command the executor is currently
   inside (its effects are not yet in the store, so it counts as queued);
 * the ordered-log apply position, bounding the log suffix to replay;
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.store.checkpoints import freeze, thaw
 
@@ -96,6 +103,9 @@ class PartitionCheckpoint:
     # Reconfiguration entry rids already applied (re-delivery dedup must
     # survive recovery, or a replacement replica double-bumps its epoch).
     applied_reconfigs: list = field(default_factory=list)
+    # Key of the newest delivery whose effects, and every earlier one's,
+    # are in ``store`` (None before the first).
+    settled_key: Optional[tuple] = None
     # Filled by ``FrozenCheckpoint.thaw``; empty inside a payload.
     checksum: str = ""
 
@@ -125,6 +135,7 @@ class FrozenCheckpoint:
     applied_count: int
     num_keys: int
     payload: bytes                   # frozen PartitionCheckpoint
+    settled_key: Optional[tuple] = None
 
     def thaw(self) -> PartitionCheckpoint:
         """A private, checksummed copy of the captured state."""
@@ -137,11 +148,12 @@ class PartitionCheckpointer:
     """Captures checkpoints of one partition server.
 
     Attach one per server (``PartitionCheckpointer(server)`` registers
-    itself as ``server.checkpointer``); the server then auto-captures on
-    every ordered reconfiguration entry (epoch boundary), and the
-    state-transfer host captures on demand for recovering peers. The
-    checkpointer keeps no record itself: ``capture`` hands it to its
-    caller and, when durability is armed, to the durable store.
+    itself as ``server.checkpointer``); with a durable store the server
+    then auto-captures on every ordered reconfiguration entry (epoch
+    boundary), and the state-transfer host captures on demand for
+    recovering peers. The checkpointer keeps no record itself:
+    ``capture`` hands it to its caller and, when durability is armed, to
+    the durable store.
     """
 
     def __init__(self, server):
@@ -176,6 +188,8 @@ class PartitionCheckpointer:
                 "clock": amcast._clock,
                 "delivered_uids": sorted(amcast._delivered_uids),
                 "my_ts": amcast._my_ts,
+                "ts_kept": amcast._ts_kept.queues,
+                "floors": amcast.floors,
                 "pending": amcast._pending,
                 "deliver_count": amcast._deliver_count,
             },
@@ -185,17 +199,19 @@ class PartitionCheckpointer:
                 "vars": exchange._vars,
                 "done": sorted(exchange._done),
                 "sent": exchange._sent,
+                "kept": exchange._kept.queues,
             },
             queued=server.pending_deliveries(),
             location_slice={key: server.partition for key in store.keys()},
             applied_reconfigs=sorted(
                 getattr(server, "applied_reconfigs", ())),
+            settled_key=server.settled_key,
         )
         checkpoint = FrozenCheckpoint(
             partition=state.partition, replica=state.replica,
             epoch=state.epoch, taken_at=state.taken_at,
             applied_count=state.applied_count, num_keys=len(store),
-            payload=freeze(state))
+            payload=freeze(state), settled_key=state.settled_key)
         self.captures += 1
         if self.store is not None:
             self.store.save(checkpoint)

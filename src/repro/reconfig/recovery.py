@@ -16,9 +16,10 @@ position:
    would pointlessly backfill history the checkpoint covers).
 2. The transfer pulls a frozen checkpoint from the chosen peer; ordered
    traffic arriving meanwhile parks in the log's pending map.
-3. Install: store, execution history, session table, epoch, multicast
-   state (clock, delivered uids, pendings — unfinalised multi-group
-   pendings re-arm their self-heal timers), exchange buffers and the
+3. Install: store, execution history and settled key, session table,
+   epoch, multicast state (clock, delivered uids, own timestamps,
+   learned delivery floors, pendings — unfinalised multi-group pendings
+   re-arm their self-heal timers), exchange buffers and the
    checkpoint's queued deliveries. Delivered-uid install is what stops
    the backfilled suffix from double-delivering commands the queue
    already carries.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.ordering.floor import Retention
 from repro.reconfig.checkpoint import PartitionCheckpoint, PartitionCheckpointer
 from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
                                      StateTransferStalled)
@@ -52,6 +54,7 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     for key, value in checkpoint.store.items():
         server.store.write(key, value)
     server.executed = list(checkpoint.executed)
+    server.settled_key = server._processed_key = checkpoint.settled_key
     server.replies.sessions = checkpoint.replies
     server.epoch = checkpoint.epoch
     server.applied_reconfigs = set(
@@ -61,6 +64,8 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     amcast._clock = state["clock"]
     amcast._delivered_uids = set(state["delivered_uids"])
     amcast._my_ts = dict(state["my_ts"])
+    amcast.floors = dict(state["floors"])
+    amcast._ts_kept = Retention(state["ts_kept"])
     amcast._pending = dict(state["pending"])
     amcast._deliver_count = state["deliver_count"]
     if amcast.heal_interval_ms:
@@ -76,6 +81,7 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     exchange._vars = dict(state["vars"])
     exchange._done = set(state["done"])
     exchange._sent = dict(state["sent"])
+    exchange._kept = Retention(state["kept"])
     server.replace_queue(checkpoint.queued)
 
 

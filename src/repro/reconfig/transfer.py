@@ -107,6 +107,7 @@ class CheckpointHost:
             "queued": checkpoint.queued,
             "location_slice": checkpoint.location_slice,
             "applied_reconfigs": checkpoint.applied_reconfigs,
+            "settled_key": checkpoint.settled_key,
         }
         payloads = [{"control": control}]
         keys = sorted(checkpoint.store, key=str)
@@ -332,6 +333,7 @@ class StateTransfer:
             queued=control["queued"],
             location_slice=control["location_slice"],
             applied_reconfigs=control["applied_reconfigs"],
+            settled_key=control["settled_key"],
         )
         checkpoint.checksum = checkpoint.compute_checksum()
         if checkpoint.checksum != self._meta["checksum"]:

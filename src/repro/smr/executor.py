@@ -70,6 +70,10 @@ class OrderedExecutor:
        duplicate or fresh).
     7. **session -> reply**: a returned reply is stored in the issuer's
        session, recorded in ``executed`` and sent.
+    8. **settle**: once its effects and those of every earlier delivery
+       are in the state, its key becomes :attr:`settled_key`, which the
+       replica reports for its group's delivery floor (see
+       :meth:`restore_key` and :mod:`repro.ordering.floor`).
 
     ``qos``, ``wal`` and ``parallel`` are ``None`` until the harness
     attaches them; an absent subsystem costs one ``None`` check.
@@ -125,11 +129,19 @@ class OrderedExecutor:
         self.qos = None
         self.wal = None
         self.parallel = None
+        # Attached by repro.reconfig.PartitionCheckpointer (None without).
+        self.checkpointer = None
         self._enqueue_times: dict[str, float] = {}
         self._deliveries = Channel(env, name=f"{name}/deliveries")
         # The delivery the executor is inside: a checkpoint captured
         # meanwhile must count it as not-yet-executed work.
         self._current_delivery = None
+        # Keys of the newest delivery whose effects, and those of every
+        # delivery before it, are in the state; and of the newest one
+        # processed or dispatched to the pool.
+        self.settled_key = None
+        self._processed_key = None
+        self.log.report_restore_key(self.restore_key)
         self.amcast.on_deliver(self._enqueue)
         self._start_gate = start_gate
         self._executor = env.process(self._execute_loop(),
@@ -229,6 +241,30 @@ class OrderedExecutor:
             return list(self.executed)
         inflight = set(self.parallel.inflight_cids())
         return [cid for cid in self.executed if cid not in inflight]
+
+    @property
+    def delivery_key(self):
+        """The key of the delivery the executor is inside."""
+        return self._current_delivery.timestamp
+
+    def restore_key(self):
+        """The key this replica reports for its group's delivery floor.
+
+        Its settled key; with a WAL, the key of its newest fsynced
+        checkpoint instead, since a cold start re-executes everything
+        after that. None for a durable replica without a checkpoint store
+        (an oracle replays its whole WAL), whose group floor never rises.
+        """
+        if self.wal is None:
+            return self.settled_key
+        store = getattr(self.checkpointer, "store", None)
+        return None if store is None else store.durable_key
+
+    def _settle(self, key) -> None:
+        """The delivery at ``key`` is processed (or on the pool)."""
+        self._processed_key = key
+        if self.parallel is None or not self.parallel.pending:
+            self.settled_key = key
 
     def replace_queue(self, deliveries) -> None:
         """Replace the queued deliveries (recovery install)."""
@@ -336,6 +372,8 @@ class OrderedExecutor:
                                        f"exec.run.c{slot.core}", slot.cost)
         self.replies.store(command, reply)
         self.parallel.complete(command.cid)
+        if not self.parallel.pending:
+            self.settled_key = self._processed_key
         self._send_reply(command, reply)
 
     def _resend_landed(self, command: Command, attempt: int) -> None:
@@ -379,6 +417,7 @@ class OrderedExecutor:
                         self._dispatch_parallel(
                             command, delivery_attempt(payload), delivery)
                         self._current_delivery = None
+                        self._settle(delivery.timestamp)
                         continue
                     # Everything else serializes against the whole pool.
                     yield from self.parallel.drain()
@@ -389,6 +428,7 @@ class OrderedExecutor:
                 if reply is not None:
                     self._commit(command, reply, payload)
                 self._current_delivery = None
+                self._settle(delivery.timestamp)
         except Interrupted:
             return
 

@@ -33,6 +33,14 @@ because the puller may be a follower whose bundle was lost (receivers
 deduplicate by sending group, so redundant copies are harmless). Without
 this, one dropped signal or bundle, or a speaker that crashed before
 sending, blocks a partition's executor forever.
+
+The cache is bounded by delivery floors (:mod:`repro.ordering.floor`):
+each message is kept under the delivery key of the delivery that sent it
+and dropped once every destination group's floor is at or past that key.
+Such a group has executed the command in every state its members could
+restore, so it never pulls the message again. A group whose floor stays
+unset (a :class:`~repro.ordering.paxos.PaxosLog` group, a durable oracle)
+keeps every message sent to it.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.ordering import ReliableMulticast
+from repro.ordering.floor import Key, Retention
 from repro.sim import Environment
 
 EXCHANGE = "ssmr-exchange"
@@ -50,8 +59,9 @@ class ExchangeBuffer:
     """Per-node buffer of exchange messages, keyed by command id.
 
     ``amcast`` is the group's atomic multicast endpoint, or anything with
-    its two attributes: ``speaker_only`` picks the routing above and
-    ``announcing`` says whether this member speaks for the group.
+    what this uses of it: ``speaker_only`` picks the routing above,
+    ``announcing`` says whether this member speaks for the group, and
+    ``floors`` / ``on_floor`` give the other groups' delivery floors.
     """
 
     def __init__(self, env: Environment, rmcast: ReliableMulticast,
@@ -66,19 +76,22 @@ class ExchangeBuffer:
         self._vars: dict[str, dict] = {}
         self._done: set[str] = set()
         self._waiters: dict[str, object] = {}
-        # Outbound cid -> payload: the pull/resend cache; pruning waits
-        # for destination checkpoint watermarks.
+        # Outbound cid -> payload: the pull/resend cache, each message
+        # kept until every destination's floor passes its key (_kept).
         self._sent: dict[str, dict] = {}
+        self._kept = Retention()
         self.pulls_sent = 0
         self.pulls_served = 0
         rmcast.on_deliver(self._on_rmcast)
+        amcast.on_floor(self._release)
 
     def send(self, groups: Iterable[str], cid: str, variables: dict,
-             done: bool = False) -> None:
+             done: bool = False, *, key: Key) -> None:
         """Signal (plus our share of the variables) to ``groups``.
 
-        Every member caches the message for the pull path; only the
-        group's transmitting member puts it on the wire.
+        Every member caches the message for the pull path, under ``key``,
+        the delivery key of the delivery that sends it; only the group's
+        transmitting member puts it on the wire.
 
         ``done=True`` marks that this participant already executed the
         command (reply-cache hit): receivers must not re-execute it, which
@@ -101,13 +114,21 @@ class ExchangeBuffer:
             # resend itself — still carries the original transfer.
             payload["vars"] = {**cached["vars"], **variables}
             payload["done"] = done or cached["done"]
-        self._sent[cid] = payload
+        if self._kept.keep(cid, key, groups, self.amcast.floors):
+            self._sent[cid] = payload
+        else:
+            self._sent.pop(cid, None)   # every destination is past it
         if not self.amcast.announcing:
             return
         to = None
         if self.amcast.speaker_only:
             to = [self.rmcast.directory.speaker(group) for group in groups]
         self._transmit(groups, payload, to)
+
+    def _release(self, group: str, floor: Key) -> None:
+        """``group`` rose to ``floor``: drop what no destination needs."""
+        for cid in self._kept.release(group, floor):
+            del self._sent[cid]
 
     def _transmit(self, groups: Iterable[str], payload: dict,
                   to: Optional[list] = None) -> None:

@@ -77,8 +77,6 @@ class SsmrServer(OrderedExecutor):
         # first delivery may bump the epoch (the oracle side dedups by
         # caching its acks; this is the server-side counterpart).
         self.applied_reconfigs: set[str] = set()
-        # Attached by repro.reconfig.PartitionCheckpointer (None without).
-        self.checkpointer = None
 
     def _respawn_options(self) -> dict:
         return {"speaker_only": self.amcast.speaker_only}
@@ -126,7 +124,8 @@ class SsmrServer(OrderedExecutor):
             # re-tagged with the current attempt so the client accepts it.
             others = [d for d in dests if d != self.partition]
             if command.ctype is CommandType.ACCESS and others:
-                self.exchange.send(others, command.cid, {}, done=True)
+                self.exchange.send(others, command.cid, {}, done=True,
+                                   key=self.delivery_key)
             self._send_reply(command, cached)
             return None
         if command.ctype is CommandType.ACCESS:
@@ -156,11 +155,12 @@ class SsmrServer(OrderedExecutor):
         group — delivered through the ordered logs, so all replicas of all
         partitions fence identically — and trigger an epoch-tagged
         checkpoint when a :class:`~repro.reconfig.PartitionCheckpointer`
-        is attached. Leave-commit entries are oracle-side cleanup and do
-        not change the epoch. Re-deliveries of an already-applied entry
-        (manager retries under a fresh multicast uid) are no-ops — the
-        fuzzer's minimal repro for skipping this check is a single join
-        under background message loss.
+        with a durable store is attached (without one nobody keeps it).
+        Leave-commit entries are oracle-side cleanup and do not change
+        the epoch. Re-deliveries of an already-applied entry (manager
+        retries under a fresh multicast uid) are no-ops — the fuzzer's
+        minimal repro for skipping this check is a single join under
+        background message loss.
         """
         if spec.get("kind") in ("join", "leave_begin"):
             rid = spec.get("rid")
@@ -171,7 +171,8 @@ class SsmrServer(OrderedExecutor):
             self.epoch += 1
             self.node.flight("epoch",
                              f"{spec['kind']} -> epoch {self.epoch}")
-            if self.checkpointer is not None:
+            if (self.checkpointer is not None
+                    and self.checkpointer.store is not None):
                 self.checkpointer.capture(reason=spec["kind"])
 
     # -- command execution (Algorithm 1) -----------------------------------
@@ -182,7 +183,8 @@ class SsmrServer(OrderedExecutor):
         self.multi_partition_count += 1
         local_vars = {key: self.store.read(key)
                       for key in command.variables if key in self.store}
-        self.exchange.send(others, command.cid, local_vars)
+        self.exchange.send(others, command.cid, local_vars,
+                           key=self.delivery_key)
         start = self.env.now
         yield self.env.timeout(self.execution.cost(command))
         self._account(command, "execute", start)

@@ -11,7 +11,9 @@ immediately and spawns a background process to fsync it. Only after
 the fsync completes does the store prune old checkpoint files and
 truncate WAL segments behind the new checkpoint — a crash mid-save
 therefore always leaves the previous checkpoint (and the WAL suffix it
-needs) intact.
+needs) intact. Then, too, the checkpoint's settled key becomes the
+store's ``durable_key``: the restore key a durable replica reports for
+its group's delivery floor (:mod:`repro.ordering.floor`).
 
 ``load_latest_checkpoint`` walks the durable checkpoint files newest
 first and CRC-verifies each; a bit-rotted checkpoint is skipped (and
@@ -94,6 +96,8 @@ class DurableCheckpointStore:
         self.prefix = prefix
         self.wal = wal
         self.closed = False
+        # Settled key of the newest checkpoint whose fsync has completed.
+        self.durable_key: Optional[tuple] = None
 
     def save(self, checkpoint) -> None:
         """Buffer the checkpoint now, fsync + prune + truncate async."""
@@ -107,14 +111,18 @@ class DurableCheckpointStore:
         crc = zlib.crc32(payload) & 0xFFFFFFFF
         self.disk.append(path, CKPT_HEADER.pack(len(payload), crc) + payload)
         self.env.process(
-            self._persist(path, checkpoint.applied_count),
+            self._persist(path, checkpoint.applied_count,
+                          checkpoint.settled_key),
             name=f"ckpt/{self.disk.name}/{checkpoint.applied_count}")
 
-    def _persist(self, path: str, position: int):
+    def _persist(self, path: str, position: int, key: Optional[tuple]):
         yield from self.disk.fsync(path)
         if self.closed:
             return
         self.stats.checkpoints_saved += 1
+        if key is not None and (self.durable_key is None
+                                or key > self.durable_key):
+            self.durable_key = key
         files = self.disk.files(self.prefix + ".")
         while len(files) > self.keep:
             self.disk.delete(files.pop(0))

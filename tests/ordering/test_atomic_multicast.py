@@ -1,8 +1,11 @@
 """Tests for atomic multicast: the Section 2.4 properties."""
 
+import random
+
 import pytest
 
-from repro.ordering import MulticastClient, PaxosLog, ProtocolNode, SequencerLog
+from repro.ordering import (GroupLog, MulticastClient, PaxosLog, ProtocolNode,
+                            SequencerLog)
 
 from tests.conftest import build_amcast_stack, tap_deliveries
 
@@ -366,3 +369,118 @@ class TestTimestampOrderedOnce:
         endpoints["s10"]._send_ts(["g0"], "second", 1)
         env.run(until=1_100)
         assert speaker._heard == {}
+
+
+def report_delivered_keys(endpoints):
+    """Each member reports its newest delivery as its restore key (a bare
+    endpoint executes nothing, so a delivery settles at once); returns
+    {member: {uid: destination groups}} of what it delivered."""
+    delivered = {}
+    for member, endpoint in endpoints.items():
+        newest, groups = {}, delivered.setdefault(member, {})
+
+        def record(delivery, newest=newest, groups=groups):
+            newest["key"] = delivery.timestamp
+            groups[delivery.uid] = delivery.groups
+
+        endpoint.on_deliver(record)
+        endpoint.log.report_restore_key(
+            lambda newest=newest: newest.get("key"))
+    return delivered
+
+
+def multi_group_traffic(env, endpoints, count, seed=5):
+    rng = random.Random(seed)
+    choices = [["g0", "g1"], ["g1", "g2"], ["g0", "g2"], ["g0", "g1", "g2"]]
+    members = sorted(endpoints)
+
+    def traffic(env):
+        for index in range(count):
+            yield env.timeout(rng.uniform(0, 0.5))
+            endpoints[rng.choice(members)].multicast(rng.choice(choices),
+                                                     index)
+
+    env.process(traffic(env))
+
+
+class TestDeliveryFloors:
+    """A member keeps its group's timestamp for a message until every
+    other destination's delivery floor is past the message's key."""
+
+    @pytest.fixture(autouse=True)
+    def frequent_reports(self, monkeypatch):
+        monkeypatch.setattr(GroupLog, "STABLE_EVERY", 8)
+
+    def test_own_timestamp_goes_once_every_destination_is_past(self, env):
+        _net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        delivered = report_delivered_keys(endpoints)
+        multi_group_traffic(env, endpoints, 240)
+        env.run(until=60_000)
+        for group in directory.groups():
+            first, second = (endpoints[member]
+                             for member in directory.members(group))
+            # Learned through the group's log: the same on every member.
+            assert first.floors == second.floors
+            assert set(first.floors) == set(directory.groups()) - {group}
+        for member, endpoint in endpoints.items():
+            group = endpoint.group
+            dropped = [uid for uid, groups in delivered[member].items()
+                       if uid not in endpoint._my_ts]
+            assert len(dropped) > 3 * len(endpoint._my_ts) > 0, member
+            for uid in dropped:
+                # Every member of every other destination delivered it.
+                for other in delivered[member][uid]:
+                    if other != group:
+                        assert all(uid in delivered[peer] for peer
+                                   in directory.members(other)), (member, uid)
+
+    def test_final_entries_carry_the_floors_heard(self, env):
+        _net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        report_delivered_keys(endpoints)
+        carried = []
+        endpoints["s11"].log.on_decide(
+            lambda seq, entry: carried.append(entry.get("floors")))
+        multi_group_traffic(env, endpoints, 120)
+        env.run(until=60_000)
+        floors = [entry for entry in carried if entry]
+        assert floors and set().union(*floors) == {"g0", "g2"}
+        # Only floors the group has not ordered yet: each one rises.
+        seen = {}
+        for entry in floors:
+            for group, floor in entry.items():
+                assert floor > seen.get(group, (0, "")), group
+                seen[group] = floor
+        assert seen == endpoints["s11"].floors
+
+    def test_a_member_without_a_key_holds_the_floor(self, env):
+        """A replacement still installing reports no restore key: its
+        group's floor neither rises nor falls until it reports one."""
+        _net, directory, endpoints = build_amcast_stack(env, GROUPS)
+        report_delivered_keys(endpoints)
+        multi_group_traffic(env, endpoints, 120)
+        env.run(until=60_000)
+        sequencer = endpoints["s10"].log
+        held = sequencer.key_floor
+        assert held is not None
+        reporter = endpoints["s11"].log._restore_key
+        endpoints["s11"].log.report_restore_key(lambda: None)
+        endpoints["s11"].log._report_stable()
+        multi_group_traffic(env, endpoints, 120, seed=6)
+        env.run(until=120_000)
+        assert sequencer.key_floor == held
+        endpoints["s11"].log.report_restore_key(reporter)
+        multi_group_traffic(env, endpoints, 120, seed=7)
+        env.run(until=180_000)
+        assert sequencer.key_floor > held
+
+    def test_paxos_groups_keep_every_timestamp(self, env):
+        """PaxosLog sends no reports, so no floor is ever set."""
+        _net, directory, endpoints = build_amcast_stack(
+            env, GROUPS, log_cls=PaxosLog, speaker_only=False)
+        delivered = report_delivered_keys(endpoints)
+        multi_group_traffic(env, endpoints, 60)
+        env.run(until=60_000)
+        for member, endpoint in endpoints.items():
+            assert endpoint.floors == {}
+            assert endpoint.log.key_floor is None
+            assert set(endpoint._my_ts) == set(delivered[member]), member

@@ -32,11 +32,12 @@ def run_workload(cluster, count=8, name="c0"):
     cluster.run(until=cluster.env.now + 5_000)
 
 
-def build_loaded_cluster(seed=3, scheme="dssmr"):
+def build_loaded_cluster(seed=3, scheme="dssmr", durability=None):
     cluster = build_cluster(scheme=scheme, num_partitions=2,
                             replicas_per_partition=2, seed=seed,
                             initial_assignment={f"k{i}": i % 2
-                                                for i in range(4)})
+                                                for i in range(4)},
+                            durability=durability)
     cluster.preload({f"k{i}": 0 for i in range(4)})
     run_workload(cluster)
     return cluster
@@ -125,20 +126,21 @@ class TestPartitionCheckpointer:
         assert [delivery.uid for delivery in checkpoint.queued] == [uid]
         assert checkpoint.executed == server.executed[:-1]
 
-    def test_epoch_boundary_auto_captures(self):
-        """Join fences trigger a capture on every established server."""
-        cluster = build_loaded_cluster()
+    @staticmethod
+    def grow_recording_captures(cluster) -> tuple:
+        """Grow ``cluster`` by a partition; per established server, its
+        capture count before and the (reason, epoch) of each capture."""
         before = {name: cluster.servers[name].checkpointer.captures
                   for name in ("p0s0", "p0s1", "p1s0", "p1s1")}
-        epochs = {name: [] for name in before}
+        captures = {name: [] for name in before}
         for name in before:
             checkpointer = cluster.servers[name].checkpointer
             capture = checkpointer.capture
 
             def recording_capture(reason="manual", capture=capture,
-                                  seen=epochs[name]):
+                                  seen=captures[name]):
                 record = capture(reason)
-                seen.append(record.epoch)
+                seen.append((reason, record.epoch))
                 return record
 
             checkpointer.capture = recording_capture
@@ -148,10 +150,28 @@ class TestPartitionCheckpointer:
 
         cluster.env.process(driver(cluster.env))
         cluster.run(until=10_000)
+        return before, captures
+
+    def test_epoch_boundary_auto_captures(self):
+        """Join fences trigger a capture on every established server of
+        a durable deployment."""
+        cluster = build_loaded_cluster(durability=DurabilityConfig())
+        before, captures = self.grow_recording_captures(cluster)
         for name, count in before.items():
             checkpointer = cluster.servers[name].checkpointer
             assert checkpointer.captures > count, name
-            assert epochs[name][-1] == 1
+            assert ("join", 1) in captures[name], name
+            assert captures[name][-1][1] == 1
+
+    def test_epoch_boundary_without_a_store_captures_nothing(self):
+        """Without a durable store nobody would keep a fence capture, so
+        none is taken."""
+        cluster = build_loaded_cluster()
+        before, captures = self.grow_recording_captures(cluster)
+        for name, count in before.items():
+            assert cluster.servers[name].epoch == 1, name
+            assert captures[name] == [], name
+            assert cluster.servers[name].checkpointer.captures == count
 
 
 # -- serialise-once capture: equivalence, isolation, the periodic path ------
@@ -210,6 +230,8 @@ def reference_checkpoint(server) -> PartitionCheckpoint:
             "clock": amcast._clock,
             "delivered_uids": sorted(amcast._delivered_uids),
             "my_ts": dict(amcast._my_ts),
+            "ts_kept": copy.deepcopy(amcast._ts_kept.queues),
+            "floors": dict(amcast.floors),
             "pending": copy.deepcopy(amcast._pending),
             "deliver_count": amcast._deliver_count,
         },
@@ -219,11 +241,13 @@ def reference_checkpoint(server) -> PartitionCheckpoint:
             "vars": copy.deepcopy(exchange._vars),
             "done": sorted(exchange._done),
             "sent": copy.deepcopy(exchange._sent),
+            "kept": copy.deepcopy(exchange._kept.queues),
         },
         queued=copy.deepcopy(server.pending_deliveries()),
         location_slice={key: server.partition
                         for key in server.store.keys()},
         applied_reconfigs=sorted(getattr(server, "applied_reconfigs", ())),
+        settled_key=server.settled_key,
     )
 
 

@@ -85,7 +85,9 @@ class Rig:
             peer = ProtocolNode(env, self.network, "p0s0")
             self.partition = ExchangeBuffer(
                 env, ReliableMulticast(peer, self.directory), "p0",
-                amcast=SimpleNamespace(speaker_only=True, announcing=True))
+                amcast=SimpleNamespace(speaker_only=True, announcing=True,
+                                       floors={},
+                                       on_floor=lambda callback: None))
         else:
             self.executor = role(env, self.network, self.directory, self.group,
                                  "x0", KeyValueStateMachine(),
@@ -108,7 +110,8 @@ class Rig:
         """
         seq = int(cid.rsplit(":", 1)[1])
         if self.role is OracleReplica:
-            self.partition.send([ORACLE_GROUP], cid, {})  # our signal
+            # Our signal, kept under a key no floor ever passes here.
+            self.partition.send([ORACLE_GROUP], cid, {}, key=(seq, cid))
             return Command(op="create", ctype=CommandType.CREATE,
                            variables=(f"k{seq}",), args={"partition": "p0"},
                            cid=cid, client="c0", seq=seq, acked=acked)

@@ -9,6 +9,10 @@ from repro.ssmr.exchange import ExchangeBuffer
 
 from tests.conftest import make_network
 
+# The delivery key the sends below are kept under; no floor ever rises
+# here, so every sent message stays cached.
+KEY = (1, "am-1")
+
 
 def build_pair(env, speakers=None):
     """Two partitions of two members. With ``speakers`` the stack is
@@ -25,7 +29,8 @@ def build_pair(env, speakers=None):
         buffers[member] = ExchangeBuffer(
             env, rmcast, partition, amcast=SimpleNamespace(
                 speaker_only=speakers is not None,
-                announcing=speakers is None or member in speakers))
+                announcing=speakers is None or member in speakers,
+                floors={}, on_floor=lambda callback: None))
     return buffers
 
 
@@ -43,7 +48,7 @@ class TestExchangeBuffer:
             received.append(buffers["b0"].collect("c1"))
 
         env.process(waiter(env))
-        buffers["a0"].send(["p1"], "c1", {"x": 42})
+        buffers["a0"].send(["p1"], "c1", {"x": 42}, key=KEY)
         env.run(until=1_000)
         assert received == [{"x": 42}]
 
@@ -52,8 +57,8 @@ class TestExchangeBuffer:
         # Both replicas of p0 send (as replicas built with
         # speaker_only=False do); p1 sees one signal for partition p0 and
         # the first values win.
-        buffers["a0"].send(["p1"], "c1", {"x": 1})
-        buffers["a1"].send(["p1"], "c1", {"x": 2})
+        buffers["a0"].send(["p1"], "c1", {"x": 1}, key=KEY)
+        buffers["a1"].send(["p1"], "c1", {"x": 2}, key=KEY)
         env.run(until=1_000)
         received = []
 
@@ -81,13 +86,13 @@ class TestExchangeBuffer:
         env.process(waiter(env))
         env.run(until=100)
         assert not done
-        buffers["b0"].send(["p0"], "c2", {})
+        buffers["b0"].send(["p0"], "c2", {}, key=KEY)
         env.run(until=1_000)
         assert done
 
     def test_done_flag(self, env):
         buffers = build_pair(env)
-        buffers["a0"].send(["p1"], "c3", {}, done=True)
+        buffers["a0"].send(["p1"], "c3", {}, done=True, key=KEY)
         env.run(until=1_000)
         assert buffers["b0"].any_done("c3")
         buffers["b0"].collect("c3")
@@ -95,7 +100,7 @@ class TestExchangeBuffer:
 
     def test_values_arriving_before_wait_are_buffered(self, env):
         buffers = build_pair(env)
-        buffers["a0"].send(["p1"], "c4", {"y": 9})
+        buffers["a0"].send(["p1"], "c4", {"y": 9}, key=KEY)
         env.run(until=1_000)
         received = []
 
@@ -125,7 +130,7 @@ class TestExchangeBuffer:
 
     def test_empty_groups_noop(self, env):
         buffers = build_pair(env)
-        buffers["a0"].send([], "c6", {"x": 1})   # must not raise
+        buffers["a0"].send([], "c6", {"x": 1}, key=KEY)   # must not raise
         env.run(until=100)
 
 
@@ -136,11 +141,11 @@ class TestOneVoice:
 
     def test_follower_caches_but_does_not_transmit(self, env):
         buffers = build_pair(env, speakers={"a0", "b0"})
-        buffers["a1"].send(["p1"], "c1", {"x": 1})
+        buffers["a1"].send(["p1"], "c1", {"x": 1}, key=KEY)
         env.run(until=100)
         assert network_of(buffers).messages_sent == 0
         assert buffers["a1"]._sent["c1"]["vars"] == {"x": 1}
-        buffers["a0"].send(["p1"], "c1", {"x": 1})
+        buffers["a0"].send(["p1"], "c1", {"x": 1}, key=KEY)
         env.run(until=200)
         # Speaker to speaker: p1's follower hears it only from b0's relay.
         assert network_of(buffers).sent_by_kind == {"rmcast": 1}
@@ -166,7 +171,8 @@ class TestOneVoice:
         for member in ("b0", "b1"):
             env.process(waiter(member))
         for member in ("a0", "a1"):
-            buffers[member].send(["p1"], "c1", {"x": 1}, done=True)
+            buffers[member].send(["p1"], "c1", {"x": 1}, done=True,
+                                 key=KEY)
         env.run(until=100)
         assert wire == [("a0", "b0", "p0"), ("b0", "b1", ["p0"])]
         # The bundle carries the merged variables and the done flag.
@@ -177,7 +183,7 @@ class TestOneVoice:
 
     def test_pull_is_served_by_a_follower_that_never_transmitted(self, env):
         buffers = build_pair(env, speakers={"b0"})   # p0 has no voice left
-        buffers["a1"].send(["p1"], "c1", {"x": 7})
+        buffers["a1"].send(["p1"], "c1", {"x": 7}, key=KEY)
         received = []
 
         def waiter(env):
@@ -204,9 +210,9 @@ class TestOneVoice:
 
         network_of(buffers).add_drop_rule(tap)
         original = (128 + 64 * 2, {"x": 1, "y": 2})
-        buffers["a0"].send(["p1"], "c1", {"x": 1, "y": 2})
+        buffers["a0"].send(["p1"], "c1", {"x": 1, "y": 2}, key=KEY)
         # The client-retry exchange: nothing left to ship, done flag set.
-        buffers["a0"].send(["p1"], "c1", {}, done=True)
+        buffers["a0"].send(["p1"], "c1", {}, done=True, key=KEY)
         assert wire == [original] * 4     # 2 sends x 2 members of p1
         # A pull answer is the same message at the same price.
         del wire[:]

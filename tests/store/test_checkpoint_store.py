@@ -3,6 +3,7 @@
 import random
 import zlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
@@ -29,6 +30,7 @@ class FakeFrozen:
     epoch: int
     applied_count: int
     payload: bytes
+    settled_key: Optional[tuple] = None
 
 
 def frozen(epoch, applied_count, store=None):
