@@ -26,6 +26,7 @@ The oracle replica charges simulated CPU time per request into a
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from repro.net import Network
@@ -50,6 +51,11 @@ RECONFIG_ACK_KIND = "reconfig/ack"
 class OracleReplica(OrderedExecutor):
     """One replica of the DS-SMR partitioning oracle."""
 
+    ROLE_STATE = ("partitions", "location", "partition_sizes",
+                  "map_version", "followed_moves", "policy", "draining",
+                  "retired", "_reconfig_acks", "_commit_attempts",
+                  "_next_partitioning_id", "_pending_ideals")
+
     #: Simulated CPU cost of oracle request handling, in ms.
     CONSULT_COST = 0.02
     PER_VARIABLE_COST = 0.004
@@ -62,15 +68,20 @@ class OracleReplica(OrderedExecutor):
                  async_repartition: bool = False,
                  log_factory=SequencerLog,
                  speaker_only: bool = True,
-                 dedup: bool = True):
+                 dedup: bool = True,
+                 start_gate=None):
         super().__init__(env, network, directory, ORACLE_GROUP, name,
                          log_factory=log_factory, speaker_only=speaker_only,
-                         dedup=dedup)
+                         dedup=dedup, start_gate=start_gate)
         self.partitions = tuple(partitions)
         self.rmcast = ReliableMulticast(self.node, directory)
         self.exchange = ExchangeBuffer(env, self.rmcast, ORACLE_GROUP,
                                        amcast=self.amcast)
         self.policy = policy or MajorityTargetPolicy()
+        # What a respawned replica starts from: its log replays every
+        # entry past the base image (or a checkpoint replaces both).
+        self._first_build = {"partitions": self.partitions,
+                             "policy": copy.deepcopy(self.policy)}
         self.oracle_issues_moves = oracle_issues_moves
         # Asynchronous repartitioning (paper, implementation section): the
         # oracle is "multi-threaded, and can service requests while
@@ -80,9 +91,10 @@ class OracleReplica(OrderedExecutor):
         # (the graph-partitioned policy).
         self.async_repartition = (async_repartition
                                   and hasattr(self.policy, "ingest_hint"))
+        # Ideals computed but not yet activated, by partitioning id; at
+        # most one is in flight.
         self._next_partitioning_id = 0
         self._pending_ideals: dict[int, dict] = {}
-        self._repartition_inflight = False
 
         # The dynamic mapping: variable key -> partition name, plus the
         # incrementally maintained variable count per partition.
@@ -100,8 +112,8 @@ class OracleReplica(OrderedExecutor):
         # Move cids already followed (see _follow_move). Replicated map
         # state, not a reply cache: a move's first copy can reach the
         # oracle after its issuer's next command, so no session watermark
-        # may retire it. It grows by one cid per move over the run;
-        # cold start rebuilds it by replaying the log.
+        # may retire it. It grows by one cid per move over the run, and
+        # checkpoints carry it.
         self.followed_moves: set[str] = set()
 
         # Elastic reconfiguration state (repro.reconfig): the configuration
@@ -125,18 +137,28 @@ class OracleReplica(OrderedExecutor):
         self.reconfigs = Counter(f"{name}/reconfigs")
         self.evacuations = Counter(f"{name}/evacuations")
 
-        # Delivery uids marked as replayed history by a durable cold
-        # start (see repro.store.coldstart): their state effects are
-        # re-applied, but no message leaves the node and no cost is
-        # charged — the original execution already paid both.
-        self._replay_uids: set[str] = set()
-
     # -- lifecycle ------------------------------------------------------------
 
-    def preload_locations(self, location: dict) -> None:
-        """Install an initial mapping (used when state is bulk-loaded)."""
-        for key, partition in location.items():
+    def load_state(self, contents: dict) -> None:
+        """Install the initial mapping: variable key -> partition."""
+        for key, partition in contents.items():
             self._relocate(key, partition)
+
+    def _respawn_options(self) -> dict:
+        return dict(self._first_build,
+                    policy=copy.deepcopy(self._first_build["policy"]),
+                    oracle_issues_moves=self.oracle_issues_moves,
+                    async_repartition=self.async_repartition,
+                    speaker_only=self.amcast.speaker_only)
+
+    def install_role_state(self, state: dict) -> None:
+        super().install_role_state(state)
+        # The background computation of a pending ideal died with the
+        # replica that started it; its result did not. Re-announcing it
+        # is harmless: every replica announces under one uid.
+        for partitioning_id in self._pending_ideals:
+            self.env.schedule_callback(
+                0.0, self._announce_partitioning, partitioning_id)
 
     def _relocate(self, key, partition) -> None:
         """Point ``key`` at ``partition``, keeping the size counters true."""
@@ -173,12 +195,6 @@ class OracleReplica(OrderedExecutor):
 
     # -- executor ---------------------------------------------------------------
 
-    def _needs_barrier(self, delivery: AmcastDelivery) -> bool:
-        # The ordered map change must be on disk before any verdict or
-        # prophecy derived from it leaves this replica; replayed history
-        # already is.
-        return delivery.uid not in self._replay_uids
-
     def _handle_delivery(self, delivery: AmcastDelivery):
         started = self.env.now
         yield from self._run_task(delivery)
@@ -192,10 +208,6 @@ class OracleReplica(OrderedExecutor):
                                            self.env.now - started)
 
     def _run_task(self, delivery: AmcastDelivery):
-        if delivery.uid in self._replay_uids:
-            self._replay_uids.discard(delivery.uid)
-            self._replay_delivery(delivery)
-            return
         envelope = delivery.payload
         if "hint" in envelope:
             yield from self._task_hint(envelope["hint"])
@@ -606,6 +618,10 @@ class OracleReplica(OrderedExecutor):
         if not self.async_repartition:
             repartition_cost = self.policy.on_hint(vertices, edges,
                                                    self.location)
+            # The cost is known only once the hint is in: what is left
+            # is CPU time, during which a checkpoint must not queue the
+            # hint to be applied again.
+            self._effects_applied()
             if repartition_cost:
                 self.repartitions.increment(self.env.now)
                 yield self.env.timeout(float(repartition_cost))
@@ -613,13 +629,12 @@ class OracleReplica(OrderedExecutor):
                 yield self.env.timeout(self.CONSULT_COST)
             return
         # Asynchronous mode: ingest on the critical path, compute off it.
-        due = self.policy.ingest_hint(vertices, edges)
         yield self.env.timeout(self.CONSULT_COST)
-        if due and not self._repartition_inflight:
+        due = self.policy.ingest_hint(vertices, edges)
+        if due and not self._pending_ideals:
             self._start_background_repartition()
 
     def _start_background_repartition(self) -> None:
-        self._repartition_inflight = True
         partitioning_id = self._next_partitioning_id
         self._next_partitioning_id += 1
         ideal, cost = self.policy.compute_ideal(self.location)
@@ -644,95 +659,7 @@ class OracleReplica(OrderedExecutor):
         if ideal is None:
             return  # already activated (duplicate) or unknown id
         self.policy.install_ideal(ideal)
-        self._repartition_inflight = False
         self.repartitions.increment(self.env.now)
-
-    # -- durable cold start (repro.store.coldstart) ---------------------------
-
-    def arm_replay(self, uids) -> None:
-        """Mark delivery uids as replayed history (WAL cold start).
-
-        Replayed deliveries re-apply their effect on the variable map,
-        the policy and the session table, but send nothing: the original
-        execution already answered the client, issued the move, or
-        acknowledged the reconfiguration. A marked uid that only arrives
-        later (a post-restore heal round finalising old history) is
-        still treated as replay — it *is* old history.
-        """
-        self._replay_uids.update(uids)
-
-    def _replay_delivery(self, delivery: AmcastDelivery) -> None:
-        """Re-apply one logged delivery's state effects, silently.
-
-        Mirrors :meth:`_handle_delivery` task by task; consults are pure
-        reads of the map and have nothing to re-apply. Verdict-bearing
-        replies are re-stored, and every command's session stamp is
-        re-classified in log order, so the session table is rebuilt and
-        post-restore client resends deduplicate exactly as they would
-        have against the lost one.
-        """
-        envelope = delivery.payload
-        if not isinstance(envelope, dict):
-            return
-        if "hint" in envelope:
-            hint = envelope["hint"]
-            vertices = hint.get("vertices", ())
-            edges = hint.get("edges", ())
-            if self.async_repartition:
-                self.policy.ingest_hint(vertices, edges)
-            else:
-                self.policy.on_hint(vertices, edges, self.location)
-            return
-        if "activate_partitioning" in envelope:
-            self._task_activate(envelope["activate_partitioning"])
-            return
-        if "reconfig" in envelope:
-            spec = envelope["reconfig"]
-            kind, partition = spec["kind"], spec["partition"]
-            if kind == "join":
-                self._reconfig_join(partition)
-            elif kind == "leave_begin":
-                self._reconfig_leave_begin(partition)
-            elif kind == "leave_commit":
-                self._reconfig_leave_commit(partition)
-            return
-        command = envelope.get("command")
-        if command is None:
-            return
-        attempt = envelope.get("attempt", 1)
-        if command.ctype is CommandType.MOVE:
-            self._follow_move(command)
-            return
-        if self.replies.classify(command, attempt) is not None:
-            return      # stale, or a duplicate: the original changed nothing
-        if command.ctype is CommandType.CREATE:
-            key = command.variables[0]
-            partition = command.args["partition"]
-            if key not in self.location:
-                self._relocate(key, partition)
-                self.policy.on_create(key, partition)
-                self._cache_reply(command, ReplyStatus.OK, "created",
-                                  attempt)
-            else:
-                self._cache_reply(command, ReplyStatus.NOK, "exists",
-                                  attempt)
-        elif command.ctype is CommandType.DELETE:
-            key = command.variables[0]
-            partition = command.args["partition"]
-            if self.location.get(key) == partition:
-                self._forget(key)
-                self.policy.on_delete(key)
-                self._cache_reply(command, ReplyStatus.OK, "deleted",
-                                  attempt)
-            else:
-                self._cache_reply(command, ReplyStatus.NOK, "missing",
-                                  attempt)
-        # CONSULT: pure read of the map — nothing to re-apply.
-
-    def _cache_reply(self, command: Command, status: ReplyStatus,
-                     value, attempt: int) -> None:
-        self.replies.store(command, self._make_reply(
-            command, status, value, attempt))
 
     # -- replies -------------------------------------------------------------
 

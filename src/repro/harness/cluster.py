@@ -148,11 +148,11 @@ class Cluster:
         if config.durability is not None:
             self.disks = DiskFarm(self.env, self.seeds.child("disks"),
                                   config.durability)
-        # Cold start re-seeds the preloaded base image before replaying
-        # a WAL (see repro.store.coldstart): preloads bypass the ordered
-        # log, so replay alone cannot reconstruct them.
-        self._initial_locations: dict = {}
-        self._initial_partition_state: dict = {}
+        # Each group's preloaded base image, by group: a cold start
+        # without a checkpoint re-seeds it before replaying a WAL (see
+        # repro.store.coldstart): preloads bypass the ordered log, so
+        # replay alone cannot reconstruct them.
+        self._base_images: dict = {}
         # Terminal recovery failures (every source peer gone): recorded
         # here and fanned out to hooks (the heal supervisor escalates).
         self.recovery_failures: list = []
@@ -171,10 +171,10 @@ class Cluster:
         self.qos_batchers: dict[str, AdaptiveBatcher] = {}
         self._arm_qos()
 
-        # Elastic reconfiguration (repro.reconfig): every partitioned
-        # server gets a checkpointer + checkpoint host (pure handler
-        # registration — inert until a reconfiguration or recovery runs);
-        # dynamic schemes also get the manager that drives joins/leaves.
+        # Elastic reconfiguration (repro.reconfig): every replica got a
+        # checkpointer + checkpoint host above (pure handler registration
+        # — inert until a reconfiguration or recovery runs); dynamic
+        # schemes also get the manager that drives joins/leaves.
         self.reconfig: Optional[ReconfigurationManager] = None
         self.retired_partitions: tuple[str, ...] = ()
         if self._dynamic:
@@ -206,9 +206,7 @@ class Cluster:
                     oracle_issues_moves=config.scheme == "dynastar",
                     async_repartition=config.async_repartition,
                     dedup=config.dedup)
-                if self.disks is not None:
-                    attach_durability(oracle, self.disks)
-                self.oracles.append(oracle)
+                self.oracles.append(self._equip(oracle))
 
     def _make_server(self, partition: str, name: str):
         config = self.config
@@ -218,14 +216,38 @@ class Cluster:
                               partition, name, state_machine,
                               execution=config.execution,
                               dedup=config.dedup)
-        PartitionCheckpointer(server)
-        CheckpointHost(server)
-        if self.disks is not None:
-            attach_durability(server, self.disks)
+        self._equip(server)
         if config.parallel is not None:
             server.attach_parallel(
                 ParallelExecutionModel(self.env, config.parallel))
         return server
+
+    def _equip(self, replica):
+        """What every replica of every group carries: a checkpointer, a
+        checkpoint host and, on a durable deployment, a WAL and a
+        durable checkpoint store."""
+        PartitionCheckpointer(replica)
+        CheckpointHost(replica)
+        if self.disks is not None:
+            attach_durability(replica, self.disks)
+        return replica
+
+    def member(self, name: str):
+        """The replica named ``name``: a partition server or an oracle."""
+        if name in self.servers:
+            return self.servers[name]
+        for oracle in self.oracles:
+            if oracle.node.name == name:
+                return oracle
+        raise KeyError(f"no such node in this deployment: {name!r}")
+
+    def replace_member(self, replacement) -> None:
+        """Put ``replacement`` in the slot of the replica it replaces."""
+        name = replacement.node.name
+        if name in self.servers:
+            self.servers[name] = replacement
+        else:
+            self.oracles[self.oracles.index(self.member(name))] = replacement
 
     def _arm_qos(self, *groups: str) -> None:
         """Arm overload control on the current speaker of each of
@@ -238,13 +260,8 @@ class Cluster:
             groups = (*self.partitions,
                       *((ORACLE_GROUP,) if self._dynamic else ()))
         for group in groups:
-            speaker = self.directory.speaker(group)
-            if group == ORACLE_GROUP:
-                owner = next(oracle for oracle in self.oracles
-                             if oracle.node.name == speaker)
-            else:
-                owner = self.servers[speaker]
-            self._attach_qos(group, owner)
+            self._attach_qos(group,
+                             self.member(self.directory.speaker(group)))
 
     def _attach_qos(self, group: str, owner) -> None:
         """Arm one group's overload control on its speaker replica."""
@@ -387,26 +404,20 @@ class Cluster:
 
         Variables are placed according to the static partition map (i.e.
         ``config.initial_assignment``, with hash fallback); the dynamic
-        schemes' oracles learn the same placement.
+        schemes' oracles learn the same placement as their base image.
         """
-        by_partition: dict[str, dict] = {p: {} for p in self.partitions}
+        images: dict[str, dict] = {p: {} for p in self.partitions}
         location: dict = {}
         for key, value in initial_values.items():
             partition = self.partition_map.partition_of(key)
-            by_partition[partition][key] = value
+            images[partition][key] = value
             location[key] = partition
-        for partition in self.partitions:
-            for name in self.directory.members(partition):
-                self.servers[name].load_state(by_partition[partition])
-        for oracle in self.oracles:
-            oracle.preload_locations(location)
-        # Cold starts re-seed these base images before replaying a WAL —
-        # preloads bypass the ordered log, so replay alone cannot
-        # reconstruct them.
-        self._initial_locations = dict(location)
-        self._initial_partition_state = {
-            partition: dict(contents)
-            for partition, contents in by_partition.items()}
+        if self._dynamic:
+            images[ORACLE_GROUP] = location
+        for group, image in images.items():
+            for name in self.directory.members(group):
+                self.member(name).load_state(image)
+        self._base_images = images
 
     # -- clients -----------------------------------------------------------------
 
@@ -570,34 +581,29 @@ class Cluster:
         if self.disks is None:
             raise RuntimeError("power_fail needs a durable deployment "
                                "(set ClusterConfig.durability)")
-        for name in sorted(self.servers):
-            server = self.servers[name]
-            detach_durability(server)
-            if not server.node.crashed:
-                server.crash()
-        for oracle in self.oracles:
-            detach_durability(oracle)
-            if not oracle.node.crashed:
-                oracle.crash()
+        for replica in ([self.servers[name] for name in sorted(self.servers)]
+                        + self.oracles):
+            detach_durability(replica)
+            if not replica.node.crashed:
+                replica.crash()
         self.disks.power_fail_all()
 
     def power_restore(self) -> None:
         """Cold-start every partition — and the oracle group — from disk.
 
         No peer has live state after :meth:`power_fail`, so each group
-        restores from the union of its members' durable WALs (see
-        :mod:`repro.store.coldstart`). Retired partitions stay down:
-        they hold no variables and serve no traffic.
+        restores from its members' checkpoints and the union of their
+        durable WALs (see :mod:`repro.store.coldstart`). Retired
+        partitions stay down: they hold no variables and serve no
+        traffic.
         """
         if self.disks is None:
             raise RuntimeError("power_restore needs a durable deployment "
                                "(set ClusterConfig.durability)")
-        from repro.store.coldstart import (cold_start_oracles,
-                                           cold_start_partition)
-        for partition in self.partitions:
-            cold_start_partition(self, partition)
-        if self._dynamic:
-            cold_start_oracles(self)
+        from repro.store.coldstart import cold_start_partition
+        for group in (*self.partitions,
+                      *((ORACLE_GROUP,) if self._dynamic else ())):
+            cold_start_partition(self, group)
         self._arm_qos()
 
     # -- metrics access ------------------------------------------------------------

@@ -7,7 +7,9 @@ two same-seed runs in CI):
 * **Replay equivalence** — for every scheme, a chaos-style workload
   runs to completion, the whole cluster loses power (every un-fsynced
   byte drops), cold-starts from disk alone with *zero* live peers, and
-  the replayed state must hash-equal the live state it replaced:
+  the replayed state — every partition member's store and execution
+  order, every oracle replica's map — must hash-equal the live state it
+  replaced:
   ``state == replay(wal)``, the fundamental WAL correctness property.
   A second workload wave then proves the revived cluster is live, and
   the end-state invariant suite must stay clean.
@@ -71,10 +73,22 @@ def _member_image(server) -> dict:
             "executed": list(server.executed)}
 
 
+def _oracle_image(oracle) -> dict:
+    return {"location": oracle.location,
+            "partition_sizes": oracle.partition_sizes,
+            "map_version": oracle.map_version,
+            "followed_moves": oracle.followed_moves,
+            "epoch": oracle.epoch}
+
+
 def _cluster_hash(cluster: Cluster) -> str:
-    """One digest over every member's store and execution order."""
-    return state_checksum({name: _member_image(cluster.servers[name])
-                           for name in sorted(cluster.servers)})
+    """One digest over every partition member's store and execution
+    order and every oracle replica's map."""
+    images = {name: _member_image(cluster.servers[name])
+              for name in sorted(cluster.servers)}
+    images.update((oracle.node.name, _oracle_image(oracle))
+                  for oracle in cluster.oracles)
+    return state_checksum(images)
 
 
 # -- section 1: replay equivalence -------------------------------------------

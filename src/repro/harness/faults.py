@@ -31,12 +31,7 @@ VICTIM_ROLES = ("follower", "speaker", "oracle")
 
 def _node_of(cluster, name: str):
     """The :class:`ProtocolNode` behind ``name`` (server or oracle)."""
-    if name in cluster.servers:
-        return cluster.servers[name].node
-    for oracle in cluster.oracles:
-        if oracle.node.name == name:
-            return oracle.node
-    raise KeyError(f"no such node in this deployment: {name!r}")
+    return cluster.member(name).node
 
 
 def select_victim(cluster, role: str,

@@ -23,7 +23,12 @@ checkpoint therefore captures everything a replacement replica needs to be
   inside (its effects are not yet in the store, so it counts as queued);
 * the ordered-log apply position, bounding the log suffix to replay;
 * this partition's slice of the oracle's location map (every key in the
-  store lives here — ownership *is* store contents).
+  store lives here — ownership *is* store contents);
+* the role's own replicated state, the attributes its class names in
+  ``ROLE_STATE``: a partition's applied reconfiguration rids, and for an
+  oracle replica its location map, policy and reconfiguration
+  bookkeeping. The oracle's store and history stay empty, so the same
+  checkpoint serves every group of a deployment.
 
 Captures are synchronous in virtual time, hence consistent — and that
 is also what makes a capture cheap. ``capture`` assembles the checkpoint
@@ -86,7 +91,7 @@ def state_checksum(obj) -> str:
 
 @dataclass
 class PartitionCheckpoint:
-    """One consistent snapshot of one partition replica."""
+    """One consistent snapshot of one replica (partition or oracle)."""
 
     partition: str
     replica: str
@@ -100,9 +105,9 @@ class PartitionCheckpoint:
     exchange: dict                   # signals / vars / done / sent
     queued: list                     # pending AmcastDelivery objects
     location_slice: dict = field(default_factory=dict)
-    # Reconfiguration entry rids already applied (re-delivery dedup must
-    # survive recovery, or a replacement replica double-bumps its epoch).
-    applied_reconfigs: list = field(default_factory=list)
+    # The role's own replicated state (``OrderedExecutor.ROLE_STATE``):
+    # a partition's applied reconfiguration rids, the oracle's map.
+    role: dict = field(default_factory=dict)
     # Key of the newest delivery whose effects, and every earlier one's,
     # are in ``store`` (None before the first).
     settled_key: Optional[tuple] = None
@@ -145,12 +150,12 @@ class FrozenCheckpoint:
 
 
 class PartitionCheckpointer:
-    """Captures checkpoints of one partition server.
+    """Captures checkpoints of one replica of any group.
 
-    Attach one per server (``PartitionCheckpointer(server)`` registers
-    itself as ``server.checkpointer``); with a durable store the server
-    then auto-captures on every ordered reconfiguration entry (epoch
-    boundary), and the state-transfer host captures on demand for
+    Attach one per replica (``PartitionCheckpointer(server)`` registers
+    itself as ``server.checkpointer``); with a durable store a partition
+    server then auto-captures on every ordered reconfiguration entry
+    (epoch boundary), and the state-transfer host captures on demand for
     recovering peers. The checkpointer keeps no record itself:
     ``capture`` hands it to its caller and, when durability is armed, to
     the durable store.
@@ -176,7 +181,7 @@ class PartitionCheckpointer:
         # have not landed, so they are left out of the execution history
         # and their deliveries are re-queued ahead of the queue proper.
         state = PartitionCheckpoint(
-            partition=server.partition,
+            partition=server.group,
             replica=server.node.name,
             epoch=server.epoch,
             taken_at=server.env.now,
@@ -202,9 +207,8 @@ class PartitionCheckpointer:
                 "kept": exchange._kept.queues,
             },
             queued=server.pending_deliveries(),
-            location_slice={key: server.partition for key in store.keys()},
-            applied_reconfigs=sorted(
-                getattr(server, "applied_reconfigs", ())),
+            location_slice={key: server.group for key in store.keys()},
+            role={name: getattr(server, name) for name in server.ROLE_STATE},
             settled_key=server.settled_key,
         )
         checkpoint = FrozenCheckpoint(

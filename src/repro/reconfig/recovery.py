@@ -17,12 +17,12 @@ position:
 2. The transfer pulls a frozen checkpoint from the chosen peer; ordered
    traffic arriving meanwhile parks in the log's pending map.
 3. Install: store, execution history and settled key, session table,
-   epoch, multicast state (clock, delivered uids, own timestamps,
-   learned delivery floors, pendings — unfinalised multi-group pendings
-   re-arm their self-heal timers), exchange buffers and the
-   checkpoint's queued deliveries. Delivered-uid install is what stops
-   the backfilled suffix from double-delivering commands the queue
-   already carries.
+   epoch, the role's own state (``ROLE_STATE``), multicast state
+   (clock, delivered uids, own timestamps, learned delivery floors,
+   pendings — unfinalised multi-group pendings re-arm their self-heal
+   timers), exchange buffers and the checkpoint's queued deliveries.
+   Delivered-uid install is what stops the backfilled suffix from
+   double-delivering commands the queue already carries.
 4. The log fast-forwards to the checkpoint position, backfill resumes,
    and an explicit backfill request to the peer fetches the suffix; the
    executor gate opens.
@@ -57,8 +57,7 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     server.settled_key = server._processed_key = checkpoint.settled_key
     server.replies.sessions = checkpoint.replies
     server.epoch = checkpoint.epoch
-    server.applied_reconfigs = set(
-        getattr(checkpoint, "applied_reconfigs", ()))
+    server.install_role_state(checkpoint.role)
     amcast = server.amcast
     state = checkpoint.amcast
     amcast._clock = state["clock"]

@@ -106,7 +106,7 @@ class CheckpointHost:
             "exchange": checkpoint.exchange,
             "queued": checkpoint.queued,
             "location_slice": checkpoint.location_slice,
-            "applied_reconfigs": checkpoint.applied_reconfigs,
+            "role": checkpoint.role,
             "settled_key": checkpoint.settled_key,
         }
         payloads = [{"control": control}]
@@ -332,7 +332,7 @@ class StateTransfer:
             exchange=control["exchange"],
             queued=control["queued"],
             location_slice=control["location_slice"],
-            applied_reconfigs=control["applied_reconfigs"],
+            role=control["role"],
             settled_key=control["settled_key"],
         )
         checkpoint.checksum = checkpoint.compute_checksum()

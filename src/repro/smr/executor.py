@@ -78,11 +78,13 @@ class OrderedExecutor:
     ``qos``, ``wal`` and ``parallel`` are ``None`` until the harness
     attaches them; an absent subsystem costs one ``None`` check.
 
-    A role overrides :meth:`_handle_delivery` and, where it differs,
-    :meth:`_pool_eligible`, :meth:`_apply_local`, :meth:`_needs_barrier`,
-    :meth:`_overload_message` and :meth:`_respawn_options`. The oracle's
-    replicated state is its location map, so its ``store`` and
-    ``executed`` stay empty and nothing attaches a pool to it.
+    A role overrides :meth:`_handle_delivery`, :meth:`_respawn_options`
+    and, where it differs, :meth:`_pool_eligible`, :meth:`_apply_local`
+    and :meth:`_overload_message`, and names the attributes of its own
+    replicated state in :attr:`ROLE_STATE` so that checkpoints carry
+    them. The oracle's replicated state is its location map, so its
+    ``store`` and ``executed`` stay empty and nothing attaches a pool
+    to it.
 
     The three loops this class replaced had drifted; what was decided:
 
@@ -97,6 +99,11 @@ class OrderedExecutor:
     * A pooled command finishing stores its reply, frees its slot, then
       sends (S-SMR's order): the send is the last observable act.
     """
+
+    #: Attributes of the role's own replicated state, beyond what every
+    #: executor shares: a checkpoint captures and installs them by name
+    #: (see :mod:`repro.reconfig.checkpoint`).
+    ROLE_STATE: tuple[str, ...] = ()
 
     def __init__(self, env: Environment, network: Network,
                  directory: GroupDirectory, group: str, name: str,
@@ -169,16 +176,15 @@ class OrderedExecutor:
 
         Same constructor options, a fresh worker pool of the same
         ``ExecutionConfig``, executor held behind ``start_gate`` until the
-        caller has installed state. The oracle is not rebuilt this way:
-        it needs a fresh policy (see ``cold_start_oracles``).
+        caller has installed state: a checkpoint, or the base image
+        (:meth:`load_state`) a replay from position 0 starts from.
         """
         network = self.node.network
         network.recover(self.node.name)
         replacement = type(self)(
-            self.env, network, self.directory, self.group, self.node.name,
-            self.state_machine, execution=self.execution,
-            log_factory=type(self.log), dedup=self.replies.enabled,
-            start_gate=start_gate,
+            env=self.env, network=network, directory=self.directory,
+            name=self.node.name, log_factory=type(self.log),
+            dedup=self.replies.enabled, start_gate=start_gate,
             **self._respawn_options())
         if self.parallel is not None:
             replacement.attach_parallel(
@@ -186,8 +192,14 @@ class OrderedExecutor:
         return replacement
 
     def _respawn_options(self) -> dict:
-        """Constructor options beyond the ones every role shares."""
-        return {}
+        """Constructor options beyond the ones every role shares, as the
+        role was first built."""
+        raise NotImplementedError
+
+    def install_role_state(self, state: dict) -> None:
+        """Install a checkpoint's :attr:`ROLE_STATE` (a private copy)."""
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # -- delivery intake ------------------------------------------------------
 
@@ -251,14 +263,19 @@ class OrderedExecutor:
         """The key this replica reports for its group's delivery floor.
 
         Its settled key; with a WAL, the key of its newest fsynced
-        checkpoint instead, since a cold start re-executes everything
-        after that. None for a durable replica without a checkpoint store
-        (an oracle replays its whole WAL), whose group floor never rises.
+        checkpoint instead (None until the first), since a cold start
+        re-executes everything after that.
         """
         if self.wal is None:
             return self.settled_key
-        store = getattr(self.checkpointer, "store", None)
-        return None if store is None else store.durable_key
+        return self.checkpointer.store.durable_key
+
+    def _effects_applied(self) -> None:
+        """The current delivery's state effects are all in; its handler
+        only charges time from here on. A checkpoint captured meanwhile
+        counts it as executed, not queued, so an install cannot apply it
+        twice."""
+        self._current_delivery = None
 
     def _settle(self, key) -> None:
         """The delivery at ``key`` is processed (or on the pool)."""
@@ -405,7 +422,7 @@ class OrderedExecutor:
                         if command is not None and env.now > enqueued:
                             self._account(command, "queue", enqueued)
                 self._current_delivery = delivery
-                if self.wal is not None and self._needs_barrier(delivery):
+                if self.wal is not None:
                     # Durability barrier: the ordered entry must be
                     # fsynced before its effects (and reply) can be
                     # observed by anyone (see repro.store).
@@ -431,10 +448,6 @@ class OrderedExecutor:
                 self._settle(delivery.timestamp)
         except Interrupted:
             return
-
-    def _needs_barrier(self, delivery: AmcastDelivery) -> bool:
-        """Must ``delivery`` be durable before it executes?"""
-        return True
 
     def _handle_delivery(self, delivery: AmcastDelivery):
         """Generator: execute one delivery (the role's algorithm).

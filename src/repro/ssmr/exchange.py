@@ -39,8 +39,8 @@ each message is kept under the delivery key of the delivery that sent it
 and dropped once every destination group's floor is at or past that key.
 Such a group has executed the command in every state its members could
 restore, so it never pulls the message again. A group whose floor stays
-unset (a :class:`~repro.ordering.paxos.PaxosLog` group, a durable oracle)
-keeps every message sent to it.
+unset (a :class:`~repro.ordering.paxos.PaxosLog` group) keeps every
+message sent to it.
 """
 
 from __future__ import annotations

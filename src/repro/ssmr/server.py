@@ -51,6 +51,8 @@ from repro.ssmr.exchange import ExchangeBuffer
 class SsmrServer(OrderedExecutor):
     """One replica of one S-SMR partition."""
 
+    ROLE_STATE = ("applied_reconfigs",)
+
     def __init__(self, env: Environment, network: Network,
                  directory: GroupDirectory, partition: str, name: str,
                  state_machine: StateMachine,
@@ -79,7 +81,10 @@ class SsmrServer(OrderedExecutor):
         self.applied_reconfigs: set[str] = set()
 
     def _respawn_options(self) -> dict:
-        return {"speaker_only": self.amcast.speaker_only}
+        return {"partition": self.partition,
+                "state_machine": self.state_machine,
+                "execution": self.execution,
+                "speaker_only": self.amcast.speaker_only}
 
     def _answers(self, envelope) -> bool:
         """One destination answers a fresh multi-partition access.

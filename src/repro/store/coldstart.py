@@ -3,7 +3,9 @@
 A durable deployment (:class:`~repro.harness.cluster.ClusterConfig` with
 ``durability`` set) can bring a crashed replica back **from its own
 disk**, without any live peer — the capability peer-transfer recovery
-(:mod:`repro.reconfig.recovery`) cannot provide. The ladder, per member:
+(:mod:`repro.reconfig.recovery`) cannot provide. Every group climbs the
+same ladder, the oracle's included: its replicas checkpoint and replay
+a log suffix exactly as a partition's do. The ladder, per member:
 
 1. **Read the local images.** The member's disk first suffers a
    power-fail (un-fsynced page-cache bytes are dropped or torn — cold
@@ -41,7 +43,7 @@ round, collapsed to one virtual instant) so it can never hand out a
 sequence number twice.
 
 Whole-group power loss (:meth:`Cluster.power_fail` /
-:meth:`Cluster.power_restore`) restores every member of a partition
+:meth:`Cluster.power_restore`) restores every member of a group
 from the **union** of the members' surviving WALs — group commit means
 different members fsynced to different depths, and any member's durable
 record of a position is authoritative for all.
@@ -90,9 +92,7 @@ def _contiguous_feed(entries, position):
 
 def _live_members(cluster, group, exclude):
     return [m for m in cluster.directory.members(group)
-            if m != exclude
-            and m in cluster.servers
-            and not cluster.servers[m].node.crashed]
+            if m != exclude and not cluster.member(m).node.crashed]
 
 
 def _reconcile_sequencer(cluster, replacement, feed, extra_uids=()):
@@ -113,7 +113,7 @@ def _reconcile_sequencer(cluster, replacement, feed, extra_uids=()):
     uids = {entry.get("uid") for _, entry in feed}
     uids.update(extra_uids)
     for member in _live_members(cluster, log.group, replacement.node.name):
-        peer_log = cluster.servers[member].log
+        peer_log = cluster.member(member).log
         pending = peer_log._pending_apply
         next_seq = max([next_seq, peer_log.applied_count]
                        + [seq + 1 for seq in pending])
@@ -138,7 +138,7 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
     a power-fail of the member's disk — right here.
     """
     farm = cluster.disks
-    crashed = cluster.servers[name]
+    crashed = cluster.member(name)
     detach_durability(crashed)
     if not crashed.node.crashed:
         crashed.crash()
@@ -170,7 +170,7 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
         replacement.recovery = PartitionRecovery(
             replacement, peers[0], fallback_peers=peers[1:],
             on_failure=cluster._on_recovery_failure)
-        cluster.servers[name] = replacement
+        cluster.replace_member(replacement)
         return replacement
 
     # Rung 1 (or rung 3 with the lost suffix flight-recorded): install
@@ -192,7 +192,7 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
         # base image (preloads bypass the ordered log — a checkpoint,
         # when one exists, already contains their effects).
         replacement.load_state(
-            cluster._initial_partition_state.get(replacement.log.group, {}))
+            cluster._base_images.get(replacement.log.group, {}))
     _reconcile_sequencer(cluster, replacement, feed)
     for seq, entry in feed:
         replacement.log._learn(seq, entry)
@@ -204,12 +204,13 @@ def cold_start_member(cluster, name, entries=None, checkpoint=None,
         "store", f"cold start: checkpoint@{position} + {len(feed)} wal "
         f"entr(ies) (wal {status or 'clean'})")
     _finish(cluster, replacement, provider=peers[0] if peers else None)
-    cluster.servers[name] = replacement
+    cluster.replace_member(replacement)
     return replacement
 
 
 def cold_start_partition(cluster, partition):
-    """Restore every member of ``partition`` after whole-group loss.
+    """Restore every member of group ``partition`` (a partition or the
+    oracle group) after whole-group loss.
 
     Reads all members' images first and feeds each member the *union*
     of the surviving WAL entries: any member's durable record of a
@@ -241,61 +242,3 @@ def cold_start_partition(cluster, partition):
             status=replay.status)
     return replacements
 
-
-def cold_start_oracles(cluster):
-    """Restore the oracle group from the union of its members' WALs.
-
-    The oracle has no checkpoint store — its state is small and a pure
-    function of its log — so cold start replays the whole union from
-    sequence 0. Replayed deliveries are marked via
-    :meth:`OracleReplica.arm_replay`: their map/policy/reply-cache
-    effects re-apply, but no prophecy, verdict, move or ack leaves the
-    node (the original execution already sent them; partitions and
-    clients deduplicate the history they already saw).
-    """
-    from repro.core import ORACLE_GROUP, OracleReplica
-
-    farm = cluster.disks
-    union: dict[int, dict] = {}
-    for oracle in cluster.oracles:
-        disk = farm.disk(oracle.node.name)
-        disk.power_fail()
-        replay = replay_wal(disk, stats=farm.stats)
-        for seq, entry in replay.entries:
-            union.setdefault(seq, entry)
-    feed = sorted(union.items())
-    muids = {entry["muid"] for _, entry in feed
-             if entry.get("kind") == "am-propose"}
-    uids = {entry.get("uid") for _, entry in feed}
-    uids.discard(None)
-
-    config = cluster.config
-    policy_factory = cluster._policy_factory()
-    replacements = []
-    for old in cluster.oracles:
-        name = old.node.name
-        detach_durability(old)
-        if not old.node.crashed:
-            old.crash()
-        cluster.network.recover(name)
-        oracle = OracleReplica(
-            cluster.env, cluster.network, cluster.directory, name,
-            cluster.partitions, policy=policy_factory(),
-            oracle_issues_moves=config.scheme == "dynastar",
-            async_repartition=config.async_repartition,
-            dedup=config.dedup)
-        oracle.preload_locations(cluster._initial_locations)
-        wipe_wal(farm.disk(name))
-        attach_durability(oracle, farm)
-        oracle.arm_replay(muids)
-        if hasattr(oracle.log, "restore_sequencer_state"):
-            next_seq = max((seq + 1 for seq, _ in feed), default=0)
-            oracle.log.restore_sequencer_state(next_seq, uids)
-        for seq, entry in feed:
-            oracle.log._learn(seq, entry)
-        farm.stats.cold_starts += 1
-        oracle.node.flight(
-            "store", f"oracle cold start: {len(feed)} wal entr(ies)")
-        replacements.append(oracle)
-    cluster.oracles[:] = replacements
-    return replacements

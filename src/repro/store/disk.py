@@ -37,9 +37,9 @@ class DurabilityConfig:
     ``fsync_ms`` is the fixed cost of one fsync; ``bytes_per_ms`` adds a
     throughput term; the WAL batches whatever arrives during one fsync
     into the next (see DESIGN.md). ``checkpoint_every`` bounds replay:
-    partitions persist a checkpoint every that many applied entries and
-    truncate WAL segments behind it, keeping ``keep_checkpoints``
-    generations.
+    every replica, partition or oracle, persists a checkpoint every that
+    many applied entries and truncates WAL segments behind it, keeping
+    ``keep_checkpoints`` generations.
     """
 
     fsync_ms: float = 0.3

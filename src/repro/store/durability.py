@@ -1,24 +1,23 @@
-"""Wiring durable storage onto live servers and oracles.
+"""Wiring durable storage onto live replicas of every group.
 
 ``attach_durability(owner, farm)`` gives ``owner`` (any
-:class:`~repro.smr.executor.OrderedExecutor`: an
-``SsmrServer``/``DssmrServer`` or ``OracleReplica``) a write-ahead log
-on its own disk in ``farm`` and hooks it into the ordered log: every
-applied position is appended before execution, and the shared executor
-loop yields ``owner.wal.sync_barrier()`` after measuring the delivery's
-queue sojourn and before scheduling or executing it (and therefore
-before replying), so acknowledged commands are always durable somewhere.
+:class:`~repro.smr.executor.OrderedExecutor` with a
+``PartitionCheckpointer``: an ``SsmrServer``/``DssmrServer`` or an
+``OracleReplica``) a write-ahead log on its own disk in ``farm`` and
+hooks it into the ordered log: every applied position is appended
+before execution, and the shared executor loop yields
+``owner.wal.sync_barrier()`` after measuring the delivery's queue
+sojourn and before scheduling or executing it (and therefore before
+replying), so acknowledged commands are always durable somewhere.
 The WAL flushes as soon as its disk is idle and batches whatever arrives
 during a flush into the next one, so that wait is one or two fsyncs.
 
-Owners that carry a ``PartitionCheckpointer`` (every partition server,
-classic SMR's single group included) also
-get a :class:`~repro.store.checkpoints.DurableCheckpointStore`: every
-captured checkpoint is persisted and, once fsynced, truncates the WAL
-segments behind it. A decide-callback counter triggers a periodic
-capture every ``checkpoint_every`` applied entries so replay stays
-bounded. Checkpoint-less owners (oracles) replay their whole WAL from
-position zero on cold start.
+Every owner also gets a
+:class:`~repro.store.checkpoints.DurableCheckpointStore`: every captured
+checkpoint is persisted and, once fsynced, truncates the WAL segments
+behind it. A decide-callback counter triggers a periodic capture every
+``checkpoint_every`` applied entries so replay stays bounded, the
+oracle's as much as a partition's.
 """
 
 from __future__ import annotations
@@ -29,17 +28,14 @@ from repro.store.wal import WriteAheadLog
 
 
 def attach_durability(owner, farm: DiskFarm) -> None:
-    """Attach a WAL (and checkpoint store, if applicable) to ``owner``."""
+    """Attach a WAL and a durable checkpoint store to ``owner``."""
     config = farm.config
     disk = farm.disk(owner.node.name)
     wal = WriteAheadLog(owner.node.env, disk, farm.stats,
                         segment_records=config.segment_records)
     owner.wal = wal
     owner.log.attach_wal(wal)
-    checkpointer = getattr(owner, "checkpointer", None)
-    if checkpointer is None:
-        owner.ckpt_store = None
-        return
+    checkpointer = owner.checkpointer
     store = DurableCheckpointStore(owner.node.env, disk, farm.stats,
                                    keep=config.keep_checkpoints, wal=wal)
     checkpointer.store = store

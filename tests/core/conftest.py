@@ -57,7 +57,7 @@ class DssmrStack:
             for member in self.directory.members(partition):
                 self.servers[member].load_state(by_partition[partition])
         for oracle in self.oracles:
-            oracle.preload_locations(assignment)
+            oracle.load_state(assignment)
 
     def run(self, until=30_000):
         self.env.run(until=until)

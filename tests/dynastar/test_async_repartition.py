@@ -8,6 +8,7 @@ of the delivered command sequence.
 """
 
 from repro.dynastar import GraphTargetPolicy
+from repro.reconfig import PartitionCheckpointer
 
 from tests.core.conftest import DssmrStack, get, run_script
 
@@ -107,3 +108,44 @@ class TestAsyncRepartitioning:
         assert all(not oracle.async_repartition
                    for oracle in stack.oracles)
         run_script(stack, [])
+
+    def test_installed_pending_ideal_is_announced_again(self, env):
+        """A checkpoint taken mid-computation carries the pending ideal
+        but not the timer that would announce it; installing one
+        announces it again, so the partitioning still activates."""
+        stack = async_stack(env, interval=3)
+        enable_async(stack)
+        stack.preload({"x": 1}, {"x": "p0"})
+        ideal = {"x": "p1"}
+        for oracle in stack.oracles:
+            oracle.install_role_state({"_pending_ideals": {0: dict(ideal)},
+                                       "_next_partitioning_id": 1})
+        stack.run()
+        for oracle in stack.oracles:
+            assert not oracle._pending_ideals
+            assert oracle.policy.ideal == ideal
+
+    def test_a_capture_during_a_repartition_holds_the_hint_once(self, env):
+        """Sync mode ingests a hint, then charges the repartition's CPU
+        time. A checkpoint taken meanwhile has the hint in its policy,
+        so it must not also queue it: an install would ingest it twice."""
+        stack = async_stack(env, interval=2)   # async NOT enabled
+        oracle = stack.oracles[0]
+        oracle.policy.REPARTITION_COST_PER_ELEMENT = 50.0
+        PartitionCheckpointer(oracle)
+        captured = []
+
+        def proc(env):
+            client = stack.client()
+            client.send_hint(["x", "q"], [("x", "q")])
+            client.send_hint(["x", "q"], [("x", "q")])  # due: repartitions
+            yield env.timeout(10)   # the repartition (>=100ms) is running
+            captured.append(oracle.checkpointer.capture().thaw())
+
+        stack.env.process(proc(stack.env))
+        stack.run()
+        checkpoint = captured[0]
+        assert checkpoint.role["policy"].repartition_count == 1
+        assert checkpoint.role["policy"].workload.hints_ingested == 2
+        assert not [delivery for delivery in checkpoint.queued
+                    if "hint" in delivery.payload]

@@ -56,7 +56,7 @@ class FtStack:
             for member in self.directory.members(partition):
                 self.servers[member].load_state(by_partition[partition])
         for oracle in self.oracles:
-            oracle.preload_locations(assignment)
+            oracle.load_state(assignment)
 
 
 def incr(key):

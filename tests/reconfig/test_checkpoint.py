@@ -246,7 +246,7 @@ def reference_checkpoint(server) -> PartitionCheckpoint:
         queued=copy.deepcopy(server.pending_deliveries()),
         location_slice={key: server.partition
                         for key in server.store.keys()},
-        applied_reconfigs=sorted(getattr(server, "applied_reconfigs", ())),
+        role={"applied_reconfigs": set(server.applied_reconfigs)},
         settled_key=server.settled_key,
     )
 

@@ -49,7 +49,7 @@ class TestStateTransfer:
         source.applied_reconfigs.add("rcfg-rm0-0")
         _transfer, checkpoint = fetch_between(cluster)
         assert checkpoint.epoch == 1
-        assert checkpoint.applied_reconfigs == ["rcfg-rm0-0"]
+        assert checkpoint.role == {"applied_reconfigs": {"rcfg-rm0-0"}}
 
     def test_chunking_respects_chunk_keys(self):
         cluster = build_loaded_cluster()

@@ -81,7 +81,7 @@ class Rig:
         if role is OracleReplica:
             self.executor = OracleReplica(env, self.network, self.directory,
                                           "x0", ("p0",), **options)
-            self.executor.preload_locations({"x": "p0"})
+            self.executor.load_state({"x": "p0"})
             peer = ProtocolNode(env, self.network, "p0s0")
             self.partition = ExchangeBuffer(
                 env, ReliableMulticast(peer, self.directory), "p0",

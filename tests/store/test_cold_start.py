@@ -1,10 +1,14 @@
 """Cluster-level tests for the cold-start recovery ladder
 (repro.store.coldstart via Cluster.cold_restart_server / power cycle)."""
 
+import pytest
+
 from repro.harness import build_cluster, cluster_invariants
 from repro.reconfig.checkpoint import state_checksum
-from repro.smr import Command
+from repro.smr import Command, CommandType
 from repro.store import DurabilityConfig
+from repro.store.checkpoints import load_latest_checkpoint
+from repro.store.wal import WAL_PREFIX, replay_wal
 
 
 def incr(key):
@@ -184,4 +188,93 @@ class TestCompactedLogColdStart:
         assert replacement.store.snapshot() == \
             cluster.servers["p0s0"].store.snapshot()
         assert speaker.below_floor_requests == 0
+        assert cluster_invariants(cluster) == []
+
+
+def build_oracle_cluster(scheme, seed=3):
+    """Two partitions, durable, a checkpoint every 16 applied entries."""
+    return build_durable_cluster(seed=seed, scheme=scheme,
+                                 checkpoint_every=16)
+
+
+def oracle_workload(cluster, rounds, name):
+    """Creates, cross-partition sums (moves) and increments: traffic
+    that changes the oracle's map. Returns the count of answered
+    commands (a one-item list, updated as they are)."""
+    client = cluster.new_client(name)
+    done = [0]
+
+    def proc(env):
+        for turn in range(rounds):
+            key = f"{name}-{turn}"
+            for command in (
+                    Command(op="create", ctype=CommandType.CREATE,
+                            variables=(key,), args={"value": 0}),
+                    Command(op="sum",
+                            args={"keys": [key, f"k{(turn + 1) % 4}"]},
+                            variables=(key, f"k{(turn + 1) % 4}")),
+                    incr(f"k{turn % 4}")):
+                yield from client.run_command(command)
+                done[0] += 1
+
+    cluster.env.process(proc(cluster.env))
+    return done
+
+
+def oracle_image(oracle):
+    return {"location": dict(oracle.location),
+            "map_version": oracle.map_version,
+            "followed_moves": set(oracle.followed_moves),
+            "epoch": oracle.epoch}
+
+
+@pytest.mark.parametrize("scheme", ["dssmr", "dynastar"])
+class TestOracleColdStart:
+    def test_power_cycle_restores_the_oracle_from_its_checkpoint(
+            self, scheme):
+        """The oracle checkpoints like a partition: its WAL is truncated
+        behind the checkpoint, a power cycle replays only the suffix,
+        and the map comes back as it was."""
+        cluster = build_oracle_cluster(scheme)
+        done = oracle_workload(cluster, 30, "c0")
+        cluster.run(until=5_000)
+        assert done == [90]
+        assert cluster.moves_total() > 0
+        live = {oracle.node.name: oracle_image(oracle)
+                for oracle in cluster.oracles}
+        applied = {oracle.node.name: oracle.log.applied_count
+                   for oracle in cluster.oracles}
+
+        cluster.power_fail()
+        for name in applied:
+            disk = cluster.disks.disk(name)
+            checkpoint, _ = load_latest_checkpoint(disk)
+            assert checkpoint is not None and checkpoint.applied_count > 0
+            segments = disk.files(WAL_PREFIX + ".")
+            assert min(int(path.split(".")[1]) for path in segments) > 0
+            assert len(replay_wal(disk).entries) < applied[name]
+        cluster.run(until=cluster.env.now + 50)
+        cluster.power_restore()
+        cluster.run(until=cluster.env.now + 2_000)
+
+        for oracle in cluster.oracles:
+            assert oracle_image(oracle) == live[oracle.node.name]
+        assert cluster.disks.stats.peer_fallbacks == 0
+        assert cluster_invariants(cluster) == []
+
+    def test_oracle_cold_restart_mid_run(self, scheme):
+        """One oracle replica restarts from its own clean disk while the
+        other keeps serving: no peer transfer, and it converges."""
+        cluster = build_oracle_cluster(scheme, seed=5)
+        done = oracle_workload(cluster, 30, "c0")
+        cluster.run(until=cluster.env.now + 60)
+        assert 0 < done[0] < 90
+        cluster.member("or1").crash()
+        replacement = cluster.cold_restart_server("or1")
+        assert replacement in cluster.oracles
+        cluster.run(until=cluster.env.now + 5_000)
+        assert done == [90]
+        assert cluster.disks.stats.peer_fallbacks == 0
+        assert oracle_image(cluster.member("or1")) == \
+            oracle_image(cluster.member("or0"))
         assert cluster_invariants(cluster) == []

@@ -7,7 +7,9 @@ whose building blocks it reuses) under ``tracemalloc``. At the end of the
 run it clears one structure at a time, on every replica and oracle, and
 prints the traced megabytes each clearing freed: what that structure held
 alone. Objects it shares with the live state (a store value that is also
-in a cached exchange message) stay and are not counted.
+in a cached exchange message) stay and are not counted. On a durable
+workload it then prints the bytes each node's simulated disk holds,
+write-ahead log and checkpoints apart, and their sums per role.
 
     python tools/retained.py ssmr-hk-post
     python tools/retained.py dssmr-weak-post-wal --seed 101 --smoke
@@ -32,6 +34,8 @@ from benchmarks.e2e.child import build_cluster, build_graph, start_clients  # no
 from benchmarks.e2e.workloads import (DEFAULT_SECONDS, SMOKE_SECONDS,  # noqa: E402
                                       WORKLOADS, spec_for)
 from repro.ordering.floor import Retention  # noqa: E402
+from repro.store.checkpoints import CKPT_PREFIX  # noqa: E402
+from repro.store.wal import WAL_PREFIX  # noqa: E402
 
 
 def _exchange_sent(replica) -> int:
@@ -88,6 +92,28 @@ def traced_mb() -> float:
     return tracemalloc.get_traced_memory()[0] / 1e6
 
 
+def disk_bytes(disk, prefix: str) -> int:
+    """Durable bytes of the files named ``prefix.*`` on ``disk``."""
+    return sum(len(disk.read(path)) for path in disk.files(prefix + "."))
+
+
+def print_disks(cluster) -> None:
+    """Per node, then per role: WAL and checkpoint bytes on disk."""
+    roles = {name: "partition" for name in cluster.servers}
+    roles.update((oracle.node.name, "oracle") for oracle in cluster.oracles)
+    totals: dict = {}
+    print(f"{'disk':<24} {'wal KB':>9} {'ckpt KB':>9}")
+    for name in sorted(roles):
+        disk = cluster.disks.disk(name)
+        held = (disk_bytes(disk, WAL_PREFIX), disk_bytes(disk, CKPT_PREFIX))
+        role = totals.setdefault(roles[name], [0, 0])
+        role[0] += held[0]
+        role[1] += held[1]
+        print(f"{name:<24} {held[0] / 1e3:>9.1f} {held[1] / 1e3:>9.1f}")
+    for role, (wal, ckpt) in sorted(totals.items()):
+        print(f"{role + ' replicas':<24} {wal / 1e3:>9.1f} {ckpt / 1e3:>9.1f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -117,6 +143,8 @@ def main(argv=None) -> int:
         held -= freed
         print(f"{name:<24} {entries:>9} {freed:>9.2f}")
     print(f"{'rest':<24} {'':>9} {held:>9.2f}")
+    if cluster.disks is not None:
+        print_disks(cluster)
     return 0
 
 
