@@ -31,16 +31,15 @@ from repro.ordering import GroupDirectory
 from repro.qos import (AdaptiveBatcher, AdmissionController, AimdWindow,
                        QosConfig, classify_entry)
 from repro.reconfig import (CheckpointHost, PartitionCheckpointer,
-                            ReconfigurationManager,
-                            recover_partition_server)
+                            ReconfigurationManager)
 from repro.resilience import RetryPolicy
 from repro.sim import Environment, LatencyRecorder, SeedStream
 from repro.smr import (ExecutionConfig, ExecutionModel,
                        KeyValueStateMachine, ParallelExecutionModel,
                        StateMachine)
 from repro.ssmr import SsmrClient, SsmrServer, StaticOracle, StaticPartitionMap
-from repro.store import (DiskFarm, DurabilityConfig, attach_durability,
-                         wipe_wal)
+from repro.store import DiskFarm, DurabilityConfig, attach_durability
+from repro.store.coldstart import cold_start_partition, recover_member
 from repro.store.durability import detach_durability
 
 SCHEMES = ("smr", "ssmr", "dssmr", "dynastar")
@@ -86,8 +85,8 @@ class ClusterConfig:
     # hot path in its pre-durability shape (the perf gate pins that). A
     # DurabilityConfig arms a simulated disk per server with a
     # group-committed write-ahead log, durable checkpoints, and the
-    # cold-start recovery ladder (power_fail / power_restore /
-    # cold_restart_server).
+    # cold-start rungs of the recovery ladder (recover_server,
+    # power_fail / power_restore).
     durability: Optional[DurabilityConfig] = None
     # Parallel execution (repro.smr.parallel): None keeps every executor
     # on the sequential code path, byte-identical to pre-parallel runs
@@ -516,39 +515,19 @@ class Cluster:
         return result
 
     def recover_server(self, name: str):
-        """Crash-recover partitioned replica ``name`` from a live peer.
+        """Crash-recover replica ``name`` (a partition server or an
+        oracle replica) under the same name.
 
-        Installs a peer checkpoint and replays the log suffix (see
-        :mod:`repro.reconfig.recovery`); the replacement takes over the
-        crashed server's slot in :attr:`servers`. Every other live
-        member is handed over as a fallback source, and a transfer that
-        exhausts all of them lands in :attr:`recovery_failures` (and
-        the registered hooks) instead of hanging silently.
+        Runs the one recovery ladder of :mod:`repro.store.coldstart`:
+        local checkpoint + WAL replay when a durable replica's own disk
+        continues what the live group retains, a peer state transfer
+        otherwise (always, without durability). The replacement takes
+        over the crashed replica's slot. Every other live member is
+        handed over as a fallback source, and a transfer that exhausts
+        all of them lands in :attr:`recovery_failures` (and the
+        registered hooks) instead of hanging silently.
         """
-        crashed = self.servers[name]
-        partition = crashed.partition
-        live = [member for member in self.directory.members(partition)
-                if member != name
-                and not self.servers[member].node.crashed]
-        if not live:
-            raise RuntimeError(f"no live peer left in {partition!r} to "
-                               f"recover {name} from (durable deployments "
-                               "can cold_restart_server instead)")
-        if self.disks is not None:
-            detach_durability(crashed)
-        replacement = recover_partition_server(
-            crashed, self.servers[live[0]], fallback_peers=live[1:],
-            on_failure=self._on_recovery_failure)
-        if self.disks is not None:
-            # The on-disk history belongs to the previous incarnation;
-            # the transferred checkpoint supersedes it (and is persisted
-            # by the recovery install), so the stale WAL is wiped.
-            wipe_wal(self.disks.disk(name))
-            attach_durability(replacement, self.disks)
-        self.servers[name] = replacement
-        if name == self.directory.speaker(partition):
-            self._arm_qos(partition)
-        return replacement
+        return recover_member(self, name)
 
     def _on_recovery_failure(self, recovery) -> None:
         """A state transfer ran out of source peers: surface it."""
@@ -557,23 +536,6 @@ class Cluster:
             hook(recovery)
 
     # -- durable storage (repro.store) -----------------------------------------
-
-    def cold_restart_server(self, name: str):
-        """Restart crashed replica ``name`` from its own disk.
-
-        Runs the recovery ladder of :mod:`repro.store.coldstart`: local
-        checkpoint + WAL replay when the on-disk history is intact,
-        peer transfer only for a corrupted or gapped prefix.
-        """
-        if self.disks is None:
-            raise RuntimeError("cold restart needs a durable deployment "
-                               "(set ClusterConfig.durability)")
-        from repro.store.coldstart import cold_start_member
-        replacement = cold_start_member(self, name)
-        group = replacement.log.group
-        if name == self.directory.speaker(group):
-            self._arm_qos(group)
-        return replacement
 
     def power_fail(self) -> None:
         """Full-cluster power loss: every server and oracle crashes and
@@ -600,11 +562,9 @@ class Cluster:
         if self.disks is None:
             raise RuntimeError("power_restore needs a durable deployment "
                                "(set ClusterConfig.durability)")
-        from repro.store.coldstart import cold_start_partition
         for group in (*self.partitions,
                       *((ORACLE_GROUP,) if self._dynamic else ())):
             cold_start_partition(self, group)
-        self._arm_qos()
 
     # -- metrics access ------------------------------------------------------------
 

@@ -5,12 +5,15 @@ sections, every one seeded and byte-deterministic (the CLI byte-compares
 two same-seed runs in CI):
 
 * **Replay equivalence** — for every scheme, a chaos-style workload
-  runs to completion, the whole cluster loses power (every un-fsynced
-  byte drops), cold-starts from disk alone with *zero* live peers, and
+  runs to completion (every replica, partition or oracle, captures a
+  checkpoint half-way through it), the whole cluster loses power
+  (every un-fsynced byte drops), cold-starts from disk alone with
+  *zero* live peers — checkpoint install plus WAL suffix replay — and
   the replayed state — every partition member's store and execution
   order, every oracle replica's map — must hash-equal the live state it
   replaced:
-  ``state == replay(wal)``, the fundamental WAL correctness property.
+  ``state == replay(checkpoint, wal)``, the fundamental WAL correctness
+  property.
   A second workload wave then proves the revived cluster is live, and
   the end-state invariant suite must stay clean.
 * **Power loss under live load** — the same whole-cluster power cycle,
@@ -26,9 +29,9 @@ two same-seed runs in CI):
 * **Overhead & recovery time** — the same closed-loop workload with
   durability off and on (the fsync barrier's price, figure 20 left
   panel), and crash-to-converged recovery time of a cold local restart
-  vs a full peer state transfer (right panel): the point of carrying a
-  WAL is that restarting from local disk beats re-shipping the whole
-  partition image.
+  vs a full peer state transfer onto a blank disk (a replaced machine;
+  right panel): the point of carrying a WAL is that restarting from
+  local disk beats re-shipping the whole partition image.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.harness.cluster import Cluster
 from repro.harness.invariants import cluster_invariants
 from repro.harness.kvbed import build_kv_cluster, spawn_wave
 from repro.reconfig.checkpoint import state_checksum
-from repro.store import DurabilityConfig
+from repro.store import DurabilityConfig, load_latest_checkpoint
 from repro.store.wal import RECORD_HEADER, WAL_PREFIX
 
 #: Schemes the replay-equivalence section proves.
@@ -98,11 +101,21 @@ def _replay_equivalence(scheme: str, seed: int, num_clients: int,
                         ops: int) -> dict:
     cluster = _build(scheme, seed, f"replay/{scheme}")
     first = spawn_wave(cluster, num_clients, ops, "w", prefix="w")
+    # Half-way through the wave every replica captures a checkpoint, so
+    # the cold start below installs it and replays only the suffix.
+    while first.completed < first.expected // 2:
+        cluster.run(until=cluster.env.now + 0.5)
+    members = [*cluster.servers.values(), *cluster.oracles]
+    for member in members:
+        member.checkpointer.capture(reason="measurement")
     cluster.run(until=1_500.0)
     completed_first = first.done.triggered
     live_hash = _cluster_hash(cluster)
 
     cluster.power_fail()
+    checkpoint_installs = sum(
+        load_latest_checkpoint(cluster.disks.disk(m.node.name))[0]
+        is not None for m in members)
     cluster.run(until=cluster.env.now + 50.0)
     cluster.power_restore()
     cluster.run(until=cluster.env.now + 1_000.0)
@@ -121,6 +134,7 @@ def _replay_equivalence(scheme: str, seed: int, num_clients: int,
         "second_wave_ops": second.completed,
         "second_wave_completed": second.done.triggered,
         "cold_starts": stats.cold_starts,
+        "checkpoint_installs": checkpoint_installs,
         "peer_fallbacks": stats.peer_fallbacks,
         "records_replayed": stats.records_replayed,
         "violations": list(violations),
@@ -176,7 +190,7 @@ def _fault_ladder(scheme: str, seed: int, num_clients: int,
     disk.inject_bitrot(first, (RECORD_HEADER.size,
                                RECORD_HEADER.size + length))
     cluster.servers[victim].crash()
-    cluster.cold_restart_server(victim)
+    cluster.recover_server(victim)
 
     spawn_wave(cluster, 2, max(ops // 2, 3), "x", prefix="x")
     cluster.run(until=cluster.env.now + 2_000.0)
@@ -252,8 +266,10 @@ def _recovery_time(scheme: str, seed: int, num_clients: int, ops: int,
     periodic checkpointer fires every ``checkpoint_every`` entries; the
     short measurement wave forces one explicitly) so a cold local
     restart is checkpoint-install plus a short WAL suffix — flat in the
-    state-image size — while a peer transfer ships the whole image in
-    flow-controlled chunks and grows with it.
+    state-image size. In ``peer_transfer`` mode the victim's disk is
+    blank (a replaced machine), so the same recovery ladder ships the
+    whole image from a peer in flow-controlled chunks, and that grows
+    with it.
     """
     cluster = _build(scheme, seed, f"recovery/{scheme}/{mode}",
                      extra_keys=extra_keys)
@@ -267,10 +283,9 @@ def _recovery_time(scheme: str, seed: int, num_clients: int, ops: int,
     cluster.servers[victim].checkpointer.capture(reason="measurement")
     cluster.run(until=cluster.env.now + 20.0)   # let the capture fsync
     cluster.servers[victim].crash()
-    if mode == "cold_local":
-        cluster.cold_restart_server(victim)
-    else:
-        cluster.recover_server(victim)
+    if mode == "peer_transfer":
+        cluster.disks.disk(victim).erase()
+    cluster.recover_server(victim)
     converge = _converge_ms(cluster, victim, speaker)
     return {
         "scheme": scheme,
@@ -323,6 +338,7 @@ def format_durability_report(data: dict) -> str:
         lines.append(
             f"  {r['scheme']:9s} hash_equal={r['hash_equal']} "
             f"cold_starts={r['cold_starts']} "
+            f"checkpoint_installs={r['checkpoint_installs']} "
             f"records_replayed={r['records_replayed']} "
             f"violations={len(r['violations'])}")
     lines.append("power loss under live load:")

@@ -6,10 +6,11 @@ same two closure pairs for
 :meth:`~repro.net.failure.FailureInjector.crash_restart_at`:
 
 * **restart** (amnesia) — the victim object dies and a replacement is
-  rebuilt under the same name through checkpoint-install recovery
-  (:mod:`repro.reconfig.recovery`), whatever the scheme. Valid only for
-  non-speaker partition replicas: recovery cannot resurrect an ordering
-  endpoint's sequencer state.
+  rebuilt under the same name through the one recovery ladder
+  (:meth:`~repro.harness.cluster.Cluster.recover_server`), whatever the
+  scheme. Drawn only for non-speaker partition replicas: without a
+  write-ahead log, recovery cannot resurrect an ordering endpoint's
+  sequencer state.
 * **blackout** — the victim is cut off at the network level (drops all
   traffic both ways) and later reconnects with its in-memory state
   intact (:meth:`~repro.ordering.ProtocolNode.reconnect`). Valid for
@@ -70,21 +71,6 @@ def crash_victim(cluster, victim: str) -> None:
     cluster.servers[victim].crash()
 
 
-def recover_victim(cluster, victim: str):
-    """Recover an amnesia-crashed server under the same name.
-
-    One path for every scheme: the checkpoint-install recovery of
-    :meth:`Cluster.recover_server`. Durable
-    deployments (``ClusterConfig.durability``) restart from the victim's
-    own disk instead, falling back to peers only for a gapped or
-    corrupted local history (:mod:`repro.store.coldstart`). Returns the
-    replacement server.
-    """
-    if getattr(cluster, "disks", None) is not None:
-        return cluster.cold_restart_server(victim)
-    return cluster.recover_server(victim)
-
-
 def blackout_victim(cluster, victim: str) -> None:
     """Cut ``victim`` off the network; its in-memory state survives."""
     node = _node_of(cluster, victim)
@@ -101,7 +87,7 @@ def make_crash_restart(cluster, victim: str, mode: str):
     :meth:`~repro.net.failure.FailureInjector.crash_restart_at`."""
     if mode == "restart":
         return (lambda: crash_victim(cluster, victim),
-                lambda: recover_victim(cluster, victim))
+                lambda: cluster.recover_server(victim))
     if mode == "blackout":
         return (lambda: blackout_victim(cluster, victim),
                 lambda: reconnect_victim(cluster, victim))

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.harness.faults import _node_of, reconnect_victim, recover_victim
+from repro.harness.faults import _node_of, reconnect_victim
 from repro.heal.heartbeat import HeartbeatEmitter
 from repro.heal.supervisor import HEAL_GROUP, RecoverySupervisor
 from repro.heal.timing import DEFAULT_TIMING, TimingProfile
@@ -322,7 +322,7 @@ class ClusterHealer:
             self.fences.inc()
             self._note(now, f"fencing live {victim} before replacement")
             server.crash()
-        replacement = recover_victim(cluster, victim)
+        replacement = cluster.recover_server(victim)
         self._replaced_at[victim] = now
         self.replaces.inc()
         if episode is not None:

@@ -11,9 +11,9 @@ The subsystem behind the scalable part of *dynamic scalable* SMR:
 * :mod:`repro.reconfig.manager` — the :class:`ReconfigurationManager`
   drives live partition joins (epoch fence + bulk rebalance onto the
   newcomer) and leaves (drain + redistribute + retire);
-* :mod:`repro.reconfig.recovery` — crash-recovery of a partitioned
-  replica by installing a peer checkpoint and replaying the ordered-log
-  suffix.
+* :mod:`repro.reconfig.recovery` — crash-recovery of a replica by
+  installing a peer checkpoint and replaying the ordered-log suffix
+  (rung 2 of the recovery ladder, :mod:`repro.store.coldstart`).
 """
 
 from repro.reconfig.checkpoint import (FrozenCheckpoint, PartitionCheckpoint,

@@ -1,35 +1,43 @@
-"""Crash-recovery for the replicas of every scheme.
+"""Crash-recovery for the replicas of every scheme: the peer-transfer rung.
 
 A partitioned replica's state is not a pure function of its delivered
 commands — it is coupled to in-flight signal/variable exchanges, the
 multicast's timestamp state and the session table — so classic
 snapshot-and-replay is not enough, and a classic-SMR group is simply the
-one-partition case with nothing in flight. The recovery here installs a
-peer's full :class:`~repro.reconfig.checkpoint.PartitionCheckpoint`
-(fetched via the chunked :class:`~repro.reconfig.transfer.StateTransfer`)
-and then replays the ordered-log suffix past the checkpoint's apply
-position:
+one-partition case with nothing in flight. A crashed replica comes back
+through one recovery ladder (:mod:`repro.store.coldstart`, reached
+through :meth:`~repro.harness.cluster.Cluster.recover_server`); this
+module holds its pieces. Rung 2 — the only rung for a replica without
+a disk — installs a peer's full
+:class:`~repro.reconfig.checkpoint.PartitionCheckpoint` (fetched via
+the chunked :class:`~repro.reconfig.transfer.StateTransfer`) and then
+replays the ordered-log suffix past the checkpoint's apply position:
 
 1. The crashed node is recovered in the network and a fresh server of
-   the same class is constructed under the same name, with its executor
-   *gated* and its log's automatic backfill *suspended* (otherwise it
-   would pointlessly backfill history the checkpoint covers).
+   the same class is constructed under the same name
+   (:func:`respawn_gated`), with its executor *gated* and its log's
+   automatic backfill *suspended* (otherwise it would pointlessly
+   backfill history the checkpoint covers).
 2. The transfer pulls a frozen checkpoint from the chosen peer; ordered
    traffic arriving meanwhile parks in the log's pending map.
-3. Install: store, execution history and settled key, session table,
-   epoch, the role's own state (``ROLE_STATE``), multicast state
-   (clock, delivered uids, own timestamps, learned delivery floors,
-   pendings — unfinalised multi-group pendings re-arm their self-heal
-   timers), exchange buffers and the checkpoint's queued deliveries.
-   Delivered-uid install is what stops the backfilled suffix from
-   double-delivering commands the queue already carries.
+3. Install (:func:`install_checkpoint`): store, execution history and
+   settled key, session table, epoch, the role's own state
+   (``ROLE_STATE``), multicast state (clock, delivered uids, own
+   timestamps, learned delivery floors, pendings — unfinalised
+   multi-group pendings re-arm their self-heal timers), exchange
+   buffers and the checkpoint's queued deliveries. Delivered-uid
+   install is what stops the backfilled suffix from double-delivering
+   commands the queue already carries.
 4. The log fast-forwards to the checkpoint position, backfill resumes,
    and an explicit backfill request to the peer fetches the suffix; the
-   executor gate opens.
+   executor gate opens (:func:`open_replacement`, which the local
+   replay rung ends with too).
 
-Only non-speaker members recover this way: the fixed-sequencer log dies
-with its sequencer (use :class:`~repro.ordering.paxos.PaxosLog`
-deployments when the speaker itself must be recoverable).
+A speaker without a write-ahead log cannot come back: the
+fixed-sequencer log dies with its sequencer (use
+:class:`~repro.ordering.paxos.PaxosLog` deployments when the speaker
+itself must be recoverable). A durable one can: the ladder reconciles
+its sequencer.
 """
 
 from __future__ import annotations
@@ -45,9 +53,8 @@ from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
 def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     """Install a checkpoint's state into a gated replacement server.
 
-    Atomic (no yields: one virtual instant). Shared by peer-transfer
-    recovery and the durable cold-start ladder (:mod:`repro.store`);
-    callers follow up with ``fast_forward``/backfill/gate themselves.
+    Atomic (no yields: one virtual instant); :func:`open_replacement`
+    calls it on every rung that installs a checkpoint.
     The checkpoint's values become the server's live state, so it must
     be a private copy (a ``thaw()``, or a durable image just loaded).
     """
@@ -142,47 +149,66 @@ class PartitionRecovery:
             self.on_failure(self)
 
     def _install(self, checkpoint: PartitionCheckpoint) -> None:
-        server = self.server
-        install_checkpoint(server, checkpoint)
-        server.log.fast_forward(max(server.log.applied_count,
-                                    checkpoint.applied_count))
-        server.log.resume_backfill()
-        server.log.request_backfill(provider=self.peer_name)
         self.checkpoint = checkpoint
         self.installed = True
-        checkpointer = getattr(server, "checkpointer", None)
-        if checkpointer is not None and checkpointer.store is not None:
-            # Durable deployments persist the freshly installed state so
-            # the local disk can cold-start this incarnation.
-            checkpointer.capture(reason="recovery")
-        server._start_gate.succeed(None)
+        open_replacement(self.server, checkpoint, self.peer_name)
 
 
-def recover_partition_server(crashed, peer, fallback_peers=(),
-                             on_failure=None):
-    """Bring a crashed partition replica back under the same name.
-
-    ``crashed`` is the dead server object (any :class:`SsmrServer`
-    subclass); ``peer`` is a live replica of the *same partition* with a
-    checkpointer and :class:`CheckpointHost` attached, and
-    ``fallback_peers`` names alternates to try if the transfer from
-    ``peer`` stalls. Returns the replacement server (same class, same
-    name), already recovering; its ``recovery`` attribute exposes
-    progress, and a fresh checkpointer and host are attached so the
-    replacement can later seed others.
-    """
-    if crashed.partition != peer.partition:
-        raise ValueError(f"peer {peer.node.name} replicates "
-                         f"{peer.partition!r}, not {crashed.partition!r}")
-    name = crashed.node.name
-    if crashed.directory.speaker(crashed.partition) == name:
-        raise ValueError(f"{name} is the group speaker; the ordered log "
-                         "cannot survive its crash (deploy PaxosLog for "
-                         "speaker fault tolerance)")
+def respawn_gated(crashed):
+    """A fresh server of ``crashed``'s class under the same name: its
+    executor gated, its log's backfill suspended, a checkpointer and a
+    :class:`CheckpointHost` attached so it can later seed others."""
     replacement = crashed.respawn(crashed.env.event())
     replacement.log.suspend_backfill()
     PartitionCheckpointer(replacement)
     CheckpointHost(replacement)
+    return replacement
+
+
+def open_replacement(server, checkpoint, provider, feed=()) -> None:
+    """End a replacement's install window, on every rung: install
+    ``checkpoint`` (None: the caller loaded the base image), feed the
+    local WAL suffix ``feed`` through the ordered log, persist the
+    result on a durable replica (its next cold start loads it), resume
+    backfill from ``provider`` and open the executor gate."""
+    log = server.log
+    if checkpoint is not None:
+        install_checkpoint(server, checkpoint)
+        log.fast_forward(max(log.applied_count, checkpoint.applied_count))
+    for seq, entry in feed:
+        log._learn(seq, entry)
+    if server.checkpointer.store is not None:
+        server.checkpointer.capture(reason="recovery")
+    log.resume_backfill()
+    log.request_backfill(provider=provider)
+    server._start_gate.succeed(None)
+
+
+def recover_partition_server(crashed, peer, fallback_peers=(),
+                             on_failure=None):
+    """Bring a crashed replica back under the same name from a peer.
+
+    ``crashed`` is the dead server object (any :class:`SsmrServer`
+    subclass or an oracle replica); ``peer`` is a live replica of the
+    *same group* with a checkpointer and :class:`CheckpointHost`
+    attached, and ``fallback_peers`` names alternates to try if the
+    transfer from ``peer`` stalls. Returns the replacement server (same
+    class, same name), already recovering; its ``recovery`` attribute
+    exposes progress. The cluster-free rung 2 of the recovery ladder
+    (:mod:`repro.store.coldstart`), which also re-arms a durable
+    replica's disk and reconciles a durable speaker's sequencer.
+    """
+    if crashed.group != peer.group:
+        raise ValueError(f"peer {peer.node.name} replicates "
+                         f"{peer.group!r}, not {crashed.group!r}")
+    name = crashed.node.name
+    if crashed.directory.speaker(crashed.group) == name \
+            and crashed.wal is None:
+        raise ValueError(f"{name} is the group speaker; the ordered log "
+                         "cannot survive its crash without a write-ahead "
+                         "log (deploy PaxosLog for speaker fault "
+                         "tolerance)")
+    replacement = respawn_gated(crashed)
     replacement.recovery = PartitionRecovery(
         replacement, peer.node.name, fallback_peers=fallback_peers,
         on_failure=on_failure)

@@ -12,7 +12,8 @@ behaviour a WAL's framing has to tolerate.
 
 Fault hooks mirror the fuzz vocabulary: :meth:`inject_bitrot` flips a
 seeded byte somewhere in the durable image and :meth:`tear_tail`
-truncates a seeded suffix off the most recent durable file.
+truncates a seeded suffix off the most recent durable file;
+:meth:`erase` blanks the disk, as on a replaced machine.
 
 A :class:`DiskFarm` owns one disk per node name. Disks outlive the
 server *objects* that write to them — a crash-restarted replica gets a
@@ -128,6 +129,11 @@ class SimulatedDisk:
     def delete(self, path: str) -> None:
         self._durable.pop(path, None)
         self._pending.pop(path, None)
+
+    def erase(self) -> None:
+        """Lose every file, durable or buffered: a replaced machine."""
+        self._durable.clear()
+        self._pending.clear()
 
     # -- crash & fault surface -----------------------------------------------
 

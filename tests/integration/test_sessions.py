@@ -111,7 +111,7 @@ class TestSessionsSurviveRecovery:
             "dssmr", 3, ("sessions", "cold"), durability=DurabilityConfig())
         last = run_incrs(cluster, "c9", 6)[-1]
         cluster.servers["p0s1"].crash()
-        cluster.cold_restart_server("p0s1")
+        cluster.recover_server("p0s1")
         cluster.run(until=cluster.env.now + 1_000)
         stats = cluster.disks.stats
         assert (stats.cold_starts, stats.peer_fallbacks) == (1, 0)

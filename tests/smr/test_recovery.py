@@ -410,14 +410,17 @@ def run_keys(cluster, keys, client_name):
     cluster.run(until=cluster.env.now + 5_000)
 
 
-def _recovered_replica(cluster):
+def _peer_transferred_replica(cluster):
     cluster.servers["p0s1"].crash()
-    return [cluster.recover_server("p0s1")]
+    cluster.disks.disk("p0s1").erase()     # a replaced machine
+    replacement = cluster.recover_server("p0s1")
+    assert cluster.disks.stats.peer_fallbacks == 1
+    return [replacement]
 
 
 def _cold_restarted_replica(cluster):
     cluster.servers["p0s1"].crash()
-    return [cluster.cold_restart_server("p0s1")]
+    return [cluster.recover_server("p0s1")]
 
 
 def _cold_started_oracles(cluster):
@@ -439,7 +442,8 @@ class TestLateNodesReportToTheTracer:
     through the network, with nothing to hand over at rebuild time."""
 
     @pytest.mark.parametrize("rebuild", [
-        _recovered_replica, _cold_restarted_replica, _cold_started_oracles,
+        _peer_transferred_replica, _cold_restarted_replica,
+        _cold_started_oracles,
         _grown_partition], ids=["recover", "cold-restart", "power-cycle",
                                 "grow"])
     def test_new_node_emits_spans(self, rebuild):

@@ -236,7 +236,7 @@ class TestDeployments:
         assert checkpoint.applied_count < victim.log.applied_count
         assert victim.executed[len(checkpoint.executed):]
         victim.crash()
-        replacement = cluster.cold_restart_server("p1s1")
+        replacement = cluster.recover_server("p1s1")
         cluster.run(until=30_000)
         assert done == [240]
         # The replay ran every command after the checkpoint again, and

@@ -1,5 +1,5 @@
-"""Cluster-level tests for the cold-start recovery ladder
-(repro.store.coldstart via Cluster.cold_restart_server / power cycle)."""
+"""Cluster-level tests for the recovery ladder
+(repro.store.coldstart via Cluster.recover_server / power cycle)."""
 
 import pytest
 
@@ -26,15 +26,20 @@ def build_durable_cluster(seed=3, scheme="dssmr", **durability_kwargs):
 
 
 def run_workload(cluster, count=8, name="c0"):
+    """``count`` increments over k0..k3 for 5 s; returns how many were
+    answered."""
     client = cluster.new_client(name)
+    done = [0]
 
     def proc(env):
         for index in range(count):
             key = f"k{index % 4}"
             yield from client.run_command(incr(key))
+            done[0] += 1
 
     cluster.env.process(proc(cluster.env))
     cluster.run(until=cluster.env.now + 5_000)
+    return done[0]
 
 
 def images(cluster):
@@ -78,7 +83,7 @@ class TestLadder:
         cluster = build_durable_cluster()
         run_workload(cluster)
         cluster.servers["p0s1"].crash()
-        cluster.cold_restart_server("p0s1")
+        cluster.recover_server("p0s1")
         cluster.run(until=cluster.env.now + 1_000)
         stats = cluster.disks.stats
         assert stats.cold_starts == 1
@@ -93,7 +98,7 @@ class TestLadder:
         cluster = build_durable_cluster(seed=7)
         run_workload(cluster)
         cluster.servers["p0s0"].crash()
-        cluster.cold_restart_server("p0s0")
+        cluster.recover_server("p0s0")
         cluster.run(until=cluster.env.now + 1_000)
         run_workload(cluster, count=6, name="c2")
         assert cluster_invariants(cluster) == []
@@ -108,7 +113,7 @@ class TestLadder:
         segment = disk.files("wal.")[0]
         disk._durable[segment][8] ^= 0x40
         cluster.servers["p0s1"].crash()
-        cluster.cold_restart_server("p0s1")
+        cluster.recover_server("p0s1")
         cluster.run(until=cluster.env.now + 2_000)
         stats = cluster.disks.stats
         assert stats.peer_fallbacks == 1
@@ -116,6 +121,45 @@ class TestLadder:
         assert recovered.recovery.installed
         assert recovered.store.snapshot() == \
             cluster.servers["p0s0"].store.snapshot()
+        assert cluster_invariants(cluster) == []
+
+    def test_corrupt_speaker_falls_back_and_keeps_sequencing(self):
+        """A durable speaker whose WAL is corrupt takes rung 2 too, and
+        its sequencer is reconciled there as on rung 1: it resumes past
+        every number it handed out, so its partition keeps ordering
+        (a fresh sequencer at 0 left p0 answering none of 6)."""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        disk = cluster.disks.disk("p0s0")
+        segment = disk.files("wal.")[0]
+        disk._durable[segment][8] ^= 0x40
+        cluster.servers["p0s0"].crash()
+        replacement = cluster.recover_server("p0s0")
+        cluster.run(until=cluster.env.now + 1_000)
+        assert cluster.disks.stats.peer_fallbacks == 1
+        assert replacement.recovery.installed
+        assert replacement.log._next_seq >= replacement.log.applied_count
+        assert run_workload(cluster, count=6, name="c2") == 6
+        assert cluster_invariants(cluster) == []
+
+    def test_blank_disk_behind_a_compacted_log_takes_a_peer_transfer(
+            self):
+        """A replaced machine's blank disk holds no history that meets
+        the group's log floor: rung 2, not a replay from position 0
+        (which asked the speaker for entries below its floor and left
+        the member diverged at 0 applied)."""
+        cluster = build_durable_cluster(seed=9, checkpoint_every=16)
+        run_workload(cluster, count=600)
+        speaker = cluster.servers["p0s0"]
+        assert speaker.log.floor > 0
+        cluster.servers["p0s1"].crash()
+        cluster.disks.disk("p0s1").erase()
+        replacement = cluster.recover_server("p0s1")
+        cluster.run(until=cluster.env.now + 2_000)
+        assert cluster.disks.stats.peer_fallbacks == 1
+        assert replacement.log.applied_count == speaker.log.applied_count
+        assert replacement.store.snapshot() == speaker.store.snapshot()
+        assert speaker.log.below_floor_requests == 0
         assert cluster_invariants(cluster) == []
 
     def test_torn_tail_is_not_corruption(self):
@@ -127,7 +171,7 @@ class TestLadder:
         disk = cluster.disks.disk("p0s1")
         disk.tear_tail()
         cluster.servers["p0s1"].crash()
-        cluster.cold_restart_server("p0s1")
+        cluster.recover_server("p0s1")
         cluster.run(until=cluster.env.now + 2_000)
         assert cluster.disks.stats.peer_fallbacks == 0
         assert cluster.servers["p0s1"].store.snapshot() == \
@@ -145,8 +189,7 @@ class TestLadder:
         segment = disk.files("wal.")[0]
         disk._durable[segment][8] ^= 0x40
         fallbacks_before = cluster.disks.stats.peer_fallbacks
-        from repro.store.coldstart import cold_start_member
-        replacement = cold_start_member(cluster, "p0s1")
+        replacement = cluster.recover_server("p0s1")
         cluster.run(until=cluster.env.now + 500)
         # No peer was alive: the ladder landed on rung 3, not rung 2.
         assert cluster.disks.stats.peer_fallbacks == fallbacks_before
@@ -181,7 +224,7 @@ class TestCompactedLogColdStart:
 
         disk.slow_factor = 1.0
         cluster.servers["p0s1"].crash()
-        replacement = cluster.cold_restart_server("p0s1")
+        replacement = cluster.recover_server("p0s1")
         run_workload(cluster, count=4, name="c2")
         assert cluster.disks.stats.peer_fallbacks == 0
         assert replacement.log.applied_count == speaker.applied_count
@@ -270,11 +313,29 @@ class TestOracleColdStart:
         cluster.run(until=cluster.env.now + 60)
         assert 0 < done[0] < 90
         cluster.member("or1").crash()
-        replacement = cluster.cold_restart_server("or1")
+        replacement = cluster.recover_server("or1")
         assert replacement in cluster.oracles
         cluster.run(until=cluster.env.now + 5_000)
         assert done == [90]
         assert cluster.disks.stats.peer_fallbacks == 0
+        assert oracle_image(cluster.member("or1")) == \
+            oracle_image(cluster.member("or0"))
+        assert cluster_invariants(cluster) == []
+
+    def test_oracle_without_a_disk_recovers_from_its_peer(self, scheme):
+        """The same entry point brings back an oracle replica of a
+        deployment without durability: rung 2, from the other oracle."""
+        cluster = build_cluster(
+            scheme=scheme, num_partitions=2, replicas_per_partition=2,
+            seed=5, initial_assignment={f"k{i}": i % 2 for i in range(4)})
+        cluster.preload({f"k{i}": 0 for i in range(4)})
+        done = oracle_workload(cluster, 30, "c0")
+        cluster.run(until=cluster.env.now + 60)
+        cluster.member("or1").crash()
+        replacement = cluster.recover_server("or1")
+        cluster.run(until=cluster.env.now + 5_000)
+        assert done == [90]
+        assert replacement.recovery.installed
         assert oracle_image(cluster.member("or1")) == \
             oracle_image(cluster.member("or0"))
         assert cluster_invariants(cluster) == []
