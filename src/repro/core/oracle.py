@@ -55,6 +55,10 @@ class OracleReplica(OrderedExecutor):
                   "map_version", "followed_moves", "policy", "draining",
                   "retired", "_reconfig_acks", "_commit_attempts",
                   "_next_partitioning_id", "_pending_ideals")
+    TRANSIENT = OrderedExecutor.TRANSIENT + (
+        "_first_build", "oracle_issues_moves", "async_repartition", "busy",
+        "busy_background", "consults", "moves_issued", "repartitions",
+        "reconfigs", "evacuations")
 
     #: Simulated CPU cost of oracle request handling, in ms.
     CONSULT_COST = 0.02
@@ -116,13 +120,12 @@ class OracleReplica(OrderedExecutor):
         # checkpoints carry it.
         self.followed_moves: set[str] = set()
 
-        # Elastic reconfiguration state (repro.reconfig): the configuration
-        # epoch (bumped per ordered join/leave-begin entry), partitions
-        # draining out, partitions fully retired, cached acknowledgements
-        # for re-delivered reconfiguration entries, and the per-partition
-        # leave-commit attempt counter (each commit retry re-plans the
-        # leftover keys under fresh move ids).
-        self.epoch = 0
+        # Elastic reconfiguration state (repro.reconfig), beside the
+        # configuration epoch: partitions draining out, partitions fully
+        # retired, cached acknowledgements for re-delivered
+        # reconfiguration entries, and the per-partition leave-commit
+        # attempt counter (each commit retry re-plans the leftover keys
+        # under fresh move ids).
         self.draining: set[str] = set()
         self.retired: set[str] = set()
         self._reconfig_acks: dict[tuple[str, str], dict] = {}
@@ -151,8 +154,8 @@ class OracleReplica(OrderedExecutor):
                     async_repartition=self.async_repartition,
                     speaker_only=self.amcast.speaker_only)
 
-    def install_role_state(self, state: dict) -> None:
-        super().install_role_state(state)
+    def restore(self, state: dict) -> None:
+        super().restore(state)
         # The background computation of a pending ideal died with the
         # replica that started it; its result did not. Re-announcing it
         # is harmless: every replica announces under one uid.

@@ -32,6 +32,9 @@ from repro.core.oracle import ORACLE_GROUP
 class DssmrServer(SsmrServer):
     """One replica of one DS-SMR partition."""
 
+    TRANSIENT = SsmrServer.TRANSIENT + ("retries_sent", "moves_in",
+                                        "moves_out")
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.retries_sent = Counter(f"{self.node.name}/retries")

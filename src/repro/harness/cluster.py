@@ -151,7 +151,7 @@ class Cluster:
         # without a checkpoint re-seeds it before replaying a WAL (see
         # repro.store.coldstart): preloads bypass the ordered log, so
         # replay alone cannot reconstruct them.
-        self._base_images: dict = {}
+        self.base_images: dict = {}
         # Terminal recovery failures (every source peer gone): recorded
         # here and fanned out to hooks (the heal supervisor escalates).
         self.recovery_failures: list = []
@@ -168,7 +168,7 @@ class Cluster:
         # by construction).
         self.qos_admission: dict[str, AdmissionController] = {}
         self.qos_batchers: dict[str, AdaptiveBatcher] = {}
-        self._arm_qos()
+        self.arm_qos()
 
         # Elastic reconfiguration (repro.reconfig): every replica got a
         # checkpointer + checkpoint host above (pure handler registration
@@ -248,7 +248,7 @@ class Cluster:
         else:
             self.oracles[self.oracles.index(self.member(name))] = replacement
 
-    def _arm_qos(self, *groups: str) -> None:
+    def arm_qos(self, *groups: str) -> None:
         """Arm overload control on the current speaker of each of
         ``groups``, by default every group, the oracle's included (a
         no-op without ``ClusterConfig.qos``). Every path that builds or
@@ -416,7 +416,7 @@ class Cluster:
         for group, image in images.items():
             for name in self.directory.members(group):
                 self.member(name).load_state(image)
-        self._base_images = images
+        self.base_images = images
 
     # -- clients -----------------------------------------------------------------
 
@@ -480,7 +480,7 @@ class Cluster:
             # they only deliver fences ordered after their creation.
             server.epoch = self.reconfig.epoch
             self.servers[name] = server
-        self._arm_qos(partition)
+        self.arm_qos(partition)
         ack = yield from self.reconfig.join(partition)
         self.partitions = tuple(list(self.partitions) + [partition])
         for client in self.clients:
@@ -529,7 +529,7 @@ class Cluster:
         """
         return recover_member(self, name)
 
-    def _on_recovery_failure(self, recovery) -> None:
+    def report_recovery_failure(self, recovery) -> None:
         """A state transfer ran out of source peers: surface it."""
         self.recovery_failures.append(recovery)
         for hook in list(self.recovery_failure_hooks):

@@ -103,6 +103,13 @@ class AtomicMulticast:
     """
 
     TS_SIZE = 96  # wire size of a timestamp announcement
+    #: Attributes :meth:`snapshot` leaves out: wiring, callbacks, counters
+    #: and the announcing member's ``_heard`` tables, which the
+    #: self-heal's pulls rebuild.
+    TRANSIENT = ("node", "directory", "log", "group", "speaker_only",
+                 "heal_interval_ms", "_log_client", "_heard",
+                 "_floors_heard", "_callbacks", "_floor_callbacks", "heals",
+                 "ts_pulls")
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  log: GroupLog, speaker_only: bool = True,
@@ -170,6 +177,31 @@ class AtomicMulticast:
                 self._log_client.submit(group, entry, size=size + 128)
         return uid
 
+    # -- checkpointing (repro.reconfig.checkpoint) ----------------------------
+
+    def snapshot(self) -> dict:
+        """The endpoint's replicated state, by reference."""
+        return {"clock": self._clock,
+                "delivered_uids": sorted(self._delivered_uids),
+                "my_ts": self._my_ts, "ts_kept": self._ts_kept.queues,
+                "floors": self.floors, "pending": self._pending,
+                "deliver_count": self._deliver_count}
+
+    def restore(self, state: dict) -> None:
+        """Adopt a snapshot (a private copy), re-arming self-heals."""
+        self._clock = state["clock"]
+        self._delivered_uids = set(state["delivered_uids"])
+        self._my_ts = state["my_ts"]
+        self.floors = state["floors"]
+        self._ts_kept = Retention(state["ts_kept"])
+        self._pending = state["pending"]
+        self._deliver_count = state["deliver_count"]
+        if self.heal_interval_ms:
+            for muid, pending in self._pending.items():
+                if pending.final_ts is None and len(pending.groups) > 1:
+                    self.node.env.schedule_callback(
+                        self.heal_interval_ms, self._heal, muid)
+
     # -- log application (replicated deterministic state machine) -----------
 
     def _apply(self, seq: int, entry: dict) -> None:
@@ -197,7 +229,7 @@ class AtomicMulticast:
             self._announce_ts(muid, state)
             if self.heal_interval_ms:
                 self.node.env.schedule_callback(
-                    self.heal_interval_ms, lambda: self._heal(muid))
+                    self.heal_interval_ms, self._heal, muid)
             # Every other group may have been heard from already.
             self._submit_final(muid, state)
         self._try_deliver()
@@ -319,8 +351,8 @@ class AtomicMulticast:
                 self.node.send(self.directory.speaker(group), AM_TS_PULL,
                                {"muid": muid, "reply_group": self.group},
                                size=64)
-        self.node.env.schedule_callback(self.heal_interval_ms,
-                                        lambda: self._heal(muid))
+        self.node.env.schedule_callback(self.heal_interval_ms, self._heal,
+                                        muid)
 
     def _on_ts_pull(self, message) -> None:
         if not self.announcing:

@@ -69,6 +69,13 @@ class GroupLog(ABC):
     BACKFILL_DELAY_MS = 50.0
     #: Applied positions between two stable-position reports.
     STABLE_EVERY = 64
+    #: Attributes :meth:`snapshot` leaves out: a checkpoint carries the
+    #: apply position only, and the entries past it come back by backfill.
+    TRANSIENT = ("node", "directory", "group", "_decide_callbacks",
+                 "_pending_apply", "_applied_uids", "decided_entries",
+                 "_floor", "below_floor_requests", "_backfill_scheduled",
+                 "_backfill_suspended", "_known_tail", "_control_seen",
+                 "_wal", "_key_floor", "_restore_key")
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  group: str):
@@ -180,6 +187,14 @@ class GroupLog(ABC):
         """Number of log positions applied so far (including no-ops)."""
         return self._next_apply
 
+    def learned(self) -> tuple:
+        """One past the highest position learned, applied or pending, and
+        the uids of the entries learned."""
+        pending = self._pending_apply
+        return (max([self._next_apply, *(seq + 1 for seq in pending)]),
+                self._applied_uids.union(entry.get("uid")
+                                         for entry in pending.values()))
+
     # -- stable position and floor -------------------------------------------
 
     @property
@@ -220,6 +235,20 @@ class GroupLog(ABC):
             del self.decided_entries[seq]
 
     # -- recovery support ----------------------------------------------------
+
+    def snapshot(self) -> int:
+        """The apply position: a checkpoint covers everything below it."""
+        return self._next_apply
+
+    def restore(self, position: int) -> None:
+        """Skip to a checkpoint's apply position, unless already past."""
+        self.fast_forward(max(self._next_apply, position))
+
+    def replay(self, entries) -> None:
+        """Feed ``(seq, entry)`` pairs decided before a crash (a local
+        WAL suffix) through the apply path."""
+        for seq, entry in entries:
+            self._learn(seq, entry)
 
     def fast_forward(self, position: int) -> None:
         """Skip positions below ``position`` (covered by a state snapshot)."""
@@ -376,6 +405,13 @@ class SequencerLog(GroupLog):
     TAIL_SIZE = 64
     #: Decide-free time after which the sequencer announces its tail.
     TAIL_QUIET_MS = GroupLog.BACKFILL_DELAY_MS
+
+    #: The recovery ladder reconciles the sequencer's counters instead.
+    TRANSIENT = GroupLog.TRANSIENT + (
+        "sequencer", "batch_window_ms", "_is_sequencer", "_next_seq",
+        "_sequenced_uids", "_batch", "_flush_scheduled", "_stable",
+        "_restore_keys", "_tail_acked", "_tail_armed", "_tail_mark",
+        "decisions_sent", "_admission", "_batcher", "_on_shed", "_classify")
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  group: str, batch_window_ms: float = 0.0):

@@ -49,6 +49,12 @@ class PaxosLog(GroupLog):
     SUSPECT_MS = DEFAULT_TIMING.paxos_suspect_ms
     RETRY_MS = DEFAULT_TIMING.paxos_retry_ms
     CONTROL_SIZE = 128
+    #: Acceptor, proposer and retry state is not carried by a checkpoint.
+    TRANSIENT = GroupLog.TRANSIENT + (
+        "HEARTBEAT_MS", "SUSPECT_MS", "RETRY_MS", "members", "rank",
+        "majority", "promised", "accepted", "round", "leading", "ballot",
+        "next_instance", "_promises", "_inflight", "_queue",
+        "_proposed_uids", "decided", "_tracked", "_last_heartbeat")
 
     def __init__(self, node: ProtocolNode, directory: GroupDirectory,
                  group: str, timing: Optional[TimingProfile] = None):

@@ -3,8 +3,8 @@
 The subsystem behind the scalable part of *dynamic scalable* SMR:
 
 * :mod:`repro.reconfig.checkpoint` — deterministic, epoch-tagged
-  snapshots of one partition replica (store + execution history +
-  protocol state + oracle location-map slice);
+  snapshots of one replica: one snapshot per stateful component
+  (store, session table, executor, multicast, exchange, log position);
 * :mod:`repro.reconfig.transfer` — chunked, resumable bulk state
   transfer of those checkpoints over ``repro.net``, with flow control
   and per-chunk integrity checks;

@@ -20,18 +20,16 @@ replays the ordered-log suffix past the checkpoint's apply position:
    backfill history the checkpoint covers).
 2. The transfer pulls a frozen checkpoint from the chosen peer; ordered
    traffic arriving meanwhile parks in the log's pending map.
-3. Install (:func:`install_checkpoint`): store, execution history and
-   settled key, session table, epoch, the role's own state
-   (``ROLE_STATE``), multicast state (clock, delivered uids, own
-   timestamps, learned delivery floors, pendings — unfinalised
-   multi-group pendings re-arm their self-heal timers), exchange
-   buffers and the checkpoint's queued deliveries. Delivered-uid
-   install is what stops the backfilled suffix from double-delivering
-   commands the queue already carries.
-4. The log fast-forwards to the checkpoint position, backfill resumes,
-   and an explicit backfill request to the peer fetches the suffix; the
-   executor gate opens (:func:`open_replacement`, which the local
-   replay rung ends with too).
+3. Install (:func:`install_checkpoint`): every component of the
+   replacement restores its own snapshot (see
+   :mod:`repro.reconfig.checkpoint`). The multicast endpoint re-arms the
+   self-heal timers of its unfinalised multi-group pendings, and its
+   delivered uids stop the backfilled suffix from double-delivering
+   commands the restored queue already carries; the log fast-forwards
+   to the checkpoint position.
+4. Backfill resumes, an explicit backfill request to the peer fetches
+   the suffix, and the executor gate opens (:func:`open_replacement`,
+   which the local replay rung ends with too).
 
 A speaker without a write-ahead log cannot come back: the
 fixed-sequencer log dies with its sequencer (use
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.ordering.floor import Retention
 from repro.reconfig.checkpoint import PartitionCheckpoint, PartitionCheckpointer
 from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
                                      StateTransferStalled)
@@ -58,37 +55,8 @@ def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
     The checkpoint's values become the server's live state, so it must
     be a private copy (a ``thaw()``, or a durable image just loaded).
     """
-    for key, value in checkpoint.store.items():
-        server.store.write(key, value)
-    server.executed = list(checkpoint.executed)
-    server.settled_key = server._processed_key = checkpoint.settled_key
-    server.replies.sessions = checkpoint.replies
-    server.epoch = checkpoint.epoch
-    server.install_role_state(checkpoint.role)
-    amcast = server.amcast
-    state = checkpoint.amcast
-    amcast._clock = state["clock"]
-    amcast._delivered_uids = set(state["delivered_uids"])
-    amcast._my_ts = dict(state["my_ts"])
-    amcast.floors = dict(state["floors"])
-    amcast._ts_kept = Retention(state["ts_kept"])
-    amcast._pending = dict(state["pending"])
-    amcast._deliver_count = state["deliver_count"]
-    if amcast.heal_interval_ms:
-        for muid, pending in amcast._pending.items():
-            if pending.final_ts is None and len(pending.groups) > 1:
-                server.env.schedule_callback(
-                    amcast.heal_interval_ms,
-                    lambda m=muid: amcast._heal(m))
-    exchange = server.exchange
-    state = checkpoint.exchange
-    exchange._signals = {cid: set(senders)
-                         for cid, senders in state["signals"].items()}
-    exchange._vars = dict(state["vars"])
-    exchange._done = set(state["done"])
-    exchange._sent = dict(state["sent"])
-    exchange._kept = Retention(state["kept"])
-    server.replace_queue(checkpoint.queued)
+    for name, component in server.components().items():
+        component.restore(checkpoint.components[name])
 
 
 class PartitionRecovery:
@@ -108,7 +76,7 @@ class PartitionRecovery:
                  fallback_peers: Sequence[str] = (),
                  stall_after_ms: Optional[float] = STALL_AFTER_MS,
                  on_failure=None):
-        if server._start_gate is None:
+        if server.started:
             raise ValueError("the replacement server must be constructed "
                              "with a start_gate (use "
                              "recover_partition_server)")
@@ -174,14 +142,12 @@ def open_replacement(server, checkpoint, provider, feed=()) -> None:
     log = server.log
     if checkpoint is not None:
         install_checkpoint(server, checkpoint)
-        log.fast_forward(max(log.applied_count, checkpoint.applied_count))
-    for seq, entry in feed:
-        log._learn(seq, entry)
+    log.replay(feed)
     if server.checkpointer.store is not None:
         server.checkpointer.capture(reason="recovery")
     log.resume_backfill()
     log.request_backfill(provider=provider)
-    server._start_gate.succeed(None)
+    server.start()
 
 
 def recover_partition_server(crashed, peer, fallback_peers=(),

@@ -11,9 +11,9 @@ bootstrapping replica):
    the transfer resumable: a retried metadata request never mixes two
    captures).
 2. The receiver pulls chunks with a sliding window of at most ``window``
-   outstanding requests (flow control); chunk 0 carries the control state
-   (execution history, session table, multicast/exchange state, queued
-   deliveries), chunks 1..N carry sorted slices of the variable store.
+   outstanding requests (flow control); chunk 0 carries the header and
+   every component but the store, chunks 1..N carry sorted slices of the
+   variable store.
 3. Every chunk carries a checksum over its canonical serialisation;
    corrupt or lost chunks are simply re-requested (per-chunk timers), and
    duplicates are dropped. On completion the reassembled checkpoint's
@@ -94,27 +94,14 @@ class CheckpointHost:
         # must share nothing with the donor or its retained checkpoint.
         checkpoint = self.server.checkpointer.capture(
             reason=f"transfer:{transfer_id}").thaw()
-        control = {
-            "partition": checkpoint.partition,
-            "replica": checkpoint.replica,
-            "epoch": checkpoint.epoch,
-            "taken_at": checkpoint.taken_at,
-            "executed": checkpoint.executed,
-            "replies": checkpoint.replies,
-            "applied_count": checkpoint.applied_count,
-            "amcast": checkpoint.amcast,
-            "exchange": checkpoint.exchange,
-            "queued": checkpoint.queued,
-            "location_slice": checkpoint.location_slice,
-            "role": checkpoint.role,
-            "settled_key": checkpoint.settled_key,
-        }
+        control = dict(vars(checkpoint), checksum="",
+                       components=dict(checkpoint.components))
+        store = control["components"].pop("store")
         payloads = [{"control": control}]
-        keys = sorted(checkpoint.store, key=str)
+        keys = sorted(store, key=str)
         for at in range(0, len(keys), self.chunk_keys):
-            slice_keys = keys[at:at + self.chunk_keys]
-            payloads.append({"store": {key: checkpoint.store[key]
-                                       for key in slice_keys}})
+            payloads.append({"store": {key: store[key] for key
+                                       in keys[at:at + self.chunk_keys]}})
         chunks = [{"transfer_id": transfer_id, "index": index,
                    "payload": payload,
                    "checksum": state_checksum(payload)}
@@ -124,9 +111,6 @@ class CheckpointHost:
             "transfer_id": transfer_id,
             "num_chunks": len(chunks),
             "checksum": checkpoint.checksum,
-            "epoch": checkpoint.epoch,
-            "partition": checkpoint.partition,
-            "keys": checkpoint.num_keys,
         }
         self.transfers_started += 1
 
@@ -149,8 +133,9 @@ class CheckpointHost:
             return  # unknown/released transfer; the meta retry re-freezes
         chunk = chunks[message.payload["index"]]
         payload = chunk["payload"]
-        items = len(payload.get("store", ())) or len(
-            payload.get("control", {}).get("executed", ()))
+        # The control chunk is as heavy as the execution history it holds.
+        items = len(payload["store"]) if "store" in payload else len(
+            payload["control"]["components"]["executor"]["executed"])
         self.chunks_served += 1
         self.server.node.send(message.payload["reply_to"], XFER_CHUNK,
                               chunk, size=192 + 64 * items)
@@ -293,7 +278,7 @@ class StateTransfer:
             self.tracer.span(f"xfer:{self._transfer_id}", "state-transfer",
                              self.node.name, started, self.env.now,
                              chunks=num_chunks, retries=self.retries,
-                             keys=checkpoint.num_keys)
+                             keys=len(checkpoint.components["store"]))
         self._transfer_id = None
         return checkpoint
 
@@ -319,22 +304,8 @@ class StateTransfer:
         store: dict = {}
         for index in range(1, len(self._chunks)):
             store.update(self._chunks[index]["payload"]["store"])
-        checkpoint = PartitionCheckpoint(
-            partition=control["partition"],
-            replica=control["replica"],
-            epoch=control["epoch"],
-            taken_at=control["taken_at"],
-            store=store,
-            executed=list(control["executed"]),
-            replies=control["replies"],
-            applied_count=control["applied_count"],
-            amcast=control["amcast"],
-            exchange=control["exchange"],
-            queued=control["queued"],
-            location_slice=control["location_slice"],
-            role=control["role"],
-            settled_key=control["settled_key"],
-        )
+        checkpoint = PartitionCheckpoint(**dict(
+            control, components=dict(control["components"], store=store)))
         checkpoint.checksum = checkpoint.compute_checksum()
         if checkpoint.checksum != self._meta["checksum"]:
             raise RuntimeError(

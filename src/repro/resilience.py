@@ -248,11 +248,22 @@ class ReplyCache:
     checkers catch duplicate execution.
     """
 
+    #: Attributes :meth:`snapshot` leaves out: the switch and counters.
+    TRANSIENT = ("enabled", "hits", "stale")
+
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.sessions: dict[str, list] = {}
         self.hits = 0
         self.stale = 0
+
+    def snapshot(self) -> dict:
+        """The session table, by reference."""
+        return self.sessions
+
+    def restore(self, sessions: dict) -> None:
+        """Adopt a snapshot (a private copy)."""
+        self.sessions = sessions
 
     def _session(self, command) -> list:
         """The issuer's session, its watermark raised to ``command.acked``."""

@@ -80,11 +80,12 @@ class OrderedExecutor:
 
     A role overrides :meth:`_handle_delivery`, :meth:`_respawn_options`
     and, where it differs, :meth:`_pool_eligible`, :meth:`_apply_local`
-    and :meth:`_overload_message`, and names the attributes of its own
-    replicated state in :attr:`ROLE_STATE` so that checkpoints carry
-    them. The oracle's replicated state is its location map, so its
-    ``store`` and ``executed`` stay empty and nothing attaches a pool
-    to it.
+    and :meth:`_overload_message`, builds an ``exchange``
+    (:class:`~repro.ssmr.exchange.ExchangeBuffer`), and names the
+    attributes of its own replicated state in :attr:`ROLE_STATE` so that
+    its :meth:`snapshot` carries them. The oracle's replicated state is
+    its location map, so its ``store`` and ``executed`` stay empty and
+    nothing attaches a pool to it.
 
     The three loops this class replaced had drifted; what was decided:
 
@@ -101,9 +102,17 @@ class OrderedExecutor:
     """
 
     #: Attributes of the role's own replicated state, beyond what every
-    #: executor shares: a checkpoint captures and installs them by name
-    #: (see :mod:`repro.reconfig.checkpoint`).
+    #: executor shares: :meth:`snapshot` carries them by name.
     ROLE_STATE: tuple[str, ...] = ()
+    #: Attributes :meth:`snapshot` leaves out: wiring, the other
+    #: components (each snapshots itself), attached subsystems, metrics,
+    #: and what the harness attaches.
+    TRANSIENT: tuple[str, ...] = (
+        "env", "group", "directory", "node", "log", "amcast",
+        "state_machine", "execution", "store", "replies", "tracer",
+        "queue_peak", "qos", "wal", "checkpointer", "_enqueue_times",
+        "_processed_key", "_start_gate", "_executor", "checkpoint_host",
+        "ckpt_store", "recovery", "rmcast", "exchange")
 
     def __init__(self, env: Environment, network: Network,
                  directory: GroupDirectory, group: str, name: str,
@@ -148,6 +157,9 @@ class OrderedExecutor:
         # processed or dispatched to the pool.
         self.settled_key = None
         self._processed_key = None
+        # Configuration epoch: bumped by every ordered reconfiguration
+        # entry (partition join / leave-begin); see repro.reconfig.
+        self.epoch = 0
         self.log.report_restore_key(self.restore_key)
         self.amcast.on_deliver(self._enqueue)
         self._start_gate = start_gate
@@ -196,10 +208,36 @@ class OrderedExecutor:
         role was first built."""
         raise NotImplementedError
 
-    def install_role_state(self, state: dict) -> None:
-        """Install a checkpoint's :attr:`ROLE_STATE` (a private copy)."""
-        for name, value in state.items():
+    def start(self) -> None:
+        """Open the start gate: the replacement's state is installed."""
+        self._start_gate.succeed(None)
+
+    # -- checkpointing (repro.reconfig.checkpoint) ----------------------------
+
+    def components(self) -> dict:
+        """The stateful parts of this replica by checkpoint name, in the
+        order a checkpoint installs them."""
+        return {"store": self.store, "replies": self.replies,
+                "executor": self, "amcast": self.amcast,
+                "exchange": self.exchange, "log": self.log}
+
+    def snapshot(self) -> dict:
+        """The executor's own state, by reference; commands whose effects
+        have not landed are queued work, not history."""
+        return {"executed": self.settled_history(),
+                "settled_key": self.settled_key, "epoch": self.epoch,
+                "queued": self.pending_deliveries(),
+                "role": {name: getattr(self, name)
+                         for name in self.ROLE_STATE}}
+
+    def restore(self, state: dict) -> None:
+        """Adopt a snapshot (a private copy) into a gated replacement."""
+        self.executed = list(state["executed"])
+        self.settled_key = self._processed_key = state["settled_key"]
+        self.epoch = state["epoch"]
+        for name, value in state["role"].items():
             setattr(self, name, value)
+        self.replace_queue(state["queued"])
 
     # -- delivery intake ------------------------------------------------------
 

@@ -26,6 +26,8 @@ class VariableStore:
     scratch overlay before execution (see :mod:`repro.ssmr.server`).
     """
 
+    TRANSIENT: tuple[str, ...] = ()
+
     def __init__(self):
         self._data: dict[Key, Any] = {}
 
@@ -72,9 +74,13 @@ class VariableStore:
         return self._data.pop(key)
 
     def snapshot(self) -> dict:
-        """Deep-ish copy of the data for checkpoint comparisons in tests."""
-        import copy
-        return copy.deepcopy(self._data)
+        """The variables, by reference: values are replaced, never
+        mutated, so a ``freeze`` of it is a point-in-time copy."""
+        return self._data
+
+    def restore(self, data: dict) -> None:
+        """Adopt a snapshot (a private copy)."""
+        self._data = data
 
 
 class ExecutionView:

@@ -64,6 +64,11 @@ class ExchangeBuffer:
     ``floors`` / ``on_floor`` give the other groups' delivery floors.
     """
 
+    #: Attributes :meth:`snapshot` leaves out: wiring, counters, and the
+    #: waiters of a dead executor.
+    TRANSIENT = ("env", "rmcast", "local_name", "retry_ms", "amcast",
+                 "_waiters", "pulls_sent", "pulls_served")
+
     def __init__(self, env: Environment, rmcast: ReliableMulticast,
                  local_name: str, retry_ms: Optional[float] = 60.0, *,
                  amcast):
@@ -84,6 +89,22 @@ class ExchangeBuffer:
         self.pulls_served = 0
         rmcast.on_deliver(self._on_rmcast)
         amcast.on_floor(self._release)
+
+    def snapshot(self) -> dict:
+        """The received and cached exchanges, by reference."""
+        return {"signals": {cid: sorted(senders) for cid, senders
+                            in self._signals.items()},
+                "vars": self._vars, "done": sorted(self._done),
+                "sent": self._sent, "kept": self._kept.queues}
+
+    def restore(self, state: dict) -> None:
+        """Adopt a snapshot (a private copy)."""
+        self._signals = {cid: set(senders)
+                         for cid, senders in state["signals"].items()}
+        self._vars = state["vars"]
+        self._done = set(state["done"])
+        self._sent = state["sent"]
+        self._kept = Retention(state["kept"])
 
     def send(self, groups: Iterable[str], cid: str, variables: dict,
              done: bool = False, *, key: Key) -> None:

@@ -52,6 +52,8 @@ class SsmrServer(OrderedExecutor):
     """One replica of one S-SMR partition."""
 
     ROLE_STATE = ("applied_reconfigs",)
+    TRANSIENT = OrderedExecutor.TRANSIENT + ("partition",
+                                             "multi_partition_count")
 
     def __init__(self, env: Environment, network: Network,
                  directory: GroupDirectory, partition: str, name: str,
@@ -70,9 +72,6 @@ class SsmrServer(OrderedExecutor):
         self.exchange = ExchangeBuffer(env, self.rmcast, partition,
                                        amcast=self.amcast)
         self.multi_partition_count = 0
-        # Configuration epoch: bumped by every ordered reconfiguration
-        # entry (partition join / leave-begin); see repro.reconfig.
-        self.epoch = 0
         # Entry rids already applied: the manager retries entries under
         # fresh multicast uids when an oracle ack is lost, so the ordered
         # log can legitimately deliver the same fence twice — only the

@@ -109,12 +109,9 @@ def _reconcile_sequencer(cluster, replacement, position, feed):
     next_seq = max([position] + [seq + 1 for seq, _ in feed])
     uids = {entry.get("uid") for _, entry in feed}
     for member in _live_members(cluster, log.group, replacement.node.name):
-        peer_log = cluster.member(member).log
-        pending = peer_log._pending_apply
-        next_seq = max([next_seq, peer_log.applied_count]
-                       + [seq + 1 for seq in pending])
-        uids.update(peer_log._applied_uids)
-        uids.update(entry.get("uid") for entry in pending.values())
+        peer_next, peer_uids = cluster.member(member).log.learned()
+        next_seq = max(next_seq, peer_next)
+        uids.update(peer_uids)
     uids.discard(None)
     log.restore_sequencer_state(next_seq, uids)
 
@@ -161,7 +158,7 @@ def recover_member(cluster, name, images=None):
     if transfer:
         replacement = recover_partition_server(
             crashed, cluster.member(peers[0]), fallback_peers=peers[1:],
-            on_failure=cluster._on_recovery_failure)
+            on_failure=cluster.report_recovery_failure)
     else:
         replacement = respawn_gated(crashed)
     if farm is not None:
@@ -191,7 +188,7 @@ def recover_member(cluster, name, images=None):
             # preloaded base image (preloads bypass the ordered log — a
             # checkpoint, when one exists, already contains their
             # effects).
-            replacement.load_state(cluster._base_images.get(group, {}))
+            replacement.load_state(cluster.base_images.get(group, {}))
         farm.stats.cold_starts += 1
         replacement.node.flight(
             "store", f"cold start: checkpoint@{position} + {len(feed)} "
@@ -200,7 +197,7 @@ def recover_member(cluster, name, images=None):
                          peers[0] if peers else None, feed)
     cluster.replace_member(replacement)
     if name == cluster.directory.speaker(group):
-        cluster._arm_qos(group)
+        cluster.arm_qos(group)
     return replacement
 
 

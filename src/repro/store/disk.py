@@ -130,10 +130,12 @@ class SimulatedDisk:
         self._durable.pop(path, None)
         self._pending.pop(path, None)
 
-    def erase(self) -> None:
-        """Lose every file, durable or buffered: a replaced machine."""
-        self._durable.clear()
-        self._pending.clear()
+    def erase(self, prefix: str = "") -> None:
+        """Lose every file starting with ``prefix``, durable or buffered
+        (by default all of them: a replaced machine)."""
+        for files in (self._durable, self._pending):
+            for path in [p for p in files if p.startswith(prefix)]:
+                del files[path]
 
     # -- crash & fault surface -----------------------------------------------
 

@@ -124,11 +124,8 @@ def replay_wal(disk: SimulatedDisk, prefix: str = WAL_PREFIX,
 
 def wipe_wal(disk: SimulatedDisk, prefix: str = WAL_PREFIX) -> None:
     """Delete every WAL segment (cold start compacts by re-appending)."""
-    for path in list(disk.files(prefix + ".")):
-        disk.delete(path)
     # Pending bytes of an old incarnation must not resurrect either.
-    for path in [p for p in list(disk._pending) if p.startswith(prefix + ".")]:
-        disk.delete(path)
+    disk.erase(prefix + ".")
 
 
 class WriteAheadLog:

@@ -118,8 +118,10 @@ class TestAsyncRepartitioning:
         stack.preload({"x": 1}, {"x": "p0"})
         ideal = {"x": "p1"}
         for oracle in stack.oracles:
-            oracle.install_role_state({"_pending_ideals": {0: dict(ideal)},
-                                       "_next_partitioning_id": 1})
+            state = oracle.snapshot()
+            state["role"].update(_pending_ideals={0: dict(ideal)},
+                                 _next_partitioning_id=1)
+            oracle.restore(state)
         stack.run()
         for oracle in stack.oracles:
             assert not oracle._pending_ideals
@@ -144,8 +146,8 @@ class TestAsyncRepartitioning:
 
         stack.env.process(proc(stack.env))
         stack.run()
-        checkpoint = captured[0]
-        assert checkpoint.role["policy"].repartition_count == 1
-        assert checkpoint.role["policy"].workload.hints_ingested == 2
-        assert not [delivery for delivery in checkpoint.queued
+        executor = captured[0].components["executor"]
+        assert executor["role"]["policy"].repartition_count == 1
+        assert executor["role"]["policy"].workload.hints_ingested == 2
+        assert not [delivery for delivery in executor["queued"]
                     if "hint" in delivery.payload]

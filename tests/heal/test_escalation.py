@@ -36,7 +36,7 @@ class TestEscalation:
         cluster, healer = build_healed_cluster()
         cluster.run(until=50)
         victim = cluster.servers["p0s1"]
-        cluster._on_recovery_failure(
+        cluster.report_recovery_failure(
             FakeRecovery(victim, ["p0s0"]))
         assert healer.recovery_failures.value == 1
         assert healer.snapshot()["recovery_failures"] == 1
@@ -49,7 +49,7 @@ class TestEscalation:
         cluster, healer = build_healed_cluster(spare_partition="p2")
         cluster.run(until=50)
         victim = cluster.servers["p0s1"]
-        cluster._on_recovery_failure(
+        cluster.report_recovery_failure(
             FakeRecovery(victim, ["p0s0"]))
         cluster.run(until=cluster.env.now + 5_000)
         assert healer.recovery_failures.value == 1
@@ -60,6 +60,6 @@ class TestEscalation:
         cluster, healer = build_healed_cluster()
         cluster.run(until=50)
         healer.stop()
-        cluster._on_recovery_failure(
+        cluster.report_recovery_failure(
             FakeRecovery(cluster.servers["p0s1"], ["p0s0"]))
         assert healer.recovery_failures.value == 0

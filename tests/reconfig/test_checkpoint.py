@@ -1,7 +1,6 @@
 """Tests for partition checkpoints and the canonical serialisation."""
 
 import copy
-import dataclasses
 import enum
 import gc
 import pickle
@@ -9,6 +8,8 @@ import pickle
 import pytest
 
 from repro.apps.chirper import ChirperClient, ChirperStateMachine, user_key
+from repro.core.policy import MajorityTargetPolicy
+from repro.dynastar.policy import GraphTargetPolicy
 from repro.harness import Cluster, ClusterConfig, build_cluster
 from repro.reconfig import canonical_bytes, state_checksum
 from repro.reconfig.checkpoint import FrozenCheckpoint, PartitionCheckpoint
@@ -16,6 +17,8 @@ from repro.smr import Command
 from repro.smr.state_machine import (ExecutionView, KeyValueStateMachine,
                                      VariableStore)
 from repro.store import DurabilityConfig
+
+from tests.reconfig.test_components import group_images
 
 
 def run_workload(cluster, count=8, name="c0"):
@@ -64,6 +67,20 @@ class TestCanonicalSerialisation:
         b = {"n": {"p": {"q": 0}}, "m": [{"k": {2, 1}}, ("t", 3)]}
         assert canonical_bytes(a) == canonical_bytes(b)
 
+    def test_plain_objects_hash_by_class_and_fields_not_address(self):
+        """A plain object's repr carries its address, so two equal
+        policies, or one and its pickle round trip, used to differ."""
+        policy = MajorityTargetPolicy()
+        assert state_checksum(policy) == \
+            state_checksum(MajorityTargetPolicy())
+        assert state_checksum(policy) == \
+            state_checksum(pickle.loads(pickle.dumps(policy)))
+        graph, other = (GraphTargetPolicy(("p0", "p1")) for _ in range(2))
+        assert state_checksum(graph) == state_checksum(other)
+        other.workload.add_hint(["x", "y"], [("x", "y")])
+        assert state_checksum(graph) != state_checksum(other)
+        assert state_checksum(graph) != state_checksum(policy)
+
 
 class TestPartitionCheckpointer:
     def test_capture_reflects_server_state(self):
@@ -74,34 +91,39 @@ class TestPartitionCheckpointer:
         assert (frozen.partition, frozen.replica, frozen.epoch,
                 frozen.applied_count, frozen.num_keys) == (
             checkpoint.partition, checkpoint.replica, checkpoint.epoch,
-            checkpoint.applied_count, checkpoint.num_keys)
+            checkpoint.applied_count, len(checkpoint.components["store"]))
+        components = checkpoint.components
+        assert list(components) == list(server.components())
         assert checkpoint.partition == "p0"
         assert checkpoint.replica == "p0s0"
-        assert checkpoint.store == server.store.snapshot()
-        assert checkpoint.executed == list(server.executed)
-        assert checkpoint.applied_count == server.log.applied_count
-        assert checkpoint.epoch == server.epoch
-        assert checkpoint.location_slice == {
-            key: "p0" for key in server.store.snapshot()}
+        assert components["store"] == server.store.snapshot()
+        assert components["executor"]["executed"] == list(server.executed)
+        assert checkpoint.applied_count == components["log"] == \
+            server.log.applied_count
+        assert checkpoint.epoch == components["executor"]["epoch"] == \
+            server.epoch
         assert checkpoint.checksum == checkpoint.compute_checksum()
 
     def test_capture_is_a_snapshot_not_a_view(self):
         cluster = build_loaded_cluster()
         server = cluster.servers["p0s0"]
         frozen = server.checkpointer.capture("test")
-        before = frozen.thaw().store
+        before = frozen.thaw().components["store"]
         assert before == server.store.snapshot()
         run_workload(cluster, count=4, name="c1")
         assert before != server.store.snapshot()
-        assert frozen.thaw().store == before
+        assert frozen.thaw().components["store"] == before
 
-    def test_replicas_capture_identical_checksums(self):
-        """Converged replicas of one partition agree on the checksum —
-        the transfer integrity check relies on this equality."""
+    def test_replicas_capture_equal_components(self):
+        """Converged replicas of one partition capture equal components,
+        apart from what names the member; the checksum covers the member
+        too, so theirs differ."""
         cluster = build_loaded_cluster()
         first = cluster.servers["p0s0"].checkpointer.capture("a").thaw()
         second = cluster.servers["p0s1"].checkpointer.capture("b").thaw()
-        assert first.checksum == second.checksum
+        assert group_images(first.components) == \
+            group_images(second.components)
+        assert first.checksum != second.checksum
 
     def test_same_seed_runs_capture_identical_checksums(self):
         checksums = []
@@ -123,8 +145,9 @@ class TestPartitionCheckpointer:
             (delivery.uid, server.checkpointer.capture("test").thaw())))
         run_workload(cluster, count=1, name="c1")
         (uid, checkpoint), = captured
-        assert [delivery.uid for delivery in checkpoint.queued] == [uid]
-        assert checkpoint.executed == server.executed[:-1]
+        executor = checkpoint.components["executor"]
+        assert [delivery.uid for delivery in executor["queued"]] == [uid]
+        assert executor["executed"] == server.executed[:-1]
 
     @staticmethod
     def grow_recording_captures(cluster) -> tuple:
@@ -214,50 +237,25 @@ def run_until_completed(cluster, clients, target):
 
 
 def reference_checkpoint(server) -> PartitionCheckpoint:
-    """What capture built before it serialised once: one ``deepcopy``
-    per field. Kept as the reference the frozen payload must equal."""
-    amcast, exchange = server.amcast, server.exchange
+    """What capture would build with one ``deepcopy`` per component
+    instead of its one serialisation. Kept as the reference the frozen
+    payload must equal."""
     return PartitionCheckpoint(
-        partition=server.partition,
-        replica=server.node.name,
-        epoch=server.epoch,
-        taken_at=server.env.now,
-        store=copy.deepcopy(server.store._data),
-        executed=server.settled_history(),
-        replies=copy.deepcopy(server.replies.sessions),
+        partition=server.partition, replica=server.node.name,
+        epoch=server.epoch, taken_at=server.env.now,
         applied_count=server.log.applied_count,
-        amcast={
-            "clock": amcast._clock,
-            "delivered_uids": sorted(amcast._delivered_uids),
-            "my_ts": dict(amcast._my_ts),
-            "ts_kept": copy.deepcopy(amcast._ts_kept.queues),
-            "floors": dict(amcast.floors),
-            "pending": copy.deepcopy(amcast._pending),
-            "deliver_count": amcast._deliver_count,
-        },
-        exchange={
-            "signals": {cid: sorted(senders) for cid, senders
-                        in exchange._signals.items()},
-            "vars": copy.deepcopy(exchange._vars),
-            "done": sorted(exchange._done),
-            "sent": copy.deepcopy(exchange._sent),
-            "kept": copy.deepcopy(exchange._kept.queues),
-        },
-        queued=copy.deepcopy(server.pending_deliveries()),
-        location_slice={key: server.partition
-                        for key in server.store.keys()},
-        role={"applied_reconfigs": set(server.applied_reconfigs)},
-        settled_key=server.settled_key,
-    )
-
-
-STATE_FIELDS = [f.name for f in dataclasses.fields(PartitionCheckpoint)
-                if f.name != "checksum"]
+        components={name: copy.deepcopy(component.snapshot())
+                    for name, component in server.components().items()})
 
 
 def field_images(checkpoint) -> dict:
-    return {name: canonical_bytes(getattr(checkpoint, name))
-            for name in STATE_FIELDS}
+    """Canonical image of each header field and each component."""
+    images = {name: canonical_bytes(value) for name, value
+              in vars(checkpoint).items()
+              if name not in ("components", "checksum")}
+    images.update((name, canonical_bytes(snapshot)) for name, snapshot
+                  in checkpoint.components.items())
+    return images
 
 
 def mutable_ids(obj, seen=None) -> set:
@@ -302,8 +300,9 @@ class TestSerialiseOnceCapture:
             for field, image in field_images(thawed).items():
                 assert image == expected[field], (name, field)
             assert thawed.checksum == reference.compute_checksum(), name
-            assert frozen.num_keys == len(reference.store)
-            assert thawed.exchange["sent"], "nothing in flight was captured"
+            assert frozen.num_keys == len(reference.components["store"])
+            assert thawed.components["exchange"]["sent"], \
+                "nothing in flight was captured"
 
     def test_frozen_record_is_isolated_from_the_run(self, scheme):
         cluster, clients = chirper_cluster(scheme)

@@ -215,10 +215,7 @@ class TestTransferredCheckpointIsPrivate:
 
     @staticmethod
     def image(checkpoint):
-        return canonical_bytes({
-            "store": checkpoint.store, "replies": checkpoint.replies,
-            "amcast": checkpoint.amcast, "exchange": checkpoint.exchange,
-            "queued": checkpoint.queued})
+        return canonical_bytes(checkpoint.components)
 
     def recover_under_three_partition_load(self, recover_after):
         cluster = build_cluster(

@@ -1,5 +1,7 @@
 """Tests for chunked, resumable state transfer (host + receiver)."""
 
+import copy
+
 import pytest
 
 from repro.net import FailureInjector
@@ -31,8 +33,9 @@ class TestStateTransfer:
         transfer, checkpoint = fetch_between(cluster)
         assert checkpoint is not None
         assert checkpoint.partition == "p0"
-        assert checkpoint.store == source.store.snapshot()
-        assert checkpoint.executed == list(source.executed)
+        assert checkpoint.components["store"] == source.store.snapshot()
+        assert checkpoint.components["executor"]["executed"] == list(
+            source.executed)
         assert checkpoint.checksum == checkpoint.compute_checksum()
         assert transfer.chunks_received >= 2   # control + >=1 store chunk
         assert transfer.duplicates == 0
@@ -49,7 +52,8 @@ class TestStateTransfer:
         source.applied_reconfigs.add("rcfg-rm0-0")
         _transfer, checkpoint = fetch_between(cluster)
         assert checkpoint.epoch == 1
-        assert checkpoint.role == {"applied_reconfigs": {"rcfg-rm0-0"}}
+        assert checkpoint.components["executor"]["role"] == {
+            "applied_reconfigs": {"rcfg-rm0-0"}}
 
     def test_chunking_respects_chunk_keys(self):
         cluster = build_loaded_cluster()
@@ -97,7 +101,7 @@ class TestStateTransfer:
         transfer, checkpoint = fetch_between(cluster,
                                              chunk_timeout_ms=10.0)
         assert checkpoint is not None
-        assert checkpoint.store == source.store.snapshot()
+        assert checkpoint.components["store"] == source.store.snapshot()
         assert transfer.retries > 0
 
     def test_lost_meta_is_retried(self):
@@ -130,7 +134,7 @@ class TestStateTransfer:
         source = cluster.servers["p0s0"]
         transfer, checkpoint = fetch_between(cluster, window=2)
         assert checkpoint is not None
-        assert checkpoint.store == source.store.snapshot()
+        assert checkpoint.components["store"] == source.store.snapshot()
         assert transfer.duplicates > 0
 
     def test_corrupt_chunk_is_rerequested(self):
@@ -159,8 +163,8 @@ class TestStateTransfer:
         assert corrupted
         assert transfer.corrupt == 1
         assert checkpoint is not None
-        assert checkpoint.store == source.store.snapshot()
-        assert "evil" not in checkpoint.store
+        assert checkpoint.components["store"] == source.store.snapshot()
+        assert "evil" not in checkpoint.components["store"]
 
     def test_one_transfer_at_a_time(self):
         cluster = build_loaded_cluster()
@@ -174,3 +178,45 @@ class TestStateTransfer:
         cluster = build_loaded_cluster()
         with pytest.raises(ValueError):
             StateTransfer(cluster.servers["p1s1"].node, window=0)
+
+
+#: One changed field per component, as a new snapshot.
+FORGERIES = {
+    "store": lambda store: {**store, next(iter(store)): "forged"},
+    "replies": lambda sessions: {**sessions, "forged-client": [0, {}]},
+    "executor": lambda state: {**state, "epoch": 7},
+    "amcast": lambda state: {**state, "clock": 10_000},
+    "exchange": lambda state: {**state, "done": ["forged-cid"]},
+    "log": lambda position: position + 1,
+}
+
+
+def forge(chunks, component):
+    """A copy of frozen chunks with one field of ``component`` changed
+    (the store's in its first slice)."""
+    chunks = copy.deepcopy(chunks)
+    if component == "store":
+        holder, name = chunks[1]["payload"], "store"
+    else:
+        holder = chunks[0]["payload"]["control"]["components"]
+        name = component
+    holder[name] = FORGERIES[component](holder[name])
+    return dict(enumerate(chunks))
+
+
+@pytest.mark.parametrize("component", sorted(FORGERIES))
+def test_the_whole_checksum_covers_every_component(component):
+    """Reassembly fails when one field of any component changed after
+    the host froze it: the whole-checkpoint checksum covers them all."""
+    cluster = build_loaded_cluster()
+    host = cluster.servers["p0s0"].checkpoint_host
+    host._freeze("xf-probe")
+    transfer = StateTransfer(cluster.servers["p1s0"].node)
+    transfer._transfer_id = "xf-probe"
+    transfer._meta = host._meta["xf-probe"]
+    frozen = host._frozen["xf-probe"]
+    transfer._chunks = dict(enumerate(copy.deepcopy(frozen)))
+    assert transfer._assemble().checksum == transfer._meta["checksum"]
+    transfer._chunks = forge(frozen, component)
+    with pytest.raises(RuntimeError, match="does not match frozen"):
+        transfer._assemble()

@@ -36,12 +36,16 @@ class TestVariableStore:
         assert store.pop("x") == 9
         assert "x" not in store
 
-    def test_snapshot_is_deep(self):
+    def test_snapshot_is_by_reference_and_restore_adopts(self):
+        """A checkpoint freezes the live variables, and an install adopts
+        its private copy: neither side copies."""
         store = VariableStore()
         store.create("x", [1])
-        snap = store.snapshot()
-        store.read("x").append(2)
-        assert snap == {"x": [1]}
+        assert store.snapshot() is store.snapshot() == {"x": [1]}
+        image = {"y": 2}
+        store.restore(image)
+        assert store.snapshot() is image
+        assert store.read("y") == 2 and "x" not in store
 
 
 class TestExecutionView:

@@ -234,7 +234,8 @@ class TestDeployments:
         victim = cluster.servers["p1s1"]
         checkpoint, _ = victim.ckpt_store.load_latest()
         assert checkpoint.applied_count < victim.log.applied_count
-        assert victim.executed[len(checkpoint.executed):]
+        executed = checkpoint.components["executor"]["executed"]
+        assert victim.executed[len(executed):]
         victim.crash()
         replacement = cluster.recover_server("p1s1")
         cluster.run(until=30_000)
