@@ -9,10 +9,10 @@ run_campaign`):
 
 * :func:`generate_schedule` (``repro fuzz``) draws over the FULL
   vocabulary: nothing is exempt, so sequencers, Paxos leaders and oracle
-  replicas are crash victims (blackout + reconnect — their in-memory
-  ordering state cannot be rebuilt from a checkpoint), partitions may be
-  asymmetric (one-way reachability), and reconfiguration join/leave
-  events interleave with the faults.
+  replicas are crash victims (in the first mode
+  :func:`~repro.harness.faults.crash_modes` allows their role), partitions
+  may be asymmetric (one-way reachability), and reconfiguration
+  join/leave events interleave with the faults.
 * :func:`chaos_schedule` (``repro chaos``) draws one hand-shaped fault
   mix per index — whole-phase drop/delay/duplicate/reorder, a fixed
   two-island partition window and one crash whose victim is drawn by
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule
-from repro.harness.faults import VICTIM_ROLES
+from repro.harness.faults import VICTIM_ROLES, crash_modes
 from repro.harness.kvbed import KEYS
 from repro.sim import SeedStream
 
@@ -63,13 +63,12 @@ def _window(rng, horizon: float, min_len: float = 20.0,
     return start, end
 
 
-def _crash_events(rng, shape: dict, horizon: float) -> list[dict]:
+def _crash_events(rng, shape: dict, horizon: float,
+                  durable: bool) -> list[dict]:
     """Up to two crash events with distinct victims drawn over every
-    role: followers (amnesia restart), speakers/sequencers and oracle
-    replicas (blackout)."""
-    candidates = ([(n, "restart") for n in shape["followers"]]
-                  + [(n, "blackout") for n in shape["speakers"]]
-                  + [(n, "blackout") for n in shape["oracles"]])
+    role, each in its role's first :func:`crash_modes` mode."""
+    candidates = [(n, crash_modes(role, durable)[0])
+                  for role in VICTIM_ROLES for n in shape[f"{role}s"]]
     count = 0
     if rng.random() < 0.65:
         count = 1
@@ -237,7 +236,7 @@ def generate_schedule(seed: int, index: int,
     if not power:
         # A whole-cluster power loss subsumes individual crashes and
         # would race a mid-flight join/leave; it rides alone.
-        events.extend(_crash_events(rng, shape, horizon))
+        events.extend(_crash_events(rng, shape, horizon, disk))
         events.extend(_reconfig_events(rng, scheme, horizon))
     if supervisor and not power:
         events.extend(_supervisor_events(rng, shape, horizon))
@@ -316,12 +315,11 @@ def chaos_schedule(seed: int, index: int, scheme: str,
         role = VICTIM_ROLES[rng.randrange(len(VICTIM_ROLES))]
         if role == "oracle" and not shape["oracles"]:
             role = "speaker"
-        pool, mode = {"follower": (shape["followers"], "restart"),
-                      "speaker": (shape["speakers"], "blackout"),
-                      "oracle": (shape["oracles"], "blackout")}[role]
+        pool = shape[f"{role}s"]
         events.append({"kind": "crash", "at": at,
                        "node": pool[partition_index % len(pool)],
-                       "mode": mode, "duration": recover - at})
+                       "mode": crash_modes(role, False)[0],
+                       "duration": recover - at})
     return FaultSchedule(
         seed=seed, index=index, scheme=scheme, events=tuple(events),
         horizon_ms=HORIZON_MS, deadline_ms=CHAOS_DEADLINE_MS,
@@ -360,15 +358,13 @@ def generate_heal_schedule(seed: int, index: int, scheme: str,
     }]
     # Victims rotate with the scenario index and are drawn from distinct
     # partitions, so consecutive failures never gut one majority.
-    rota = [("follower", shape["followers"], "restart"),
-            ("speaker", shape["speakers"], "blackout")]
-    if shape["oracles"]:
-        rota.append(("oracle", shape["oracles"], "blackout"))
-    for offset, (role, pool, mode) in enumerate(rota):
+    rota = [role for role in VICTIM_ROLES if shape[f"{role}s"]]
+    for offset, role in enumerate(rota):
+        pool = shape[f"{role}s"]
         node = pool[(index + offset) % len(pool)]
         lo, hi = _ROLE_WINDOWS[role]
         events.append({"kind": "crash", "at": round(rng.uniform(lo, hi), 1),
-                       "node": node, "mode": mode,
+                       "node": node, "mode": crash_modes(role, False)[0],
                        # Unused under supervisor=True (the healer, not a
                        # timer, ends the outage); kept for replay tools.
                        "duration": 50.0})

@@ -17,8 +17,9 @@ Runs are deterministic: the same schedule produces a byte-identical
 :meth:`ScheduleRunResult.to_dict`, which is what ``--replay`` compares.
 
 Events that do not apply to the deployment at hand — a crash naming a
-node the scheme does not build, an amnesia restart aimed at a speaker,
-a leave for a partition that never joined — are *skipped
+node the scheme does not build, a crash mode
+:func:`~repro.harness.faults.crash_modes` does not allow its victim, a
+leave for a partition that never joined — are *skipped
 deterministically* and counted in ``events_skipped`` instead of
 erroring. That keeps hand-edited and shrunk schedules sound: removing
 the join event from a join+leave schedule leaves a runnable (if
@@ -34,7 +35,7 @@ from repro.checkers import (INCONCLUSIVE, VIOLATION, History,
                             KvSequentialSpec, check_linearizable_bounded)
 from repro.fuzz.schedule import FaultSchedule, normalize_schedule
 from repro.harness.cluster import Cluster
-from repro.harness.faults import make_crash_restart
+from repro.harness.faults import crash_modes, make_crash_restart, role_of
 from repro.harness.invariants import cluster_invariants
 from repro.harness.kvbed import build_kv_cluster, spawn_wave
 from repro.net import FailureInjector
@@ -183,19 +184,11 @@ def _apply_schedule(cluster: Cluster, injector: FailureInjector,
                 skip(event, f"no node {self_name!r} in a "
                             f"{schedule.scheme} deployment")
                 continue
-            if mode == "restart":
-                speakers = {cluster.directory.speaker(p)
-                            for p in cluster.partitions}
-                if self_name not in cluster.servers or (
-                        self_name in speakers
-                        and not schedule.durability):
-                    # Amnesia cannot resurrect sequencer state; only a
-                    # blackout models a speaker/oracle outage — unless
-                    # the deployment is durable, where the cold-start
-                    # ladder reconciles the sequencer from its WAL.
-                    skip(event, "restart (amnesia) is only valid for "
-                                "follower replicas")
-                    continue
+            role = role_of(cluster, self_name)
+            if mode not in crash_modes(role, cluster.disks is not None):
+                skip(event, f"{mode} is not a crash mode of a {role} "
+                            f"replica without a disk")
+                continue
             crash, restart = make_crash_restart(cluster, self_name, mode)
             if schedule.supervisor:
                 # Autonomous mode: the harness only injects the fault.

@@ -10,9 +10,11 @@ Events are plain dicts (the JSON wire format, see
 message-level kinds). Node- and cluster-level kinds add:
 
 * ``{"kind": "crash", "at": t, "node": name, "mode": m, "duration": d}``
-  — ``mode`` is ``"restart"`` (amnesia + full recovery; followers only)
-  or ``"blackout"`` (network cut + reconnect; any node, including
-  sequencers, Paxos leaders and oracle replicas).
+  — ``mode`` is ``"restart"`` (amnesia + full recovery) or
+  ``"blackout"`` (network cut + reconnect); which a node can take is
+  :func:`~repro.harness.faults.crash_modes`'s rule: blackout for any
+  node, restart for any replica of a durable deployment and for
+  followers otherwise.
 * ``{"kind": "join", "at": t, "partition": p}`` — live partition join
   (dynamic schemes; silently skipped elsewhere).
 * ``{"kind": "leave", "at": t, "partition": p}`` — two-phase drain and

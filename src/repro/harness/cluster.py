@@ -156,6 +156,8 @@ class Cluster:
         # here and fanned out to hooks (the heal supervisor escalates).
         self.recovery_failures: list = []
         self.recovery_failure_hooks: list = []
+        # Members back to a group with no live peer, waiting.
+        self.waiting: set[str] = set()
 
         self.servers: dict[str, object] = {}
         self.oracles: list[OracleReplica] = []
@@ -239,6 +241,17 @@ class Cluster:
             if oracle.node.name == name:
                 return oracle
         raise KeyError(f"no such node in this deployment: {name!r}")
+
+    def live_peers(self, name: str, serving: bool = True) -> list[str]:
+        """The other members of ``name``'s group that are not crashed
+        and, with ``serving``, can serve a recovery: not cut off the
+        network, executor started (an installing replacement, or one
+        whose transfer ran out of sources, is no source)."""
+        group = self.member(name).group
+        return [member for member in self.directory.members(group)
+                if member != name and not self.member(member).node.crashed
+                and (not serving or (self.member(member).started
+                                     and not self.network.is_crashed(member)))]
 
     def replace_member(self, replacement) -> None:
         """Put ``replacement`` in the slot of the replica it replaces."""
@@ -516,16 +529,11 @@ class Cluster:
 
     def recover_server(self, name: str):
         """Crash-recover replica ``name`` (a partition server or an
-        oracle replica) under the same name.
-
-        Runs the one recovery ladder of :mod:`repro.store.coldstart`:
-        local checkpoint + WAL replay when a durable replica's own disk
-        continues what the live group retains, a peer state transfer
-        otherwise (always, without durability). The replacement takes
-        over the crashed replica's slot. Every other live member is
-        handed over as a fallback source, and a transfer that exhausts
-        all of them lands in :attr:`recovery_failures` (and the
-        registered hooks) instead of hanging silently.
+        oracle replica) under the same name through the one recovery
+        ladder (:mod:`repro.store.coldstart`). Returns the replacement,
+        or None while the replica waits for a live peer or its group
+        (:attr:`waiting`). A transfer that exhausts every live peer
+        lands in :attr:`recovery_failures` (and the registered hooks).
         """
         return recover_member(self, name)
 

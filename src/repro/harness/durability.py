@@ -180,10 +180,10 @@ def _fault_ladder(scheme: str, seed: int, num_clients: int,
     speaker = cluster.directory.speaker(partition)
     victim = next(m for m in members if m != speaker)
     disk = cluster.disks.disk(victim)
-    # Tear first, then rot the body of the first WAL record: replay reads
-    # every record up to the first anomaly, so it must meet this CRC
-    # failure. Rot drawn anywhere can land in the record the tear cuts
-    # short, and replay then sees nothing but a clean torn tail.
+    # Tear first, then rot the body of the first WAL record: replay
+    # meets this CRC failure and, past it, the torn tail. Rot drawn
+    # anywhere can land in the record the tear cuts short, and replay
+    # then sees nothing but a torn tail.
     disk.tear_tail()
     first = disk.files(WAL_PREFIX + ".")[0]
     length = RECORD_HEADER.unpack_from(disk.read(first))[0]

@@ -1138,8 +1138,7 @@ def _self_healing_run(seed: int, supervisor: bool,
     """
     import random as random_module
 
-    from repro.harness.faults import (_node_of, make_crash_restart,
-                                      select_victim)
+    from repro.harness.faults import make_crash_restart, select_victim
     from repro.harness.kvbed import KEYS, build_kv_cluster
     from repro.heal import ClusterHealer
     from repro.smr import Command
@@ -1174,7 +1173,7 @@ def _self_healing_run(seed: int, supervisor: bool,
 
     def member_down(name):
         return (cluster.network.is_crashed(name)
-                or _node_of(cluster, name).crashed)
+                or cluster.member(name).node.crashed)
 
     def sampler():
         while env.now < duration_ms:

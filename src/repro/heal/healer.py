@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.harness.faults import _node_of, reconnect_victim
+from repro.harness.faults import reconnect_victim
 from repro.heal.heartbeat import HeartbeatEmitter
 from repro.heal.supervisor import HEAL_GROUP, RecoverySupervisor
 from repro.heal.timing import DEFAULT_TIMING, TimingProfile
@@ -115,7 +115,7 @@ class ClusterHealer:
         for peer, (role, group) in sorted(self.roles.items()):
             if role == "supervisor":
                 continue
-            self._emit_from(_node_of(cluster, peer), role, group)
+            self._emit_from(cluster.member(peer).node, role, group)
         for supervisor in self.supervisors:
             self._emit_from(supervisor.node, "supervisor", HEAL_GROUP)
 
@@ -172,7 +172,8 @@ class ClusterHealer:
         for member in self.cluster.directory.members(partition):
             role = "speaker" if member == speaker else "follower"
             self.roles[member] = (role, partition)
-            self._emit_from(_node_of(self.cluster, member), role, partition)
+            self._emit_from(self.cluster.member(member).node, role,
+                            partition)
             for supervisor in self.supervisors:
                 supervisor.monitor(member)
 
@@ -306,11 +307,7 @@ class ClusterHealer:
             self.suppressed.inc()
             self._note(now, f"replace {victim} suppressed (cooldown)")
             return
-        group = cluster.directory.group_of(victim)
-        peers_alive = any(
-            member != victim and not cluster.servers[member].node.crashed
-            for member in cluster.directory.members(group))
-        if not peers_alive:
+        if not cluster.live_peers(victim):
             # No live peer to recover from; leave the episode open so the
             # holder retries after action_retry_ms.
             self.deferred.inc()

@@ -246,7 +246,8 @@ class GroupLog(ABC):
 
     def replay(self, entries) -> None:
         """Feed ``(seq, entry)`` pairs decided before a crash (a local
-        WAL suffix) through the apply path."""
+        WAL's readable records) through the apply path; those below the
+        apply position are only retained."""
         for seq, entry in entries:
             self._learn(seq, entry)
 
@@ -292,14 +293,19 @@ class GroupLog(ABC):
             self._schedule_backfill()
 
     def request_backfill(self, provider: Optional[str] = None) -> None:
-        """Ask ``provider`` (default: the group speaker) for decided
-        entries from our next-apply position onward."""
-        target = provider or self.directory.speaker(self.group)
-        if target == self.node.name:
-            return
-        self.node.send(target, f"log/{self.group}/backfill-req",
-                       {"from_seq": self._next_apply,
-                        "reply_to": self.node.name}, size=96)
+        """Ask ``provider`` (default: the group speaker; on the speaker,
+        every other member) for decided entries from our next-apply
+        position onward."""
+        speaker = self.directory.speaker(self.group)
+        if provider is None and speaker == self.node.name:
+            targets = self.directory.members(self.group)
+        else:
+            targets = [provider or speaker]
+        for target in targets:
+            if target != self.node.name:
+                self.node.send(target, f"log/{self.group}/backfill-req",
+                               {"from_seq": self._next_apply,
+                                "reply_to": self.node.name}, size=96)
 
     def _schedule_backfill(self) -> None:
         if self._backfill_scheduled:

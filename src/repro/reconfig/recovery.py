@@ -27,9 +27,10 @@ replays the ordered-log suffix past the checkpoint's apply position:
    delivered uids stop the backfilled suffix from double-delivering
    commands the restored queue already carries; the log fast-forwards
    to the checkpoint position.
-4. Backfill resumes, an explicit backfill request to the peer fetches
-   the suffix, and the executor gate opens (:func:`open_replacement`,
-   which the local replay rung ends with too).
+4. The replica's readable local WAL records are fed through the log,
+   backfill resumes, a backfill request to the peer fetches the rest,
+   and the executor gate opens (:func:`open_replacement`, on every
+   rung).
 
 A speaker without a write-ahead log cannot come back: the
 fixed-sequencer log dies with its sequencer (use
@@ -45,6 +46,7 @@ from typing import Optional, Sequence
 from repro.reconfig.checkpoint import PartitionCheckpoint, PartitionCheckpointer
 from repro.reconfig.transfer import (CheckpointHost, StateTransfer,
                                      StateTransferStalled)
+from repro.store.wal import wipe_wal
 
 
 def install_checkpoint(server, checkpoint: PartitionCheckpoint) -> None:
@@ -75,7 +77,7 @@ class PartitionRecovery:
     def __init__(self, server, peer_name: str,
                  fallback_peers: Sequence[str] = (),
                  stall_after_ms: Optional[float] = STALL_AFTER_MS,
-                 on_failure=None):
+                 on_failure=None, records=()):
         if server.started:
             raise ValueError("the replacement server must be constructed "
                              "with a start_gate (use "
@@ -86,6 +88,7 @@ class PartitionRecovery:
                                     if p != peer_name]
         self.stall_after_ms = stall_after_ms
         self.on_failure = on_failure
+        self.records = records
         self.transfer = StateTransfer(server.node)
         self.installed = False
         self.failed = False
@@ -119,7 +122,8 @@ class PartitionRecovery:
     def _install(self, checkpoint: PartitionCheckpoint) -> None:
         self.checkpoint = checkpoint
         self.installed = True
-        open_replacement(self.server, checkpoint, self.peer_name)
+        open_replacement(self.server, checkpoint, self.peer_name,
+                         self.records)
 
 
 def respawn_gated(crashed):
@@ -133,16 +137,26 @@ def respawn_gated(crashed):
     return replacement
 
 
-def open_replacement(server, checkpoint, provider, feed=()) -> None:
+def open_replacement(server, checkpoint, provider, records=()) -> None:
     """End a replacement's install window, on every rung: install
-    ``checkpoint`` (None: the caller loaded the base image), feed the
-    local WAL suffix ``feed`` through the ordered log, persist the
-    result on a durable replica (its next cold start loads it), resume
-    backfill from ``provider`` and open the executor gate."""
+    ``checkpoint`` (None: the caller loaded the base image), feed every
+    readable local WAL record (``records``, by position) through the
+    ordered log (those below the installed position stay for peers to
+    backfill from; ``records_replayed`` counts the others) into a fresh
+    WAL on a durable replica, persist the result there (its next cold
+    start loads it), resume backfill from ``provider`` and open the
+    executor gate."""
     log = server.log
     if checkpoint is not None:
         install_checkpoint(server, checkpoint)
-    log.replay(feed)
+    records = sorted(dict(records).items())
+    if server.wal is not None:
+        # The old incarnation's records leave the disk only now, so a
+        # transfer that runs out of sources finds them there again.
+        wipe_wal(server.wal.disk, server.wal.prefix)
+        server.wal.stats.records_replayed += sum(
+            seq >= log.applied_count for seq, _ in records)
+    log.replay(records)
     if server.checkpointer.store is not None:
         server.checkpointer.capture(reason="recovery")
     log.resume_backfill()
@@ -151,18 +165,20 @@ def open_replacement(server, checkpoint, provider, feed=()) -> None:
 
 
 def recover_partition_server(crashed, peer, fallback_peers=(),
-                             on_failure=None):
+                             on_failure=None, records=()):
     """Bring a crashed replica back under the same name from a peer.
 
     ``crashed`` is the dead server object (any :class:`SsmrServer`
     subclass or an oracle replica); ``peer`` is a live replica of the
     *same group* with a checkpointer and :class:`CheckpointHost`
     attached, and ``fallback_peers`` names alternates to try if the
-    transfer from ``peer`` stalls. Returns the replacement server (same
-    class, same name), already recovering; its ``recovery`` attribute
-    exposes progress. The cluster-free rung 2 of the recovery ladder
-    (:mod:`repro.store.coldstart`), which also re-arms a durable
-    replica's disk and reconciles a durable speaker's sequencer.
+    transfer from ``peer`` stalls; ``records`` (the replica's readable
+    local WAL records) are fed after the install. Returns the
+    replacement server (same class, same name), already recovering; its
+    ``recovery`` attribute exposes progress. The cluster-free rung 2 of
+    the recovery ladder (:mod:`repro.store.coldstart`), which also
+    re-arms a durable replica's disk and reconciles a durable speaker's
+    sequencer.
     """
     if crashed.group != peer.group:
         raise ValueError(f"peer {peer.node.name} replicates "
@@ -177,5 +193,5 @@ def recover_partition_server(crashed, peer, fallback_peers=(),
     replacement = respawn_gated(crashed)
     replacement.recovery = PartitionRecovery(
         replacement, peer.node.name, fallback_peers=fallback_peers,
-        on_failure=on_failure)
+        on_failure=on_failure, records=records)
     return replacement

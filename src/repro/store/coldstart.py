@@ -2,57 +2,40 @@
 
 :meth:`Cluster.recover_server <repro.harness.cluster.Cluster.recover_server>`
 runs :func:`recover_member` for any replica of any group, durable or
-not, the oracle's included (its replicas checkpoint and replay a log
-suffix exactly as a partition's do). The ladder, per member:
+not, the oracle's included. A replacement is a checkpoint plus the
+ordered suffix (arXiv 1512.08943); the rungs differ only in where the
+checkpoint comes from. Per member:
 
-1. **Read the local images** — only a durable replica
-   (:class:`~repro.harness.cluster.ClusterConfig` with ``durability``
-   set) has any. Its disk first suffers a power-fail (un-fsynced
-   page-cache bytes are dropped or torn — recovery models a machine
-   restart, the conservative interpretation of any crash), then the
-   newest CRC-valid durable checkpoint is loaded and the WAL segments
-   are scanned. A short read at the tail of the *last* segment is a
-   torn write — "never happened", clean end of history; a CRC mismatch
-   or mid-log truncation is *corruption* and ends the usable prefix
-   there (never silently skipped). The surviving entries must continue
-   the checkpoint's apply position without holes; history below the
-   position is covered by the checkpoint and ignored.
-2. **Local replay (rung 1)** — when the images *continue to what the
-   live group still retains*: some local history, no gap, no
-   corruption, and its end at or past every live member's log floor.
-   The checkpoint is installed atomically (or the preloaded base image
-   loaded when there is none yet), the old WAL files wiped, a fresh WAL
-   attached, and the surviving suffix fed back through the ordered
-   log — each entry re-appends to the fresh WAL (replay *is*
-   compaction) and re-executes through the normal decide → deliver →
-   execute pipeline. Replay is deterministic because the atomic
-   multicast's timestamp exchange itself rides the ordered log.
-3. **Peer transfer (rung 2)** — otherwise, when a live peer exists: a
-   full peer state transfer
-   (:func:`~repro.reconfig.recovery.recover_partition_server`, which
-   walks fallback peers and turns terminal when all are gone). A
-   replica without a disk, or with a blank one (a replaced machine),
-   has no local history and always lands here; a replica without a
-   disk and no live peer is an error, and so is a speaker without a
-   disk. ``peer_fallbacks`` counts durable members that land here.
-4. **Unrecoverable suffix (rung 3)** — a durable member with a gap and
-   *no* live peer installs the contiguous prefix, flight-records the
-   loss, and leaves the lost suffix to client resends. Because
-   executors gate on the WAL's ``sync_barrier`` before executing, no
-   reply was ever sent for a lost entry — losing it is externally
-   unobservable.
+1. **No live peer** (:meth:`~repro.harness.cluster.Cluster.live_peers`:
+   not crashed, not cut off, executor started): the member stays down
+   in :attr:`~repro.harness.cluster.Cluster.waiting` and looks again
+   every :data:`RETRY_MS`. When the group's last member returns, a
+   durable group restarts together (:func:`cold_start_partition`); a
+   group without disks is lost (an error).
+2. **Read the local images** (durable members only): power-fail the
+   disk (a crash models a machine restart), load the newest CRC-valid
+   checkpoint and every CRC-valid WAL record — a bad record is a hole,
+   not the end of the log (:func:`~repro.store.wal.replay_wal`).
+3. **Own checkpoint (rung 1)** when the images continue what the live
+   group retains: some local history, no hole from the checkpoint on,
+   and the gapless run reaching every live peer's log floor (no
+   checkpoint yet: the preloaded base image).
+4. **Peer checkpoint (rung 2)** otherwise, always without a disk or
+   with a blank one: a state transfer
+   (:func:`~repro.reconfig.recovery.recover_partition_server`); a
+   durable member whose sources all fail goes back to step 1.
 
-On every rung a durable *sequencer* reconciles its next sequence
-number and sequenced-uid set against its local images and any live
-member's log positions and applied uids (the standard sequencer sync
-round, collapsed to one virtual instant) so it can never hand out a
-sequence number twice.
-
-Whole-group power loss (:meth:`Cluster.power_fail` /
-:meth:`Cluster.power_restore`) restores every member of a group
-from the **union** of the members' surviving WALs — group commit means
-different members fsynced to different depths, and any member's durable
-record of a position is authoritative for all.
+The local images stay on disk until a checkpoint is installed. Then
+:func:`~repro.reconfig.recovery.open_replacement` wipes the WAL and feeds
+every readable local record through the ordered log into the fresh WAL
+(replay is compaction): records at or past the installed position
+re-execute, those below it stay for peers behind it to backfill from,
+and those past a hole wait until a peer backfills it. A durable
+sequencer reconciles its counters on every rung, so it never hands out
+a sequence number twice. A group restart feeds every member the
+*union* of the members' WAL records: members fsync to different depths
+(group commit), and any member's durable record of a position is
+authoritative for all.
 """
 
 from __future__ import annotations
@@ -62,12 +45,15 @@ from repro.reconfig.recovery import (open_replacement,
                                      respawn_gated)
 from repro.store.checkpoints import load_latest_checkpoint
 from repro.store.durability import attach_durability, detach_durability
-from repro.store.wal import replay_wal, wipe_wal
+from repro.store.wal import replay_wal
+
+#: How often a member waiting for its group looks for a live peer (ms).
+RETRY_MS = 50.0
 
 
 def _read_images(farm, name):
     """Power-fail the member's disk, then read its durable images:
-    ``(checkpoint, entries, status)``."""
+    ``(checkpoint, records, status)``."""
     disk = farm.disk(name)
     disk.power_fail()
     checkpoint, _ = load_latest_checkpoint(disk, farm.stats)
@@ -75,40 +61,22 @@ def _read_images(farm, name):
     return checkpoint, dict(replay.entries), replay.status
 
 
-def _contiguous_feed(entries, position):
-    """(feed, lost): longest gapless run from ``position``, and the
-    count of surviving entries stranded behind a gap."""
-    suffix = sorted((seq, entry) for seq, entry in entries.items()
-                    if seq >= position)
-    feed = []
-    for index, (seq, entry) in enumerate(suffix):
-        if seq != position + index:
-            break
-        feed.append((seq, entry))
-    return feed, len(suffix) - len(feed)
+def _take_down(replica) -> None:
+    detach_durability(replica)
+    if not replica.node.crashed:
+        replica.crash()
 
 
-def _live_members(cluster, group, exclude):
-    return [m for m in cluster.directory.members(group)
-            if m != exclude and not cluster.member(m).node.crashed]
-
-
-def _reconcile_sequencer(cluster, replacement, position, feed):
-    """Sequencer sync round: never reuse a handed-out sequence number.
-
-    The local checkpoint and replayed WAL bound what this member
-    durably knows; live members' positions — applied, and learned but
-    still pending — bound what the group may have seen beyond that
-    (group commit lag), and their applied and pending uids are what it
-    already ordered. Collapsed to one virtual instant — the real
-    protocol would exchange two messages with each live member.
-    """
+def _reconcile_sequencer(cluster, replacement, position, records):
+    """Sequencer sync round, collapsed to one virtual instant: resume
+    past every readable local record and every position (applied or
+    pending) a running member learned, and know their uids."""
     log = replacement.log
     if not hasattr(log, "restore_sequencer_state"):
         return
-    next_seq = max([position] + [seq + 1 for seq, _ in feed])
-    uids = {entry.get("uid") for _, entry in feed}
-    for member in _live_members(cluster, log.group, replacement.node.name):
+    next_seq = max([position] + [seq + 1 for seq in records])
+    uids = {entry.get("uid") for entry in records.values()}
+    for member in cluster.live_peers(replacement.node.name, serving=False):
         peer_next, peer_uids = cluster.member(member).log.learned()
         next_seq = max(next_seq, peer_next)
         uids.update(peer_uids)
@@ -116,85 +84,88 @@ def _reconcile_sequencer(cluster, replacement, position, feed):
     log.restore_sequencer_state(next_seq, uids)
 
 
+def _wait_for_group(cluster, name):
+    """Stay down until a peer is live, or restart with the group once
+    every member is back (then return the replacement)."""
+    crashed = cluster.member(name)
+    _take_down(crashed)
+    cluster.waiting.add(name)
+    group = crashed.group
+    if all(member in cluster.waiting
+           for member in cluster.directory.members(group)):
+        if cluster.disks is None:
+            raise RuntimeError(f"every member of {group!r} is down and "
+                               "none has a disk to restart from")
+        return cold_start_partition(cluster, group)[name]
+    crashed.node.flight("store", f"cold start: no live peer in {group}; "
+                                 "waiting for a peer or the whole group")
+
+    def retry() -> None:
+        if name not in cluster.waiting or cluster.member(name) is not crashed:
+            return
+        if cluster.live_peers(name):
+            recover_member(cluster, name)
+        else:
+            cluster.env.schedule_callback(RETRY_MS, retry)
+
+    cluster.env.schedule_callback(RETRY_MS, retry)
+    return None
+
+
 def recover_member(cluster, name, images=None):
     """Run the recovery ladder for one crashed replica; returns the
-    replacement, already in the crashed replica's slot.
-
-    ``images`` — ``(checkpoint, entries, status)`` — are the local
-    images taken as read (the whole-group restore path); otherwise a
-    durable member's are read, after a power-fail of its disk, right
-    here.
-    """
+    replacement, already in its slot, or None while it waits for its
+    group. ``images`` (``(checkpoint, records, status)``) are given on a
+    group restart; otherwise a durable member's are read here."""
     farm = cluster.disks
     crashed = cluster.member(name)
     group = crashed.group
-    peers = _live_members(cluster, group, name)
-    if farm is None and not peers:
-        raise RuntimeError(f"no live peer left in {group!r} to recover "
-                           f"{name} from (a durable deployment recovers "
-                           "from its own disk)")
-    detach_durability(crashed)
-    if not crashed.node.crashed:
-        crashed.crash()
-    checkpoint, entries, status = None, {}, "clean"
-    if images is not None:
-        checkpoint, entries, status = images
-    elif farm is not None:
-        checkpoint, entries, status = _read_images(farm, name)
+    peers = cluster.live_peers(name)
+    if images is None and not peers:
+        return _wait_for_group(cluster, name)
+    cluster.waiting.discard(name)
+    _take_down(crashed)
+    if images is None:
+        images = (_read_images(farm, name) if farm is not None
+                  else (None, {}, "clean"))
+    checkpoint, records, status = images
     position = checkpoint.applied_count if checkpoint is not None else 0
-    feed, lost = _contiguous_feed(entries, position)
-    end = position + len(feed)
-    # A gap strands surviving entries the feed cannot reach; a corrupt
-    # scan ended the prefix early and everything beyond is unreadable.
-    # Either way the local images are untrustworthy past the feed.
-    degraded = bool(lost) or status == "corrupt"
+    end = position
+    while end in records:
+        end += 1
+    stranded = sum(seq > end for seq in records)
     retained = max((cluster.member(m).log.floor for m in peers), default=0)
-    continues = ((checkpoint is not None or bool(entries))
-                 and not degraded and end >= retained)
+    own = not peers or ((checkpoint is not None or bool(records))
+                        and not stranded and end >= retained)
 
-    # Rung 2 when the local images cannot reconstruct a history that
-    # meets the live group's: pull a full checkpoint from a peer.
-    transfer = bool(peers) and not continues
-    if transfer:
+    if own:
+        replacement = respawn_gated(crashed)
+    else:
+        def back_to_the_ladder(recovery):
+            cluster.report_recovery_failure(recovery)
+            if farm is not None and cluster.member(name) is recovery.server:
+                recover_member(cluster, name)
+
         replacement = recover_partition_server(
             crashed, cluster.member(peers[0]), fallback_peers=peers[1:],
-            on_failure=cluster.report_recovery_failure)
-    else:
-        replacement = respawn_gated(crashed)
+            on_failure=back_to_the_ladder, records=records)
     if farm is not None:
-        wipe_wal(farm.disk(name))
         attach_durability(replacement, farm)
-        _reconcile_sequencer(cluster, replacement, position, feed)
-    if transfer:
-        if farm is not None:
-            farm.stats.peer_fallbacks += 1
-            replacement.node.flight(
-                "store", f"cold start: local history ends at {end} "
-                f"({lost} entr(ies) stranded, wal {status}), group "
-                f"retains from {retained}; falling back to peer "
-                f"{peers[0]}")
-    else:
-        # Rung 1 (or rung 3 with the lost suffix flight-recorded):
-        # install the local checkpoint and replay the surviving
-        # contiguous suffix.
-        if degraded:
-            replacement.node.flight(
-                "store", f"cold start: history unreadable past {end} "
-                f"(wal {status}, {lost} stranded) and no live peer — "
-                "relying on client resends (no reply was ever sent for "
-                "an entry that never reached the durable prefix)")
+        _reconcile_sequencer(cluster, replacement, position, records)
+    if own:
         if checkpoint is None:
-            # No durable checkpoint yet: replay starts from the
-            # preloaded base image (preloads bypass the ordered log — a
-            # checkpoint, when one exists, already contains their
-            # effects).
+            # Preloads bypass the ordered log; a checkpoint holds them.
             replacement.load_state(cluster.base_images.get(group, {}))
         farm.stats.cold_starts += 1
-        replacement.node.flight(
-            "store", f"cold start: checkpoint@{position} + {len(feed)} "
-            f"wal entr(ies) (wal {status})")
         open_replacement(replacement, checkpoint,
-                         peers[0] if peers else None, feed)
+                         peers[0] if peers else None, records)
+    elif farm is not None:
+        farm.stats.peer_fallbacks += 1
+    if farm is not None:
+        replacement.node.flight(
+            "store", f"cold start ({'own' if own else 'peer'} checkpoint): "
+            f"{len(records)} wal record(s) from {position}, gapless to "
+            f"{end} (wal {status}), group retains from {retained}")
     cluster.replace_member(replacement)
     if name == cluster.directory.speaker(group):
         cluster.arm_qos(group)
@@ -202,34 +173,24 @@ def recover_member(cluster, name, images=None):
 
 
 def cold_start_partition(cluster, partition):
-    """Restore every member of group ``partition`` (a partition or the
-    oracle group) after whole-group loss.
-
-    Reads all members' images first and feeds each member the *union*
-    of the surviving WAL entries: any member's durable record of a
-    position is authoritative for the group, so asymmetric fsync depth
-    (group commit) never manifests as divergent members. The
-    most-advanced member restarts first — a gapped member's peer
-    transfer then has a caught-up source.
-    """
-    farm = cluster.disks
-    members = list(cluster.directory.members(partition))
-    images = {}
+    """Restart every member of group ``partition`` together from the
+    union of its members' WAL records, the most-advanced member first
+    (from its own checkpoint: the others then have a caught-up peer)."""
+    images = {name: _read_images(cluster.disks, name)
+              for name in cluster.directory.members(partition)}
     union: dict[int, dict] = {}
-    for name in members:
-        images[name] = _read_images(farm, name)
-        for seq, entry in images[name][1].items():
+    for _, records, _ in images.values():
+        for seq, entry in records.items():
             union.setdefault(seq, entry)
 
     def advance(name):
-        checkpoint, entries, _ = images[name]
+        checkpoint, records, _ = images[name]
         position = checkpoint.applied_count if checkpoint else 0
-        return max([position] + [seq + 1 for seq in entries])
+        return max([position] + [seq + 1 for seq in records])
 
     replacements = {}
-    for name in sorted(members, key=advance, reverse=True):
+    for name in sorted(images, key=advance, reverse=True):
         checkpoint, _, status = images[name]
         replacements[name] = recover_member(
             cluster, name, images=(checkpoint, dict(union), status))
     return replacements
-

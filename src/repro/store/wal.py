@@ -17,13 +17,14 @@ fsync, and there are never two flushes at once. Executors yield a
 barrier before executing (and therefore before replying), so an
 acknowledged command is always fsynced somewhere.
 
-Replay implements the torn-vs-corrupt distinction the recovery ladder
-depends on: a *truncated* record at the tail of the **last** segment is
-a torn write — bytes that never finished hitting the platter — and ends
-the log cleanly, while a CRC mismatch anywhere, or truncation in a
-non-final segment, is *corruption*: the log cannot be trusted past that
-point and recovery must fall back to a peer for the suffix instead of
-silently treating it as end-of-log.
+Replay CRC-checks every record. A *truncated* record at the tail of the
+**last** segment is a torn write — bytes that never finished hitting
+the platter — and ends the log cleanly. Any other bad record (a CRC
+mismatch, or truncation in a non-final segment) is *corruption*: that
+record is a hole, and the scan resumes at the next intact record, so
+what was fsynced after it stays readable. The recovery ladder feeds
+every readable record and backfills the holes from a peer; the torn /
+corrupt status only feeds the store stats and the flight recorder.
 """
 
 from __future__ import annotations
@@ -61,62 +62,74 @@ class WalReplay:
 
     #: Valid records in append order.
     entries: List[Tuple[int, dict]] = field(default_factory=list)
-    #: ``clean`` | ``torn`` (truncated tail record — never written) |
-    #: ``corrupt`` (CRC failure or mid-log truncation — data lost).
-    status: str = "clean"
     corrupt_records: int = 0
     torn_tail: bool = False
+
+    @property
+    def status(self) -> str:
+        """``corrupt`` (bad records skipped as holes), ``torn`` (a
+        truncated tail record: never written) or ``clean``; for stats
+        and the flight recorder, not for recovery decisions."""
+        return ("corrupt" if self.corrupt_records
+                else "torn" if self.torn_tail else "clean")
 
     @property
     def max_seq(self) -> Optional[int]:
         return max((seq for seq, _ in self.entries), default=None)
 
 
+def _record_at(data, offset: int):
+    """``(seq, entry, next_offset)`` of the intact record framed at
+    ``offset``, ``"short"`` when the bytes end inside it, ``"bad"`` when
+    its CRC (or payload) does not check."""
+    if len(data) - offset < RECORD_HEADER.size:
+        return "short"
+    length, crc, seq = RECORD_HEADER.unpack_from(data, offset)
+    body_start = offset + RECORD_HEADER.size
+    if len(data) - body_start < length:
+        return "short"
+    payload = bytes(data[body_start:body_start + length])
+    if _record_crc(seq, payload) != crc:
+        return "bad"
+    try:
+        entry = pickle.loads(payload)
+    except Exception:
+        return "bad"
+    return seq, entry, body_start + length
+
+
 def replay_wal(disk: SimulatedDisk, prefix: str = WAL_PREFIX,
                stats: Optional[StoreStats] = None) -> WalReplay:
     """Scan durable segments, CRC-checking every record.
 
-    Stops at the first anomaly. The anomaly's position decides its
-    meaning: a short read at the very tail of the final segment is a
-    torn write (clean end of log); anything else is corruption.
+    A bad record is skipped: the scan resumes at the next offset that
+    frames an intact record. Only a short read with nothing intact after
+    it, at the tail of the final segment, is a torn write (clean end of
+    log); every other anomaly is a corrupt record.
     """
     replay = WalReplay()
     files = disk.files(prefix + ".")
     for index, path in enumerate(files):
         data = disk.read(path)
-        last_file = index == len(files) - 1
         offset = 0
-        anomaly = None
         while offset < len(data):
-            if len(data) - offset < RECORD_HEADER.size:
-                anomaly = "short"
+            record = _record_at(data, offset)
+            if not isinstance(record, str):
+                seq, entry, offset = record
+                replay.entries.append((seq, entry))
+                continue
+            resume = next((start for start in range(offset + 1, len(data))
+                           if not isinstance(_record_at(data, start), str)),
+                          None)
+            if (resume is None and record == "short"
+                    and index == len(files) - 1):
+                replay.torn_tail = True
+            else:
+                replay.corrupt_records += 1
+            if resume is None:
                 break
-            length, crc, seq = RECORD_HEADER.unpack_from(data, offset)
-            body_start = offset + RECORD_HEADER.size
-            if len(data) - body_start < length:
-                anomaly = "short"
-                break
-            payload = bytes(data[body_start:body_start + length])
-            if _record_crc(seq, payload) != crc:
-                anomaly = "crc"
-                break
-            try:
-                entry = pickle.loads(payload)
-            except Exception:
-                anomaly = "crc"
-                break
-            replay.entries.append((seq, entry))
-            offset = body_start + length
-        if anomaly == "short" and last_file:
-            replay.torn_tail = True
-            replay.status = "torn"
-            break
-        if anomaly is not None:
-            replay.corrupt_records += 1
-            replay.status = "corrupt"
-            break
+            offset = resume
     if stats is not None:
-        stats.records_replayed += len(replay.entries)
         stats.corrupt_records += replay.corrupt_records
         stats.torn_tails += 1 if replay.torn_tail else 0
     return replay

@@ -12,6 +12,7 @@ from repro.fuzz.generate import (CHAOS_SCHEMES, GENERATOR_SCHEMES,
                                  generate_heal_schedule, generate_schedule,
                                  shape_nodes)
 from repro.fuzz.schedule import normalize_schedule
+from repro.harness.faults import VICTIM_ROLES, crash_modes
 
 
 class TestShape:
@@ -85,6 +86,21 @@ class TestVocabularyCoverage:
         assert crashed == {"speakers", "followers", "oracles"}
         assert modes == {"restart", "blackout"}
 
+    def test_disk_schedules_crash_every_role_with_amnesia(self):
+        """One rule: on a durable deployment every replica restarts, so
+        ``--disk`` draws amnesia where plain draws a blackout."""
+        roles = set()
+        for index in range(120):
+            schedule = generate_schedule(0, index, disk=True)
+            shape = shape_nodes(schedule.scheme)
+            for event in schedule.events:
+                if event["kind"] == "crash":
+                    assert event["mode"] == "restart"
+                    roles.update(role for role in ("speakers", "followers",
+                                                   "oracles")
+                                 if event["node"] in shape[role])
+        assert roles == {"speakers", "followers", "oracles"}
+
     def test_reconfig_interleaves_with_faults(self):
         joins = [s for s, e in self.events() if e["kind"] == "join"]
         leaves = [s for s, e in self.events() if e["kind"] == "leave"]
@@ -126,3 +142,12 @@ class TestPinnedSchedules:
         assert [generate_heal_schedule(0, index, scheme).digest()
                 for index in range(2)
                 for scheme in HEAL_SCHEMES] == self.HEAL
+
+
+class TestCrashModes:
+    def test_amnesia_needs_a_disk_or_a_follower(self):
+        assert crash_modes("follower", False) == ("restart", "blackout")
+        assert crash_modes("speaker", False) == ("blackout",)
+        assert crash_modes("oracle", False) == ("blackout",)
+        for role in VICTIM_ROLES:
+            assert crash_modes(role, True) == ("restart", "blackout")

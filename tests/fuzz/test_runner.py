@@ -5,6 +5,8 @@ re-run schedules and trust that identical schedules give identical
 outcomes, byte for byte.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.fuzz.generate import generate_schedule
@@ -59,6 +61,24 @@ class TestCrashVocabulary:
         result = run_schedule(crash_schedule("ssmr", "p0s1", "restart"))
         assert result.ok, result.violations
         assert result.ops_completed == result.ops_expected
+
+    @pytest.mark.parametrize("scheme,node", [
+        ("smr", "p0s0"), ("dssmr", "or0"), ("dynastar", "or1")])
+    def test_speaker_and_oracle_restart_on_a_durable_deployment(
+            self, scheme, node):
+        """Amnesia for every role once the deployment has disks: an
+        oracle replica is looked up as a member, not as a server."""
+        schedule = replace(crash_schedule(scheme, node, "restart"),
+                           durability=True)
+        result = run_schedule(schedule)
+        assert result.events_skipped == ()
+        assert result.ok, result.violations
+
+    def test_speaker_restart_without_a_disk_is_skipped(self):
+        result = run_schedule(crash_schedule("ssmr", "p0s0", "restart"))
+        assert result.events_skipped == (
+            "crash@50: restart is not a crash mode of a speaker replica "
+            "without a disk",)
 
     def test_unknown_bug_rejected(self):
         schedule = FaultSchedule(seed=0, index=0, scheme="smr",

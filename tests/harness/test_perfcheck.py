@@ -139,11 +139,15 @@ class TestCommittedBaseline:
 
 class TestCli:
     def test_perfcheck_gate_pass_and_fail(self, capsys):
+        """The virtual-time gate both ways. The wall-clock substrate
+        floors are gated where wall clock is measured (CI's perfcheck
+        step), not here: on a shared host they flake."""
         from repro.cli import main
 
-        assert main(["perfcheck"]) == 0
+        assert main(["perfcheck", "--no-substrate"]) == 0
         assert "perf gate passed" in capsys.readouterr().out
-        assert main(["perfcheck", "--slowdown", "1.2"]) == 1
+        assert main(["perfcheck", "--no-substrate", "--slowdown", "1.2"]) \
+            == 1
         assert "PERF GATE FAILED" in capsys.readouterr().out
 
     def test_perfcheck_smoke_is_byte_identical(self, capsys):

@@ -4,11 +4,12 @@
 import pytest
 
 from repro.harness import build_cluster, cluster_invariants
+from repro.net import FailureInjector
 from repro.reconfig.checkpoint import state_checksum
 from repro.smr import Command, CommandType
 from repro.store import DurabilityConfig
 from repro.store.checkpoints import load_latest_checkpoint
-from repro.store.wal import WAL_PREFIX, replay_wal
+from repro.store.wal import RECORD_HEADER, WAL_PREFIX, replay_wal
 
 
 def incr(key):
@@ -178,24 +179,316 @@ class TestLadder:
             cluster.servers["p0s0"].store.snapshot()
         assert cluster_invariants(cluster) == []
 
-    def test_corrupt_wal_with_no_live_peer_installs_prefix(self):
-        """Rung 3: corruption and nobody to fall back to. The readable
-        prefix is installed instead of hanging or silently completing —
-        un-replied suffix commands are left to client resends."""
+    def test_corrupt_member_with_no_live_peer_waits_for_its_group(self):
+        """No live peer: the damaged member stays down instead of
+        installing its readable prefix alone (a prefix no live member
+        vouches for), and the group restarts together from the union of
+        its members' images when its last member returns."""
         cluster = build_durable_cluster(seed=13)
         run_workload(cluster)
+        live = state_checksum(images(cluster))
         cluster.power_fail()
         disk = cluster.disks.disk("p0s1")
         segment = disk.files("wal.")[0]
         disk._durable[segment][8] ^= 0x40
-        fallbacks_before = cluster.disks.stats.peer_fallbacks
-        replacement = cluster.recover_server("p0s1")
+        assert cluster.recover_server("p0s1") is None
         cluster.run(until=cluster.env.now + 500)
-        # No peer was alive: the ladder landed on rung 3, not rung 2.
-        assert cluster.disks.stats.peer_fallbacks == fallbacks_before
-        assert replacement._start_gate.triggered
-        # The preloaded base image survived even with the log unreadable.
-        assert set(replacement.store.snapshot()) >= {"k0", "k2"}
+        assert cluster.waiting == {"p0s1"}
+        assert cluster.member("p0s1").node.crashed
+        for name in ("p1s0", "p1s1", "or0", "or1", "p0s0"):
+            cluster.recover_server(name)
+        assert cluster.waiting == set()
+        cluster.run(until=cluster.env.now + 2_000)
+        assert state_checksum(images(cluster)) == live
+        assert run_workload(cluster, count=4, name="c1") == 4
+        assert cluster_invariants(cluster) == []
+
+
+def blackout(cluster, name):
+    cluster.network.crash(name)
+
+
+def reconnect(cluster, name):
+    cluster.member(name).node.reconnect()
+
+
+def rot_record(disk, seq):
+    """Flip a payload byte of the WAL record at position ``seq``."""
+    for path in disk.files(WAL_PREFIX + "."):
+        data, offset = disk._durable[path], 0
+        while offset < len(data):
+            length, _, at = RECORD_HEADER.unpack_from(data, offset)
+            if at == seq:
+                data[offset + RECORD_HEADER.size + length // 2] ^= 0x40
+                return
+            offset += RECORD_HEADER.size + length
+    raise AssertionError(f"no durable record at {seq}")
+
+
+def p0_values(cluster):
+    return {name: cluster.servers[name].store.snapshot()
+            for name in ("p0s0", "p0s1")}
+
+
+class TestGroupRecovery:
+    """Regression shapes of a speaker restarting with amnesia (the crash
+    ``fuzz --disk`` draws for every role): each failed before every
+    rung fed every readable record, a member without a live peer waited
+    for its group, and a speaker behind its own log asked its peers."""
+
+    def test_damaged_member_returning_first_restarts_with_its_group(self):
+        """Both members down, the damaged one back first: it waits, and
+        the group restarts from the union when the other returns —
+        instead of installing its prefix and serving it to the intact
+        member as the group's history."""
+        cluster = build_durable_cluster(seed=13)
+        run_workload(cluster)
+        cluster.member("p0s0").crash()
+        cluster.member("p0s1").crash()
+        disk = cluster.disks.disk("p0s0")
+        disk._durable[disk.files("wal.")[0]][8] ^= 0x40
+        cluster.recover_server("p0s0")
+        cluster.run(until=cluster.env.now + 200)
+        cluster.recover_server("p0s1")
+        cluster.run(until=cluster.env.now + 1_000)
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert stores["p0s0"]["k0"] == 2 and stores["p0s0"]["k2"] == 2
+        assert run_workload(cluster, count=8, name="c1") == 8
+        assert cluster_invariants(cluster) == []
+
+    def test_an_answered_record_past_a_bad_one_survives_a_transfer(self):
+        """The speaker answered an entry its follower never received,
+        then crashed with a bad record below it. The transfer installs
+        the follower's checkpoint, then the speaker's own readable
+        records past it: the entry is applied, and the reconciled
+        sequencer numbers new entries past it instead of over it."""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        blackout(cluster, "p0s1")
+        assert run_workload(cluster, count=1, name="c1") == 1   # k0 + 1
+        speaker = cluster.member("p0s0")
+        answered = speaker.log.applied_count
+        assert cluster.member("p0s1").log.applied_count < answered
+        speaker.crash()
+        disk = cluster.disks.disk("p0s0")
+        disk._durable[disk.files("wal.")[0]][8] ^= 0x40
+        reconnect(cluster, "p0s1")
+        replacement = cluster.recover_server("p0s0")
+        assert replacement.log._next_seq >= answered
+        cluster.run(until=cluster.env.now + 1_000)
+        assert cluster.disks.stats.peer_fallbacks == 1
+        assert replacement.store.read("k0") == 3
+        assert run_workload(cluster, count=8, name="c2") == 8
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert stores["p0s0"]["k0"] == 5
+        assert cluster_invariants(cluster) == []
+
+    def test_an_answered_record_past_a_bad_one_outlives_a_failed_transfer(
+            self):
+        """As above, but the only source dies mid-transfer. The speaker's
+        disk still holds its readable records (the WAL is wiped only at
+        an install), so the group restart's union carries the answered
+        entry and the sequencer numbers past it."""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        blackout(cluster, "p0s1")
+        assert run_workload(cluster, count=1, name="c1") == 1   # k0 + 1
+        speaker = cluster.member("p0s0")
+        answered = speaker.log.applied_count
+        speaker.crash()
+        disk = cluster.disks.disk("p0s0")
+        disk._durable[disk.files("wal.")[0]][8] ^= 0x40
+        reconnect(cluster, "p0s1")
+        replacement = cluster.recover_server("p0s0")
+        cluster.member("p0s1").crash()
+        cluster.run(until=cluster.env.now + 1_500)
+        assert replacement.recovery.failed and not replacement.started
+        assert "p0s0" in cluster.waiting
+        assert max(seq for seq, _ in replay_wal(disk).entries) \
+            == answered - 1
+        cluster.recover_server("p0s1")
+        cluster.run(until=cluster.env.now + 1_000)
+        assert cluster.member("p0s0").log._next_seq >= answered
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert stores["p0s0"]["k0"] == 3
+        assert run_workload(cluster, count=8, name="c2") == 8
+        assert p0_values(cluster)["p0s0"]["k0"] == 5
+        assert cluster_invariants(cluster) == []
+
+    def test_a_member_whose_only_peer_is_cut_off_waits_for_it(self):
+        """A peer cut off the network is not live: a durable member
+        waits for it to reconnect instead of running one stalled
+        transfer (and one reported failure) after another."""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        cluster.member("p0s1").crash()
+        cluster.disks.disk("p0s1").erase()
+        blackout(cluster, "p0s0")
+        assert cluster.recover_server("p0s1") is None
+        cluster.run(until=cluster.env.now + 2_000)
+        assert cluster.recovery_failures == []
+        assert cluster.member("p0s1").node.crashed
+        reconnect(cluster, "p0s0")
+        cluster.run(until=cluster.env.now + 1_000)
+        assert cluster.member("p0s1").started
+        assert cluster.disks.stats.peer_fallbacks == 1
+        assert run_workload(cluster, count=8, name="c1") == 8
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert cluster_invariants(cluster) == []
+
+    def test_own_checkpoint_keeps_the_records_below_it_for_peers(self):
+        """A speaker restarting from its own checkpoint keeps its WAL
+        records below the checkpoint, so a follower that fell behind
+        that position can still backfill from it."""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        blackout(cluster, "p0s1")
+        assert run_workload(cluster, count=8, name="c1") == 8
+        speaker = cluster.member("p0s0")
+        speaker.checkpointer.capture(reason="test")
+        cluster.run(until=cluster.env.now + 100)
+        follower = cluster.member("p0s1")
+        checkpoint, _ = load_latest_checkpoint(cluster.disks.disk("p0s0"))
+        assert follower.log.applied_count < checkpoint.applied_count
+        speaker.crash()
+        reconnect(cluster, "p0s1")
+        replacement = cluster.recover_server("p0s0")
+        assert cluster.disks.stats.peer_fallbacks == 0
+        assert run_workload(cluster, count=4, name="c2") == 4
+        assert follower.log.applied_count == replacement.log.applied_count
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert cluster_invariants(cluster) == []
+
+    def test_a_speaker_behind_its_log_keeps_asking_its_peers(self):
+        """A speaker that restarts behind its follower asks it for the
+        rest once; when that request is lost, its backfill retries must
+        ask the follower again (a speaker's default target was itself,
+        so no retry ever left)."""
+        cluster = build_durable_cluster(scheme="ssmr", seed=5,
+                                        segment_records=1_024)
+        run_workload(cluster, count=40)
+        disk = cluster.disks.disk("p0s0")
+        disk.slow_factor = 100_000.0   # the speaker's fsyncs lag
+        run_workload(cluster, count=40, name="c1")
+        speaker, follower = cluster.member("p0s0"), cluster.member("p0s1")
+        assert speaker.wal.durable_seq + 1 < follower.log.applied_count
+        speaker.crash()
+        disk.slow_factor = 1.0
+        injector = FailureInjector(cluster.env, cluster.network,
+                                   cluster.seeds.child("test"))
+        lost = injector.drop_fraction(1.0, kinds=["log/p0/backfill-req"])
+        cluster.env.schedule_callback(200, lost)
+        replacement = cluster.recover_server("p0s0")
+        assert cluster.disks.stats.peer_fallbacks == 0
+        assert replacement.log.applied_count < follower.log.applied_count
+        assert run_workload(cluster, count=8, name="c2") == 8
+        assert replacement.log.applied_count == follower.log.applied_count
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert cluster_invariants(cluster) == []
+
+    def test_a_stale_member_returning_first_waits_for_the_newer_one(self):
+        """The follower goes down, the speaker orders on alone and goes
+        down too. The follower returns first, its disk clean but stale:
+        it waits instead of serving its own history, and the group
+        restarts from the union when the speaker returns. (Serving it
+        alone made the speaker, whose WAL holds a torn record, take the
+        stale state as the group's.)"""
+        cluster = build_durable_cluster(seed=9, checkpoint_every=16)
+        run_workload(cluster, count=4)
+        cluster.disks.disk("p0s0").tear_tail()
+        run_workload(cluster, count=36, name="c1")
+        cluster.member("p0s1").crash()
+        run_workload(cluster, count=40, name="c2")
+        cluster.member("p0s0").crash()
+        cluster.recover_server("p0s1")
+        cluster.run(until=cluster.env.now + 200)
+        assert cluster.member("p0s1").node.crashed
+        cluster.recover_server("p0s0")
+        cluster.run(until=cluster.env.now + 1_000)
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert stores["p0s0"]["k0"] == 20 and stores["p0s0"]["k2"] == 20
+        assert run_workload(cluster, count=8, name="c3") == 8
+        assert cluster_invariants(cluster) == []
+
+    def test_a_torn_record_inside_the_log_is_a_hole_not_its_end(self):
+        """A speaker's write tore and its WAL went on appending after
+        the torn record. The scan skips it and reads on, so the speaker
+        restarts from its own checkpoint past the hole with the records
+        after it, instead of taking a peer transfer."""
+        cluster = build_durable_cluster(seed=9, checkpoint_every=16)
+        run_workload(cluster, count=4)
+        disk = cluster.disks.disk("p0s0")
+        disk.tear_tail()
+        run_workload(cluster, count=36, name="c1")
+        replay = replay_wal(disk)
+        assert replay.status == "corrupt"
+        assert max(seq for seq, _ in replay.entries) >= 16
+        cluster.member("p0s0").crash()
+        replacement = cluster.recover_server("p0s0")
+        assert cluster.disks.stats.peer_fallbacks == 0
+        assert run_workload(cluster, count=8, name="c2") == 8
+        assert replacement.log.applied_count == \
+            cluster.member("p0s1").log.applied_count
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert cluster_invariants(cluster) == []
+
+    def test_a_position_no_disk_holds_is_never_numbered_again(self):
+        """The follower is down while the speaker answers alone; the
+        speaker goes down too, and a bit flips in the only copy of an
+        answered record. The group restarts together, but no member
+        holds that position: both stop at it, the readable records past
+        it wait, and the sequencer numbers past all of them instead of
+        re-using their positions for new commands. (A two-member
+        sequencer group answers from one durable copy; with that copy
+        gone the group cannot order past the hole.)"""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        cluster.member("p0s1").crash()
+        assert run_workload(cluster, count=8, name="c1") == 8
+        speaker = cluster.member("p0s0")
+        answered = speaker.log.applied_count
+        hole = cluster.member("p0s1").log.applied_count + 1
+        speaker.crash()
+        rot_record(cluster.disks.disk("p0s0"), hole)
+        cluster.recover_server("p0s1")
+        cluster.recover_server("p0s0")
+        cluster.run(until=cluster.env.now + 500)
+        for name in ("p0s0", "p0s1"):
+            log = cluster.member(name).log
+            assert log.applied_count == hole
+            assert hole + 1 in log._pending_apply
+        assert cluster.member("p0s0").log._next_seq >= answered
+
+    def test_a_transfer_that_runs_out_of_sources_waits_for_the_group(
+            self):
+        """The only source dies mid-transfer: the replacement is not a
+        live peer (it never started), goes back to the ladder, and the
+        group restarts together when the source returns — instead of
+        the source taking its own checkpoint beside an empty zombie."""
+        cluster = build_durable_cluster(seed=9)
+        run_workload(cluster)
+        cluster.member("p0s1").crash()
+        cluster.disks.disk("p0s1").erase()
+        zombie = cluster.recover_server("p0s1")
+        cluster.member("p0s0").crash()
+        cluster.run(until=cluster.env.now + 1_500)
+        assert zombie.recovery.failed and not zombie.started
+        cluster.recover_server("p0s0")
+        cluster.run(until=cluster.env.now + 1_000)
+        assert cluster.member("p0s1").started
+        stores = p0_values(cluster)
+        assert stores["p0s0"] == stores["p0s1"]
+        assert stores["p0s0"]["k0"] == 2
+        assert run_workload(cluster, count=8, name="c1") == 8
+        assert cluster_invariants(cluster) == []
 
 
 class TestCompactedLogColdStart:

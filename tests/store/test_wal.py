@@ -7,7 +7,7 @@ import pytest
 from repro.sim import Environment
 from repro.store import DurabilityConfig, WriteAheadLog, replay_wal
 from repro.store.disk import SimulatedDisk, StoreStats
-from repro.store.wal import encode_record, wipe_wal
+from repro.store.wal import RECORD_HEADER, encode_record, wipe_wal
 
 
 @pytest.fixture
@@ -203,6 +203,8 @@ class TestTornVsCorrupt:
         replay = replay_wal(disk)
         assert replay.status == "corrupt"
         assert replay.corrupt_records == 1
+        # The rotted record is a hole; the intact ones around it stay.
+        assert len(replay.entries) == 5
 
     def test_truncation_in_non_final_segment_is_corruption(self, env):
         disk, wal = make_wal(env, segment_records=2)
@@ -211,10 +213,10 @@ class TestTornVsCorrupt:
         del disk._durable[first][-10:]
         replay = replay_wal(disk)
         assert replay.status == "corrupt"
-        # The scan stops at the anomaly: later segments are unreadable.
-        assert [seq for seq, _ in replay.entries] == [0]
+        # The cut record is a hole; the later segments stay readable.
+        assert [seq for seq, _ in replay.entries] == [0, 2, 3, 4, 5]
 
-    def test_replay_stops_at_first_anomaly(self, env):
+    def test_replay_skips_a_bad_record_and_keeps_the_rest(self, env):
         disk, wal = make_wal(env, segment_records=2)
         fill(env, wal, 6)
         middle = disk.files("wal.")[1]
@@ -222,7 +224,30 @@ class TestTornVsCorrupt:
         data[4] ^= 0x40             # corrupt segment 2's first record
         replay = replay_wal(disk)
         assert replay.status == "corrupt"
-        assert [seq for seq, _ in replay.entries] == [0, 1]
+        assert replay.corrupt_records == 1
+        assert [seq for seq, _ in replay.entries] == [0, 1, 3, 4, 5]
+
+    def test_a_rotted_length_field_resyncs_on_the_next_record(self, env):
+        """The scan finds the next intact record even when the bad one's
+        own framing is what rotted."""
+        disk, wal = make_wal(env, segment_records=32)
+        fill(env, wal, 6)
+        data = disk._durable[disk.files("wal.")[0]]
+        length = RECORD_HEADER.unpack_from(data)[0]
+        data[RECORD_HEADER.size + length + 1] ^= 0x40   # record 1's length
+        replay = replay_wal(disk)
+        assert replay.status == "corrupt"
+        assert [seq for seq, _ in replay.entries] == [0, 2, 3, 4, 5]
+
+    def test_a_bad_record_before_a_torn_tail_is_still_corruption(self, env):
+        disk, wal = make_wal(env, segment_records=32)
+        fill(env, wal, 6)
+        disk._durable[disk.files("wal.")[0]][4] ^= 0x40
+        disk.tear_tail()
+        replay = replay_wal(disk)
+        assert replay.torn_tail
+        assert replay.status == "corrupt"
+        assert [seq for seq, _ in replay.entries] == [1, 2, 3, 4]
 
 
 class TestMaintenance:
