@@ -10,8 +10,9 @@ Skeen-style timestamp protocol layered on per-group ordered logs:
    ``am-ts`` message, so a k-group message costs k(k−1) messages and no
    log entry. The receiving speaker keeps what it hears in a local
    ``_heard`` table, neither replicated nor checkpointed. With a
-   write-ahead log the speaker announces only once the propose is durable
-   on its disk (:meth:`GroupLog.when_durable`).
+   write-ahead log the speaker announces only once the propose's log
+   position is durable on its disk (:meth:`GroupLog.when_durable`);
+   entries appended after it play no part in the wait.
 3. *Finalise & deliver* — once a speaker has applied the propose and heard
    from every other destination group, it orders one ``am-final`` entry
    carrying the maximum of the timestamps in its own group's log. Applying
@@ -20,7 +21,9 @@ Skeen-style timestamp protocol layered on per-group ordered logs:
    delivers the pending message with the smallest ``(timestamp, uid)`` key
    once that message is final; a pending non-final message with a smaller
    provisional key blocks delivery (its final timestamp can only grow,
-   never shrink below the provisional one).
+   never shrink below the provisional one). Every delivery one apply
+   releases carries that entry's log position
+   (:attr:`AmcastDelivery.position`): the prefix that decided it.
 
 Delivery floors (:mod:`repro.ordering.floor`) ride the same two steps: a
 speaker puts its group's floor in every ``am-ts`` it sends, and the
@@ -73,6 +76,11 @@ class AmcastDelivery:
     origin: str                # node that multicast the message
     timestamp: tuple[float, str]  # final (timestamp, uid) order key
     local_seq: int             # per-member delivery index
+    # The log position whose apply delivered the message: the delivery
+    # is decided by positions at or below it, so that prefix is what
+    # must be durable before its effects are observed. -1 for one made
+    # outside any log.
+    position: int = -1
 
 
 @dataclass
@@ -207,13 +215,13 @@ class AtomicMulticast:
     def _apply(self, seq: int, entry: dict) -> None:
         kind = entry["kind"]
         if kind == "am-propose":
-            self._apply_propose(entry)
+            self._apply_propose(seq, entry)
         elif kind == "am-final":
             self._apply_final(entry)
         else:
             raise ValueError(f"unknown amcast log entry kind: {kind!r}")
 
-    def _apply_propose(self, entry: dict) -> None:
+    def _apply_propose(self, seq: int, entry: dict) -> None:
         muid = entry["muid"]
         if muid in self._delivered_uids:
             return
@@ -226,7 +234,7 @@ class AtomicMulticast:
             state.final_ts = state.local_ts
         else:
             self._my_ts[muid] = state.local_ts
-            self._announce_ts(muid, state)
+            self._announce_ts(muid, state, seq)
             if self.heal_interval_ms:
                 self.node.env.schedule_callback(
                     self.heal_interval_ms, self._heal, muid)
@@ -256,12 +264,16 @@ class AtomicMulticast:
         return (not self.speaker_only
                 or self.directory.speaker(self.group) == self.node.name)
 
-    def _announce_ts(self, muid: str, state: _Pending) -> None:
+    def _announce_ts(self, muid: str, state: _Pending,
+                     position: int) -> None:
+        """Announce ``muid``'s timestamp once its propose, applied at
+        ``position``, is durable here."""
         if not self.announcing:
             return
         groups = [group for group in state.groups if group != self.group]
         ts = state.local_ts
-        self.log.when_durable(lambda: self._send_ts(groups, muid, ts))
+        self.log.when_durable(position,
+                              lambda: self._send_ts(groups, muid, ts))
 
     def _send_ts(self, groups, muid: str, ts: int) -> None:
         """Send this group's timestamp for ``muid`` to ``groups``.
@@ -361,9 +373,11 @@ class AtomicMulticast:
         ts = self._my_ts.get(muid)
         if ts is None:
             return  # never saw the propose; the puller's re-propose fixes that
-        # Pulls come from other groups only: _heal skips its own.
+        # Pulls come from other groups only: _heal skips its own. The
+        # propose's position is not kept, so wait for the newest applied.
         groups = [message.payload["reply_group"]]
-        self.log.when_durable(lambda: self._send_ts(groups, muid, ts))
+        self.log.when_durable(self.log.applied_count - 1,
+                              lambda: self._send_ts(groups, muid, ts))
 
     # -- delivery floors ------------------------------------------------------
 
@@ -388,6 +402,9 @@ class AtomicMulticast:
     # -- delivery -----------------------------------------------------------
 
     def _try_deliver(self) -> None:
+        # Called from a decide callback: every delivery this apply
+        # releases shares its position.
+        position = self.log.applied_count - 1
         while True:
             head = None   # smallest (current_ts, muid) among pending
             for muid, state in self._pending.items():
@@ -413,6 +430,7 @@ class AtomicMulticast:
                 origin=state.origin,
                 timestamp=key,
                 local_seq=self._deliver_count,
+                position=position,
             )
             self._deliver_count += 1
             for callback in list(self._callbacks):

@@ -122,15 +122,17 @@ class CentralizedAtomicMulticast:
             return  # duplicate
         self._pending[seq] = envelope
         while self._next_seq in self._pending:
-            ready = self._pending.pop(self._next_seq)
+            position = self._next_seq
+            ready = self._pending.pop(position)
             self._next_seq += 1
             delivery = AmcastDelivery(
                 uid=ready["uid"],
                 payload=ready["payload"],
                 groups=tuple(ready["groups"]),
                 origin=ready["origin"],
-                timestamp=(float(self._next_seq - 1), ready["uid"]),
+                timestamp=(float(position), ready["uid"]),
                 local_seq=self._deliver_count,
+                position=position,
             )
             self._deliver_count += 1
             self.delivery_log.append(ready["uid"])

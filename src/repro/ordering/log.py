@@ -45,7 +45,10 @@ class GroupLog(ABC):
     :mod:`repro.reconfig.recovery`). A member that detects a hole in its
     own sequence — entries pending past it, or a tail announced beyond
     it — asks the group's speaker for backfill, and asks again every
-    ``BACKFILL_DELAY_MS`` until the hole closes.
+    ``BACKFILL_DELAY_MS`` until the hole closes. A request names the
+    positions its sender holds pending; the answer carries only the
+    others, and one with nothing to carry is not sent, so two members
+    stuck behind the same hole do not trade what they both hold.
 
     The floor is the group's *stable position*: the lowest
     :attr:`stable_position` any member has reported. Every member can
@@ -126,17 +129,18 @@ class GroupLog(ABC):
         of this member's stable position."""
         self._restore_key = source
 
-    def when_durable(self, action: Callable[[], None]) -> None:
-        """Run ``action()`` once every applied position is durable.
+    def when_durable(self, position: int,
+                     action: Callable[[], None]) -> None:
+        """Run ``action()`` once ``position`` is durable here.
 
-        At once without a WAL; with one, after the flush that covers the
-        newest append (the one in flight, or the one right behind it).
+        At once without a WAL; with one, after the flush that covers
+        ``position`` (see :meth:`~repro.store.wal.WriteAheadLog.sync_barrier`).
         The wait never ends if the member dies first (its WAL is closed).
         """
         if self._wal is None:
             action()
             return
-        barrier = self._wal.sync_barrier()
+        barrier = self._wal.sync_barrier(position)
         if barrier.triggered:
             action()
         else:
@@ -294,18 +298,20 @@ class GroupLog(ABC):
 
     def request_backfill(self, provider: Optional[str] = None) -> None:
         """Ask ``provider`` (default: the group speaker; on the speaker,
-        every other member) for decided entries from our next-apply
-        position onward."""
+        every other member) for the decided entries from our next-apply
+        position onward that we do not hold pending already."""
         speaker = self.directory.speaker(self.group)
         if provider is None and speaker == self.node.name:
             targets = self.directory.members(self.group)
         else:
             targets = [provider or speaker]
+        held = sorted(self._pending_apply)
         for target in targets:
             if target != self.node.name:
                 self.node.send(target, f"log/{self.group}/backfill-req",
-                               {"from_seq": self._next_apply,
-                                "reply_to": self.node.name}, size=96)
+                               {"from_seq": self._next_apply, "held": held,
+                                "reply_to": self.node.name},
+                               size=96 + 8 * len(held))
 
     def _schedule_backfill(self) -> None:
         if self._backfill_scheduled:
@@ -347,9 +353,10 @@ class GroupLog(ABC):
                 "log", f"{self.group}: backfill from {from_seq} for "
                 f"{message.payload['reply_to']} is below floor "
                 f"{self._floor}; answering with what is retained")
+        held = set(message.payload["held"])
         entries = {seq: entry
                    for seq, entry in self.decided_entries.items()
-                   if seq >= from_seq}
+                   if seq >= from_seq and seq not in held}
         if entries:
             size = 128 + sum(64 + e.get("size", 0)
                              for e in entries.values())

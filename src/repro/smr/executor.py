@@ -60,8 +60,11 @@ class OrderedExecutor:
        recovery opens the gate.
     3. **dequeue + sojourn**: the time spent behind earlier deliveries
        feeds CoDel (``qos``) and the *queue* span.
-    4. **WAL barrier** (``wal``): the ordered entry is fsynced before its
-       effects or reply can be observed.
+    4. **WAL barrier** (``wal``): the log position that delivered the
+       entry (:attr:`~repro.ordering.atomic_multicast.AmcastDelivery.position`)
+       is fsynced before its effects or reply can be observed; entries
+       appended after it are not waited for, and a barrier already met
+       is not yielded.
     5. **schedule** (``parallel``): a pool-eligible command takes a slot
        on a worker core and the loop moves on; anything else waits for
        the pool to drain.
@@ -461,10 +464,13 @@ class OrderedExecutor:
                             self._account(command, "queue", enqueued)
                 self._current_delivery = delivery
                 if self.wal is not None:
-                    # Durability barrier: the ordered entry must be
-                    # fsynced before its effects (and reply) can be
-                    # observed by anyone (see repro.store).
-                    yield self.wal.sync_barrier()
+                    # Durability barrier: the log position that delivered
+                    # this entry must be fsynced before its effects (and
+                    # reply) can be observed by anyone (see repro.store).
+                    # Later appends play no part in it.
+                    barrier = self.wal.sync_barrier(delivery.position)
+                    if not barrier.triggered:
+                        yield barrier
                 if self.parallel is not None:
                     if (command is not None
                             and self._pool_eligible(payload, command)):

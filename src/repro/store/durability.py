@@ -5,12 +5,14 @@
 ``PartitionCheckpointer``: an ``SsmrServer``/``DssmrServer`` or an
 ``OracleReplica``) a write-ahead log on its own disk in ``farm`` and
 hooks it into the ordered log: every applied position is appended
-before execution, and the shared executor loop yields
-``owner.wal.sync_barrier()`` after measuring the delivery's queue
-sojourn and before scheduling or executing it (and therefore before
-replying), so acknowledged commands are always durable somewhere.
-The WAL flushes as soon as its disk is idle and batches whatever arrives
-during a flush into the next one, so that wait is one or two fsyncs.
+before execution, and the shared executor loop waits on
+``owner.wal.sync_barrier(delivery.position)`` after measuring the
+delivery's queue sojourn and before scheduling or executing it (and
+therefore before replying), so acknowledged commands are always durable
+somewhere. The WAL flushes as soon as its disk is idle and batches
+whatever arrives during a flush into the next one, so that wait is at
+most two fsyncs, and none when a flush covered the delivery's position
+while it queued: appends after that position are not waited for.
 
 Every owner also gets a
 :class:`~repro.store.checkpoints.DurableCheckpointStore`: every captured

@@ -10,12 +10,14 @@ appends so checkpoints can truncate whole durable segments behind them.
 Durability is group-committed without a timer: ``append`` buffers the
 record on the simulated disk and starts a flush at once unless one is
 already in flight. A flush fsyncs every dirty segment and fires the
-``sync_barrier`` events of all appends it made durable; whatever was
+``sync_barrier`` events of every position it made durable; whatever was
 appended while it ran rides the next flush, which starts the instant
 this one ends. So the batch is whatever arrived during the previous
-fsync, and there are never two flushes at once. Executors yield a
-barrier before executing (and therefore before replying), so an
-acknowledged command is always fsynced somewhere.
+fsync, and there are never two flushes at once. A barrier names the
+position it needs: an executor waits for the log position whose apply
+delivered its command, before executing (and therefore before
+replying), so an acknowledged command is always fsynced somewhere, and
+it never waits for entries appended after that position.
 
 Replay CRC-checks every record. A *truncated* record at the tail of the
 **last** segment is a torn write — bytes that never finished hitting
@@ -159,6 +161,7 @@ class WriteAheadLog:
         self._segment_count = 0
         self._dirty: Dict[str, bool] = {}
         self._barriers: List[Tuple[int, Event]] = []
+        self._met = env.event().succeed()
         self._flushing = False
 
     # -- append / barrier ----------------------------------------------------
@@ -182,15 +185,23 @@ class WriteAheadLog:
         self._start_flush()
         return True
 
-    def sync_barrier(self) -> Event:
-        """An event that fires once everything appended so far is durable."""
+    def sync_barrier(self, position: int) -> Event:
+        """An event that fires once the log is durable through
+        ``position``, or through the newest append if that is older (a
+        position this WAL never appended, such as a delivery an install
+        restored into the executor's queue).
+
+        A barrier already met returns one shared event that triggered
+        when the WAL opened: the caller can test ``triggered`` and go
+        on without a wait.
+        """
+        if self._appended_seq is None:
+            return self._met
+        target = min(position, self._appended_seq)
+        if self._durable_seq is not None and target <= self._durable_seq:
+            return self._met
         event = self.env.event()
-        if self._appended_seq is None or (
-                self._durable_seq is not None
-                and self._appended_seq <= self._durable_seq):
-            event.succeed(None)
-            return event
-        self._barriers.append((self._appended_seq, event))
+        self._barriers.append((target, event))
         self._start_flush()
         return event
 

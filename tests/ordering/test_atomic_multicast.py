@@ -201,7 +201,7 @@ class TestDurableAnnouncement:
         endpoints["s00"].log.attach_wal(wal)
         durable_at, announced_at = [], []
         endpoints["s00"].log.on_decide(
-            lambda seq, entry: wal.sync_barrier().callbacks.append(
+            lambda seq, entry: wal.sync_barrier(seq).callbacks.append(
                 lambda _event: durable_at.append(env.now))
             if entry["kind"] == "am-propose" else None)
         network.add_drop_rule(
@@ -217,6 +217,33 @@ class TestDurableAnnouncement:
         # One 0.1 ms hop decides the propose, one 0.3 ms fsync (plus its
         # bytes) makes it durable, and the announcement leaves then.
         assert announced < 0.5
+
+
+class TestDeliveryPosition:
+    """A delivery carries the log position whose apply released it: its
+    propose's for a single-group message, its final entry's otherwise."""
+
+    def test_position_is_the_releasing_entry(self, env):
+        _network, _directory, endpoints = build_amcast_stack(
+            env, {"g0": ["s00", "s01"], "g1": ["s10", "s11"]})
+        decided = {member: {} for member in endpoints}
+        positions = {member: {} for member in endpoints}
+        for member, endpoint in endpoints.items():
+            endpoint.log.on_decide(
+                lambda seq, entry, seen=decided[member]:
+                seen.setdefault(entry["uid"], seq))
+            endpoint.on_deliver(
+                lambda delivery, seen=positions[member]:
+                seen.setdefault(delivery.uid, delivery.position))
+        endpoints["s00"].multicast(["g0"], "one", uid="a")
+        endpoints["s00"].multicast(["g0", "g1"], "two", uid="b")
+        env.run(until=1_000)
+        for member in ("s00", "s01"):
+            assert positions[member] == {
+                "a": decided[member]["prop:a"],
+                "b": decided[member]["fin:b:g0"]}
+        for member in ("s10", "s11"):
+            assert positions[member] == {"b": decided[member]["fin:b:g1"]}
 
 
 class TestTimestampOrderedOnce:

@@ -32,6 +32,19 @@ class TestDelivery:
         assert endpoints["s01"].delivery_log == [uid]
         assert endpoints["s10"].delivery_log == []
 
+    def test_position_is_the_group_sequence_number(self, env):
+        _net, _dir, _seq, endpoints = build(env)
+        positions = {member: [] for member in endpoints}
+        for member, endpoint in endpoints.items():
+            endpoint.on_deliver(lambda delivery, seen=positions[member]:
+                                seen.append(delivery.position))
+        endpoints["s00"].multicast(["g0"], "a")
+        env.run(until=1_000)
+        endpoints["s00"].multicast(["g0", "g1"], "b")
+        env.run(until=2_000)
+        assert positions["s00"] == positions["s01"] == [0, 1]
+        assert positions["s10"] == positions["s11"] == [0]
+
     def test_multi_group_everywhere(self, env):
         _net, _dir, _seq, endpoints = build(env)
         uid = endpoints["s00"].multicast(["g0", "g1"], {"n": 1})

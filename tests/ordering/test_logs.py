@@ -190,6 +190,29 @@ class TestLogBackfill:
         assert [uid for _seq, uid in logs["m2"].applied] == ["first", "last"]
         assert net.sent_by_kind["log/g/backfill"] == 1
 
+    def test_an_answer_carries_only_what_the_asker_lacks(self, env):
+        """Both followers miss the decide of position 1 and hold 2..4
+        pending. m2 has nothing m1 lacks, so it sends m1 no answer; the
+        speaker's answers carry position 1 alone."""
+        net, _directory, logs = build_logs(env, SequencerLog,
+                                           latency=(0.1, 0.1))
+        net.add_drop_rule(lambda m: m.kind == "log/g/decide"
+                          and m.payload["seq"] == 1)
+        answers = []
+        net.add_drop_rule(
+            lambda m: answers.append((m.src, m.dst, sorted(
+                m.payload["entries"]))) if m.kind == "log/g/backfill"
+            else None)
+        for index in range(5):
+            logs["m0"].submit({"uid": f"e{index}"})
+        env.run(until=1.0)
+        logs["m1"].request_backfill(provider="m2")
+        env.run(until=1_000)
+        assert sorted(answers) == [("m0", "m1", [1]), ("m0", "m2", [1])]
+        for log in logs.values():
+            assert [uid for _seq, uid in log.applied] == \
+                [f"e{index}" for index in range(5)]
+
     def test_tail_is_announced_only_on_a_quiet_log(self, env):
         """No tail while decides flow; once quiet, one announcement and
         one acknowledgement per follower, and then silence."""

@@ -55,7 +55,7 @@ class SlowWal:
         self.env = env
         self.journal = journal
 
-    def sync_barrier(self):
+    def sync_barrier(self, position):
         event = self.env.event()
         self.journal.append(("barrier", self.env.now))
         self.env.schedule_callback(FSYNC_MS, self._resolve, event)

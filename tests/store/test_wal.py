@@ -86,7 +86,7 @@ class TestGroupCommit:
     def test_barrier_fires_only_after_fsync(self, env):
         _disk, wal = make_wal(env)
         wal.append(0, {"uid": "a"})
-        barrier = wal.sync_barrier()
+        barrier = wal.sync_barrier(0)
         assert not barrier.triggered
         env.run(until=100)
         assert barrier.triggered
@@ -94,7 +94,7 @@ class TestGroupCommit:
 
     def test_barrier_with_nothing_appended_is_immediate(self, env):
         _disk, wal = make_wal(env)
-        assert wal.sync_barrier().triggered
+        assert wal.sync_barrier(0).triggered
 
     def test_one_flush_covers_a_batch(self, env):
         disk, wal = make_wal(env, segment_records=32)
@@ -109,7 +109,7 @@ class TestGroupCommit:
         disk, wal = make_wal(env, segment_records=32)
         wal.append(0, {"uid": "a"})
         fired = []
-        wal.sync_barrier().callbacks.append(
+        wal.sync_barrier(0).callbacks.append(
             lambda _event: fired.append(env.now))
         env.run(until=100)
         # The flush starts at once: no window, just the buffered bytes.
@@ -123,11 +123,11 @@ class TestGroupCommit:
         second = self.fsync_cost(encode_record(1, {"uid": "b"}))
         fired = {}
         wal.append(0, {"uid": "a"})
-        wal.sync_barrier().callbacks.append(
+        wal.sync_barrier(0).callbacks.append(
             lambda _event: fired.setdefault("a", env.now))
         env.run(until=first / 2)           # the first flush is fsyncing
         wal.append(1, {"uid": "b"})
-        wal.sync_barrier().callbacks.append(
+        wal.sync_barrier(1).callbacks.append(
             lambda _event: fired.setdefault("b", env.now))
         env.run(until=first)
         assert wal.durable_seq == 0        # the first fsync missed "b"
@@ -137,6 +137,42 @@ class TestGroupCommit:
         assert disk.stats.group_commits == 2
         assert wal.durable_seq == 1
 
+    def test_a_position_the_flush_in_flight_covers_fires_as_it_ends(
+            self, env):
+        """A barrier waits for its own position: one the flush in flight
+        covers fires when that flush ends, though later appends are not
+        durable yet; a later position waits for the next flush."""
+        _disk, wal = make_wal(env, segment_records=32)
+        first = self.fsync_cost(encode_record(0, {"uid": "a"}))
+        second = self.fsync_cost(encode_record(1, {"uid": "b"}))
+        fired = {}
+        wal.append(0, {"uid": "a"})
+        env.run(until=first / 2)           # the first flush is fsyncing
+        wal.append(1, {"uid": "b"})
+        for position in (0, 1):
+            wal.sync_barrier(position).callbacks.append(
+                lambda _event, at=position: fired.setdefault(at, env.now))
+        env.run(until=100)
+        assert fired == {0: pytest.approx(first),
+                         1: pytest.approx(first + second)}
+
+    def test_a_durable_position_returns_a_triggered_barrier(self, env):
+        _disk, wal = make_wal(env)
+        wal.append(0, {"uid": "a"})
+        env.run(until=100)
+        wal.append(1, {"uid": "b"})
+        assert wal.sync_barrier(0).triggered
+        assert not wal.sync_barrier(1).triggered
+
+    def test_a_position_never_appended_waits_for_the_newest_append(
+            self, env):
+        _disk, wal = make_wal(env)
+        wal.append(0, {"uid": "a"})
+        barrier = wal.sync_barrier(5)
+        assert not barrier.triggered
+        env.run(until=100)
+        assert barrier.triggered and wal.durable_seq == 0
+
     def test_never_two_flushes_in_flight(self, env):
         disk, wal = make_wal(env, segment_records=1)
         active = self.counted_fsyncs(disk)
@@ -145,7 +181,7 @@ class TestGroupCommit:
         assert active[0] == 1
         for seq in range(1, 4):            # one new segment each
             wal.append(seq, {"uid": f"u{seq}"})
-            wal.sync_barrier()
+            wal.sync_barrier(seq)
         env.run(until=100)
         assert active[1] == 1
         # One flush for "a", one for the three segments behind it.
